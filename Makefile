@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-gate profile contention verify-journal scenarios
+.PHONY: check fmt vet build test race benchmark-test bench bench-smoke bench-gate profile contention verify-journal scenarios
 
-check: fmt vet build race bench-smoke bench-gate verify-journal
+check: fmt vet build race benchmark-test bench-smoke bench-gate verify-journal
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -25,6 +25,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The end-to-end benchmark is its own module (benchmark/go.mod), so
+# `go test ./...` never reaches its tests: the manifest and the binary's
+# metric tables agree, the compile surface is narrow, a run leaves nothing
+# outside .bench_build/.
+benchmark-test:
+	$(GO) -C benchmark test ./...
+
 # Queue and serving micro-benchmarks (ring buffer vs the seed's copy-shift).
 bench:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkQueuePopN -benchmem
@@ -37,12 +44,14 @@ bench:
 # that the dispatch hot path still scales with replicas, the submit path
 # with shards, the drain path with dispatch groups, and the read-through
 # cache still short-circuits a skewed stream. The fixed iteration counts
-# bound the standing backlog the submit benchmark accumulates.
+# bound the standing backlog the submit benchmark accumulates. Last, one
+# sequential 150-trial study on the Bayesian advisor, with its allocations.
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
 	$(GO) test . -run none -bench BenchmarkParallelDispatch -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkPredictionCache -benchtime 1x
+	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 
 # Serving-perf regression gate: re-measure the full serving matrix and the
 # cache pass, emit the machine-readable BENCH_serving.json (submitted +

@@ -3,6 +3,7 @@ package advisor
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"rafiki/internal/gp"
@@ -182,6 +183,13 @@ type BayesAdvisor struct {
 	RefitEvery int
 
 	proposals int
+	fitN      int // observations the last hyper-parameter fit saw
+	fits      int // hyper-parameter fits attempted
+
+	// Candidate-loop scratch: gp.BlockSize trials being scored and, last,
+	// the best so far; their encodings back to back.
+	cands []*Trial
+	vecs  []float64
 }
 
 // NewBayesAdvisor returns a Bayesian-optimization advisor.
@@ -202,40 +210,71 @@ func (b *BayesAdvisor) Next(string) (*Trial, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.proposals++
-	id := fmt.Sprintf("bo-%d", b.proposals)
+	id := "bo-" + strconv.Itoa(b.proposals)
 	n := b.model.N()
 
 	if n < b.Warmup {
 		return b.space.Sample(id, b.rng)
 	}
-	if b.RefitEvery > 0 && n%b.RefitEvery == 0 {
+	// Keyed on observations since the last fit, not on n itself: workers
+	// asking at the same n must not each pay for the grid, and an n that
+	// steps over a multiple of RefitEvery must not skip it.
+	if b.RefitEvery > 0 && n-b.fitN >= b.RefitEvery {
+		b.fitN = n
+		b.fits++
 		// Best-effort: a failed refit keeps the previous kernel.
 		_, _ = b.model.FitHyperparams()
 	}
-	var bestTrial *Trial
-	bestEI := -1.0
-	for c := 0; c < b.Candidates; c++ {
-		t, err := b.space.Sample(fmt.Sprintf("%s-c%d", id, c), b.rng)
-		if err != nil {
-			return nil, err
-		}
-		x, err := b.space.Vector(t)
-		if err != nil {
-			return nil, err
-		}
-		ei, err := b.model.ExpectedImprovement(x, b.XiExplore)
-		if err != nil {
-			return nil, err
-		}
-		if ei > bestEI {
-			bestEI, bestTrial = ei, t
-		}
+	best, err := b.bestCandidate()
+	if err != nil {
+		return nil, err
 	}
-	if bestTrial == nil {
+	if best == nil {
 		return b.space.Sample(id, b.rng)
 	}
-	bestTrial.ID = id
-	return bestTrial, nil
+	t := best.Clone()
+	t.ID = id
+	return t, nil
+}
+
+// bestCandidate draws Candidates random trials and returns the one with the
+// highest expected improvement, nil if none scored; the next call overwrites
+// it. Candidates are drawn and scored a block at a time into the same few
+// trials, so nothing is allocated per candidate, and no draw depends on a
+// score, so the random stream is consumed as by Candidates calls of Sample.
+func (b *BayesAdvisor) bestCandidate() (*Trial, error) {
+	knobs, err := b.space.resolve()
+	if err != nil {
+		return nil, err
+	}
+	for len(b.cands) <= gp.BlockSize {
+		b.cands = append(b.cands, &Trial{Params: make(map[string]Value, len(knobs))})
+	}
+	var best *Trial
+	var eis [gp.BlockSize]float64
+	bestEI := -1.0
+	for left := b.Candidates; left > 0; {
+		m := min(left, gp.BlockSize)
+		left -= m
+		vecs := b.vecs[:0]
+		for _, t := range b.cands[:m] {
+			b.space.sampleInto(t, knobs, b.rng)
+			if vecs, err = encode(knobs, t, vecs); err != nil {
+				return nil, err
+			}
+		}
+		b.vecs = vecs
+		if err := b.model.ExpectedImprovements(vecs, b.XiExplore, eis[:m]); err != nil {
+			return nil, err
+		}
+		for i, ei := range eis[:m] {
+			if ei > bestEI {
+				bestEI, best = ei, b.cands[i]
+				b.cands[i], b.cands[gp.BlockSize] = b.cands[gp.BlockSize], best
+			}
+		}
+	}
+	return best, nil
 }
 
 // Collect implements Advisor, feeding the GP.

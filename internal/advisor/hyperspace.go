@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rafiki/internal/sim"
@@ -123,7 +124,7 @@ func (k *Knob) categorical() bool { return len(k.Cats) > 0 }
 // HyperSpace is the declared hyper-parameter space H (Figure 4's API).
 type HyperSpace struct {
 	knobs map[string]*Knob
-	order []string // topological sample order; nil until resolved
+	order []*Knob // topological sample order; nil until resolved
 }
 
 // NewHyperSpace returns an empty space.
@@ -196,20 +197,15 @@ func WithHooks(pre, post Hook) KnobOption {
 
 // Knobs returns the knobs in sample order.
 func (h *HyperSpace) Knobs() ([]*Knob, error) {
-	if err := h.resolve(); err != nil {
-		return nil, err
-	}
-	out := make([]*Knob, len(h.order))
-	for i, n := range h.order {
-		out[i] = h.knobs[n]
-	}
-	return out, nil
+	order, err := h.resolve()
+	return append([]*Knob(nil), order...), err
 }
 
-// resolve computes a deterministic topological order over Depends edges.
-func (h *HyperSpace) resolve() error {
+// resolve returns the knobs in a deterministic topological order over
+// Depends edges, computed once and shared: callers must not modify it.
+func (h *HyperSpace) resolve() ([]*Knob, error) {
 	if h.order != nil {
-		return nil
+		return h.order, nil
 	}
 	names := make([]string, 0, len(h.knobs))
 	for n := range h.knobs {
@@ -223,7 +219,7 @@ func (h *HyperSpace) resolve() error {
 		black = 2
 	)
 	color := map[string]int{}
-	var order []string
+	var order []*Knob
 	var visit func(n string) error
 	visit = func(n string) error {
 		k, ok := h.knobs[n]
@@ -245,26 +241,35 @@ func (h *HyperSpace) resolve() error {
 			}
 		}
 		color[n] = black
-		order = append(order, n)
+		order = append(order, k)
 		return nil
 	}
 	for _, n := range names {
 		if err := visit(n); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	h.order = order
-	return nil
+	return order, nil
 }
 
 // Sample draws a trial: knobs are sampled in dependency order, hooks run
 // around each draw.
 func (h *HyperSpace) Sample(id string, rng *sim.RNG) (*Trial, error) {
-	knobs, err := h.Knobs()
+	knobs, err := h.resolve()
 	if err != nil {
 		return nil, err
 	}
-	t := &Trial{ID: id, Params: map[string]Value{}}
+	t := &Trial{ID: id, Params: make(map[string]Value, len(knobs))}
+	h.sampleInto(t, knobs, rng)
+	return t, nil
+}
+
+// sampleInto redraws t in place, so a proposal that scores hundreds of
+// candidates can keep drawing into the same trial. It consumes exactly the
+// random numbers Sample does.
+func (h *HyperSpace) sampleInto(t *Trial, knobs []*Knob, rng *sim.RNG) {
+	clear(t.Params)
 	for _, k := range knobs {
 		if k.PreHook != nil {
 			k.PreHook(t, rng)
@@ -274,7 +279,6 @@ func (h *HyperSpace) Sample(id string, rng *sim.RNG) (*Trial, error) {
 			k.PostHook(t, rng)
 		}
 	}
-	return t, nil
 }
 
 func (h *HyperSpace) draw(k *Knob, rng *sim.RNG) Value {
@@ -296,7 +300,7 @@ func (h *HyperSpace) draw(k *Knob, rng *sim.RNG) Value {
 // Dim returns the dimensionality of the normalized vector encoding:
 // one dimension per range knob, one per categorical candidate (one-hot).
 func (h *HyperSpace) Dim() (int, error) {
-	knobs, err := h.Knobs()
+	knobs, err := h.resolve()
 	if err != nil {
 		return 0, err
 	}
@@ -315,25 +319,28 @@ func (h *HyperSpace) Dim() (int, error) {
 // range knobs min-max normalized (in log space when Log), categorical knobs
 // one-hot.
 func (h *HyperSpace) Vector(t *Trial) ([]float64, error) {
-	knobs, err := h.Knobs()
+	knobs, err := h.resolve()
 	if err != nil {
 		return nil, err
 	}
-	var out []float64
+	return encode(knobs, t, make([]float64, 0, len(knobs)))
+}
+
+// encode appends t's Vector encoding to out.
+func encode(knobs []*Knob, t *Trial, out []float64) ([]float64, error) {
 	for _, k := range knobs {
 		v, ok := t.Params[k.Name]
 		if !ok {
 			return nil, fmt.Errorf("advisor: trial missing knob %q", k.Name)
 		}
 		if k.categorical() {
-			oneHot := make([]float64, len(k.Cats))
-			for i, c := range k.Cats {
-				if c == v.Str {
-					oneHot[i] = 1
-					break
+			hot := slices.Index(k.Cats, v.Str)
+			for i := range k.Cats {
+				out = append(out, 0)
+				if i == hot {
+					out[len(out)-1] = 1
 				}
 			}
-			out = append(out, oneHot...)
 			continue
 		}
 		lo, hi, x := k.Min, k.Max, v.Num

@@ -4,6 +4,9 @@
 // optimizer models validation accuracy as a Gaussian process over the
 // normalized hyper-parameter space and proposes the point with the highest
 // expected improvement over the incumbent.
+//
+// DESIGN.md §16 has the cost model: a refit under an unchanged kernel extends
+// the Cholesky factor by the new rows in O(n²) instead of refactoring.
 package gp
 
 import (
@@ -14,41 +17,58 @@ import (
 	"rafiki/internal/linalg"
 )
 
-// Kernel computes the covariance between two points.
-type Kernel interface {
-	Eval(a, b []float64) float64
-}
-
 // RBF is the squared-exponential kernel σf²·exp(-‖a−b‖²/(2ℓ²)).
 type RBF struct {
 	LengthScale float64
 	SignalVar   float64
 }
 
-// Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 {
+// Eval returns the covariance between two points.
+func (k RBF) Eval(a, b []float64) float64 { return k.of(sqDist(a, b)) }
+
+// of returns the covariance at squared distance d2.
+func (k RBF) of(d2 float64) float64 {
+	return k.SignalVar * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
+}
+
+func sqDist(a, b []float64) float64 {
 	d2 := 0.0
 	for i := range a {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	return k.SignalVar * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
+	return d2
 }
 
+// BlockSize is how many points ExpectedImprovements scores per pass over the
+// factor; a caller streaming candidates should hand over multiples of it.
+const BlockSize = linalg.Block
+
 // GP is a Gaussian-process regressor. Observations are added incrementally;
-// the posterior is refit lazily on the next prediction.
+// the posterior is refit lazily on the next prediction. It is not safe for
+// concurrent use: predictions share scratch buffers.
 type GP struct {
 	Kernel   RBF
 	NoiseVar float64
 
-	xs [][]float64
-	ys []float64
+	dim   int
+	xs    []float64 // observations, dim values each
+	ys    []float64
+	ySum  float64
+	bestY float64
 
-	// fitted state
-	dirty bool
-	chol  *linalg.Matrix
-	alpha linalg.Vector
-	yMean float64
+	// fitted state: chol factors K(fitted)+NoiseVar·I over the first
+	// chol.N() observations, alpha and yMean cover the first fitN.
+	chol   linalg.Chol
+	fitted RBF
+	fitN   int
+	alpha  linalg.Vector
+	yMean  float64
+
+	// Scratch kept across calls is O(BlockSize·n), as a finished study's
+	// advisor stays reachable; a full factorisation's O(n²) buffers are not.
+	ks  linalg.Vector // one kernel row
+	blk []float64     // BlockSize kernel rows, interleaved for SolveLowerBlock
 }
 
 // New returns a GP with the given kernel and observation-noise variance.
@@ -56,137 +76,182 @@ func New(kernel RBF, noiseVar float64) *GP {
 	if noiseVar <= 0 {
 		noiseVar = 1e-6
 	}
-	return &GP{Kernel: kernel, NoiseVar: noiseVar, dirty: true}
+	return &GP{Kernel: kernel, NoiseVar: noiseVar, bestY: math.Inf(-1)}
 }
 
-// Add appends an observation (x, y). x is copied.
+// Add appends an observation (x, y). x is copied. Every observation must
+// have the dimension of the first.
 func (g *GP) Add(x []float64, y float64) {
-	g.xs = append(g.xs, append([]float64(nil), x...))
+	if len(g.ys) == 0 {
+		g.dim = len(x)
+	} else if len(x) != g.dim {
+		panic(fmt.Sprintf("gp: observation of dimension %d in a %d-dimensional model", len(x), g.dim))
+	}
+	g.xs = append(g.xs, x...)
 	g.ys = append(g.ys, y)
-	g.dirty = true
+	g.ySum += y
+	if y > g.bestY {
+		g.bestY = y
+	}
 }
+
+func (g *GP) x(i int) []float64 { return g.xs[i*g.dim : (i+1)*g.dim] }
 
 // N returns the number of observations.
-func (g *GP) N() int { return len(g.xs) }
+func (g *GP) N() int { return len(g.ys) }
 
 // BestY returns the maximum observed value, or -Inf when empty.
-func (g *GP) BestY() float64 {
-	best := math.Inf(-1)
-	for _, y := range g.ys {
-		if y > best {
-			best = y
-		}
-	}
-	return best
-}
+func (g *GP) BestY() float64 { return g.bestY }
 
 // ErrNoData is returned when predicting from an empty GP.
 var ErrNoData = errors.New("gp: no observations")
 
+// refit brings the factor and alpha up to date with the observations and the
+// kernel. New observations under the kernel the factor was built with extend
+// it row by row; a changed kernel, or a row whose pivot is not positive,
+// takes the full factorisation and its jitter ladder.
 func (g *GP) refit() error {
-	n := len(g.xs)
+	n := len(g.ys)
 	if n == 0 {
 		return ErrNoData
 	}
-	g.yMean = 0
-	for _, y := range g.ys {
-		g.yMean += y
+	if g.fitN == n && g.fitted == g.Kernel {
+		return nil
 	}
-	g.yMean /= float64(n)
-
-	k := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.Kernel.Eval(g.xs[i], g.xs[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
+	extended := g.fitted == g.Kernel && g.chol.N() > 0
+	for i := g.chol.N(); extended && i < n; i++ {
+		row := g.ks[:0]
+		for j := 0; j <= i; j++ {
+			row = append(row, g.Kernel.Eval(g.x(j), g.x(i)))
+		}
+		row[i] += g.NoiseVar
+		g.ks = row
+		extended = g.chol.Append(row)
+	}
+	if !extended {
+		e := g.sqDists()
+		expOver(e, e, g.Kernel.LengthScale)
+		if err := g.factor(e, e); err != nil {
+			return err
 		}
 	}
-	k.AddDiag(g.NoiseVar)
-	chol, err := k.Cholesky()
-	if err != nil {
+	g.solve()
+	return nil
+}
+
+// sqDists returns the squared distance between every pair of observations,
+// packed like the factor: row i holds d²(i, 0..i).
+func (g *GP) sqDists() []float64 {
+	n := len(g.ys)
+	d2 := make([]float64, 0, n*(n+1)/2)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			d2 = append(d2, sqDist(g.x(j), g.x(i)))
+		}
+	}
+	return d2
+}
+
+// expOver sets e to exp(−d²/2ℓ²) elementwise: the part of the kernel matrix
+// that depends on the length scale alone. e may be d2.
+func expOver(e, d2 []float64, lengthScale float64) {
+	for i, v := range d2 {
+		e[i] = math.Exp(-v / (2 * lengthScale * lengthScale))
+	}
+}
+
+// factor factors m = SignalVar·e + NoiseVar·I from scratch for the current
+// kernel, e being expOver at its length scale. m may be e.
+func (g *GP) factor(m, e []float64) error {
+	n := len(g.ys)
+	for i, v := range e {
+		m[i] = g.Kernel.SignalVar * v
+	}
+	for i := 0; i < n; i++ {
+		m[i*(i+1)/2+i] += g.NoiseVar
+	}
+	g.fitted, g.fitN = g.Kernel, 0
+	if err := g.chol.Factor(m, n); err != nil {
+		g.fitted = RBF{}
 		return fmt.Errorf("gp: kernel matrix: %w", err)
 	}
-	centered := linalg.NewVector(n)
-	for i, y := range g.ys {
-		centered[i] = y - g.yMean
-	}
-	g.chol = chol
-	g.alpha = linalg.CholSolve(chol, centered)
-	g.dirty = false
 	return nil
+}
+
+// solve computes alpha = K⁻¹(y − mean) against the current factor.
+func (g *GP) solve() {
+	n := len(g.ys)
+	g.yMean = g.ySum / float64(n)
+	g.alpha = g.alpha[:0]
+	for _, y := range g.ys {
+		g.alpha = append(g.alpha, y-g.yMean)
+	}
+	g.chol.SolveLower(g.alpha)
+	g.chol.SolveUpperT(g.alpha)
+	g.fitN = n
 }
 
 // Predict returns the posterior mean and variance at x.
 func (g *GP) Predict(x []float64) (mean, variance float64, err error) {
-	if g.dirty {
-		if err := g.refit(); err != nil {
-			return 0, 0, err
-		}
+	if err := g.refit(); err != nil {
+		return 0, 0, err
 	}
-	n := len(g.xs)
-	ks := linalg.NewVector(n)
-	for i := range g.xs {
-		ks[i] = g.Kernel.Eval(g.xs[i], x)
+	ks := g.ks[:0]
+	for i := range g.ys {
+		ks = append(ks, g.Kernel.Eval(g.x(i), x))
 	}
+	g.ks = ks
 	mean = g.yMean + ks.Dot(g.alpha)
-	v := linalg.SolveLower(g.chol, ks)
-	variance = g.Kernel.Eval(x, x) - v.Dot(v)
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, variance, nil
+	g.chol.SolveLower(ks)
+	return mean, max(g.Kernel.Eval(x, x)-ks.Dot(ks), 0), nil
 }
 
 // LogMarginalLikelihood returns the GP log evidence for the current data.
 func (g *GP) LogMarginalLikelihood() (float64, error) {
-	if g.dirty {
-		if err := g.refit(); err != nil {
-			return 0, err
-		}
-	}
-	n := len(g.xs)
-	logDet := 0.0
-	for i := 0; i < n; i++ {
-		logDet += math.Log(g.chol.At(i, i))
+	if err := g.refit(); err != nil {
+		return 0, err
 	}
 	quad := 0.0
 	for i, y := range g.ys {
 		quad += (y - g.yMean) * g.alpha[i]
 	}
-	return -0.5*quad - logDet - 0.5*float64(n)*math.Log(2*math.Pi), nil
+	return -0.5*quad - g.chol.LogDiagSum() - 0.5*float64(len(g.ys))*math.Log(2*math.Pi), nil
 }
 
 // FitHyperparams grid-searches length scale and signal variance to maximize
 // the log marginal likelihood. It mutates the kernel in place and returns the
-// best likelihood found. A small grid suffices for the normalized [0,1]^d
-// hyper-parameter spaces Rafiki tunes over.
+// best likelihood found; when no grid point factors, the kernel is left as
+// it was. A small grid suffices for the normalized [0,1]^d hyper-parameter
+// spaces Rafiki tunes over. Distances are taken once per fit, exponentials
+// once per length scale and shared by its signal variances.
 func (g *GP) FitHyperparams() (float64, error) {
-	if len(g.xs) == 0 {
+	if len(g.ys) == 0 {
 		return 0, ErrNoData
 	}
 	lengths := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0}
 	signals := []float64{0.01, 0.05, 0.1, 0.5, 1.0}
 	bestLL := math.Inf(-1)
-	best := g.Kernel
+	entry, best := g.Kernel, g.Kernel
+	d2 := g.sqDists()
+	e, m := make([]float64, len(d2)), make([]float64, len(d2))
 	for _, l := range lengths {
+		expOver(e, d2, l)
 		for _, s := range signals {
 			g.Kernel = RBF{LengthScale: l, SignalVar: s}
-			g.dirty = true
-			ll, err := g.LogMarginalLikelihood()
-			if err != nil {
+			if g.factor(m, e) != nil {
 				continue
 			}
-			if ll > bestLL {
+			g.solve()
+			if ll, _ := g.LogMarginalLikelihood(); ll > bestLL {
 				bestLL, best = ll, g.Kernel
 			}
 		}
 	}
 	if math.IsInf(bestLL, -1) {
+		g.Kernel = entry
 		return 0, errors.New("gp: hyper-parameter fit failed for all grid points")
 	}
 	g.Kernel = best
-	g.dirty = true
 	return bestLL, nil
 }
 
@@ -200,6 +265,17 @@ func normalCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
 
+// expectedImprovement is EI for maximization over the incumbent best, with
+// exploration bonus xi >= 0, at a point with the given posterior.
+func expectedImprovement(mean, variance, best, xi float64) float64 {
+	sigma := math.Sqrt(variance)
+	if sigma < 1e-12 {
+		return max(mean-best-xi, 0)
+	}
+	z := (mean - best - xi) / sigma
+	return (mean-best-xi)*normalCDF(z) + sigma*normalPDF(z)
+}
+
 // ExpectedImprovement returns EI(x) for maximization against the incumbent
 // best observed value, with exploration bonus xi >= 0.
 func (g *GP) ExpectedImprovement(x []float64, xi float64) (float64, error) {
@@ -207,23 +283,44 @@ func (g *GP) ExpectedImprovement(x []float64, xi float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	best := g.BestY()
-	sigma := math.Sqrt(variance)
-	if sigma < 1e-12 {
-		if imp := mean - best - xi; imp > 0 {
-			return imp, nil
-		}
-		return 0, nil
-	}
-	z := (mean - best - xi) / sigma
-	return (mean-best-xi)*normalCDF(z) + sigma*normalPDF(z), nil
+	return expectedImprovement(mean, variance, g.bestY, xi), nil
 }
 
-// UCB returns the upper confidence bound mean + kappa·sigma at x.
-func (g *GP) UCB(x []float64, kappa float64) (float64, error) {
-	mean, variance, err := g.Predict(x)
-	if err != nil {
-		return 0, err
+// ExpectedImprovements writes into out the EI of the len(out) points stored
+// back to back in xs: ExpectedImprovement over a batch, BlockSize points
+// sharing each pass over the factor out of one reused block-sized workspace.
+func (g *GP) ExpectedImprovements(xs []float64, xi float64, out []float64) error {
+	if err := g.refit(); err != nil {
+		return err
 	}
-	return mean + kappa*math.Sqrt(variance), nil
+	n := len(g.ys)
+	if cap(g.blk) < n*BlockSize {
+		g.blk = make([]float64, (n+16)*BlockSize) // room for the next 16 observations
+	}
+	blk, kernel, alpha := g.blk[:n*BlockSize], g.Kernel, g.alpha
+	prior := kernel.of(0)
+	for len(out) > 0 {
+		m := min(BlockSize, len(out))
+		var mean, vv [BlockSize]float64
+		for c := 0; c < BlockSize; c++ {
+			// Lanes past the last point rerun it; their results are dropped.
+			x := xs[min(c, m-1)*g.dim:][:g.dim]
+			for i := 0; i < n; i++ {
+				k := kernel.of(sqDist(g.x(i), x))
+				blk[i*BlockSize+c] = k
+				mean[c] += k * alpha[i]
+			}
+		}
+		g.chol.SolveLowerBlock(blk)
+		for i := 0; i < n; i++ {
+			for c, v := range blk[i*BlockSize:][:BlockSize] {
+				vv[c] += v * v
+			}
+		}
+		for c := 0; c < m; c++ {
+			out[c] = expectedImprovement(g.yMean+mean[c], max(prior-vv[c], 0), g.bestY, xi)
+		}
+		xs, out = xs[m*g.dim:], out[m:]
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rafiki/internal/linalg"
 	"rafiki/internal/sim"
 )
 
@@ -121,16 +122,6 @@ func TestEIZeroVarianceBranch(t *testing.T) {
 	}
 }
 
-func TestUCBOrdersByUncertainty(t *testing.T) {
-	g := New(RBF{LengthScale: 0.1, SignalVar: 1}, 1e-6)
-	g.Add([]float64{0.5}, 0)
-	uNear, _ := g.UCB([]float64{0.5}, 2)
-	uFar, _ := g.UCB([]float64{0.0}, 2)
-	if uFar <= uNear {
-		t.Fatalf("UCB should prefer uncertain regions: %v vs %v", uFar, uNear)
-	}
-}
-
 func TestLogMarginalLikelihoodPrefersTrueScale(t *testing.T) {
 	rng := sim.NewRNG(21)
 	truth := RBF{LengthScale: 0.2, SignalVar: 1}
@@ -223,5 +214,215 @@ func TestNormalHelpers(t *testing.T) {
 	}
 	if normalCDF(6) < 0.999999 || normalCDF(-6) > 1e-6 {
 		t.Fatal("cdf tails wrong")
+	}
+}
+
+// denseGP is the textbook fit the incremental model is held to: a dense
+// kernel matrix refactored from scratch with linalg.Cholesky, and dense
+// triangular solves.
+type denseGP struct {
+	k     RBF
+	xs    [][]float64
+	ys    []float64
+	chol  *linalg.Matrix
+	alpha linalg.Vector
+	yMean float64
+}
+
+func fitDense(t *testing.T, k RBF, noise float64, xs [][]float64, ys []float64) *denseGP {
+	t.Helper()
+	n := len(xs)
+	d := &denseGP{k: k, xs: xs, ys: ys}
+	m := linalg.NewMatrix(n, n)
+	for i := range xs {
+		for j := range xs {
+			m.Set(i, j, k.Eval(xs[i], xs[j]))
+		}
+		m.Set(i, i, m.At(i, i)+noise)
+		d.yMean += ys[i] / float64(n)
+	}
+	var err error
+	if d.chol, err = m.Cholesky(); err != nil {
+		t.Fatal(err)
+	}
+	centered := linalg.NewVector(n)
+	for i, y := range ys {
+		centered[i] = y - d.yMean
+	}
+	d.alpha = linalg.CholSolve(d.chol, centered)
+	return d
+}
+
+func (d *denseGP) predict(x []float64) (mean, variance float64) {
+	ks := linalg.NewVector(len(d.xs))
+	for i := range d.xs {
+		ks[i] = d.k.Eval(d.xs[i], x)
+	}
+	v := linalg.SolveLower(d.chol, ks)
+	return d.yMean + ks.Dot(d.alpha), math.Max(d.k.Eval(x, x)-v.Dot(v), 0)
+}
+
+func (d *denseGP) logEvidence() float64 {
+	ll := -0.5 * float64(len(d.ys)) * math.Log(2*math.Pi)
+	for i, y := range d.ys {
+		ll -= 0.5*(y-d.yMean)*d.alpha[i] + math.Log(d.chol.At(i, i))
+	}
+	return ll
+}
+
+// checkAgainstDense compares g with a from-scratch dense fit of the same
+// observations, and with a fresh GP given them all at once — which takes the
+// full factorisation where g extended its factor, and must agree bit for bit.
+func checkAgainstDense(t *testing.T, g *GP, xs [][]float64, ys []float64, probes [][]float64, tol float64) {
+	t.Helper()
+	dense := fitDense(t, g.Kernel, g.NoiseVar, xs, ys)
+	fresh := New(g.Kernel, g.NoiseVar)
+	for i := range xs {
+		fresh.Add(xs[i], ys[i])
+	}
+	ll, err := g.LogMarginalLikelihood()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshLL, _ := fresh.LogMarginalLikelihood(); ll != freshLL {
+		t.Fatalf("n=%d: evidence %v, fresh fit %v", len(xs), ll, freshLL)
+	}
+	if want := dense.logEvidence(); math.Abs(ll-want) > tol*(1+math.Abs(want)) {
+		t.Fatalf("n=%d: evidence %v, dense %v", len(xs), ll, want)
+	}
+	for i, a := range g.alpha {
+		if a != fresh.alpha[i] {
+			t.Fatalf("n=%d: alpha[%d] %v, fresh fit %v", len(xs), i, a, fresh.alpha[i])
+		}
+		if math.Abs(a-dense.alpha[i]) > tol*(1+math.Abs(dense.alpha[i])) {
+			t.Fatalf("n=%d: alpha[%d] %v, dense %v", len(xs), i, a, dense.alpha[i])
+		}
+	}
+	for _, x := range probes {
+		mean, variance, err := g.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fm, fv, _ := fresh.Predict(x); mean != fm || variance != fv {
+			t.Fatalf("n=%d: predict (%v, %v), fresh fit (%v, %v)", len(xs), mean, variance, fm, fv)
+		}
+		if dm, dv := dense.predict(x); math.Abs(mean-dm) > tol || math.Abs(variance-dv) > tol {
+			t.Fatalf("n=%d: predict (%v, %v), dense (%v, %v)", len(xs), mean, variance, dm, dv)
+		}
+	}
+}
+
+func randomPoints(rng *sim.RNG, n, dim int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dim)
+		for j := range pts[i] {
+			pts[i][j] = rng.Float64()
+		}
+	}
+	return pts
+}
+
+// TestIncrementalFitMatchesFromScratch: after every Add — through a kernel
+// change by hand and one by FitHyperparams, both of which force the full
+// factorisation — the grown factor gives the alpha, mean, variance and
+// evidence of a from-scratch fit. The noise keeps the kernel matrix's
+// condition number near 1e4, so that 1e-10 is a bound on arithmetic that
+// differs and not on rounding the matrix amplifies.
+func TestIncrementalFitMatchesFromScratch(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := sim.NewRNG(seed)
+		dim := int(seed) + 1
+		xs := randomPoints(rng, 36, dim)
+		probes := randomPoints(rng, 3, dim)
+		g := New(RBF{LengthScale: 0.3, SignalVar: 0.5}, 1e-2)
+		var ys []float64
+		for i, x := range xs {
+			ys = append(ys, math.Sin(3*x[0])+0.1*rng.Float64())
+			g.Add(x, ys[i])
+			switch i {
+			case 12:
+				g.Kernel = RBF{LengthScale: 0.5, SignalVar: 1}
+			case 24:
+				if _, err := g.FitHyperparams(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAgainstDense(t, g, xs[:i+1], ys, probes, 1e-10)
+		}
+	}
+}
+
+// TestIncrementalFitAcrossDuplicates: with next to no noise an exact
+// duplicate makes the new pivot zero, the extension is refused and the full
+// factorisation climbs the jitter ladder; later rows, a third copy among
+// them, extend the jittered factor. The jittered matrix has a condition
+// number near 1e10, which is what the tolerance against the dense fit allows
+// for; the fresh fit is still matched bit for bit.
+func TestIncrementalFitAcrossDuplicates(t *testing.T) {
+	rng := sim.NewRNG(5)
+	xs := randomPoints(rng, 12, 2)
+	xs[1], xs[8] = xs[0], xs[0]
+	probes := randomPoints(rng, 3, 2)
+	g := New(RBF{LengthScale: 0.3, SignalVar: 1}, 1e-20)
+	var ys []float64
+	for i, x := range xs {
+		ys = append(ys, math.Sin(3*x[0]))
+		g.Add(x, ys[i])
+		checkAgainstDense(t, g, xs[:i+1], ys, probes, 1e-5)
+	}
+	// The premise: without jitter the second copy's pivot is not positive.
+	var c linalg.Chol
+	if k := g.Kernel.Eval(xs[0], xs[1]) + g.NoiseVar; !c.Append([]float64{k}) || c.Append([]float64{k, k}) {
+		t.Fatal("a duplicate observation should not factor without jitter")
+	}
+}
+
+// TestExpectedImprovementsMatchesPerPoint covers every block remainder.
+func TestExpectedImprovementsMatchesPerPoint(t *testing.T) {
+	rng := sim.NewRNG(6)
+	g := New(RBF{LengthScale: 0.3, SignalVar: 0.2}, 1e-4)
+	for _, x := range randomPoints(rng, 30, 4) {
+		g.Add(x, 0.8+0.1*math.Cos(4*x[1])+0.01*rng.Float64())
+	}
+	for _, m := range []int{1, 7, 8, 9, 500} {
+		var flat []float64
+		pts := randomPoints(rng, m, 4)
+		for _, p := range pts {
+			flat = append(flat, p...)
+		}
+		got := make([]float64, m)
+		if err := g.ExpectedImprovements(flat, 0.01, got); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pts {
+			want, err := g.ExpectedImprovement(p, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got[i]-want) > 1e-12 {
+				t.Fatalf("%d candidates: EI[%d] = %v, per point %v", m, i, got[i], want)
+			}
+		}
+	}
+	if err := New(RBF{LengthScale: 0.3, SignalVar: 1}, 1e-4).ExpectedImprovements(nil, 0, nil); err != ErrNoData {
+		t.Fatalf("batch EI on an empty model: %v", err)
+	}
+}
+
+// TestFitHyperparamsKeepsKernelOnTotalFailure: when no grid point factors,
+// the kernel the caller had is the kernel the caller keeps.
+func TestFitHyperparamsKeepsKernelOnTotalFailure(t *testing.T) {
+	entry := RBF{LengthScale: 0.2, SignalVar: 0.1}
+	g := New(entry, 1e-4)
+	for _, x := range randomPoints(sim.NewRNG(7), 6, 2) {
+		g.Add(x, x[0])
+	}
+	g.NoiseVar = -10 // every diagonal negative, far beyond what jitter repairs
+	if _, err := g.FitHyperparams(); err == nil {
+		t.Fatal("fit of a non-positive-definite model should fail")
+	}
+	if g.Kernel != entry {
+		t.Fatalf("failed fit left kernel %+v, want %+v", g.Kernel, entry)
 	}
 }

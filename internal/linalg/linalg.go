@@ -1,8 +1,8 @@
-// Package linalg implements the small dense linear-algebra kernel needed by
-// Rafiki's Gaussian-process advisor and neural-network substrate: vectors,
-// row-major matrices, matrix products, Cholesky factorization and triangular
-// solves. It is deliberately minimal — no BLAS, stdlib only — but numerically
-// careful where the Bayesian optimizer depends on it (jittered Cholesky).
+// Package linalg is the linear-algebra kernel under Rafiki's Gaussian-process
+// advisor (internal/gp is its only importer): a packed Cholesky factor that
+// grows a row per observation and solves for a block of right-hand sides,
+// and the textbook dense path the tests hold it to. Stdlib only; both retry
+// with diagonal jitter, the standard remedy for near-singular kernel matrices.
 package linalg
 
 import (
@@ -11,8 +11,8 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is not
-// (numerically) symmetric positive definite even after jittering.
+// ErrNotPositiveDefinite is returned when a matrix is not (numerically)
+// symmetric positive definite even after jittering.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 
 // Vector is a dense float64 vector.
@@ -21,59 +21,159 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Dot returns the inner product of v and w. Lengths must match.
+// Dot returns the inner product of v and w. Lengths must match. The four
+// accumulators are independent, so no add waits for the one before it.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("linalg: dot length mismatch %d vs %d", len(v), len(w)))
 	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		a, b := v[i:i+4:i+4], w[i:i+4:i+4] // one bounds check per four elements
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+	}
+	for ; i < len(v); i++ {
+		s0 += v[i] * w[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// nextJitter climbs the jitter ladder both factorisations share: 0, then
+// 1e-10·max(meanDiag,1) growing 100× per step up to 1e-4·max(meanDiag,1).
+func nextJitter(jitter, meanDiag float64) (float64, bool) {
+	scale := math.Max(meanDiag, 1)
+	if jitter == 0 {
+		jitter = 1e-10 * scale
+	} else {
+		jitter *= 100
+	}
+	return jitter, jitter <= 1e-4*scale
+}
+
+// Block is how many right-hand sides SolveLowerBlock carries per pass.
+const Block = 8
+
+// Chol is the Cholesky factor L of a symmetric positive-definite matrix,
+// packed by rows (row i: i+1 entries at offset i(i+1)/2) so inner products
+// run over contiguous memory. The zero value is an empty factor.
+type Chol struct {
+	n      int
+	l      []float64
+	jitter float64 // what Factor had to add to the diagonal
+}
+
+// N returns the order of the factored matrix.
+func (c *Chol) N() int { return c.n }
+
+func (c *Chol) row(i int) Vector { return c.l[i*(i+1)/2 : i*(i+1)/2+i+1] }
+
+// Append grows the factor by the matrix's next row (n+1 entries, diagonal
+// last) in O(n²). Row-wise Cholesky computes row i from rows 0..i alone, so
+// this is exactly the row Factor would produce. It returns false and leaves
+// the factor unchanged when the new pivot is not positive.
+func (c *Chol) Append(row []float64) bool {
+	i := c.n
+	if len(row) != i+1 {
+		panic(fmt.Sprintf("linalg: append of %d entries to a factor of order %d", len(row), i))
+	}
+	c.l = append(c.l[:i*(i+1)/2], row...)
+	li := c.row(i)
+	for j := 0; j < i; j++ {
+		lj := c.row(j)
+		li[j] = (li[j] - li[:j].Dot(lj[:j])) / lj[j]
+	}
+	pivot := li[i] + c.jitter - li[:i].Dot(li[:i])
+	if pivot <= 0 || math.IsNaN(pivot) {
+		return false
+	}
+	li[i] = math.Sqrt(pivot)
+	c.n++
+	return true
+}
+
+// Factor replaces the factor with that of the n×n matrix whose lower
+// triangle a holds packed by rows, climbing the jitter ladder like the dense
+// Cholesky. On ErrNotPositiveDefinite the factor is left empty.
+func (c *Chol) Factor(a []float64, n int) error {
+	meanDiag := 0.0
+	for i := 0; i < n; i++ {
+		meanDiag += a[i*(i+1)/2+i]
+	}
+	if n > 0 {
+		meanDiag /= float64(n)
+	}
+	for jitter, more := 0.0, true; more; jitter, more = nextJitter(jitter, meanDiag) {
+		c.n, c.jitter = 0, jitter
+		for i := 0; i < n && c.Append(a[i*(i+1)/2:i*(i+1)/2+i+1]); i++ {
+		}
+		if c.n == n {
+			return nil
+		}
+	}
+	c.n, c.jitter = 0, 0
+	return ErrNotPositiveDefinite
+}
+
+// LogDiagSum returns Σ log L[i][i], half the log-determinant of the matrix.
+func (c *Chol) LogDiagSum() float64 {
 	s := 0.0
-	for i := range v {
-		s += v[i] * w[i]
+	for i := 0; i < c.n; i++ {
+		s += math.Log(c.l[i*(i+1)/2+i])
 	}
 	return s
 }
 
-// AddScaled adds alpha*w to v in place and returns v.
-func (v Vector) AddScaled(alpha float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic("linalg: addScaled length mismatch")
+// SolveLower solves L·x = b in place by forward substitution.
+func (c *Chol) SolveLower(x Vector) {
+	for i := range x[:c.n] {
+		li := c.row(i)
+		x[i] = (x[i] - li[:i].Dot(x[:i])) / li[i]
 	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-	return v
 }
 
-// Scale multiplies v by alpha in place and returns v.
-func (v Vector) Scale(alpha float64) Vector {
-	for i := range v {
-		v[i] *= alpha
-	}
-	return v
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Max returns the maximum element and its index; (-Inf,-1) for empty vectors.
-func (v Vector) Max() (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, x := range v {
-		if x > best {
-			best, idx = x, i
+// SolveUpperT solves Lᵀ·x = b in place by back substitution, column-oriented
+// so that it too walks rows of L.
+func (c *Chol) SolveUpperT(x Vector) {
+	for i := len(x[:c.n]) - 1; i >= 0; i-- {
+		li := c.row(i)
+		x[i] /= li[i]
+		for k, l := range li[:i] {
+			x[k] -= l * x[i]
 		}
 	}
-	return best, idx
 }
 
-// Matrix is a dense row-major matrix.
+// SolveLowerBlock solves L·X = B in place for Block right-hand sides at once,
+// entry i of right-hand side r at v[i*Block+r]. Each row of L is loaded once
+// per block, and the Block running sums are independent of one another; each
+// is accumulated in the order the dense SolveLower uses.
+func (c *Chol) SolveLowerBlock(v []float64) {
+	for i := 0; i < c.n; i++ {
+		li := c.row(i)
+		vi := (*[Block]float64)(v[i*Block:])
+		a0, a1, a2, a3, a4, a5, a6, a7 := vi[0], vi[1], vi[2], vi[3], vi[4], vi[5], vi[6], vi[7]
+		for k, l := range li[:i] {
+			vk := (*[Block]float64)(v[k*Block:])
+			a0 -= l * vk[0]
+			a1 -= l * vk[1]
+			a2 -= l * vk[2]
+			a3 -= l * vk[3]
+			a4 -= l * vk[4]
+			a5 -= l * vk[5]
+			a6 -= l * vk[6]
+			a7 -= l * vk[7]
+		}
+		d := li[i]
+		*vi = [Block]float64{a0 / d, a1 / d, a2 / d, a3 / d, a4 / d, a5 / d, a6 / d, a7 / d}
+	}
+}
+
+// Matrix is a dense row-major matrix. It and the functions below are the
+// textbook path, kept as the reference the tests hold the packed factor to.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
@@ -87,117 +187,15 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i,j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns row i as a vector view (shared storage).
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m*b. Inner dimensions must agree.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch (%dx%d)*(%dx%d)", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j := range oi {
-				oi[j] += mik * bk[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m*v as a new vector.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: mulvec shape mismatch (%dx%d)*%d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
-	}
-	return out
-}
-
-// Add adds b to m in place and returns m.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: add shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-	return m
-}
-
-// AddDiag adds v to the diagonal in place and returns m (m must be square).
-func (m *Matrix) AddDiag(v float64) *Matrix {
-	if m.Rows != m.Cols {
-		panic("linalg: addDiag on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += v
-	}
-	return m
-}
-
 // Cholesky computes the lower-triangular L with L*Lᵀ = m for a symmetric
 // positive-definite m. If the factorization fails it retries with growing
-// diagonal jitter (up to 1e-4·mean-diagonal), which is the standard remedy
-// for near-singular GP kernel matrices; beyond that it returns
+// diagonal jitter (up to 1e-4·mean-diagonal); beyond that it returns
 // ErrNotPositiveDefinite.
 func (m *Matrix) Cholesky() (*Matrix, error) {
 	if m.Rows != m.Cols {
@@ -211,19 +209,9 @@ func (m *Matrix) Cholesky() (*Matrix, error) {
 	if n > 0 {
 		meanDiag /= float64(n)
 	}
-	jitter := 0.0
-	for attempt := 0; attempt < 6; attempt++ {
-		l, ok := choleskyAttempt(m, jitter)
-		if ok {
+	for jitter, more := 0.0, true; more; jitter, more = nextJitter(jitter, meanDiag) {
+		if l, ok := choleskyAttempt(m, jitter); ok {
 			return l, nil
-		}
-		if jitter == 0 {
-			jitter = 1e-10 * math.Max(meanDiag, 1)
-		} else {
-			jitter *= 100
-		}
-		if jitter > 1e-4*math.Max(meanDiag, 1) {
-			break
 		}
 	}
 	return nil, ErrNotPositiveDefinite

@@ -1,20 +1,85 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rafiki/internal/sim"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// randomSPD builds A = Bᵀ B + n·I, which is symmetric positive definite.
+func randomSPD(g *sim.RNG, n int) *Matrix {
+	b := NewMatrix(n, n)
+	for i := range b.Data {
+		b.Data[i] = g.Normal(0, 1)
+	}
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				a.Data[i*n+j] += b.At(k, i) * b.At(k, j)
+			}
+		}
+		a.Data[i*n+i] += float64(n)
+	}
+	return a
+}
+
+func mulVec(a *Matrix, x Vector) Vector {
+	out := NewVector(a.Rows)
+	for i := range out {
+		for j := range x {
+			out[i] += a.At(i, j) * x[j]
+		}
+	}
+	return out
+}
+
+// packLower returns the lower triangle of a packed by rows, as Chol.Factor
+// takes it.
+func packLower(a *Matrix) []float64 {
+	var p []float64
+	for i := 0; i < a.Rows; i++ {
+		p = append(p, a.Data[i*a.Cols:i*a.Cols+i+1]...)
+	}
+	return p
+}
+
+// unpack returns the factor as a dense lower-triangular matrix.
+func unpack(c *Chol) *Matrix {
+	l := NewMatrix(c.N(), c.N())
+	for i := 0; i < c.N(); i++ {
+		copy(l.Data[i*l.Cols:], c.row(i))
+	}
+	return l
+}
+
+// TestVectorDot covers every remainder of the four-way unrolled loop.
 func TestVectorDot(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if got := v.Dot(w); got != 32 {
+	if got := (Vector{1, 2, 3}).Dot(Vector{4, 5, 6}); got != 32 {
 		t.Fatalf("dot = %v, want 32", got)
+	}
+	g := sim.NewRNG(10)
+	for n := 0; n <= 13; n++ {
+		v, w, want := NewVector(n), NewVector(n), 0.0
+		for i := range v {
+			v[i], w[i] = g.Normal(0, 1), g.Normal(0, 1)
+			want += v[i] * w[i]
+		}
+		if got := v.Dot(w); !almostEq(got, want, 1e-12) {
+			t.Fatalf("n=%d: dot = %v, want %v", n, got, want)
+		}
 	}
 }
 
@@ -27,80 +92,6 @@ func TestVectorDotMismatchPanics(t *testing.T) {
 	Vector{1}.Dot(Vector{1, 2})
 }
 
-func TestVectorOps(t *testing.T) {
-	v := Vector{1, 2}.Clone()
-	v.AddScaled(2, Vector{3, 4})
-	if v[0] != 7 || v[1] != 10 {
-		t.Fatalf("addScaled = %v", v)
-	}
-	v.Scale(0.5)
-	if v[0] != 3.5 || v[1] != 5 {
-		t.Fatalf("scale = %v", v)
-	}
-	if !almostEq(Vector{3, 4}.Norm(), 5, 1e-12) {
-		t.Fatal("norm")
-	}
-	m, i := Vector{1, 9, 3}.Max()
-	if m != 9 || i != 1 {
-		t.Fatalf("max = %v@%d", m, i)
-	}
-	if _, i := (Vector{}).Max(); i != -1 {
-		t.Fatal("empty max index should be -1")
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	for i := range c.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("mul = %v, want %v", c.Data, want.Data)
-		}
-	}
-}
-
-func TestMatrixMulVecAndTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v := a.MulVec(Vector{1, 1, 1})
-	if v[0] != 6 || v[1] != 15 {
-		t.Fatalf("mulvec = %v", v)
-	}
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("transpose wrong: %+v", at)
-	}
-}
-
-func TestIdentityMulIsNoop(t *testing.T) {
-	g := sim.NewRNG(11)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + g.Intn(8)
-		m := NewMatrix(n, n)
-		for i := range m.Data {
-			m.Data[i] = g.Normal(0, 1)
-		}
-		p := Identity(n).Mul(m)
-		for i := range p.Data {
-			if !almostEq(p.Data[i], m.Data[i], 1e-12) {
-				t.Fatal("I*M != M")
-			}
-		}
-	}
-}
-
-// randomSPD builds A = Bᵀ B + n·I, which is symmetric positive definite.
-func randomSPD(g *sim.RNG, n int) *Matrix {
-	b := NewMatrix(n, n)
-	for i := range b.Data {
-		b.Data[i] = g.Normal(0, 1)
-	}
-	a := b.T().Mul(b)
-	a.AddDiag(float64(n))
-	return a
-}
-
 func TestCholeskyReconstruction(t *testing.T) {
 	g := sim.NewRNG(12)
 	for trial := 0; trial < 25; trial++ {
@@ -110,16 +101,16 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cholesky failed on SPD matrix: %v", err)
 		}
-		recon := l.Mul(l.T())
-		for i := range a.Data {
-			if !almostEq(recon.Data[i], a.Data[i], 1e-8) {
-				t.Fatalf("L*Lt != A at %d: %v vs %v", i, recon.Data[i], a.Data[i])
-			}
-		}
-		// L must be lower triangular.
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if l.At(i, j) != 0 {
+			for j := 0; j < n; j++ {
+				recon := 0.0
+				for k := 0; k < n; k++ {
+					recon += l.At(i, k) * l.At(j, k)
+				}
+				if !almostEq(recon, a.At(i, j), 1e-8) {
+					t.Fatalf("L*Lt != A at (%d,%d): %v vs %v", i, j, recon, a.At(i, j))
+				}
+				if j > i && l.At(i, j) != 0 {
 					t.Fatal("cholesky factor not lower triangular")
 				}
 			}
@@ -128,25 +119,32 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -5}})
+	a := fromRows([][]float64{{1, 0}, {0, -5}})
 	if _, err := a.Cholesky(); err == nil {
 		t.Fatal("expected failure on indefinite matrix")
 	}
-	b := FromRows([][]float64{{1, 2, 3}})
+	b := fromRows([][]float64{{1, 2, 3}})
 	if _, err := b.Cholesky(); err == nil {
 		t.Fatal("expected failure on non-square matrix")
 	}
+	var c Chol
+	if err := c.Factor(packLower(a), 2); !errors.Is(err, ErrNotPositiveDefinite) || c.N() != 0 {
+		t.Fatalf("packed factor of an indefinite matrix: err %v, order %d", err, c.N())
+	}
 }
 
-func TestCholeskyJitterRecoversNearSingular(t *testing.T) {
-	// Rank-deficient Gram matrix: duplicate kernel rows, as happens when the
-	// Bayesian optimizer revisits nearly identical trials.
-	a := FromRows([][]float64{
+// nearSingular is a rank-deficient Gram matrix: duplicate kernel rows, as
+// happens when the Bayesian optimizer revisits nearly identical trials.
+func nearSingular() *Matrix {
+	return fromRows([][]float64{
 		{1, 1, 0.5},
 		{1, 1, 0.5},
 		{0.5, 0.5, 1},
 	})
-	if _, err := a.Cholesky(); err != nil {
+}
+
+func TestCholeskyJitterRecoversNearSingular(t *testing.T) {
+	if _, err := nearSingular().Cholesky(); err != nil {
 		t.Fatalf("jittered cholesky should recover: %v", err)
 	}
 }
@@ -160,12 +158,11 @@ func TestSolveRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = g.Normal(0, 2)
 		}
-		b := a.MulVec(x)
 		l, err := a.Cholesky()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := CholSolve(l, b)
+		got := CholSolve(l, mulVec(a, x))
 		for i := range x {
 			if !almostEq(got[i], x[i], 1e-6) {
 				t.Fatalf("solve mismatch at %d: %v vs %v", i, got[i], x[i])
@@ -175,7 +172,7 @@ func TestSolveRoundTrip(t *testing.T) {
 }
 
 func TestTriangularSolves(t *testing.T) {
-	l := FromRows([][]float64{{2, 0}, {1, 3}})
+	l := fromRows([][]float64{{2, 0}, {1, 3}})
 	x := SolveLower(l, Vector{4, 11})
 	if !almostEq(x[0], 2, 1e-12) || !almostEq(x[1], 3, 1e-12) {
 		t.Fatalf("solveLower = %v", x)
@@ -187,38 +184,117 @@ func TestTriangularSolves(t *testing.T) {
 	}
 }
 
-// Property: (A*B)ᵀ == Bᵀ*Aᵀ for random shapes.
-func TestTransposeProductProperty(t *testing.T) {
-	g := sim.NewRNG(14)
-	f := func(rRaw, cRaw, kRaw uint8) bool {
-		r, c, k := int(rRaw%6)+1, int(cRaw%6)+1, int(kRaw%6)+1
-		a := NewMatrix(r, k)
-		b := NewMatrix(k, c)
-		for i := range a.Data {
-			a.Data[i] = g.Normal(0, 1)
+// TestCholMatchesDense holds the packed factor and its solves to the
+// textbook path on random SPD matrices, and on the near-singular one where
+// both must climb the jitter ladder to the same rung.
+func TestCholMatchesDense(t *testing.T) {
+	g := sim.NewRNG(15)
+	mats := []*Matrix{nearSingular()}
+	for n := 1; n <= 24; n++ {
+		mats = append(mats, randomSPD(g, n))
+	}
+	for _, a := range mats {
+		n := a.Rows
+		dense, err := a.Cholesky()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range b.Data {
-			b.Data[i] = g.Normal(0, 1)
+		var c Chol
+		if err := c.Factor(packLower(a), n); err != nil {
+			t.Fatal(err)
 		}
-		lhs := a.Mul(b).T()
-		rhs := b.T().Mul(a.T())
-		for i := range lhs.Data {
-			if !almostEq(lhs.Data[i], rhs.Data[i], 1e-9) {
-				return false
+		logDiag := 0.0
+		for i := 0; i < n; i++ {
+			logDiag += math.Log(dense.At(i, i))
+		}
+		if !almostEq(c.LogDiagSum(), logDiag, 1e-8) {
+			t.Fatalf("n=%d: log-diagonal sum %v, dense %v", n, c.LogDiagSum(), logDiag)
+		}
+		packed := unpack(&c)
+		for i := range dense.Data {
+			if !almostEq(packed.Data[i], dense.Data[i], 1e-8*(1+math.Abs(dense.Data[i]))) {
+				t.Fatalf("n=%d: factor entry %d is %v, dense %v", n, i, packed.Data[i], dense.Data[i])
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		b := NewVector(n)
+		for i := range b {
+			b[i] = g.Normal(0, 1)
+		}
+		// Against the same factor the solves must agree to rounding.
+		lo, up := append(Vector(nil), b...), append(Vector(nil), b...)
+		c.SolveLower(lo)
+		c.SolveUpperT(up)
+		wantLo, wantUp := SolveLower(packed, b), SolveUpperT(packed, b)
+		for i := range b {
+			if !almostEq(lo[i], wantLo[i], 1e-10*(1+math.Abs(wantLo[i]))) || !almostEq(up[i], wantUp[i], 1e-10*(1+math.Abs(wantUp[i]))) {
+				t.Fatalf("n=%d: solves at %d: lower %v vs %v, upper %v vs %v", n, i, lo[i], wantLo[i], up[i], wantUp[i])
+			}
+		}
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
+// TestCholAppendIsTheNextRowOfFactor: growing the factor a row at a time
+// gives, bit for bit, the factor of the whole matrix; a row whose pivot is
+// not positive is refused and leaves the factor as it was.
+func TestCholAppendIsTheNextRowOfFactor(t *testing.T) {
+	g := sim.NewRNG(16)
+	a := randomSPD(g, 20)
+	p := packLower(a)
+	var grown, whole Chol
+	for n := 1; n <= a.Rows; n++ {
+		if !grown.Append(p[n*(n-1)/2 : n*(n+1)/2]) {
+			t.Fatalf("append of row %d refused", n-1)
 		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
+		if err := whole.Factor(p, n); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range whole.l[:n*(n+1)/2] {
+			if grown.l[i] != v {
+				t.Fatalf("order %d: entry %d grown %v, from scratch %v", n, i, grown.l[i], v)
+			}
+		}
+	}
+	before := append([]float64(nil), grown.l[:20*21/2]...)
+	// A copy of the last row and column with a smaller diagonal: pivot ≈ −1.
+	bad := append(append([]float64(nil), p[19*20/2:]...), a.At(19, 19)-1)
+	if grown.Append(bad) || grown.N() != 20 {
+		t.Fatalf("append of a row with a negative pivot accepted (order %d)", grown.N())
+	}
+	for i, v := range before {
+		if grown.l[i] != v {
+			t.Fatalf("refused append changed entry %d", i)
+		}
+	}
+}
+
+// TestSolveLowerBlock: every lane of the blocked solve is the dense forward
+// substitution on that right-hand side, operation for operation.
+func TestSolveLowerBlock(t *testing.T) {
+	g := sim.NewRNG(17)
+	for _, n := range []int{1, 2, 7, 33} {
+		var c Chol
+		if err := c.Factor(packLower(randomSPD(g, n)), n); err != nil {
+			t.Fatal(err)
+		}
+		v := make([]float64, n*Block)
+		for i := range v {
+			v[i] = g.Normal(0, 1)
+		}
+		var want [Block]Vector
+		for r := range want {
+			b := NewVector(n)
+			for i := range b {
+				b[i] = v[i*Block+r]
+			}
+			want[r] = SolveLower(unpack(&c), b)
+		}
+		c.SolveLowerBlock(v)
+		for i := 0; i < n; i++ {
+			for r := 0; r < Block; r++ {
+				if v[i*Block+r] != want[r][i] {
+					t.Fatalf("n=%d lane %d entry %d: %v, dense %v", n, r, i, v[i*Block+r], want[r][i])
+				}
+			}
+		}
+	}
 }

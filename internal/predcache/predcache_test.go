@@ -1,6 +1,7 @@
 package predcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,14 +195,12 @@ func TestSingleflightExactlyOneSubmit(t *testing.T) {
 		}(i)
 	}
 	close(started)
-	// Let goroutines pile onto the flight, then release the leader.
-	for {
-		c.shardFor(key).mu.Lock()
-		n := len(c.shardFor(key).flights)
-		c.shardFor(key).mu.Unlock()
-		if n > 0 {
-			break
-		}
+	// Hold the leader until every other caller is committed to its flight: a
+	// caller counts its miss under the shard lock, in the same critical
+	// section that finds the flight, so once the warm-up miss plus all
+	// waiters are counted nobody can still arrive late and see a Hit.
+	for c.misses.Load() < 1+waiters {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -216,16 +215,15 @@ func TestSingleflightExactlyOneSubmit(t *testing.T) {
 		}
 		if outcomes[i] == ComputedHot {
 			leaders++
-		} else if outcomes[i] != Collapsed && outcomes[i] != Hit {
-			t.Fatalf("waiter %d outcome = %v", i, outcomes[i])
+		} else if outcomes[i] != Collapsed {
+			t.Fatalf("waiter %d outcome = %v, want Collapsed", i, outcomes[i])
 		}
 	}
 	if leaders != 1 {
 		t.Fatalf("singleflight leaders = %d, want 1", leaders)
 	}
-	st := c.Snapshot()
-	if st.Collapsed == 0 {
-		t.Fatalf("collapsed counter = 0, want > 0")
+	if st := c.Snapshot(); st.Collapsed != waiters-1 {
+		t.Fatalf("collapsed counter = %d, want %d", st.Collapsed, waiters-1)
 	}
 }
 
