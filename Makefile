@@ -45,13 +45,15 @@ bench:
 # with shards, the drain path with dispatch groups, and the read-through
 # cache still short-circuits a skewed stream. The fixed iteration counts
 # bound the standing backlog the submit benchmark accumulates. Last, one
-# sequential 150-trial study on the Bayesian advisor, with its allocations.
+# sequential 150-trial study on the Bayesian advisor, with its allocations,
+# and one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
 	$(GO) test . -run none -bench BenchmarkParallelDispatch -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkPredictionCache -benchtime 1x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
+	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 
 # Serving-perf regression gate: re-measure the full serving matrix and the
 # cache pass, emit the machine-readable BENCH_serving.json (submitted +

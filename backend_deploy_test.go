@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -136,6 +137,78 @@ func TestDeployNNBackendServesQueries(t *testing.T) {
 	}
 	if err := sys.StopInference(inf.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNNBackendGoldenAnswers pins the nn tier's answers to the ones the
+// one-Forward-per-request backend gave before the batched pass replaced it
+// (testdata/nn_backend_golden.txt, recorded at that commit): ForwardBatch is
+// bit-identical to Forward, so no label and no vote may move. 256 fixed
+// payloads come from 32 concurrent callers, so passes see real batches of
+// mixed sizes; each answer is one line: payload index, label, and the
+// per-model votes in model order.
+func TestNNBackendGoldenAnswers(t *testing.T) {
+	raw, err := os.ReadFile("testdata/nn_backend_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+
+	// One tuning worker per model keeps each study sequential, so the
+	// deployed accuracies — the vote's tie-break weights — do not depend on
+	// how the workers' trials interleave.
+	sys, err := New(Options{Seed: 42, Workers: 1, NodeCapacity: 16, ServeSpeedup: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := importFood(t, sys)
+	job := trainFood(t, sys, d)
+	models, err := sys.GetModels(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := sys.Deploy(DeploymentSpec{Models: models, Backend: &BackendSpec{Type: BackendNN}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sys.StopInference(inf.ID) }()
+
+	const n, callers = 256, 32
+	got := make([]string, n)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < n; i += callers {
+				payload := fmt.Sprintf("golden_%03d_%s.jpg", i, strings.Repeat(string(rune('a'+i%26)), i%19))
+				res, err := sys.Query(inf.ID, []byte(payload))
+				if err != nil {
+					errs <- fmt.Errorf("query %d: %w", i, err)
+					return
+				}
+				var b strings.Builder
+				fmt.Fprintf(&b, "%03d %s", i, res.Label)
+				for _, m := range models {
+					fmt.Fprintf(&b, " %s=%s", m.Model, res.Votes[m.Model])
+				}
+				got[i] = b.String()
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(want) != n {
+		t.Fatalf("golden has %d answers, want %d", len(want), n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("answer %d = %q, golden %q", i, got[i], want[i])
+		}
 	}
 }
 

@@ -746,23 +746,22 @@ func (s *System) buildBackend(spec DeploymentSpec, job *InferenceJob) (infer.Bac
 
 // encodeBagOfBytes featurizes a request payload for the nn backend: byte
 // counts folded into nnBackendFeatures buckets, normalized by length so the
-// vector scale is payload-size invariant.
-func encodeBagOfBytes(payload any) ([]float64, error) {
+// vector scale is payload-size invariant. dst is the zeroed input row.
+func encodeBagOfBytes(payload any, dst []float64) error {
 	p, ok := payload.([]byte)
 	if !ok {
-		return nil, fmt.Errorf("rafiki: nn backend payload is %T, not []byte", payload)
+		return fmt.Errorf("rafiki: nn backend payload is %T, not []byte", payload)
 	}
-	x := make([]float64, nnBackendFeatures)
 	for _, c := range p {
-		x[int(c)%nnBackendFeatures]++
+		dst[int(c)%nnBackendFeatures]++
 	}
 	if len(p) > 0 {
 		inv := 1 / float64(len(p))
-		for i := range x {
-			x[i] *= inv
+		for i := range dst {
+			dst[i] *= inv
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // combineClassVotes is the real-backend CombineFunc: preds[k][i] is model

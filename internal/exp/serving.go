@@ -95,17 +95,16 @@ var benchModels = []string{"inception_v3", "inception_v4", "inception_resnet_v2"
 
 // encodeBenchPayload is the nn tier's featurizer: byte counts folded into 8
 // buckets (the bench payload is tiny; the forward pass, not the encode, is
-// what the row measures).
-func encodeBenchPayload(p any) ([]float64, error) {
+// what the row measures). dst is the zeroed input row.
+func encodeBenchPayload(p any, dst []float64) error {
 	b, ok := p.([]byte)
 	if !ok {
-		return nil, fmt.Errorf("exp: bench payload is %T, not []byte", p)
+		return fmt.Errorf("exp: bench payload is %T, not []byte", p)
 	}
-	x := make([]float64, 8)
 	for _, c := range b {
-		x[int(c)%8]++
+		dst[int(c)%8]++
 	}
-	return x, nil
+	return nil
 }
 
 // RunServingBenchRowProcs measures one (shards, groups, gomaxprocs, backend)

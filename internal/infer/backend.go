@@ -121,27 +121,36 @@ func (b *SimBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, e
 func (b *SimBackend) Close() error { return nil }
 
 // NNBackend serves real in-process inference: one internal/nn network per
-// model, payloads featurized by Encode, predictions the argmax class index
-// (int). An MLP forward pass reuses per-layer activation buffers, so each
-// net serializes its own batches behind a mutex — concurrency comes from the
-// per-model pools, which never run two batches of one model's pool wider
-// than its replica count anyway.
+// model, predictions the argmax class index (int). A dispatched batch is one
+// pass per net, not one per request: Execute encodes every payload into a row
+// of one input matrix and runs a single MLP.ForwardBatch over it, whose
+// outputs are bit-identical to per-request Forward calls. The input matrix
+// and the layer buffers belong to the net's lockedNet and grow to the largest
+// batch it has served, so a steady-state pass allocates only its preds slice;
+// sharing that scratch is why each net serializes its batches behind a mutex —
+// concurrency comes from the per-model pools. MLP.Forward stays the
+// single-sample path for training, which needs its Backward cache.
 type NNBackend struct {
-	encode func(payload any) ([]float64, error)
+	encode func(payload any, dst []float64) error
 	nets   map[string]*lockedNet
 
 	mu sync.Mutex
 	tl sim.Timeline
 }
 
+// lockedNet is one model's network plus its batched pass's scratch, all
+// guarded by mu: in is the encoded input matrix, bufs the per-layer outputs.
 type lockedNet struct {
-	mu  sync.Mutex
-	net *nn.MLP
+	mu   sync.Mutex
+	net  *nn.MLP
+	in   []float64
+	bufs [][]float64
 }
 
 // NewNNBackend wires an in-process backend over per-model networks. encode
-// turns a request payload into the nets' input vector.
-func NewNNBackend(encode func(payload any) ([]float64, error), nets map[string]*nn.MLP) (*NNBackend, error) {
+// writes a request payload's features into dst, a zeroed row as wide as the
+// nets' input layer.
+func NewNNBackend(encode func(payload any, dst []float64) error, nets map[string]*nn.MLP) (*NNBackend, error) {
 	if encode == nil {
 		return nil, fmt.Errorf("infer: nn backend needs an encoder")
 	}
@@ -153,7 +162,7 @@ func NewNNBackend(encode func(payload any) ([]float64, error), nets map[string]*
 		if net == nil {
 			return nil, fmt.Errorf("infer: nn backend model %q has no network", name)
 		}
-		b.nets[name] = &lockedNet{net: net}
+		b.nets[name] = &lockedNet{net: net, bufs: make([][]float64, len(net.Layers))}
 	}
 	return b, nil
 }
@@ -178,26 +187,37 @@ func (b *NNBackend) now() float64 {
 	return tl.Now()
 }
 
-// Execute implements Backend: encode and forward every payload through the
-// task's network, observing the real wall of the pass in timeline seconds.
+// Execute implements Backend: encode the batch into the net's input matrix,
+// run one batched forward pass over it, and observe the real wall of the pass
+// in timeline seconds.
 func (b *NNBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
 	ln, ok := b.nets[t.Model]
 	if !ok {
 		return nil, 0, fmt.Errorf("infer: nn backend has no network for model %q", t.Model)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	start := b.now()
 	preds := make([]any, len(t.Payloads))
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
+	width := ln.net.Layers[0].In
+	need := len(t.Payloads) * width
+	if cap(ln.in) < need {
+		ln.in = make([]float64, need)
+	}
+	x := ln.in[:need]
+	clear(x)
 	for i, p := range t.Payloads {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		x, err := b.encode(p)
-		if err != nil {
+		if err := b.encode(p, x[i*width:(i+1)*width]); err != nil {
 			return nil, 0, fmt.Errorf("infer: nn backend encode: %w", err)
 		}
-		preds[i] = nn.Argmax(ln.net.Forward(x))
+	}
+	y := ln.net.ForwardBatch(x, ln.bufs)
+	classes := ln.net.Layers[len(ln.net.Layers)-1].Out
+	for i := range preds {
+		preds[i] = nn.Argmax(y[i*classes : (i+1)*classes])
 	}
 	return preds, b.now() - start, nil
 }

@@ -475,6 +475,61 @@ func TestLatencyFeedbackRescalesPlanning(t *testing.T) {
 	}
 }
 
+// encodeTestPayload is the nn backend tests' featurizer: bytes scaled into 8
+// buckets of the zeroed input row.
+func encodeTestPayload(payload any, dst []float64) error {
+	bs, ok := payload.([]byte)
+	if !ok {
+		return fmt.Errorf("payload %T", payload)
+	}
+	for i, b := range bs {
+		dst[i%8] += float64(b) / 255
+	}
+	return nil
+}
+
+// TestNNBackendExecuteAllocations pins the batched pass's scratch reuse: once
+// a net has served its largest batch, a pass allocates only the preds slice,
+// and its answers are Forward's.
+func TestNNBackendExecuteAllocations(t *testing.T) {
+	net := nn.NewMLP([]int{8, 12, 5}, nn.ReLU, nn.Linear, sim.NewRNG(7))
+	backend, err := NewNNBackend(encodeTestPayload, map[string]*nn.MLP{"m": net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([]any, 16)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("alloc-payload-%d", i*37))
+	}
+	task := ExecTask{Model: "m", Payloads: payloads}
+	ctx := context.Background()
+	preds, _, err := backend.Execute(ctx, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 8)
+	for i, p := range payloads {
+		clear(x)
+		if err := encodeTestPayload(p, x); err != nil {
+			t.Fatal(err)
+		}
+		if want := nn.Argmax(net.Forward(x)); preds[i] != want {
+			t.Fatalf("pred %d = %v, Forward says %d", i, preds[i], want)
+		}
+	}
+	short := ExecTask{Model: "m", Payloads: payloads[:7]}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := backend.Execute(ctx, task); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := backend.Execute(ctx, short); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("two steady-state passes allocated %v times, want only their preds slices", allocs)
+	}
+}
+
 // TestNNBackendServesPredictions runs real MLP forward passes through the
 // runtime: deterministic argmax classes come back through the combiner.
 func TestNNBackendServesPredictions(t *testing.T) {
@@ -484,18 +539,7 @@ func TestNNBackendServesPredictions(t *testing.T) {
 	for _, name := range []string{"inception_v3", "inception_v4", "inception_resnet_v2"} {
 		nets[name] = nn.NewMLP([]int{8, 12, classes}, nn.ReLU, nn.Linear, rng)
 	}
-	encode := func(payload any) ([]float64, error) {
-		bs, ok := payload.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("payload %T", payload)
-		}
-		x := make([]float64, 8)
-		for i, b := range bs {
-			x[i%8] += float64(b) / 255
-		}
-		return x, nil
-	}
-	backend, err := NewNNBackend(encode, nets)
+	backend, err := NewNNBackend(encodeTestPayload, nets)
 	if err != nil {
 		t.Fatal(err)
 	}

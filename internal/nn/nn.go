@@ -55,6 +55,23 @@ func (a Activation) apply(x float64) float64 {
 	}
 }
 
+// applyAll replaces every x in xs with apply(x), switching on the activation
+// once per slice instead of once per element.
+func (a Activation) applyAll(xs []float64) {
+	switch a {
+	case ReLU:
+		for i, x := range xs {
+			if x < 0 {
+				xs[i] = 0
+			}
+		}
+	case Tanh:
+		for i, x := range xs {
+			xs[i] = math.Tanh(x)
+		}
+	}
+}
+
 // derivFromOutput returns dσ/dz expressed via the activation output y=σ(z).
 func (a Activation) derivFromOutput(y float64) float64 {
 	switch a {
@@ -123,6 +140,81 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return out
 }
 
+// ForwardBatch computes the layer output for n samples at once: x holds them
+// row-major (n×In), out receives n×Out rows. It caches nothing for Backward
+// and allocates nothing; the inference path owns both slices. The loop is
+// register-blocked 4 samples × 2 outputs so each weight load feeds four
+// samples, yet every sample still accumulates in Forward's order — bias
+// first, then inputs 0…In−1 — and the activation runs as a separate pass, so
+// each output row is bit-identical to Forward's.
+func (d *Dense) ForwardBatch(x, out []float64) {
+	in, nout := d.In, d.Out
+	if in == 0 || len(x)%in != 0 {
+		panic(fmt.Sprintf("nn: dense batch forward got %d inputs, not a multiple of %d", len(x), in))
+	}
+	n := len(x) / in
+	if len(out) != n*nout {
+		panic(fmt.Sprintf("nn: dense batch forward got %d outputs for %d samples of %d", len(out), n, nout))
+	}
+	s := 0
+	for ; s+4 <= n; s += 4 {
+		x0 := x[s*in : (s+1)*in]
+		x1 := x[(s+1)*in : (s+2)*in]
+		x2 := x[(s+2)*in : (s+3)*in]
+		x3 := x[(s+3)*in : (s+4)*in]
+		y0 := out[s*nout : (s+1)*nout]
+		y1 := out[(s+1)*nout : (s+2)*nout]
+		y2 := out[(s+2)*nout : (s+3)*nout]
+		y3 := out[(s+3)*nout : (s+4)*nout]
+		o := 0
+		for ; o+2 <= nout; o += 2 {
+			w0 := d.W[o*in : (o+1)*in]
+			w1 := d.W[(o+1)*in : (o+2)*in]
+			b0, b1 := d.B[o], d.B[o+1]
+			a00, a01, a10, a11 := b0, b1, b0, b1
+			a20, a21, a30, a31 := b0, b1, b0, b1
+			for i, u := range w0 {
+				v := w1[i]
+				a00 += u * x0[i]
+				a01 += v * x0[i]
+				a10 += u * x1[i]
+				a11 += v * x1[i]
+				a20 += u * x2[i]
+				a21 += v * x2[i]
+				a30 += u * x3[i]
+				a31 += v * x3[i]
+			}
+			y0[o], y0[o+1] = a00, a01
+			y1[o], y1[o+1] = a10, a11
+			y2[o], y2[o+1] = a20, a21
+			y3[o], y3[o+1] = a30, a31
+		}
+		if o < nout { // odd output width: the last row alone
+			w0 := d.W[o*in : (o+1)*in]
+			a0, a1, a2, a3 := d.B[o], d.B[o], d.B[o], d.B[o]
+			for i, u := range w0 {
+				a0 += u * x0[i]
+				a1 += u * x1[i]
+				a2 += u * x2[i]
+				a3 += u * x3[i]
+			}
+			y0[o], y1[o], y2[o], y3[o] = a0, a1, a2, a3
+		}
+	}
+	for ; s < n; s++ { // fewer than 4 samples left: Forward's loop
+		xs := x[s*in : (s+1)*in]
+		ys := out[s*nout : (s+1)*nout]
+		for o := range ys {
+			a := d.B[o]
+			for i, u := range d.W[o*in : (o+1)*in] {
+				a += u * xs[i]
+			}
+			ys[o] = a
+		}
+	}
+	d.Act.applyAll(out)
+}
+
 // Backward takes dL/dy for this layer's output, accumulates parameter
 // gradients, and returns dL/dx for the layer input. Forward must have been
 // called first with the corresponding input.
@@ -185,6 +277,30 @@ func (m *MLP) Forward(x []float64) []float64 {
 	h := x
 	for _, l := range m.Layers {
 		h = l.Forward(h)
+	}
+	return h
+}
+
+// ForwardBatch runs n samples, stored row-major in x (n×In), through the
+// network and returns the n×Out output rows, each bit-identical to Forward's
+// answer for that sample. bufs is caller-owned scratch with one slice per
+// layer: a slice too short for this batch is replaced by a larger one the
+// caller keeps, so scratch reused across batches allocates nothing once it
+// has grown to the largest batch. The returned rows alias bufs' last slice.
+// Training keeps Forward, which caches what Backward needs.
+func (m *MLP) ForwardBatch(x []float64, bufs [][]float64) []float64 {
+	if len(bufs) != len(m.Layers) {
+		panic(fmt.Sprintf("nn: batch forward got %d layer buffers for %d layers", len(bufs), len(m.Layers)))
+	}
+	h := x
+	for l, layer := range m.Layers {
+		need := len(h) / layer.In * layer.Out
+		if cap(bufs[l]) < need {
+			bufs[l] = make([]float64, need)
+		}
+		out := bufs[l][:need]
+		layer.ForwardBatch(h, out)
+		h = out
 	}
 	return h
 }

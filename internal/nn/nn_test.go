@@ -273,3 +273,89 @@ func TestNumParams(t *testing.T) {
 		t.Fatalf("numParams = %d, want %d", got, want)
 	}
 }
+
+// TestForwardBatchMatchesForward pins the batched kernel to the
+// single-sample path bit for bit: every batch size from 1 to 17 (whole
+// 4-sample blocks plus every remainder), an even and an odd output width for
+// the 2-output block, and every activation on both the hidden and the output
+// layer.
+func TestForwardBatchMatchesForward(t *testing.T) {
+	acts := []Activation{Linear, ReLU, Tanh}
+	for _, sizes := range [][]int{{16, 24, 8}, {8, 12, 3}} {
+		for _, hidden := range acts {
+			for _, outAct := range acts {
+				rng := sim.NewRNG(int64(100*sizes[0] + 10*int(hidden) + int(outAct)))
+				m := NewMLP(sizes, hidden, outAct, rng)
+				for i := range m.Layers {
+					for o := range m.Layers[i].B {
+						m.Layers[i].B[o] = rng.Normal(0, 0.5)
+					}
+				}
+				in, out := sizes[0], sizes[len(sizes)-1]
+				bufs := make([][]float64, len(m.Layers))
+				for n := 1; n <= 17; n++ {
+					x := make([]float64, n*in)
+					for i := range x {
+						x[i] = rng.Normal(0, 1)
+					}
+					got := m.ForwardBatch(x, bufs)
+					if len(got) != n*out {
+						t.Fatalf("%v %v/%v n=%d: %d outputs, want %d", sizes, hidden, outAct, n, len(got), n*out)
+					}
+					for s := 0; s < n; s++ {
+						want := m.Forward(x[s*in : (s+1)*in])
+						for o, w := range want {
+							if g := got[s*out+o]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%v %v/%v n=%d sample %d output %d: batch %v, forward %v",
+									sizes, hidden, outAct, n, s, o, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchReusesScratch checks the scratch contract: once bufs has
+// grown to a batch size, passes of that size or smaller allocate nothing.
+func TestForwardBatchReusesScratch(t *testing.T) {
+	m := NewMLP([]int{16, 24, 5}, ReLU, Linear, sim.NewRNG(3))
+	bufs := make([][]float64, len(m.Layers))
+	x := make([]float64, 16*16)
+	m.ForwardBatch(x, bufs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.ForwardBatch(x, bufs)
+		m.ForwardBatch(x[:5*16], bufs)
+	}); allocs != 0 {
+		t.Fatalf("ForwardBatch allocated %v times per run with grown scratch", allocs)
+	}
+}
+
+// BenchmarkForwardBatch compares one 16-sample batch through the serving
+// backend's net shape as 16 Forward calls and as one ForwardBatch.
+func BenchmarkForwardBatch(b *testing.B) {
+	const n, in = 16, 16
+	rng := sim.NewRNG(5)
+	m := NewMLP([]int{in, 24, 5}, ReLU, Linear, rng)
+	x := make([]float64, n*in)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	b.Run("Forward", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for s := 0; s < n; s++ {
+				m.Forward(x[s*in : (s+1)*in])
+			}
+		}
+	})
+	b.Run("ForwardBatch", func(b *testing.B) {
+		bufs := make([][]float64, len(m.Layers))
+		m.ForwardBatch(x, bufs) // grow the scratch outside the timed loop
+		b.ReportAllocs()
+		for b.Loop() {
+			m.ForwardBatch(x, bufs)
+		}
+	})
+}

@@ -20,7 +20,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -119,10 +119,15 @@ func New(shardCount int, cold *store.FS) *Server {
 	return s
 }
 
+// shardFor hashes key with 32-bit FNV-1a, inlined so the lookup allocates
+// nothing.
 func (s *Server) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return s.shards[int(h)%len(s.shards)]
 }
 
 func coldPath(key string) string { return "/ps/" + key }
@@ -160,6 +165,19 @@ func (s *Server) Put(key string, c *Checkpoint) error {
 // Get returns a deep copy of the checkpoint at key, loading it from the cold
 // tier if it was spilled.
 func (s *Server) Get(key string) (*Checkpoint, int, error) {
+	c, version, err := s.access(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.Clone(), version, nil
+}
+
+// access counts one read of key and returns its stored checkpoint, reloading
+// it from the cold tier if it was spilled. The result is shared, not a copy:
+// callers may read it without the shard lock because a stored checkpoint is
+// never mutated — Put stores a fresh clone and SpillCold only drops the
+// entry's reference — but must clone it before handing it out.
+func (s *Server) access(key string) (*Checkpoint, int, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -183,7 +201,7 @@ func (s *Server) Get(key string) (*Checkpoint, int, error) {
 		e.ckpt = &c
 		e.hot = true
 	}
-	return e.ckpt.Clone(), e.version, nil
+	return e.ckpt, e.version, nil
 }
 
 // Delete removes a checkpoint.
@@ -208,7 +226,9 @@ func (s *Server) Delete(key string) error {
 		keys := s.byName[model]
 		for i, k := range keys {
 			if k == key {
-				s.byName[model] = append(keys[:i], keys[i+1:]...)
+				// Copy, never shift in place: bestForModel scans a
+				// snapshot of the list outside s.mu.
+				s.byName[model] = slices.Delete(slices.Clone(keys), i, i+1)
 				break
 			}
 		}
@@ -247,17 +267,24 @@ func (s *Server) BestForModelVisible(model, owner string) (*Checkpoint, error) {
 	})
 }
 
+// BestForOwner returns the best checkpoint a given owner stored for a model,
+// ignoring every other owner's — public ones included.
+func (s *Server) BestForOwner(model, owner string) (*Checkpoint, error) {
+	return s.bestForModel(model, func(c *Checkpoint) bool { return c.Owner == owner })
+}
+
+// bestForModel ranks the stored checkpoints of model that pass visible and
+// returns a copy of the most accurate (the first stored wins ties). Every
+// candidate counts as a read for the cold tier, but only the winner is
+// cloned, so the cost does not grow with how much other studies stored.
 func (s *Server) bestForModel(model string, visible func(*Checkpoint) bool) (*Checkpoint, error) {
 	s.mu.Lock()
-	keys := append([]string(nil), s.byName[model]...)
+	keys := s.byName[model] // Put only appends past this length; Delete copies
 	s.mu.Unlock()
 	var best *Checkpoint
 	for _, k := range keys {
-		c, _, err := s.Get(k)
-		if err != nil {
-			continue
-		}
-		if !visible(c) {
+		c, _, err := s.access(k)
+		if err != nil || !visible(c) {
 			continue
 		}
 		if best == nil || c.Accuracy > best.Accuracy {
@@ -267,7 +294,7 @@ func (s *Server) bestForModel(model string, visible func(*Checkpoint) bool) (*Ch
 	if best == nil {
 		return nil, fmt.Errorf("%w: model %s", ErrNotFound, model)
 	}
-	return best, nil
+	return best.Clone(), nil
 }
 
 // FetchMatching returns, for each requested layer signature, the matching

@@ -266,3 +266,116 @@ func TestBestForModelVisiblePrivacy(t *testing.T) {
 		t.Fatalf("clone lost privacy metadata: %+v", cl)
 	}
 }
+
+// TestBestForModelTiesAndCopies: equal accuracies go to the first-stored
+// checkpoint, and the winner handed out is a copy the caller may mutate.
+func TestBestForModelTiesAndCopies(t *testing.T) {
+	s := New(4, nil)
+	s.Put("m/first", ckpt("m", "first", 0.8, layer("w", []int{2}, 1)))
+	s.Put("m/second", ckpt("m", "second", 0.8, layer("w", []int{2}, 2)))
+	best, err := s.BestForModel("m")
+	if err != nil || best.TrialID != "first" {
+		t.Fatalf("tie winner = %+v err=%v, want first", best, err)
+	}
+	best.Accuracy, best.Layers[0].Data[0] = 0, -1
+	again, _, err := s.Get("m/first")
+	if err != nil || again.Accuracy != 0.8 || again.Layers[0].Data[0] != 1 {
+		t.Fatalf("mutating the winner reached the store: %+v err=%v", again, err)
+	}
+}
+
+// TestBestForModelReloadsSpilled: a spilled winner comes back from the cold
+// tier, and the scan counts as an access of every candidate.
+func TestBestForModelReloadsSpilled(t *testing.T) {
+	fs, err := store.NewFS(2, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(2, fs)
+	s.Put("m/a", ckpt("m", "a", 0.9, layer("w", []int{4}, 7)))
+	s.Put("m/b", ckpt("m", "b", 0.5))
+	if n, err := s.SpillCold(1); err != nil || n != 2 {
+		t.Fatalf("spilled %d err=%v, want 2", n, err)
+	}
+	best, err := s.BestForModel("m")
+	if err != nil || best.TrialID != "a" || best.Layers[0].Data[0] != 7 {
+		t.Fatalf("best after spill = %+v err=%v", best, err)
+	}
+	if s.HotCount() != 2 {
+		t.Fatalf("hot count = %d, want both reloaded", s.HotCount())
+	}
+	if n, _ := s.SpillCold(1); n != 0 {
+		t.Fatalf("spilled %d just-scanned checkpoints", n)
+	}
+}
+
+// TestBestForOwnerScopesToOwner: another owner's checkpoints never answer,
+// even public and more accurate ones.
+func TestBestForOwnerScopesToOwner(t *testing.T) {
+	s := New(4, nil)
+	other := ckpt("m", "other", 0.95)
+	other.Owner, other.Public = "job-a/m", true
+	mine := ckpt("m", "mine", 0.6)
+	mine.Owner = "job-b/m"
+	s.Put("job-a/m/other", other)
+	s.Put("job-b/m/mine", mine)
+	best, err := s.BestForOwner("m", "job-b/m")
+	if err != nil || best.TrialID != "mine" {
+		t.Fatalf("owner best = %+v err=%v, want mine", best, err)
+	}
+	if _, err := s.BestForOwner("m", "job-c/m"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("owner without checkpoints: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestBestForModelAllocsFlat: a warm-start lookup clones only its winner, so
+// its allocations do not grow with how many checkpoints other studies stored.
+func TestBestForModelAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := New(8, nil)
+		for i := 0; i < n; i++ {
+			c := ckpt("m", fmt.Sprintf("t%d", i), float64(i%97)/100, layer("w", []int{8}, 1))
+			c.Owner = fmt.Sprintf("study-%d", i%7)
+			s.Put(fmt.Sprintf("%s/t%d", c.Owner, i), c)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.BestForModelVisible("m", "study-3"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(1000); small != large {
+		t.Fatalf("BestForModelVisible allocs: %v with 10 checkpoints, %v with 1000", small, large)
+	}
+}
+
+// TestBestForModelConcurrentWithPutDelete: the scan reads a snapshot of the
+// model's key list outside the index lock while Put appends to it and Delete
+// replaces it (run under -race).
+func TestBestForModelConcurrentWithPutDelete(t *testing.T) {
+	s := New(4, nil)
+	s.Put("m/base", ckpt("m", "base", 0.5))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("m/w%d-%d", w, i)
+				s.Put(key, ckpt("m", key, 0.4))
+				if i%2 == 0 {
+					if err := s.Delete(key); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				best, err := s.BestForModel("m")
+				if err != nil || best.TrialID != "base" {
+					t.Errorf("best = %+v err=%v, want base", best, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -180,7 +180,7 @@ func (s *System) journalTrainComplete(j *TrainJob) error {
 	st.Done = true // not yet observable via the done flag; the record says so
 	rec := trainCompleteRec{ID: j.ID, Status: st}
 	for _, model := range j.models {
-		best, err := s.ps.BestForModel(model)
+		best, err := s.jobBest(j.ID, model)
 		if err != nil {
 			continue // an errored job may have published nothing for this model
 		}

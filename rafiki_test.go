@@ -295,6 +295,50 @@ func TestConcurrentQueriesShareBatches(t *testing.T) {
 	}
 }
 
+// TestGetModelsScopedToJob trains one architecture twice: a long job A, then
+// a one-trial job B. B's instances must name B's own checkpoints — keys that
+// resolve through the parameter server to checkpoints B's study owns, at an
+// accuracy B reached — even though A's are more accurate.
+func TestGetModelsScopedToJob(t *testing.T) {
+	sys := newSystem(t)
+	d := importFood(t, sys)
+	train := func(name string, trials int) *TrainJob {
+		job, err := sys.Train(TrainConfig{
+			Name: name, Data: d.Name, Task: ImageClassification,
+			Hyper:  HyperConf{MaxTrials: trials, CoStudy: true},
+			Models: []string{"inception_v3"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	a := train("a", 40)
+	b := train("b", 1)
+	for _, job := range []*TrainJob{a, b} {
+		models, err := sys.GetModels(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range models {
+			c, _, err := sys.ps.Get(m.CheckpointKey)
+			if err != nil {
+				t.Fatalf("%s: key %s does not resolve: %v", job.ID, m.CheckpointKey, err)
+			}
+			if owner := job.ID + "/" + m.Model; c.Owner != owner || c.Accuracy != m.Accuracy {
+				t.Fatalf("%s: key %s holds owner %s accuracy %v, instance says %v (want owner %s)",
+					job.ID, m.CheckpointKey, c.Owner, c.Accuracy, m.Accuracy, owner)
+			}
+			if best := job.Status().BestAccuracy[m.Model]; m.Accuracy > best {
+				t.Fatalf("%s: instance accuracy %v beats the job's best %v", job.ID, m.Accuracy, best)
+			}
+		}
+	}
+}
+
 func TestGetModelsWhileRunning(t *testing.T) {
 	sys := newSystem(t)
 	d := importFood(t, sys)

@@ -398,13 +398,13 @@ func (s *System) GetModels(trainJobID string) ([]ModelInstance, error) {
 	}
 	var out []ModelInstance
 	for _, model := range job.models {
-		best, err := s.ps.BestForModel(model)
+		best, err := s.jobBest(trainJobID, model)
 		if err != nil {
 			return nil, fmt.Errorf("rafiki: no checkpoint for %s: %w", model, err)
 		}
 		inst := ModelInstance{
 			Model:         model,
-			CheckpointKey: trainJobID + "/" + model + "/" + best.TrialID,
+			CheckpointKey: best.Owner + "/" + best.TrialID,
 			Accuracy:      best.Accuracy,
 		}
 		for _, l := range best.Layers {
@@ -413,6 +413,12 @@ func (s *System) GetModels(trainJobID string) ([]ModelInstance, error) {
 		out = append(out, inst)
 	}
 	return out, nil
+}
+
+// jobBest returns the best checkpoint a training job's own study stored for
+// model (the study owner is "<jobID>/<model>"), never another job's.
+func (s *System) jobBest(jobID, model string) (*ps.Checkpoint, error) {
+	return s.ps.BestForOwner(model, jobID+"/"+model)
 }
 
 // bestCheckpoint fetches the stored checkpoint backing a model instance.
