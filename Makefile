@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test bench bench-smoke bench-gate profile contention verify-journal scenarios
+.PHONY: check fmt vet build test race repeat benchmark-test bench bench-smoke bench-gate profile contention verify-journal scenarios
 
-check: fmt vet build race benchmark-test bench-smoke bench-gate verify-journal
+check: fmt vet build race repeat benchmark-test bench-smoke bench-gate verify-journal
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -24,6 +24,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Tier-1 must pass repeatedly on a small box, not once: five runs of the
+# serving packages at two procs, where timing-dependent tests flake first.
+repeat:
+	GOMAXPROCS=2 $(GO) test -count=5 . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim
 
 # The end-to-end benchmark is its own module (benchmark/go.mod), so
 # `go test ./...` never reaches its tests: the manifest and the binary's
@@ -46,7 +51,8 @@ bench:
 # cache still short-circuits a skewed stream. The fixed iteration counts
 # bound the standing backlog the submit benchmark accumulates. Last, one
 # sequential 150-trial study on the Bayesian advisor, with its allocations,
-# and one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch).
+# one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch), and
+# one short and one long seeded stream (lazy sim.RNG vs math/rand).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
@@ -54,6 +60,7 @@ bench-smoke:
 	$(GO) test . -run none -bench BenchmarkPredictionCache -benchtime 1x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
+	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 
 # Serving-perf regression gate: re-measure the full serving matrix and the
 # cache pass, emit the machine-readable BENCH_serving.json (submitted +

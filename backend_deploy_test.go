@@ -148,12 +148,6 @@ func TestDeployNNBackendServesQueries(t *testing.T) {
 // mixed sizes; each answer is one line: payload index, label, and the
 // per-model votes in model order.
 func TestNNBackendGoldenAnswers(t *testing.T) {
-	raw, err := os.ReadFile("testdata/nn_backend_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-
 	// One tuning worker per model keeps each study sequential, so the
 	// deployed accuracies — the vote's tie-break weights — do not depend on
 	// how the workers' trials interleave.
@@ -173,8 +167,82 @@ func TestNNBackendGoldenAnswers(t *testing.T) {
 	}
 	defer func() { _ = sys.StopInference(inf.ID) }()
 
+	got := goldenAnswers(t, sys, inf.ID, func(i int) string {
+		return fmt.Sprintf("golden_%03d_%s.jpg", i, strings.Repeat(string(rune('a'+i%26)), i%19))
+	})
+	lines := make([]string, len(got))
+	for i, res := range got {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%03d %s", i, res.Label)
+		for _, m := range models {
+			fmt.Fprintf(&b, " %s=%s", m.Model, res.Votes[m.Model])
+		}
+		lines[i] = b.String()
+	}
+	checkGolden(t, "testdata/nn_backend_golden.txt", lines)
+}
+
+// TestSimBackendGoldenAnswers pins the default sim tier's answers on a
+// 3-model ensemble (testdata/sim_backend_golden.txt): every vote is drawn from
+// sim.RNG streams seeded by (payload, model), so any change to how a stream is
+// seeded or drawn moves a line. Each line is the payload index, label,
+// confidence, and the per-model votes in model order; every third payload
+// names a class, which grounds its truth.
+func TestSimBackendGoldenAnswers(t *testing.T) {
+	sys, err := New(Options{Seed: 42, Workers: 1, NodeCapacity: 16, ServeSpeedup: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := importFood(t, sys)
+	job, err := sys.Train(TrainConfig{
+		Name: "golden", Data: d.Name, Task: ImageClassification,
+		Hyper:  HyperConf{MaxTrials: 10, CoStudy: true},
+		Models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	models, err := sys.GetModels(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 3 {
+		t.Fatalf("deploying %d models, want 3", len(models))
+	}
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sys.StopInference(inf.ID) }()
+
+	got := goldenAnswers(t, sys, inf.ID, func(i int) string {
+		if i%3 == 0 {
+			return fmt.Sprintf("sim_golden_%03d_%s.jpg", i, d.Classes[i%len(d.Classes)])
+		}
+		return fmt.Sprintf("sim_golden_%03d.jpg", i)
+	})
+	lines := make([]string, len(got))
+	for i, res := range got {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%03d %s %v", i, res.Label, res.Confidence)
+		for _, m := range models {
+			fmt.Fprintf(&b, " %s=%s", m.Model, res.Votes[m.Model])
+		}
+		lines[i] = b.String()
+	}
+	checkGolden(t, "testdata/sim_backend_golden.txt", lines)
+}
+
+// goldenAnswers queries 256 fixed payloads from 32 concurrent callers, so
+// passes see real batches of mixed sizes, and returns the answers in payload
+// order.
+func goldenAnswers(t *testing.T, sys *System, id string, payload func(i int) string) []*QueryResult {
+	t.Helper()
 	const n, callers = 256, 32
-	got := make([]string, n)
+	got := make([]*QueryResult, n)
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
@@ -182,18 +250,12 @@ func TestNNBackendGoldenAnswers(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := c; i < n; i += callers {
-				payload := fmt.Sprintf("golden_%03d_%s.jpg", i, strings.Repeat(string(rune('a'+i%26)), i%19))
-				res, err := sys.Query(inf.ID, []byte(payload))
+				res, err := sys.Query(id, []byte(payload(i)))
 				if err != nil {
 					errs <- fmt.Errorf("query %d: %w", i, err)
 					return
 				}
-				var b strings.Builder
-				fmt.Fprintf(&b, "%03d %s", i, res.Label)
-				for _, m := range models {
-					fmt.Fprintf(&b, " %s=%s", m.Model, res.Votes[m.Model])
-				}
-				got[i] = b.String()
+				got[i] = res
 			}
 		}(c)
 	}
@@ -202,8 +264,19 @@ func TestNNBackendGoldenAnswers(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if len(want) != n {
-		t.Fatalf("golden has %d answers, want %d", len(want), n)
+	return got
+}
+
+// checkGolden compares answers with a golden file, one line each.
+func checkGolden(t *testing.T, path string, got []string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d answers, want %d", path, len(want), len(got))
 	}
 	for i := range want {
 		if got[i] != want[i] {

@@ -7,15 +7,22 @@ import (
 
 // RNG is a seeded random source with the distributions the experiments need.
 // It wraps math/rand (stdlib) behind a narrow interface so every stochastic
-// component in the repo draws from an explicit, reproducible stream.
+// component in the repo draws from an explicit, reproducible stream. The
+// stream is bit-identical to rand.New(rand.NewSource(seed)), but its source
+// seeds lazily (source.go), so a short-lived stream costs a few draws rather
+// than a full 607-word seeding.
 type RNG struct {
 	r          *rand.Rand
+	src        source
 	cachedBase int64
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent child stream from this one. The child is a

@@ -139,9 +139,10 @@ func (p *Predictor) distractor(r *sim.RNG, truth int) int {
 }
 
 // PredictAll returns predictions for several models plus the true label. The
-// shared per-request stream is seeded once and its draws reused across
-// models — seeding a math/rand source costs ~600 mixing steps, and doing it
-// 2n+1 times per request dominated reward-path accuracy evaluation.
+// shared per-request stream is drawn once and its draws reused across
+// models: a request opens one shared stream plus one per model. Each draws
+// at most five values, which a lazily seeded sim.RNG serves without ever
+// building its 607-word register.
 func (p *Predictor) PredictAll(requestID uint64, models []string) (preds []int, truth int, err error) {
 	truth, sharedU, sharedDistractor := p.requestDraws(requestID)
 	preds = make([]int, len(models))

@@ -96,7 +96,8 @@ type System struct {
 	cluster *cluster.Manager
 	ps      *ps.Server
 	fs      *store.FS
-	rng     *sim.RNG
+	// rng is read-only after New: it is used only through SplitNamed.
+	rng *sim.RNG
 	// jr is the write-ahead journal, nil unless booted WithJournal.
 	jr *journal.Journal
 
@@ -123,12 +124,17 @@ func New(opts Options, extras ...Option) (*System, error) {
 			return nil, fmt.Errorf("rafiki: cluster: %w", err)
 		}
 	}
+	// The first SplitNamed derives the stream's base lazily, a write; taking
+	// it here, as that call would, lets concurrent Train calls split s.rng
+	// without a lock.
+	rng := sim.NewRNG(opts.Seed)
+	rng.SplitNamed("")
 	s := &System{
 		opts:      opts,
 		cluster:   mgr,
 		ps:        ps.New(16, fs),
 		fs:        fs,
-		rng:       sim.NewRNG(opts.Seed),
+		rng:       rng,
 		trainJobs: map[string]*TrainJob{},
 		inferJobs: map[string]*InferenceJob{},
 		datasets:  map[string]*Dataset{},

@@ -365,6 +365,37 @@ func TestGetModelsWhileRunning(t *testing.T) {
 	}
 }
 
+// TestConcurrentTrainOnFreshSystem: REST serves POST /train concurrently, and
+// each Train splits the System's seed stream for its advisors, masters and
+// workers. The first split must not race with another (run under -race).
+func TestConcurrentTrainOnFreshSystem(t *testing.T) {
+	sys := newSystem(t)
+	d := importFood(t, sys)
+	jobs := make([]*TrainJob, 2)
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			jobs[i], errs[i] = sys.Train(TrainConfig{
+				Name: fmt.Sprintf("c%d", i), Data: d.Name, Task: ImageClassification,
+				Hyper:  HyperConf{MaxTrials: 2, Advisor: "bayes"},
+				Models: []string{"inception_v3"},
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, job := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestEnsembleConfidence(t *testing.T) {
 	if c := ensembleConfidence(nil); c != 0 {
 		t.Fatalf("empty = %v", c)
