@@ -51,8 +51,9 @@ bench:
 # cache still short-circuits a skewed stream. The fixed iteration counts
 # bound the standing backlog the submit benchmark accumulates. Last, one
 # sequential 150-trial study on the Bayesian advisor, with its allocations,
-# one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch), and
-# one short and one long seeded stream (lazy sim.RNG vs math/rand).
+# one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch),
+# one short and one long seeded stream (lazy sim.RNG vs math/rand), and one
+# REST cache hit (handler alone, then over a loopback keep-alive connection).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
@@ -61,6 +62,7 @@ bench-smoke:
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
+	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x
 
 # Serving-perf regression gate: re-measure the full serving matrix and the
 # cache pass, emit the machine-readable BENCH_serving.json (submitted +

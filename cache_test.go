@@ -1,7 +1,10 @@
 package rafiki
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -100,15 +103,27 @@ func TestQueryCacheReadThrough(t *testing.T) {
 	if st.Queries != 3 {
 		t.Fatalf("query count = %d, want 3 (hits count as completed queries)", st.Queries)
 	}
-	// A cache hit must not mutate the stored copy: corrupt the served result
-	// and re-query.
+	if second == third {
+		t.Fatal("the hot leader and a hit were handed the same result")
+	}
+	// Callers own what they are served: corrupt the hot leader's result and
+	// a hit's, then re-query through the SDK and in the REST wire form.
+	second.Votes["leader-intruder"] = "bogus"
 	third.Votes["intruder"] = "bogus"
 	again, err := sys.Query(inf.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := again.Votes["intruder"]; ok {
-		t.Fatal("caller mutation leaked into the cache")
+	if len(again.Votes) != len(first.Votes) {
+		t.Fatalf("caller mutation leaked into the cache: %+v", again.Votes)
+	}
+	wire, err := sys.QueryJSON(inf.ID, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served QueryResult
+	if err := json.Unmarshal(wire, &served); err != nil || len(served.Votes) != len(first.Votes) || served.Label != first.Label {
+		t.Fatalf("REST hit after SDK callers mutated their results = %s (%v)", wire, err)
 	}
 	if desc := inf.Describe(); desc.Status.Cache == nil || desc.Status.Cache.Hits == 0 {
 		t.Fatalf("describe status missing cache counters: %+v", desc.Status.Cache)
@@ -296,5 +311,87 @@ func TestTrainCompletionInvalidatesCaches(t *testing.T) {
 			t.Fatal("checkpoint publication did not invalidate the deployment's cache")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCollapsedCallersOwnTheirResults: concurrent misses on one hot key
+// collapse onto a single leader, and every caller — leader, waiter or hit —
+// is handed its own copy, so each may mutate its Votes without touching a
+// sibling's or the stored answer (a shared map would also trip -race).
+func TestCollapsedCallersOwnTheirResults(t *testing.T) {
+	sys := newSystem(t)
+	d := importFood(t, sys)
+	job := trainFood(t, sys, d)
+	models, _ := sys.GetModels(job.ID)
+	inf := deployCached(t, sys, models, DeploymentSpec{
+		Cache: &CacheSpec{Enabled: true, AdmitThreshold: 1},
+	})
+	const callers = 8
+	for burst := 0; inf.Stats().Cache.Collapsed == 0; burst++ {
+		if burst == 20 {
+			t.Fatal("no caller collapsed onto a leader in 20 bursts")
+		}
+		payload := []byte(fmt.Sprintf("collapsed_%d_sushi.jpg", burst))
+		results := make([]*QueryResult, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res, err := sys.Query(inf.ID, payload)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res.Votes[fmt.Sprintf("intruder-%d", c)] = "bogus"
+				results[c] = res
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for c, res := range results {
+			if len(res.Votes) != len(models)+1 {
+				t.Fatalf("caller %d sees another caller's mutation: %+v", c, res.Votes)
+			}
+		}
+		hit, err := sys.Query(inf.ID, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hit.Votes) != len(models) {
+			t.Fatalf("caller mutations leaked into the cache: %+v", hit.Votes)
+		}
+	}
+}
+
+// TestQueryHitAllocs: a System.Query cache hit allocates nothing but the
+// caller's copy of the stored result.
+func TestQueryHitAllocs(t *testing.T) {
+	sys := newSystem(t)
+	d := importFood(t, sys)
+	job := trainFood(t, sys, d)
+	models, _ := sys.GetModels(job.ID)
+	inf := deployCached(t, sys, models, DeploymentSpec{
+		Cache: &CacheSpec{Enabled: true, AdmitThreshold: 1},
+	})
+	payload := []byte("allocs_burger.jpg")
+	if _, err := sys.Query(inf.ID, payload); err != nil { // the hot leader stores it
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sys.Query(inf.ID, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := inf.Stats().Cache; st.Hits < 200 || st.Admissions != 1 {
+		t.Fatalf("cache stats = %+v, want every measured query a hit", st)
+	}
+	if allocs > 3 {
+		t.Fatalf("System.Query cache hit: %.1f allocations, want at most 3 (the clone)", allocs)
 	}
 }

@@ -1,7 +1,10 @@
 package rafiki
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -587,6 +590,13 @@ type QueryResult struct {
 	Votes map[string]string `json:"votes"`
 }
 
+// answer is a served result and, when compute built it, its REST body. The
+// prediction cache stores *answer values, so a hit never encodes again.
+type answer struct {
+	res  *QueryResult
+	wire []byte
+}
+
 // Query classifies one payload against a deployed ensemble using majority
 // voting with the best-model tie-break (Section 5.2).
 //
@@ -603,39 +613,86 @@ type QueryResult struct {
 // When the deployment's spec enables the prediction cache, the query first
 // consults it: a fresh hit is served without touching the runtime at all, a
 // hot-key miss in flight collapses onto the concurrent leader's submission,
-// and only cold keys or singleflight leaders travel the batching path. With
-// no cache block the path above is unchanged.
+// and only cold keys or singleflight leaders travel the batching path; every
+// answer the cache holds is handed out as the caller's own copy. With no
+// cache block the path above is unchanged.
 func (s *System) Query(jobID string, payload []byte) (*QueryResult, error) {
+	a, shared, err := s.query(jobID, payload)
+	if err != nil || !shared {
+		return a.res, err
+	}
+	return a.res.clone(), nil
+}
+
+// QueryJSON is Query answered in its REST wire form: the result's JSON
+// encoding plus a newline, byte-identical to json.NewEncoder(w).Encode of the
+// QueryResult. A cache hit returns the body stored with the entry — shared
+// and read-only — and decodes, clones and copies nothing, so payload may be a
+// buffer the caller reuses once the call returns. A miss, or a deployment
+// without a cache, encodes once.
+func (s *System) QueryJSON(jobID string, payload []byte) ([]byte, error) {
+	a, _, err := s.query(jobID, payload)
+	if err != nil || a.wire != nil {
+		return a.wire, err
+	}
+	return encodeWire(a.res)
+}
+
+// query is the serving path behind Query and QueryJSON. shared reports that
+// the answer is the prediction cache's stored value — every outcome but a
+// cold compute — which the caller must neither mutate nor hand out uncopied.
+func (s *System) query(jobID string, payload []byte) (a answer, shared bool, err error) {
 	job, err := s.InferenceJobByID(jobID)
+	if err != nil {
+		return a, false, err
+	}
+	if len(payload) == 0 {
+		return a, false, fmt.Errorf("rafiki: empty query payload")
+	}
+	out := predcache.ComputedCold
+	if c := job.cache.Load(); c != nil {
+		var v any
+		v, out, err = c.GetOrCompute(payloadHash(payload), payload, func() (any, error) {
+			return job.compute(payload)
+		})
+		if err == nil {
+			a = *v.(*answer)
+		}
+	} else {
+		a.res, err = job.submitAndWait(bytes.Clone(payload))
+	}
+	if err != nil {
+		return answer{}, false, fmt.Errorf("rafiki: query %s: %w", jobID, err)
+	}
+	job.queries.Add(1)
+	return a, out != predcache.ComputedCold, nil
+}
+
+// compute is the one site that builds an answer the prediction cache may
+// store: it serves a private copy of payload (the caller's may be borrowed)
+// and encodes the REST body beside the result, so every stored entry —
+// admitted through Query or QueryJSON alike — has its body.
+func (j *InferenceJob) compute(payload []byte) (any, error) {
+	res, err := j.submitAndWait(bytes.Clone(payload))
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("rafiki: empty query payload")
-	}
-	if c := job.cache.Load(); c != nil {
-		// One defensive copy shared by the cache entry and the runtime:
-		// neither mutates it, and the caller may reuse its buffer.
-		p := append([]byte(nil), payload...)
-		v, _, err := c.GetOrCompute(payloadHash(p), p, func() (any, error) {
-			res, err := job.submitAndWait(p)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("rafiki: query %s: %w", jobID, err)
-		}
-		job.queries.Add(1)
-		return v.(*QueryResult), nil
-	}
-	res, err := job.submitAndWait(append([]byte(nil), payload...))
-	if err != nil {
-		return nil, fmt.Errorf("rafiki: query %s: %w", jobID, err)
-	}
-	job.queries.Add(1)
-	return res, nil
+	wire, err := encodeWire(res)
+	return &answer{res: res, wire: wire}, err
+}
+
+// encodeWire is json.NewEncoder(w).Encode's output for res, as one slice.
+func encodeWire(res *QueryResult) ([]byte, error) {
+	b, err := json.Marshal(res)
+	return append(b, '\n'), err
+}
+
+// clone deep-copies a stored result for a caller who may mutate it (the Votes
+// map in particular).
+func (r *QueryResult) clone() *QueryResult {
+	cp := *r
+	cp.Votes = maps.Clone(r.Votes)
+	return &cp
 }
 
 // submitAndWait is the uncached serving path: enqueue the payload into the
@@ -656,7 +713,7 @@ func (j *InferenceJob) submitAndWait(payload []byte) (*QueryResult, error) {
 }
 
 // cacheConfigFor translates a spec's cache block (defaulted and validated)
-// into the predcache configuration, with the QueryResult-aware clone hook.
+// into the predcache configuration.
 func cacheConfigFor(c *CacheSpec) (predcache.Config, bool) {
 	if c == nil || !c.Enabled {
 		return predcache.Config{}, false
@@ -666,24 +723,7 @@ func cacheConfigFor(c *CacheSpec) (predcache.Config, bool) {
 		TTL:            c.TTLSeconds,
 		AdmitThreshold: c.AdmitThreshold,
 		HalfLife:       c.HalfLifeSeconds,
-		Clone:          cloneQueryResult,
 	}, true
-}
-
-// cloneQueryResult deep-copies a cached QueryResult so callers mutating a
-// served result (the Votes map in particular) cannot corrupt the stored copy
-// or a sibling caller's.
-func cloneQueryResult(v any) any {
-	r, ok := v.(*QueryResult)
-	if !ok {
-		return v
-	}
-	cp := *r
-	cp.Votes = make(map[string]string, len(r.Votes))
-	for k, val := range r.Votes {
-		cp.Votes[k] = val
-	}
-	return &cp
 }
 
 // invalidateCache bumps the prediction cache's epoch (a no-op without a

@@ -40,10 +40,6 @@ type Config struct {
 	// Now supplies the clock (seconds; monotonicity is the caller's
 	// contract). Default: wall time.
 	Now func() float64
-	// Clone copies a value served from the cache, so callers mutating a
-	// result cannot corrupt the stored copy or a sibling caller's. Default:
-	// identity (share the stored value).
-	Clone func(any) any
 }
 
 // normalize fills defaults and clamps the shard count.
@@ -68,9 +64,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Now == nil {
 		c.Now = func() float64 { return float64(time.Now().UnixNano()) * 1e-9 }
-	}
-	if c.Clone == nil {
-		c.Clone = func(v any) any { return v }
 	}
 	return c
 }
@@ -219,7 +212,6 @@ func (c *Cache) Configure(cfg Config) {
 	c.cfgMu.Lock()
 	cfg.Shards = len(c.shards) // fixed
 	cfg.Now = c.cfg.Now
-	cfg.Clone = c.cfg.Clone
 	c.cfg = cfg
 	c.cfgMu.Unlock()
 	// Trim every shard under the (possibly smaller) new capacity.
@@ -275,6 +267,11 @@ func (sh *cacheShard) removeEntry(e *entry) {
 // enters the singleflight, so concurrent identical misses run compute exactly
 // once (leader ComputedHot, everyone else Collapsed) and the result is stored
 // unless an invalidation raced the computation.
+//
+// Stored values are immutable: every outcome but ComputedCold returns the
+// value the cache holds, shared with every other caller, so a caller that
+// hands it on must copy it first. input may be a borrowed buffer: the cache
+// copies it when it opens a flight, and only that copy is ever retained.
 func (c *Cache) GetOrCompute(key uint64, input []byte, compute func() (any, error)) (any, Outcome, error) {
 	c.cfgMu.RLock()
 	cfg := c.cfg
@@ -300,7 +297,7 @@ func (c *Cache) GetOrCompute(key uint64, input []byte, compute func() (any, erro
 			val := e.val
 			sh.mu.Unlock()
 			c.hits.Add(1)
-			return cfg.Clone(val), Hit, nil
+			return val, Hit, nil
 		}
 	}
 	c.misses.Add(1)
@@ -317,9 +314,9 @@ func (c *Cache) GetOrCompute(key uint64, input []byte, compute func() (any, erro
 			return nil, Collapsed, fl.err
 		}
 		c.collapsed.Add(1)
-		return cfg.Clone(fl.val), Collapsed, nil
+		return fl.val, Collapsed, nil
 	}
-	fl := &flight{done: make(chan struct{}), input: input, epoch: c.epoch.Load()}
+	fl := &flight{done: make(chan struct{}), input: bytes.Clone(input), epoch: c.epoch.Load()}
 	sh.flights[key] = fl
 	sh.mu.Unlock()
 
@@ -330,12 +327,10 @@ func (c *Cache) GetOrCompute(key uint64, input []byte, compute func() (any, erro
 		delete(sh.flights, key)
 	}
 	if fl.err == nil && c.epoch.Load() == fl.epoch {
-		// Store the cache's own copy so the leader mutating its returned
-		// value cannot corrupt what later hits are served.
 		e := &entry{
 			key:     key,
-			input:   input,
-			val:     cfg.Clone(fl.val),
+			input:   fl.input,
+			val:     fl.val,
 			epoch:   fl.epoch,
 			expires: cfg.Now() + cfg.TTL,
 		}

@@ -314,6 +314,37 @@ func TestDigestCollisionNeverServesWrongResult(t *testing.T) {
 	}
 }
 
+// TestCacheOwnsItsInputAndSharesItsValue: the caller's input buffer is
+// borrowed — neither the open flight nor the stored entry aliases it, so the
+// caller may overwrite it as soon as GetOrCompute returns — while the value is
+// stored as computed and every non-cold outcome returns that very value.
+func TestCacheOwnsItsInputAndSharesItsValue(t *testing.T) {
+	clk := &fakeClock{}
+	c := New(Config{Capacity: 64, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Shards: 1, Now: clk.Now})
+	buf := []byte("borrowed-key")
+	key := digestOf(buf)
+	val := &struct{ n int }{7}
+	v, out, err := c.GetOrCompute(key, buf, func() (any, error) {
+		fl := c.shards[0].flights[key]
+		if fl == nil || &fl.input[0] == &buf[0] || string(fl.input) != "borrowed-key" {
+			t.Error("the open flight does not own a copy of the input")
+		}
+		return val, nil
+	})
+	if err != nil || out != ComputedHot || v != val {
+		t.Fatalf("leader = %v, %v, %v; want the computed value, ComputedHot", v, out, err)
+	}
+	e := c.shards[0].items[key]
+	if e == nil || &e.input[0] == &buf[0] {
+		t.Fatal("the stored entry does not own a copy of the input")
+	}
+	copy(buf, "scribbled!!!")
+	fail := func() (any, error) { t.Fatal("recomputed a stored key"); return nil, nil }
+	if v, out, _ := c.GetOrCompute(key, []byte("borrowed-key"), fail); out != Hit || v != val {
+		t.Fatalf("hit after the caller reused its buffer = %v, %v; want the stored value", v, out)
+	}
+}
+
 func TestCapacityEvictionLRU(t *testing.T) {
 	clk := &fakeClock{}
 	c := New(Config{Capacity: 4, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Shards: 1, Now: clk.Now})

@@ -38,7 +38,8 @@
 // dataset, train job, deployment, or model) answers 404, rafiki.ErrConflict
 // (reading models off a still-running training job, reconciling to a
 // different model set) answers 409, malformed bodies and spec validation
-// answer 400, and wrong methods on known routes answer 405.
+// answer 400, a query body over 4 MiB answers 413, and wrong methods on
+// known routes answer 405.
 //
 // When the System was booted with rafiki.WithJournal, the journal endpoints
 // expose the durable control plane: GET /api/v1/journal streams the
@@ -91,14 +92,16 @@
 package rest
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
+	"sync"
 
 	"rafiki"
 	"rafiki/internal/infer"
@@ -514,18 +517,37 @@ type QueryRequest struct {
 	Image string `json:"img"`
 }
 
+// maxQueryBody bounds a query body; a longer one answers 413.
+const maxQueryBody = 4 << 20
+
+// scanBufSize is the largest body read whole into a pooled buffer and scanned
+// instead of decoded.
+const scanBufSize = 4 << 10
+
+var (
+	scanBufs        = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
+	jsonContentType = []string{"application/json"}
+)
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	buf := scanBufs.Get().(*[scanBufSize]byte)
+	defer scanBufs.Put(buf)
+	img, err := readQuery(w, r, buf[:])
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("rest: bad body: %w", err))
 		return
 	}
-	if strings.TrimSpace(req.Image) == "" {
+	if len(bytes.TrimSpace(img)) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: query needs an img payload"))
 		return
 	}
-	res, err := s.sys.Query(id, []byte(req.Image))
+	body, err := s.sys.QueryJSON(id, img)
 	if err != nil {
 		// Only a missing deployment is 404. A full queue is backpressure,
 		// not a server fault: 429 with a Retry-After hint from the
@@ -545,7 +567,68 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// readQuery extracts a query body's img payload, which may alias buf. A body
+// of known length that fits buf is read whole and, when it is exactly
+// {"img":"…"} (see scanQuery), sliced without decoding. Every other body —
+// and any chunked or longer one, bounded by maxQueryBody — goes through
+// json.Decoder, so what is accepted and every error text are the decoder's.
+func readQuery(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	var body io.Reader
+	if n := r.ContentLength; n >= 0 && n <= int64(len(buf)) {
+		b := buf[:n]
+		if _, err := io.ReadFull(r.Body, b); err != nil {
+			return nil, err
+		}
+		if img, ok := scanQuery(b); ok {
+			return img, nil
+		}
+		body = bytes.NewReader(b)
+	} else {
+		body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+	}
+	var req QueryRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, err
+	}
+	return []byte(req.Image), nil
+}
+
+// scanQuery accepts exactly {"img":"…"} — JSON whitespace between tokens, and
+// a value of printable ASCII without '"' or '\\', so the bytes are the decoded
+// string — and returns the value's bytes. Whatever it accepts, json.Decoder
+// accepts with the same img; it rejects everything else.
+func scanQuery(b []byte) ([]byte, bool) {
+	i := 0
+	token := func(tok string) bool {
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+			i++
+		}
+		if len(b)-i < len(tok) || string(b[i:i+len(tok)]) != tok {
+			return false
+		}
+		i += len(tok)
+		return true
+	}
+	if !token("{") || !token(`"img"`) || !token(":") || !token(`"`) {
+		return nil, false
+	}
+	start := i
+	for i < len(b) && b[i] >= ' ' && b[i] <= '~' && b[i] != '"' && b[i] != '\\' {
+		i++
+	}
+	img := b[start:i]
+	if i == len(b) || b[i] != '"' {
+		return nil, false
+	}
+	if i++; !token("}") || !token("") || i != len(b) {
+		return nil, false
+	}
+	return img, true
 }
 
 // handleStats reports system-wide resource counts; with the durable control
