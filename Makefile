@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race repeat benchmark-test bench bench-smoke bench-gate profile contention verify-journal scenarios
+.PHONY: check fmt vet build test race repeat benchmark-test benchmark-smoke bench bench-smoke verify-journal
 
-check: fmt vet build race repeat benchmark-test bench-smoke bench-gate verify-journal
+check: fmt vet build race repeat benchmark-test benchmark-smoke bench-smoke verify-journal
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -37,69 +37,39 @@ repeat:
 benchmark-test:
 	$(GO) -C benchmark test ./...
 
+# A 3-second pass of every BENCHMARK.json workload for its output checks
+# (label/votes/re-vote, cache consistency, accuracy band, <=1 % failures,
+# open-loop lateness, watchdog): the binary exits 1 when a check sets
+# correct=false. No number is gated here; compare timings by alternating
+# runs of two commits on one host.
+BENCHMARK_WORKLOADS = query_sim_paced query_nn_saturated http_hotkey train_bayes
+
+benchmark-smoke:
+	@for w in $(BENCHMARK_WORKLOADS); do \
+		echo "== benchmark-smoke $$w"; \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
+
 # Queue and serving micro-benchmarks (ring buffer vs the seed's copy-shift).
 bench:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkQueuePopN -benchmem
 
-# One pass of the replica-scaling benchmark (virtual time, deterministic),
-# a bounded run of the sharded-submit benchmark (wall clock, 1/4/8 queue
-# shards), one pass of the parallel-dispatch benchmark (wall clock,
-# 8 shards × 1/2/4 dispatch groups, full serve path), and one pass of the
-# prediction-cache benchmark (Zipfian stream, cache off vs on): cheap gates
-# that the dispatch hot path still scales with replicas, the submit path
-# with shards, the drain path with dispatch groups, and the read-through
-# cache still short-circuits a skewed stream. The fixed iteration counts
-# bound the standing backlog the submit benchmark accumulates. Last, one
-# sequential 150-trial study on the Bayesian advisor, with its allocations,
-# one 16-sample batch through the nn kernel (Forward×16 vs ForwardBatch),
-# one short and one long seeded stream (lazy sim.RNG vs math/rand), and one
-# REST cache hit (handler alone, then over a loopback keep-alive connection).
+# One pass of the replica-scaling benchmark (virtual time, deterministic)
+# and a bounded run of the sharded-submit benchmark (wall clock, 1/4/8 queue
+# shards): cheap gates that the dispatch hot path still scales with replicas
+# and the submit path with shards. The fixed iteration count bounds the
+# standing backlog the submit benchmark accumulates. Last, one sequential
+# 150-trial study on the Bayesian advisor, with its allocations, one 16-sample
+# batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
+# long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
+# (handler alone, then over a loopback keep-alive connection).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
-	$(GO) test . -run none -bench BenchmarkParallelDispatch -benchtime 1x
-	$(GO) test . -run none -bench BenchmarkPredictionCache -benchtime 1x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x
-
-# Serving-perf regression gate: re-measure the full serving matrix and the
-# cache pass, emit the machine-readable BENCH_serving.json (submitted +
-# served QPS at 1/8 shards × 1/4 groups × gomaxprocs 1/4/8 + nn tier,
-# batch-size mean, peak goroutines, cache-off/on QPS + hit rates — CI
-# archives it per commit so the serving perf trajectory is tracked across
-# PRs), and fail if any served-QPS row regresses >15% against the committed
-# baseline snapshot. After a deliberate perf change, refresh the baseline:
-# cp BENCH_serving.json BENCH_baseline.json and commit it with the change.
-bench-gate:
-	$(GO) run ./cmd/rafiki-bench -serving BENCH_serving.json -gate BENCH_baseline.json
-
-# Contention evidence: the same serving matrix under CPU/mutex/block
-# profiling. Profiles and the run's report land in artifacts/profiles,
-# which CI archives, so any bench-gate regression comes with the pprof
-# data to diagnose it post-hoc.
-profile:
-	rm -rf artifacts/profiles
-	$(GO) run ./cmd/rafiki-bench -serving artifacts/profiles/BENCH_serving.json -profile artifacts/profiles
-
-# Top contended locks from the archived serving-bench profiles (run `make
-# profile` first): the mutex profile ranks lock-hold contention, the block
-# profile ranks channel/cond waits. This is the at-a-glance view of where
-# the dispatch planes serialize — CI renders it into
-# artifacts/profiles/contention.txt next to the raw pprof data.
-contention:
-	@test -f artifacts/profiles/mutex.pprof || { echo "contention: run 'make profile' first (no artifacts/profiles/mutex.pprof)"; exit 1; }
-	@echo "== top 10 contended mutexes (lock-hold delay) =="
-	$(GO) tool pprof -top -nodecount=10 artifacts/profiles/mutex.pprof
-	@echo "== top 10 blocking sites (channel/cond waits) =="
-	$(GO) tool pprof -top -nodecount=10 artifacts/profiles/block.pprof
-
-# Workload-scenario benchmark (diurnal / bursty / hotkey traffic shapes
-# through the serving runtime, prediction cache off vs on). Emits
-# BENCH_scenarios.json, archived by CI next to the serving snapshot.
-scenarios:
-	$(GO) run ./cmd/rafiki-bench -scenario all -scenario-out BENCH_scenarios.json
 
 # Durability gate: run the kill/restart round-trip test under -race with the
 # journal written to artifacts/journal, then audit the surviving ledger's

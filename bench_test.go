@@ -2,8 +2,10 @@ package rafiki
 
 // Benchmark harness: one testing.B target per table/figure of the paper's
 // evaluation (Section 7), each regenerating the figure at QuickScale via
-// internal/exp and reporting its headline numbers as custom metrics.
-// cmd/rafiki-bench prints the same series at full scale.
+// internal/exp and reporting its headline numbers as custom metrics, plus
+// BenchmarkShardedSubmit on the serving runtime's submit path alone.
+// cmd/rafiki-bench prints the same series at full scale. End-to-end
+// serving and training performance is measured by the benchmark/ module.
 //
 // Run all with:
 //
@@ -95,70 +97,6 @@ func BenchmarkShardedSubmit(b *testing.B) {
 			rt.Close()
 		})
 	}
-}
-
-// BenchmarkParallelDispatch drives the full serving path — concurrent
-// submitters, real batched dispatches, future resolution — through an
-// 8-shard runtime at 1/2/4 dispatch groups and reports served QPS (the
-// drain rate, not just fan-in), submitted QPS and the executed batch-size
-// mean. With one group every decision point serializes on a single dispatch
-// plane; with G > 1, independent planes claim replica leases and launch
-// concurrently, so served QPS scales with GOMAXPROCS on a multi-core run
-// (single-core runs still gate the batch-assembly and overhead numbers).
-// Run with a bounded iteration count:
-//
-//	go test . -run none -bench BenchmarkParallelDispatch -benchtime 1x
-func BenchmarkParallelDispatch(b *testing.B) {
-	for _, groups := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("groups-%d", groups), func(b *testing.B) {
-			var row exp.ServingBenchRow
-			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = exp.RunServingBenchRow(16000, 8, 8, groups, 1000)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Goroutine-bound gate: batch execution runs on the bounded
-			// per-model pools and each dispatch plane has one parked sweep
-			// worker, so the process peak stays O(replicas + planes +
-			// submitters) — wall-timer callbacks are now cheap flag-sets that
-			// never block on plane locks, so they no longer pile up. One
-			// goroutine per dispatch (or per request) would blow straight
-			// past this.
-			const maxGoroutineBound = 128
-			if row.MaxGoroutines > maxGoroutineBound {
-				b.Fatalf("goroutine peak %d exceeds the bounded-pool gate %d (dispatches=%d)",
-					row.MaxGoroutines, maxGoroutineBound, row.Dispatches)
-			}
-			b.ReportMetric(row.ServedQPS, "served-qps")
-			b.ReportMetric(row.SubmittedQPS, "submitted-qps")
-			b.ReportMetric(row.BatchSizeMean, "batch-mean")
-			b.ReportMetric(float64(row.MaxGoroutines), "max-goroutines")
-		})
-	}
-}
-
-// BenchmarkPredictionCache replays one Zipfian key stream (s=1.1 over 1024
-// keys; the top 16 ranks carry over half the mass) through the serving
-// runtime with the read-through prediction cache off and on, and reports
-// both served QPS, their ratio and the hot-region hit rate. Run with a
-// bounded iteration count:
-//
-//	go test . -run none -bench BenchmarkPredictionCache -benchtime 1x
-func BenchmarkPredictionCache(b *testing.B) {
-	var rep *exp.CacheBenchReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = exp.RunCacheBench(16000, 8, 1024, 16, 1.1, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.Rows[0].ServedQPS, "cache-off-qps")
-	b.ReportMetric(rep.Rows[1].ServedQPS, "cache-on-qps")
-	b.ReportMetric(rep.SpeedupX, "speedup-x")
-	b.ReportMetric(rep.Rows[1].HotHitRate, "hot-hit-rate")
 }
 
 func BenchmarkFig2TaskRegistry(b *testing.B) {

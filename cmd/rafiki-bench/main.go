@@ -8,37 +8,26 @@
 //	rafiki-bench -exp fig8 -scale full
 //	rafiki-bench -exp fig14,fig15
 //	rafiki-bench -exp ablations
-//	rafiki-bench -serving BENCH_serving.json     # serving-plane perf snapshot
-//	rafiki-bench -scenario all                   # workload scenarios → BENCH_scenarios.json
-//	rafiki-bench -scenario diurnal,hotkey -scenario-out custom.json
 //	rafiki-bench -verify-journal artifacts/journal   # offline hash-chain audit
+//
+// Serving and training performance is measured end to end by the benchmark/
+// module (bash benchmark/run.sh), not by this command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"rafiki/internal/exp"
 	"rafiki/internal/journal"
-	"rafiki/internal/scenarios"
 )
 
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids: fig2,fig3,table1,fig6,fig8,fig9,fig10,fig11,fig13,fig14,fig15,fig16,ablations,all")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	seed := flag.Int64("seed", 0, "override random seed (0 keeps the default)")
-	servingFlag := flag.String("serving", "", "run the serving-plane benchmark (submitted/served QPS at 1/8 shards × 1/4 dispatch groups × gomaxprocs 1/4/8, batch-size mean) and write the machine-readable report to this path")
-	gateFlag := flag.String("gate", "", "with -serving: compare the fresh report's served-QPS rows against the committed baseline report at this path and exit non-zero on a >15% regression")
-	profileFlag := flag.String("profile", "", "with -serving: write cpu.pprof, mutex.pprof and block.pprof for the bench run into this directory")
-	scenarioFlag := flag.String("scenario", "", "run the workload-scenario benchmark: comma-separated scenario names (diurnal,bursty,hotkey) or 'all'")
-	scenarioOut := flag.String("scenario-out", "BENCH_scenarios.json", "path the -scenario report is written to")
 	verifyJournal := flag.String("verify-journal", "", "verify the hash chain of the journal directory at this path and exit (non-zero on corruption)")
 	flag.Parse()
 
@@ -48,20 +37,6 @@ func main() {
 			log.Fatalf("rafiki-bench: journal %s: chain broken at seq %d: %s", *verifyJournal, res.BadSeq, res.Reason)
 		}
 		fmt.Printf("journal %s: chain ok, %d records, last seq %d\n", *verifyJournal, res.Records, res.LastSeq)
-		return
-	}
-
-	if *scenarioFlag != "" {
-		if err := writeScenarioBench(*scenarioFlag, *scenarioOut, *seed); err != nil {
-			log.Fatalf("rafiki-bench: %v", err)
-		}
-		return
-	}
-
-	if *servingFlag != "" {
-		if err := writeServingBench(*servingFlag, *gateFlag, *profileFlag); err != nil {
-			log.Fatalf("rafiki-bench: %v", err)
-		}
 		return
 	}
 
@@ -127,296 +102,4 @@ func main() {
 		}
 		fmt.Println(fig.String())
 	}
-}
-
-// writeServingBench runs the serving-plane benchmark matrix (DESIGN.md §10)
-// and writes the machine-readable report: submitted and served QPS at
-// 1 and 8 queue shards crossed with 1 and 4 dispatch groups on the sim tier,
-// the largest configuration re-run at GOMAXPROCS 4 and 8 (the multi-core
-// scaling axis, DESIGN.md §14) and on the real nn backend (DESIGN.md §12),
-// the mean executed batch size and per-row peak goroutine count, plus the
-// prediction-cache pass over a Zipfian key stream (cache-off vs cache-on
-// served QPS and hit rates, DESIGN.md §11) — the numbers CI archives per
-// commit so the serving perf trajectory is tracked across PRs.
-//
-// gatePath, when non-empty, names the committed baseline report: served-QPS
-// rows matching on (shards, groups, backend, gomaxprocs) must stay within
-// 15% of the baseline or the run fails. profileDir, when non-empty, captures
-// cpu/mutex/block pprof profiles of the bench run into that directory.
-func writeServingBench(path, gatePath, profileDir string) error {
-	if profileDir != "" {
-		stop, err := startProfiles(profileDir)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	// Speedup 1000 shrinks the profiled model latencies until the dispatch
-	// plane — not model capacity — is the served-QPS bottleneck, which is
-	// exactly what dispatch groups parallelize.
-	rep, err := exp.RunServingBench(servingBenchRequests, servingBenchSubmitters,
-		[]int{1, 8}, []int{1, 4}, []int{1, 4, 8}, servingBenchSpeedup)
-	if err != nil {
-		return err
-	}
-	// The cache rows replay one Zipfian stream (s=1.1 over 1024 keys, hot
-	// region = top 16 ranks) with the cache off and on.
-	rep.Cache, err = exp.RunCacheBench(16000, 8, 1024, 16, 1.1, 1000)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	for _, row := range rep.Rows {
-		fmt.Printf("serving shards=%d groups=%d backend=%s gomaxprocs=%d submitted=%.0f qps served=%.0f qps batch-mean=%.1f stolen=%d max-goroutines=%d\n",
-			row.Shards, row.Groups, row.Backend, row.GOMAXPROCS, row.SubmittedQPS, row.ServedQPS, row.BatchSizeMean, row.Stolen, row.MaxGoroutines)
-	}
-	if rep.CoreScaling > 0 {
-		fmt.Printf("serving core_scaling=%.3f (largest sim config, max/min gomaxprocs served-QPS ratio)\n", rep.CoreScaling)
-	}
-	for _, row := range rep.Cache.Rows {
-		fmt.Printf("cache on=%v served=%.0f qps hit-rate=%.2f hot-hit-rate=%.2f collapsed=%d\n",
-			row.Cache, row.ServedQPS, row.HitRate, row.HotHitRate, row.Collapsed)
-	}
-	fmt.Printf("cache speedup %.1fx (zipf s=%.1f, %d keys, hot region %d)\n",
-		rep.Cache.SpeedupX, rep.Cache.ZipfS, rep.Cache.Keys, rep.Cache.HotKeys)
-	fmt.Printf("wrote %s (GOMAXPROCS=%d)\n", path, rep.GOMAXPROCS)
-	if gatePath != "" {
-		if err := gateServingBench(rep, gatePath); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Serving-bench matrix parameters, shared by the initial sweep and the
-// gate's per-row re-measurements so a retried row reproduces its original
-// configuration exactly.
-const (
-	servingBenchRequests   = 16000
-	servingBenchSubmitters = 8
-	servingBenchSpeedup    = 1000
-)
-
-// benchGateTolerance is the allowed served-QPS regression against the
-// committed baseline before the gate fails the build. Wall-clock QPS on a
-// shared CI worker is noisy; 15% separates a real dispatch-path regression
-// from scheduler jitter.
-const benchGateTolerance = 0.15
-
-// benchGateRetries is how many times a row that lands under its baseline
-// floor is re-measured before the gate fails. Wall-clock noise is
-// one-sided — a noisy neighbour or GC pause only ever slows a run down —
-// so the best of a few attempts estimates what the code can actually
-// sustain, while a genuine dispatch-path regression fails every attempt.
-const benchGateRetries = 2
-
-// gateServingBench compares the fresh report's served-QPS rows against the
-// committed baseline at gatePath. Rows match on (shards, groups, backend,
-// gomaxprocs); fresh rows without a baseline counterpart (a new matrix
-// entry) are skipped with a note, so widening the matrix never requires a
-// lockstep baseline bump — but a *baseline* row with no fresh counterpart
-// fails the gate: a silently vanished matrix row (say, a dropped gomaxprocs
-// axis value) would otherwise un-gate exactly the configurations most likely
-// to have broken. The derived core_scaling ratio is gated the same way as a
-// row, so a multi-core regression fails even when each absolute row stays
-// inside its own tolerance.
-func gateServingBench(rep *exp.ServingBenchReport, gatePath string) error {
-	buf, err := os.ReadFile(gatePath)
-	if err != nil {
-		return fmt.Errorf("bench gate: read baseline: %w", err)
-	}
-	var base exp.ServingBenchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("bench gate: parse baseline %s: %w", gatePath, err)
-	}
-	type rowKey struct {
-		shards, groups, procs int
-		backend               string
-	}
-	keyString := func(k rowKey) string {
-		return fmt.Sprintf("shards=%d groups=%d backend=%s gomaxprocs=%d", k.shards, k.groups, k.backend, k.procs)
-	}
-	baseline := make(map[rowKey]float64, len(base.Rows))
-	for _, row := range base.Rows {
-		baseline[rowKey{row.Shards, row.Groups, row.GOMAXPROCS, row.Backend}] = row.ServedQPS
-	}
-	covered := make(map[rowKey]bool, len(rep.Rows))
-	failed := false
-	for _, row := range rep.Rows {
-		key := rowKey{row.Shards, row.Groups, row.GOMAXPROCS, row.Backend}
-		covered[key] = true
-		want, ok := baseline[key]
-		if !ok {
-			fmt.Printf("bench gate: no baseline row for %s (skipped)\n", keyString(key))
-			continue
-		}
-		floor := want * (1 - benchGateTolerance)
-		verdict := "ok"
-		served := row.ServedQPS
-		for attempt := 0; served < floor && attempt < benchGateRetries; attempt++ {
-			fmt.Printf("bench gate: %s served=%.0f under floor=%.0f, re-measuring (%d/%d)\n",
-				keyString(key), served, floor, attempt+1, benchGateRetries)
-			again, err := exp.RunServingBenchRowProcs(servingBenchRequests, servingBenchSubmitters,
-				row.Shards, row.Groups, row.GOMAXPROCS, servingBenchSpeedup, row.Backend)
-			if err != nil {
-				return fmt.Errorf("bench gate: re-measure: %w", err)
-			}
-			if again.ServedQPS > served {
-				served = again.ServedQPS
-			}
-		}
-		if served < floor {
-			verdict = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("bench gate: %s served=%.0f baseline=%.0f floor=%.0f %s\n",
-			keyString(key), served, want, floor, verdict)
-	}
-	// Every baseline row must still exist in the fresh matrix: a vanished row
-	// is an un-gated configuration, not a passing one.
-	missing := 0
-	for key := range baseline {
-		if !covered[key] {
-			fmt.Printf("bench gate: baseline row %s MISSING from the fresh run\n", keyString(key))
-			missing++
-			failed = true
-		}
-	}
-	if base.CoreScaling > 0 {
-		if rep.CoreScaling == 0 {
-			fmt.Printf("bench gate: baseline core_scaling=%.3f but the fresh run derived none (MISSING)\n", base.CoreScaling)
-			failed = true
-		} else {
-			// The ratio divides two noisy wall-clock measurements, so it is
-			// noisier than either row; re-measure both endpoints of the
-			// scaling axis (best-of, like the row retries) before failing.
-			scaling := rep.CoreScaling
-			floor := base.CoreScaling * (1 - benchGateTolerance)
-			sh, g := 0, 0
-			for _, row := range rep.Rows {
-				if row.Backend == "sim" && (row.Shards > sh || (row.Shards == sh && row.Groups > g)) {
-					sh, g = row.Shards, row.Groups
-				}
-			}
-			lo, hi := exp.CoreScalingAxis(rep.Rows, sh, g)
-			for attempt := 0; scaling < floor && lo > 0 && attempt < benchGateRetries; attempt++ {
-				fmt.Printf("bench gate: core_scaling=%.3f under floor=%.3f, re-measuring gomaxprocs %d and %d (%d/%d)\n",
-					scaling, floor, lo, hi, attempt+1, benchGateRetries)
-				loRow, err := exp.RunServingBenchRowProcs(servingBenchRequests, servingBenchSubmitters,
-					sh, g, lo, servingBenchSpeedup, "sim")
-				if err != nil {
-					return fmt.Errorf("bench gate: re-measure core_scaling: %w", err)
-				}
-				hiRow, err := exp.RunServingBenchRowProcs(servingBenchRequests, servingBenchSubmitters,
-					sh, g, hi, servingBenchSpeedup, "sim")
-				if err != nil {
-					return fmt.Errorf("bench gate: re-measure core_scaling: %w", err)
-				}
-				if loRow.ServedQPS > 0 {
-					if again := hiRow.ServedQPS / loRow.ServedQPS; again > scaling {
-						scaling = again
-					}
-				}
-			}
-			verdict := "ok"
-			if scaling < floor {
-				verdict = "REGRESSION"
-				failed = true
-			}
-			fmt.Printf("bench gate: core_scaling=%.3f baseline=%.3f floor=%.3f %s\n",
-				scaling, base.CoreScaling, floor, verdict)
-		}
-	}
-	if failed {
-		if missing > 0 {
-			return fmt.Errorf("bench gate: %d baseline row(s) missing from the fresh run (or served QPS regressed >%.0f%%) against %s",
-				missing, benchGateTolerance*100, gatePath)
-		}
-		return fmt.Errorf("bench gate: served QPS regressed >%.0f%% against %s", benchGateTolerance*100, gatePath)
-	}
-	fmt.Printf("bench gate: all rows within %.0f%% of %s\n", benchGateTolerance*100, gatePath)
-	return nil
-}
-
-// startProfiles begins CPU profiling and enables mutex/block sampling,
-// returning a stop function that writes cpu.pprof, mutex.pprof and
-// block.pprof into dir — the post-hoc contention evidence CI archives for
-// every bench run (DESIGN.md §14).
-func startProfiles(dir string) (func(), error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(cpu); err != nil {
-		cpu.Close()
-		return nil, err
-	}
-	runtime.SetMutexProfileFraction(5)
-	runtime.SetBlockProfileRate(10_000) // sample blocking events ≥10µs-ish
-	return func() {
-		pprof.StopCPUProfile()
-		cpu.Close()
-		runtime.SetMutexProfileFraction(0)
-		runtime.SetBlockProfileRate(0)
-		for _, name := range []string{"mutex", "block"} {
-			f, err := os.Create(filepath.Join(dir, name+".pprof"))
-			if err != nil {
-				log.Printf("rafiki-bench: profile %s: %v", name, err)
-				continue
-			}
-			if p := pprof.Lookup(name); p != nil {
-				_ = p.WriteTo(f, 0)
-			}
-			f.Close()
-		}
-		fmt.Printf("wrote profiles to %s (cpu.pprof, mutex.pprof, block.pprof)\n", dir)
-	}, nil
-}
-
-// writeScenarioBench replays the named workload scenarios (internal/scenarios
-// — 'all' runs the registry) through the serving runtime with the prediction
-// cache off and on, prints the per-scenario rows, and writes the
-// machine-readable report CI archives as BENCH_scenarios.json.
-func writeScenarioBench(names, path string, seed int64) error {
-	cfg := scenarios.Defaults()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	var selected []string
-	if strings.TrimSpace(strings.ToLower(names)) != "all" {
-		for _, name := range strings.Split(names, ",") {
-			selected = append(selected, strings.TrimSpace(strings.ToLower(name)))
-		}
-	}
-	// Same submitter count, hot-region bound, and speedup as the stationary
-	// cache bench, so the rows are comparable.
-	rep, err := exp.RunScenarioBench(cfg, selected, 8, 16, 1000)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	for _, row := range rep.Scenarios {
-		fmt.Printf("scenario %-8s requests=%d unique-keys=%d off=%.0f qps on=%.0f qps hit-rate=%.2f speedup=%.1fx\n",
-			row.Scenario, row.Requests, row.UniqueKeys,
-			row.Rows[0].ServedQPS, row.Rows[1].ServedQPS, row.Rows[1].HitRate, row.SpeedupX)
-	}
-	fmt.Printf("wrote %s (GOMAXPROCS=%d)\n", path, rep.GOMAXPROCS)
-	return nil
 }

@@ -50,7 +50,7 @@ func main() {
 	if _, err := client.WaitTrain(context.Background(), trainID, 0, 10000); err != nil {
 		log.Fatal(err)
 	}
-	inferID, err := client.Inference(trainID)
+	inferID, err := client.Deploy(rest.InferenceRequest{TrainJobID: trainID})
 	if err != nil {
 		log.Fatal(err)
 	}

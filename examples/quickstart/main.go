@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(rafiki.DeploymentSpec{Models: models})
 	if err != nil {
 		log.Fatal(err)
 	}

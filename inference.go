@@ -99,54 +99,19 @@ type InferenceStats struct {
 	infer.Stats
 }
 
-// InferenceOpts tunes a deployment. Deprecated in favour of the declarative
-// DeploymentSpec (InferenceWithOpts remains as a thin wrapper): Replicas maps
-// to ReplicaBounds{Min: Replicas} and QueueCap carries over.
-type InferenceOpts struct {
-	// Replicas is how many cluster containers serve each deployed model
-	// (default 1). Throughput scales near-linearly with replicas: the
-	// engine dispatches each batch to the earliest-free replica, so R
-	// replicas keep R batches per model in flight.
-	Replicas int
-	// QueueCap bounds the deployment's request queue (default 4096).
-	// Arrivals beyond it are rejected with infer.ErrQueueFull, which the
-	// REST layer surfaces as HTTP 429 with a Retry-After hint.
-	QueueCap int
-}
-
 // maxReplicasPerModel caps replica pools against runaway scale requests.
 const maxReplicasPerModel = 64
 
-// Inference deploys trained models for serving (Figure 2's
-// rafiki.Inference(models).run()) under the default spec: greedy
-// full-ensemble policy, one replica per model, the system SLO and queue
-// bound. A thin compatibility wrapper over Deploy.
-func (s *System) Inference(models []ModelInstance) (*InferenceJob, error) {
-	return s.Deploy(DeploymentSpec{Models: models})
-}
-
-// InferenceWithOpts deploys trained models with the legacy knob set — a thin
-// wrapper translating InferenceOpts into a DeploymentSpec for Deploy. Like
-// the pre-spec API, any non-positive Replicas means the default (1).
-func (s *System) InferenceWithOpts(models []ModelInstance, opts InferenceOpts) (*InferenceJob, error) {
-	if opts.Replicas < 0 {
-		opts.Replicas = 0
-	}
-	return s.Deploy(DeploymentSpec{
-		Models:   models,
-		QueueCap: opts.QueueCap,
-		Replicas: ReplicaBounds{Min: opts.Replicas},
-	})
-}
-
-// Deploy realizes a declarative DeploymentSpec as a serving job. Deployment
-// is instant: the parameters are already in the shared parameter server —
-// the paper's point about unifying the two services. The returned job owns a
-// batching runtime driven by the spec's policy — PolicyGreedy batches every
-// query through the whole ensemble per Algorithm 3; PolicyRL installs the
-// actor-critic scheduler, which keeps training online from the Equation 7
-// rewards the runtime feeds back on the live path; PolicyAsync serves each
-// batch with a single model round-robin (no ensemble, maximum throughput).
+// Deploy realizes a declarative DeploymentSpec as a serving job; Figure 2's
+// rafiki.Inference(models).run() is Deploy(DeploymentSpec{Models: models}).
+// Deployment is instant: the parameters are already in the shared parameter
+// server — the paper's point about unifying the two services. The returned
+// job owns a batching runtime driven by the spec's policy — PolicyGreedy
+// batches every query through the whole ensemble per Algorithm 3; PolicyRL
+// installs the actor-critic scheduler, which keeps training online from the
+// Equation 7 rewards the runtime feeds back on the live path; PolicyAsync
+// serves each batch with a single model round-robin (no ensemble, maximum
+// throughput).
 // spec.Shards > 1 stripes the request queue so concurrent submitters on
 // different shards never contend and decision points drain shards
 // round-robin.

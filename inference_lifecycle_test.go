@@ -31,7 +31,7 @@ func TestInferenceReplicasAndScale(t *testing.T) {
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
 
-	inf, err := sys.InferenceWithOpts(models, InferenceOpts{Replicas: 2})
+	inf, err := sys.Deploy(DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestInferenceReplicasAndScale(t *testing.T) {
 	if err := sys.ScaleInference(inf.ID, "ghostnet", 2); err == nil {
 		t.Fatal("scaling an undeployed model should error")
 	}
-	if _, err := sys.InferenceWithOpts(models, InferenceOpts{Replicas: maxReplicasPerModel + 1}); err == nil {
+	if _, err := sys.Deploy(DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: maxReplicasPerModel + 1}}); err == nil {
 		t.Fatal("replicas above the cap should error")
 	}
-	if _, err := sys.InferenceWithOpts(models, InferenceOpts{QueueCap: -1}); err == nil {
+	if _, err := sys.Deploy(DeploymentSpec{Models: models, QueueCap: -1}); err == nil {
 		t.Fatal("negative queue cap should error")
 	}
 }
@@ -100,7 +100,7 @@ func TestScaleWhileQueriesInFlight(t *testing.T) {
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStopInference(t *testing.T) {
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestReplicaFailureRecovery(t *testing.T) {
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
-	inf, err := sys.InferenceWithOpts(models, InferenceOpts{Replicas: 2})
+	inf, err := sys.Deploy(DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestInferenceRejectsEmptyClassVocabulary(t *testing.T) {
 	sys.mu.Lock()
 	sys.datasets[d.Name].Classes = []string{}
 	sys.mu.Unlock()
-	if _, err := sys.Inference(models); err == nil || !strings.Contains(err.Error(), "class vocabulary") {
+	if _, err := sys.Deploy(DeploymentSpec{Models: models}); err == nil || !strings.Contains(err.Error(), "class vocabulary") {
 		t.Fatalf("empty-class deployment err = %v, want class vocabulary validation error", err)
 	}
 }

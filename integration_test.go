@@ -117,7 +117,7 @@ func TestInstantDeploymentSharedPS(t *testing.T) {
 	}
 	// Deploy and query immediately; every model instance's parameters must
 	// already be resident in the PS.
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSentimentAnalysisWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}

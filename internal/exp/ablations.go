@@ -91,44 +91,8 @@ func AblationAlphaGreedy(sc Scale) (*Figure, error) {
 	return fig, nil
 }
 
-// backoffGreedy wraps GreedySingle with a configurable back-off delta,
-// replacing the fixed 0.1τ of Algorithm 3.
-type backoffGreedy struct {
-	infer.GreedySingle
-	delta float64
-}
-
-func (g *backoffGreedy) Name() string { return fmt.Sprintf("greedy-delta-%.2f", g.delta) }
-
-func (g *backoffGreedy) Decide(s *infer.State) infer.Action {
-	// Re-derive Algorithm 3 with the custom delta.
-	if !s.FreeModels[0] {
-		return infer.Action{Wait: true}
-	}
-	maxB := s.Batches[len(s.Batches)-1]
-	if s.QueueLen >= maxB {
-		return infer.Action{Batch: maxB, Models: []int{0}}
-	}
-	b, bi := -1, -1
-	for i, cand := range s.Batches {
-		if cand <= s.QueueLen {
-			b, bi = cand, i
-		}
-	}
-	if b < 0 {
-		return infer.Action{Wait: true}
-	}
-	wait := 0.0
-	if len(s.Waits) > 0 {
-		wait = s.Waits[0]
-	}
-	if s.LatencyTable[0][bi]+wait+g.delta*s.Tau >= s.Tau {
-		return infer.Action{Batch: b, Models: []int{0}}
-	}
-	return infer.Action{Wait: true}
-}
-
-// AblationBackoff sweeps Algorithm 3's back-off constant δ (DESIGN.md §5.3):
+// AblationBackoff sweeps Algorithm 3's back-off constant δ (DESIGN.md §5.3)
+// through the deployment's BackoffDelta, the field GreedySingle reads:
 // δ=0 dispatches at the last possible moment (more overdue when the estimate
 // is tight), large δ dispatches early (smaller batches, lower throughput).
 func AblationBackoff(sc Scale) (*Figure, error) {
@@ -139,8 +103,8 @@ func AblationBackoff(sc Scale) (*Figure, error) {
 	anchor := zoo.MustLookup("inception_v3").Throughput(servingBatches[0])
 	fig := &Figure{ID: "ablation-backoff", Title: "Algorithm 3 back-off constant sweep (single model, min anchor)"}
 	for _, delta := range []float64{0, 0.1, 0.3} {
-		p := &backoffGreedy{GreedySingle: infer.GreedySingle{D: d}, delta: delta}
-		met, err := servingRun(d, p, anchor, sc, 60, false, 0)
+		d.BackoffDelta = delta * d.Tau
+		met, err := servingRun(d, &infer.GreedySingle{D: d}, anchor, sc, 60, false, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: one runner per table/figure of the
 // paper's evaluation (Section 7), each regenerating the figure's series from
 // the reproduced system and returning printable rows plus headline summary
-// numbers. cmd/rafiki-bench and the root bench_test.go both drive it.
+// numbers. cmd/rafiki-bench prints the figures and the root bench_test.go
+// reports their headline numbers; end-to-end serving and training
+// performance is measured by the benchmark/ module, not here.
 //
 // Absolute numbers differ from the authors' GPU testbed by design; the
 // experiment index in DESIGN.md §4 states the shape each runner must (and

@@ -1297,6 +1297,7 @@ func (e *Engine) stateForShard(now float64, gr *engineGroup, si int, ls *leaseSe
 		FreeModels:   ls.free,
 		BusyLeft:     st.BusyLeft[:len(d.Profiles)],
 		Tau:          d.Tau,
+		Delta:        d.BackoffDelta,
 		Batches:      d.Batches,
 		LatencyTable: e.latencyTable(),
 	}

@@ -2,9 +2,11 @@ package infer
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"rafiki/internal/ensemble"
 	"rafiki/internal/sim"
@@ -266,6 +268,95 @@ func TestGroupedRuntimeServesAllConcurrently(t *testing.T) {
 	rt.Close()
 	if err := rt.SetDispatchGroups(2); err != ErrClosed {
 		t.Fatalf("set dispatch groups on closed runtime = %v, want ErrClosed", err)
+	}
+}
+
+// TestGoroutinePeakBoundedUnderFlood is the bounded-pool gate: eight
+// submitters flood an 8-shard × 4-group runtime (four replicas per model,
+// every future awaited and released) while the process goroutine count is
+// sampled. Batch execution runs on the per-model pools and each plane parks
+// one sweep worker, so the peak stays O(replicas + planes + submitters); one
+// goroutine per dispatch or per request would blow straight past the bound.
+func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
+	const (
+		requests, submitters = 16000, 8
+		maxGoroutines        = 128
+	)
+	d := replicaDeployment(t, 0.25, 4)
+	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
+		func(ids []uint64, payloads []any, models []string) ([]any, error) {
+			return make([]any, len(ids)), nil
+		},
+		RuntimeConfig{
+			Timeline:       &sim.WallTimeline{Speedup: 1000},
+			QueueCap:       1 << 30,
+			Shards:         8,
+			DispatchGroups: 4,
+			// Leases free at profiled finish times while passes pace in wall
+			// time, so the pool queues must absorb that skew for the whole
+			// flood; the pools still bound the goroutine count.
+			ExecQueueFactor: 4096,
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	stop := make(chan struct{})
+	var sampler sync.WaitGroup
+	peak := runtime.NumGoroutine()
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+			peak = max(peak, runtime.NumGoroutine())
+		}
+	}()
+
+	var payload any = []byte("q")
+	futs := make([][]Future, submitters)
+	errs := make(chan error, submitters)
+	var wg sync.WaitGroup
+	for s := range futs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < requests/submitters; i++ {
+				f, err := rt.Submit(payload)
+				if err != nil {
+					errs <- err
+					return
+				}
+				futs[s] = append(futs[s], f)
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, fs := range futs {
+		for _, f := range fs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+		}
+	}
+	close(stop)
+	sampler.Wait()
+	st := rt.Stats()
+	if st.Served != requests {
+		t.Fatalf("served = %d, want %d", st.Served, requests)
+	}
+	if peak > maxGoroutines {
+		t.Fatalf("goroutine peak %d exceeds the bounded-pool gate %d (dispatches=%d)", peak, maxGoroutines, st.Dispatches)
 	}
 }
 

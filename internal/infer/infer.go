@@ -160,7 +160,9 @@ type State struct {
 	FreeModels []bool    // per model: free at Now
 	BusyLeft   []float64 // per model: seconds until free
 	Tau        float64
-	Batches    []int
+	// Delta is Algorithm 3's back-off δ (the deployment's BackoffDelta).
+	Delta   float64
+	Batches []int
 	// LatencyTable is c(m,b) for every model and candidate batch size.
 	LatencyTable [][]float64
 }

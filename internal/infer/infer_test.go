@@ -115,7 +115,7 @@ func TestGreedySingleDecisions(t *testing.T) {
 	d := singleDeployment(t)
 	g := &GreedySingle{D: d}
 	base := &State{
-		Tau: d.Tau, Batches: d.Batches, LatencyTable: d.LatencyTable(),
+		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true}, BusyLeft: []float64{0},
 	}
 	// Full queue: dispatch max batch.
@@ -161,7 +161,7 @@ func TestSyncAllBarrier(t *testing.T) {
 	d := multiDeployment(t)
 	p := &SyncAll{D: d}
 	s := &State{
-		Tau: d.Tau, Batches: d.Batches, LatencyTable: d.LatencyTable(),
+		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true, false, true}, BusyLeft: []float64{0, 0.3, 0},
 		QueueLen: 100, Waits: []float64{0.2},
 	}
@@ -179,7 +179,7 @@ func TestAsyncEachRoundRobin(t *testing.T) {
 	d := multiDeployment(t)
 	p := &AsyncEach{D: d}
 	s := &State{
-		Tau: d.Tau, Batches: d.Batches, LatencyTable: d.LatencyTable(),
+		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true, true, true}, BusyLeft: []float64{0, 0, 0},
 		QueueLen: 200, Waits: []float64{0.1},
 	}

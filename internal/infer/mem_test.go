@@ -1,4 +1,4 @@
-package exp
+package infer_test
 
 import (
 	"fmt"

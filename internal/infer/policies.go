@@ -52,8 +52,7 @@ func (g *GreedySingle) Decide(s *State) Action {
 	if len(s.Waits) > 0 {
 		wait = s.Waits[0]
 	}
-	delta := 0.1 * s.Tau
-	if s.LatencyTable[g.Model][bi]+wait+delta >= s.Tau {
+	if s.LatencyTable[g.Model][bi]+wait+s.Delta >= s.Tau {
 		return Action{Batch: b, Models: g.one[:]}
 	}
 	return Action{Wait: true}
@@ -116,7 +115,7 @@ func (p *SyncAll) Decide(s *State) Action {
 	if len(s.Waits) > 0 {
 		wait = s.Waits[0]
 	}
-	if slowest+wait+0.1*s.Tau >= s.Tau {
+	if slowest+wait+s.Delta >= s.Tau {
 		return Action{Batch: b, Models: all}
 	}
 	return Action{Wait: true}
@@ -178,7 +177,7 @@ func (p *AsyncEach) Decide(s *State) Action {
 	if len(s.Waits) > 0 {
 		wait = s.Waits[0]
 	}
-	if s.LatencyTable[model][bi]+wait+0.1*s.Tau >= s.Tau {
+	if s.LatencyTable[model][bi]+wait+s.Delta >= s.Tau {
 		p.next = (model + 1) % n
 		return Action{Batch: b, Models: p.one[:]}
 	}

@@ -127,11 +127,6 @@ func (c *Client) GetModels(jobID string) ([]rafiki.ModelInstance, error) {
 	return out, nil
 }
 
-// Inference deploys a finished training job's models under the default spec.
-func (c *Client) Inference(trainJobID string) (string, error) {
-	return c.Deploy(InferenceRequest{TrainJobID: trainJobID})
-}
-
 // Deploy deploys models for serving with full control over the deployment
 // spec (explicit models, policy, SLO, queue cap, replica bounds, autoscale)
 // and returns the new deployment's ID.

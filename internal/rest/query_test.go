@@ -151,13 +151,13 @@ func FuzzQueryBody(f *testing.F) {
 	})
 }
 
-// TestQueryBodyTooLarge413: a query body past maxQueryBody answers 413 with
+// TestQueryBodyTooLarge413: a query body past maxBody answers 413 with
 // the usual error object, whether its length is declared or chunked, and
 // the deployment goes on serving normal queries.
 func TestQueryBodyTooLarge413(t *testing.T) {
 	sys, id := deployCachedFood(t)
 	srv := NewServer(sys)
-	huge := `{"img":"` + strings.Repeat("a", maxQueryBody) + `"}`
+	huge := `{"img":"` + strings.Repeat("a", maxBody) + `"}`
 	for _, chunked := range []bool{false, true} {
 		var body io.Reader = strings.NewReader(huge)
 		if chunked {
@@ -174,6 +174,41 @@ func TestQueryBodyTooLarge413(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query/"+id, strings.NewReader(`{"img":"after_413_pizza.jpg"}`)))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"label":"pizza"`) {
 		t.Fatalf("query after a 413 = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestJSONBodiesTooLarge413: every other route that decodes a JSON body reads
+// it through the same maxBody bound — an oversized body answers 413 with the
+// usual error object — and the route then serves a normal request.
+func TestJSONBodiesTooLarge413(t *testing.T) {
+	sys, id := deployCachedFood(t)
+	trainID := sys.ListTrainJobs()[0].JobID
+	srv := NewServer(sys)
+	huge := `{"x":"` + strings.Repeat("a", maxBody) + `"}`
+	routes := []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"import", http.MethodPost, "/api/v1/datasets", `{"name":"after","folders":{"a":10,"b":10}}`, http.StatusCreated},
+		{"train", http.MethodPost, "/api/v1/train", `{"name":"after","data":"food","task":"ImageClassification","hyper":{"MaxTrials":2}}`, http.StatusAccepted},
+		{"deploy", http.MethodPost, "/api/v1/inference", `{"train_job_id":"` + trainID + `"}`, http.StatusCreated},
+		{"reconcile", http.MethodPut, "/api/v1/inference/" + id, `{}`, http.StatusOK},
+		{"scale", http.MethodPost, "/api/v1/inference/" + id + "/scale", `{"replicas":2}`, http.StatusOK},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.path, strings.NewReader(huge)))
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(e.Error, "too large") {
+				t.Fatalf("oversized body = %d %q, want 413 with an error object", rec.Code, rec.Body.String())
+			}
+			rec = httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.path, strings.NewReader(rt.body)))
+			if rec.Code != rt.want {
+				t.Fatalf("normal body after a 413 = %d %q, want %d", rec.Code, rec.Body.String(), rt.want)
+			}
+		})
 	}
 }
 

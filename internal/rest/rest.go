@@ -38,7 +38,7 @@
 // dataset, train job, deployment, or model) answers 404, rafiki.ErrConflict
 // (reading models off a still-running training job, reconciling to a
 // different model set) answers 409, malformed bodies and spec validation
-// answer 400, a query body over 4 MiB answers 413, and wrong methods on
+// answer 400, a request body over 4 MiB answers 413, and wrong methods on
 // known routes answer 405.
 //
 // When the System was booted with rafiki.WithJournal, the journal endpoints
@@ -179,6 +179,30 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxBody bounds every request body; a longer one answers 413.
+const maxBody = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBody bytes.
+// ok=false means the error answer was written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v); err != nil {
+		writeBodyErr(w, err)
+		return false
+	}
+	return true
+}
+
+// writeBodyErr answers a body that could not be read or decoded: 413 when it
+// ran past maxBody, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("rest: bad body: %w", err))
+}
+
 // statusFor maps the SDK's typed error classes onto uniform HTTP statuses —
 // ErrNotFound → 404, ErrConflict → 409 — and anything unclassified onto the
 // handler's fallback.
@@ -217,8 +241,7 @@ type ImportRequest struct {
 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	var req ImportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	d, err := s.sys.ImportImages(req.Name, req.Folders)
@@ -247,8 +270,7 @@ type TrainResponse struct {
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req TrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	job, err := s.sys.Train(rafiki.TrainConfig{
@@ -407,8 +429,7 @@ func (s *Server) resolveModels(w http.ResponseWriter, req InferenceRequest) ([]r
 
 func (s *Server) handleInference(w http.ResponseWriter, r *http.Request) {
 	var req InferenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	models, ok := s.resolveModels(w, req)
@@ -439,8 +460,7 @@ func (s *Server) handleInferenceDescribe(w http.ResponseWriter, r *http.Request)
 func (s *Server) handleInferenceReconcile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req InferenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// The resource must exist before anything in the body is resolved: an
@@ -477,8 +497,7 @@ type ScaleResponse struct {
 func (s *Server) handleInferenceScale(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req ScaleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rest: bad body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.sys.ScaleInference(id, req.Model, req.Replicas); err != nil {
@@ -517,9 +536,6 @@ type QueryRequest struct {
 	Image string `json:"img"`
 }
 
-// maxQueryBody bounds a query body; a longer one answers 413.
-const maxQueryBody = 4 << 20
-
 // scanBufSize is the largest body read whole into a pooled buffer and scanned
 // instead of decoded.
 const scanBufSize = 4 << 10
@@ -535,12 +551,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer scanBufs.Put(buf)
 	img, err := readQuery(w, r, buf[:])
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Errorf("rest: bad body: %w", err))
+		writeBodyErr(w, err)
 		return
 	}
 	if len(bytes.TrimSpace(img)) == 0 {
@@ -575,7 +586,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // readQuery extracts a query body's img payload, which may alias buf. A body
 // of known length that fits buf is read whole and, when it is exactly
 // {"img":"…"} (see scanQuery), sliced without decoding. Every other body —
-// and any chunked or longer one, bounded by maxQueryBody — goes through
+// and any chunked or longer one, bounded by maxBody — goes through
 // json.Decoder, so what is accepted and every error text are the decoder's.
 func readQuery(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	var body io.Reader
@@ -589,7 +600,7 @@ func readQuery(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, erro
 		}
 		body = bytes.NewReader(b)
 	} else {
-		body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+		body = http.MaxBytesReader(w, r.Body, maxBody)
 	}
 	var req QueryRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {

@@ -90,7 +90,7 @@ func TestFullWorkflowOverREST(t *testing.T) {
 		t.Fatal("no models")
 	}
 
-	infID, err := c.Inference(jobID)
+	infID, err := c.Deploy(InferenceRequest{TrainJobID: jobID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestConcurrentQueriesAreBatched(t *testing.T) {
 	if _, err := c.WaitTrain(context.Background(), jobID, 50*time.Millisecond, 200); err != nil {
 		t.Fatal(err)
 	}
-	infID, err := c.Inference(jobID)
+	infID, err := c.Deploy(InferenceRequest{TrainJobID: jobID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRESTErrors(t *testing.T) {
 		t.Fatal("unknown dataset should error")
 	}
 	// Inference for unknown job.
-	if _, err := c.Inference("ghost"); err == nil {
+	if _, err := c.Deploy(InferenceRequest{TrainJobID: "ghost"}); err == nil {
 		t.Fatal("unknown training job should error")
 	}
 	// Query with empty payload.

@@ -1,5 +1,6 @@
 // Package scenarios is the registry of named serving-workload shapes used by
-// the benchmark harness (cmd/rafiki-bench -scenario). Each scenario couples a
+// the end-to-end benchmark (benchmark/gen.go draws http_hotkey's rotating hot
+// set from the hotkey scenario). Each scenario couples a
 // time-varying arrival rate with a key distribution built on workload.Zipf,
 // modelling the traffic patterns a deployed Rafiki application actually sees:
 //

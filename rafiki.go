@@ -17,7 +17,7 @@
 //	})
 //	job.Wait()
 //	models, _ := sys.GetModels(job.ID)
-//	inf, _ := sys.Inference(models)
+//	inf, _ := sys.Deploy(rafiki.DeploymentSpec{Models: models})
 //	ret, _ := sys.Query(inf.ID, []byte("pizza-photo.jpg"))
 //
 // GPU training is simulated by a calibrated surrogate (see DESIGN.md §2);

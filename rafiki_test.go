@@ -165,14 +165,14 @@ func TestGetModelsAndInference(t *testing.T) {
 		}
 	}
 
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inf.Classes) != len(d.Classes) {
 		t.Fatalf("inference classes = %v", inf.Classes)
 	}
-	if _, err := sys.Inference(nil); err == nil {
+	if _, err := sys.Deploy(DeploymentSpec{}); err == nil {
 		t.Fatal("empty deployment should error")
 	}
 	if _, err := sys.InferenceJobByID("ghost"); err == nil {
@@ -185,7 +185,7 @@ func TestQuerySemantics(t *testing.T) {
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
-	inf, _ := sys.Inference(models)
+	inf, _ := sys.Deploy(DeploymentSpec{Models: models})
 
 	// Deterministic: same payload, same answer.
 	a, err := sys.Query(inf.ID, []byte("photo_of_pizza_123.jpg"))
@@ -247,7 +247,7 @@ func TestConcurrentQueriesShareBatches(t *testing.T) {
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
-	inf, err := sys.Inference(models)
+	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}

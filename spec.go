@@ -43,9 +43,9 @@ type ReplicaBounds struct {
 // /api/v1/inference/{id}, and what GET /api/v1/inference/{id} echoes back.
 //
 // Zero values mean defaults (greedy policy, the system's ServeSLO, a
-// 4096-slot queue, one replica per model, no autoscaling), so
-// Deploy(DeploymentSpec{Models: models}) reproduces the classic
-// Inference(models) deployment exactly.
+// 4096-slot queue, one replica per model, no autoscaling):
+// Deploy(DeploymentSpec{Models: models}) is the paper's
+// rafiki.Inference(models).
 type DeploymentSpec struct {
 	// Models are the trained instances to deploy. Immutable after
 	// deployment: a reconcile may leave it empty (keep the deployed set) but
