@@ -54,6 +54,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"time"
 
 	"rafiki"
 	"rafiki/internal/rest"
@@ -100,7 +101,27 @@ func main() {
 		log.Printf("rafiki profiling enabled at /debug/pprof/")
 	}
 	log.Printf("rafiki listening on %s (%d nodes, %d workers/job, serving slo %.3fs)", *addr, *nodes, *workers, *slo)
-	if err := http.ListenAndServe(*addr, rest.NewServer(sys, opts...)); err != nil {
+	if err := newHTTPServer(*addr, rest.NewServer(sys, opts...)).ListenAndServe(); err != nil {
 		log.Fatalf("rafiki: %v", err)
+	}
+}
+
+// Connection timeouts of the REST listener. A client that never finishes its
+// request headers, or parks an idle keep-alive connection, is disconnected
+// instead of pinning a connection and its goroutine for the life of the
+// process.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the REST listener. It sets no WriteTimeout: a query
+// may legitimately wait out its deployment's SLO before it answers.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

@@ -774,14 +774,11 @@ func encodeBagOfBytes(payload any, dst []float64) error {
 // HTTP wire), voted into a QueryResult per Section 5.2 with the deployed
 // accuracies as vote weights.
 func (j *InferenceJob) combineClassVotes(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
-	accs := make([]float64, len(models))
-	for k, name := range models {
-		m, ok := j.byName[name]
-		if !ok {
-			return nil, fmt.Errorf("rafiki: batch model %q not deployed", name)
-		}
-		accs[k] = m.Accuracy
+	accs, err := j.memberAccuracies(models)
+	if err != nil {
+		return nil, err
 	}
+	conf := ensembleConfidence(accs)
 	out := make([]any, len(ids))
 	classes := make([]int, len(models))
 	for i := range ids {
@@ -800,11 +797,26 @@ func (j *InferenceJob) combineClassVotes(ids []uint64, payloads []any, models []
 		}
 		out[i] = &QueryResult{
 			Label:      j.Classes[winner],
-			Confidence: ensembleConfidence(accs),
+			Confidence: conf,
 			Votes:      votes,
 		}
 	}
 	return out, nil
+}
+
+// memberAccuracies resolves a batch's serving models to their deployed
+// accuracies — the vote weights, and the input of the confidence every
+// answer in the batch shares — once per batch.
+func (j *InferenceJob) memberAccuracies(models []string) ([]float64, error) {
+	accs := make([]float64, len(models))
+	for k, name := range models {
+		m, ok := j.byName[name]
+		if !ok {
+			return nil, fmt.Errorf("rafiki: batch model %q not deployed", name)
+		}
+		accs[k] = m.Accuracy
+	}
+	return accs, nil
 }
 
 // classIndex coerces one backend prediction into a class index, rejecting
@@ -833,13 +845,18 @@ func classIndex(v any, n int) (int, error) {
 // prediction of every request in a dispatched batch against the model
 // subset the policy selected.
 func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []string) ([]any, error) {
+	accs, err := j.memberAccuracies(models)
+	if err != nil {
+		return nil, err
+	}
+	conf := ensembleConfidence(accs)
 	out := make([]any, len(ids))
 	for i := range ids {
 		payload, ok := payloads[i].([]byte)
 		if !ok {
 			return nil, fmt.Errorf("rafiki: batch payload %d is %T, not []byte", i, payloads[i])
 		}
-		res, err := j.predict(payload, models)
+		res, err := j.predict(payload, models, accs, conf)
 		if err != nil {
 			return nil, err
 		}
@@ -850,8 +867,10 @@ func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []strin
 
 // predict simulates one request's per-model predictions and votes them into
 // a QueryResult. Predictions are a pure function of (payload, model name),
-// so a query's answer does not depend on which batch served it.
-func (j *InferenceJob) predict(payload []byte, models []string) (*QueryResult, error) {
+// so a query's answer does not depend on which batch served it. accs are the
+// models' accuracies and conf the batch's shared confidence
+// (memberAccuracies, ensembleConfidence).
+func (j *InferenceJob) predict(payload []byte, models []string, accs []float64, conf float64) (*QueryResult, error) {
 	truth := j.truthFor(payload)
 
 	// Shared difficulty draw (see zoo.Predictor for the construction).
@@ -861,27 +880,21 @@ func (j *InferenceJob) predict(payload []byte, models []string) (*QueryResult, e
 	const rho = 0.75
 
 	preds := make([]int, len(models))
-	accs := make([]float64, len(models))
 	votes := map[string]string{}
 	for i, name := range models {
-		m, ok := j.byName[name]
-		if !ok {
-			return nil, fmt.Errorf("rafiki: batch model %q not deployed", name)
-		}
-		mr := sim.NewRNG(int64(payloadHash(payload)) ^ int64(payloadHash([]byte(m.Model))))
+		mr := sim.NewRNG(int64(payloadHash(payload)) ^ int64(payloadHash([]byte(name))))
 		u := sharedU
 		if !mr.Bernoulli(rho) {
 			u = mr.Float64()
 		}
-		if u < m.Accuracy {
+		if u < accs[i] {
 			preds[i] = truth
 		} else if mr.Bernoulli(0.4) {
 			preds[i] = sharedDistractor
 		} else {
 			preds[i] = otherClass(mr, len(j.Classes), truth)
 		}
-		accs[i] = m.Accuracy
-		votes[m.Model] = j.Classes[preds[i]]
+		votes[name] = j.Classes[preds[i]]
 	}
 	winner, err := ensemble.Vote(preds, accs)
 	if err != nil {
@@ -889,7 +902,7 @@ func (j *InferenceJob) predict(payload []byte, models []string) (*QueryResult, e
 	}
 	return &QueryResult{
 		Label:      j.Classes[winner],
-		Confidence: ensembleConfidence(accs),
+		Confidence: conf,
 		Votes:      votes,
 	}, nil
 }

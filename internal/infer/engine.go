@@ -69,10 +69,13 @@ type arrivalEvent struct {
 
 // engineShard is one stripe of the queue layer: a FIFO plus the lock that
 // makes it safe against concurrent enqueues, and the arrival-metric buffer.
+// spare is the buffer the last flush drained: the next flush swaps it in, so
+// two buffers alternate and Enqueue's append stops allocating.
 type engineShard struct {
 	mu     sync.Mutex
 	q      *Queue
 	events []arrivalEvent
+	spare  []arrivalEvent
 }
 
 // engineGroup is one dispatch plane: the subset of queue shards it drains
@@ -318,6 +321,11 @@ type Engine struct {
 	latFb      atomic.Pointer[latFeedback]
 	latScalePt atomic.Pointer[[]float64]
 	latTablePt atomic.Pointer[[][]float64]
+	// backoff is Algorithm 3's δ controller for the live SLO (see
+	// observeBatchLatency); lateBatches counts the finalized batches it saw
+	// finish past τ.
+	backoff     atomic.Pointer[backoffState]
+	lateBatches atomic.Uint64
 
 	// metMu guards the retired metric base: met accumulates the slots of
 	// dispatch-group layouts that no longer exist (a live re-group folds the
@@ -384,6 +392,7 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		p.repBatch = make([]int, d.ReplicaCount(m))
 		p.refreshHint()
 	}
+	e.resetBackoff()
 	e.rebuildGroups(1)
 	return e
 }
@@ -700,16 +709,74 @@ func (e *Engine) SetPolicy(p Policy) error {
 }
 
 // SetTau changes the deployment's latency SLO τ (and the Algorithm 3 back-off
-// δ = 0.1τ that hangs off it). It takes effect at the next decision point:
-// an SLO change is a statement about what counts as late from now on, so
-// later completions are judged against the new τ.
+// floor δ = 0.1τ that hangs off it, restarting the δ controller there). It
+// takes effect at the next decision point: an SLO change is a statement about
+// what counts as late from now on, so later completions are judged against
+// the new τ.
 func (e *Engine) SetTau(tau float64) error {
 	if tau <= 0 {
 		return fmt.Errorf("infer: tau must be positive, got %v", tau)
 	}
 	e.Deployment.Tau = tau
 	e.Deployment.BackoffDelta = 0.1 * tau
+	e.resetBackoff()
 	return nil
+}
+
+// The δ controller's steps and ceiling, in units of τ (DESIGN.md §20). A late
+// batch raises δ 19 times as far as an on-time one lowers it, so δ settles
+// where about one batch in twenty finishes past τ.
+const (
+	backoffUp   = 0.0095
+	backoffDown = 0.0005
+	backoffCap  = 0.4
+)
+
+// backoffState is the δ controller for one SLO. τ and the bounds are fixed
+// for the state's life: SetTau installs a fresh state instead of editing
+// this one, so a finalize racing an SLO change (finalize runs outside the
+// control lock) updates the retired state and never mixes the old τ into the
+// new δ.
+type backoffState struct {
+	tau, floor, cap float64
+	// delta holds δ as float64 bits.
+	delta atomic.Uint64
+}
+
+// resetBackoff starts δ at the deployment's BackoffDelta for its current τ.
+// Callers exclude decision loops (construction, or SetTau under the
+// runtime's control lock).
+func (e *Engine) resetBackoff() {
+	d := e.Deployment
+	b := &backoffState{tau: d.Tau, floor: d.BackoffDelta, cap: max(d.BackoffDelta, backoffCap*d.Tau)}
+	b.delta.Store(math.Float64bits(d.BackoffDelta))
+	e.backoff.Store(b)
+}
+
+// backoffDelta is the live δ the greedy policies plan with.
+func (e *Engine) backoffDelta() float64 {
+	return math.Float64frombits(e.backoff.Load().delta.Load())
+}
+
+// observeBatchLatency feeds δ one finished batch: lat is how long its oldest
+// request took on the driver's clock. Past τ, δ rises by backoffUp·τ;
+// otherwise it falls by backoffDown·τ, within [BackoffDelta, backoffCap·τ].
+// Safe for concurrent use: finalizes of different batches race on the CAS.
+func (e *Engine) observeBatchLatency(lat float64) {
+	b := e.backoff.Load()
+	step := -backoffDown * b.tau
+	if lat > b.tau {
+		e.lateBatches.Add(1)
+		step = backoffUp * b.tau
+	}
+	for {
+		old := b.delta.Load()
+		cur := math.Float64frombits(old)
+		next := min(max(cur+step, b.floor), b.cap)
+		if next == cur || b.delta.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
 }
 
 // SetQueueCap rebounds the request queue (0 = unbounded; the cap is global
@@ -1094,11 +1161,12 @@ func (e *Engine) flushShardLocked(si int) {
 	sh := &e.shards[si]
 	sh.mu.Lock()
 	events := sh.events
-	sh.events = nil
-	sh.mu.Unlock()
 	if len(events) == 0 {
+		sh.mu.Unlock()
 		return
 	}
+	sh.events, sh.spare = sh.spare[:0], nil
+	sh.mu.Unlock()
 	sl := &e.metSlots[si%len(e.metSlots)].metricSlotState
 	sl.mu.Lock()
 	for _, ev := range events {
@@ -1112,6 +1180,12 @@ func (e *Engine) flushShardLocked(si int) {
 		}
 	}
 	sl.mu.Unlock()
+	// Two flushes of one shard may race (a metric read and the owning
+	// group's step); each hands its drained buffer back, and the loser's is
+	// simply dropped.
+	sh.mu.Lock()
+	sh.spare = events[:0]
+	sh.mu.Unlock()
 }
 
 // nextShard returns the group's next non-empty shard at or after its
@@ -1297,7 +1371,7 @@ func (e *Engine) stateForShard(now float64, gr *engineGroup, si int, ls *leaseSe
 		FreeModels:   ls.free,
 		BusyLeft:     st.BusyLeft[:len(d.Profiles)],
 		Tau:          d.Tau,
-		Delta:        d.BackoffDelta,
+		Delta:        e.backoffDelta(),
 		Batches:      d.Batches,
 		LatencyTable: e.latencyTable(),
 	}

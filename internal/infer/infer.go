@@ -160,7 +160,8 @@ type State struct {
 	FreeModels []bool    // per model: free at Now
 	BusyLeft   []float64 // per model: seconds until free
 	Tau        float64
-	// Delta is Algorithm 3's back-off δ (the deployment's BackoffDelta).
+	// Delta is Algorithm 3's back-off δ: the engine's controller, which
+	// starts at the deployment's BackoffDelta (DESIGN.md §20).
 	Delta   float64
 	Batches []int
 	// LatencyTable is c(m,b) for every model and candidate batch size.
@@ -198,7 +199,9 @@ type Deployment struct {
 	Tau        float64
 	// Beta balances accuracy vs overdue requests in the reward (Eq. 6/7).
 	Beta float64
-	// BackoffDelta is Algorithm 3's δ; the paper suggests 0.1τ.
+	// BackoffDelta is Algorithm 3's δ; the paper suggests 0.1τ. It is the
+	// floor of the engine's δ controller, which only a Runtime's finished
+	// batches move off it.
 	BackoffDelta float64
 	// AccuracyEmphasis κ amplifies accuracy differences in the reward
 	// around the deployment's mean single-model accuracy:

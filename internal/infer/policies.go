@@ -3,7 +3,7 @@ package infer
 // GreedySingle is Algorithm 3 for a single deployed model: dispatch the
 // maximum batch when the queue covers it; otherwise dispatch the largest
 // candidate batch that fits once the head request's remaining slack —
-// including the AIMD-style back-off constant δ — would be exceeded by
+// including the AIMD-style back-off δ (State.Delta) — would be exceeded by
 // waiting longer. Requests below the smallest candidate batch keep waiting
 // for the queue to fill (the straggler behaviour the paper attributes to
 // Line 7, which the RL scheduler fixes).

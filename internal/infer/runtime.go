@@ -100,6 +100,12 @@ type Stats struct {
 	// planes plan with (1 = the raw zoo profile).
 	ModelLatencyEWMA  []float64 `json:"model_latency_ewma,omitempty"`
 	ModelLatencyScale []float64 `json:"model_latency_scale,omitempty"`
+	// BackoffDelta is the live Algorithm 3 back-off δ in timeline seconds;
+	// LateBatches counts the successfully finished batches whose oldest
+	// request completed past τ on the runtime's clock — the signal δ adapts
+	// to, beside Overdue's planned count (DESIGN.md §20).
+	BackoffDelta float64 `json:"backoff_delta"`
+	LateBatches  uint64  `json:"late_batches"`
 }
 
 // drainWindow is the lookback (timeline seconds) of Stats.DrainRate.
@@ -908,6 +914,15 @@ func (r *Runtime) finalize(br *batchRun) {
 		// surface the teardown error the rest of the API reports.
 		err = r.closedErr()
 	}
+	if err == nil {
+		// δ learns from when the batch actually finished on this clock —
+		// past the plan by whatever pacing and wake-ups added.
+		oldest := br.out.Requests[0].Arrival
+		for _, q := range br.out.Requests[1:] {
+			oldest = min(oldest, q.Arrival)
+		}
+		r.eng.observeBatchLatency(r.tl.Now() - oldest)
+	}
 	for i, s := range br.futs {
 		if s == nil {
 			continue
@@ -1197,6 +1212,8 @@ func (r *Runtime) Stats() Stats {
 	pct := percentiles(snap.Latencies, 50, 99)
 	st.P50Latency, st.P99Latency = pct[0], pct[1]
 	st.ModelLatencyEWMA, st.ModelLatencyScale = r.eng.LatencyFeedback()
+	st.BackoffDelta = r.eng.backoffDelta()
+	st.LateBatches = r.eng.lateBatches.Load()
 	st.ExecRejected = r.execRejected.Load()
 	st.BackendErrors = r.backendErrs.Load()
 	h := r.backend.Load()

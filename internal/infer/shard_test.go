@@ -359,3 +359,26 @@ func TestFutureModelsPerFutureCopy(t *testing.T) {
 		t.Fatal("batch siblings share the Models() backing slice")
 	}
 }
+
+// TestArrivalBufferReused: a decision point's flush hands the drained
+// arrival buffer back to its shard, so the enqueue → flush cycle every
+// single-shard Submit runs stops allocating once the two buffers exist.
+func TestArrivalBufferReused(t *testing.T) {
+	d := runtimeDeployment(t, 0.5)
+	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), 0)
+	popped := make([]Request, 0, 1)
+	id := uint64(0)
+	cycle := func() {
+		e.Enqueue(1, Request{ID: id, Arrival: 1})
+		id++
+		e.flushArrivals()
+		popped = e.shards[0].q.PopAppend(1, popped[:0])
+		e.queued.Add(-1)
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("enqueue + flush allocates %v per request, want 0", allocs)
+	}
+}

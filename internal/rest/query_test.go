@@ -315,6 +315,57 @@ func TestRESTAndSDKTrafficAgree(t *testing.T) {
 	}
 }
 
+// TestBackoffStatsOverREST: the runtime's live back-off δ and its late-batch
+// count reach GET /api/v1/inference/{id}/stats under their JSON names, and the
+// REST client decodes the same values System's Stats reports.
+func TestBackoffStatsOverREST(t *testing.T) {
+	sys, id := deployCachedFood(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 24; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := sys.Query(id, []byte(fmt.Sprintf("backoff_%d_pizza.jpg", i))); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	ts := httptest.NewServer(NewServer(sys))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/v1/inference/" + id + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	_ = resp.Body.Close() // read to the end; nothing left to fail
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"backoff_delta", "late_batches"} {
+		if _, ok := raw[key]; !ok {
+			t.Fatalf("stats JSON has no %q: %v", key, raw)
+		}
+	}
+	got, err := NewClient(ts.URL).InferenceStats(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := sys.InferenceJobByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := job.Stats()
+	if got.BackoffDelta != want.BackoffDelta || got.LateBatches != want.LateBatches {
+		t.Fatalf("REST δ %v, %d late; SDK δ %v, %d late", got.BackoffDelta, got.LateBatches, want.BackoffDelta, want.LateBatches)
+	}
+	tau := job.Spec().SLO
+	if want.BackoffDelta < 0.1*tau || want.BackoffDelta > 0.4*tau || want.LateBatches > uint64(want.Dispatches) {
+		t.Fatalf("δ %v outside [0.1τ, 0.4τ] of τ %v, or %d late of %d batches", want.BackoffDelta, tau, want.LateBatches, want.Dispatches)
+	}
+}
+
 // reusedQuery returns a function that serves one POST /api/v1/query/{id} with
 // body to srv, reusing one request and one recorder, so what it allocates is
 // the mux's and the handler's own.

@@ -17,7 +17,7 @@
 //	POST    /api/v1/inference              201      deploy a DeploymentSpec (policy, SLO, queue cap, shards, replica bounds, autoscale, cache, backend)
 //	GET     /api/v1/inference/{id}         200      describe one deployment: declarative spec + observed status (incl. shard count, per-shard queue depths, cache counters)
 //	PUT     /api/v1/inference/{id}         200      reconcile the live deployment to a changed spec
-//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, replicas, drain rate, per-shard queue depths, per-model backlogs, cache counters)
+//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, back-off δ and late batches, replicas, drain rate, per-shard queue depths, per-model backlogs, cache counters)
 //	POST    /api/v1/inference/{id}/scale   200      manually resize the replica pools (inside the spec bounds)
 //	DELETE  /api/v1/inference/{id}         204      stop the deployment, release its containers
 //	POST    /api/v1/query/{id}             200      classify a payload
