@@ -56,9 +56,10 @@ bench:
 
 # One pass of the replica-scaling benchmark (virtual time, deterministic)
 # and a bounded run of the sharded-submit benchmark (wall clock, 1/4/8 queue
-# shards): cheap gates that the dispatch hot path still scales with replicas
-# and the submit path with shards. The fixed iteration count bounds the
-# standing backlog the submit benchmark accumulates. Last, one sequential
+# shards, every Submit arming a coalesced sweep): cheap gates that the
+# dispatch hot path still scales with replicas and the submit path with
+# shards. The fixed iteration count bounds the standing backlog the submit
+# benchmark accumulates. Last, one sequential
 # 150-trial study on the Bayesian advisor, with its allocations, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit

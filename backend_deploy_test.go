@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -341,12 +342,15 @@ func TestDeployHTTPBackendServesQueries(t *testing.T) {
 // TestReconcileBackendSwapLive drives a PUT-style backend change on a serving
 // deployment: sim → nn under concurrent query load, with every query
 // succeeding across the swap, then back to sim. The recorded spec, status
-// tier, and cache epoch must all track the change.
+// tier, and cache epoch must all track the change, and the reverted sim tier
+// must compute the sim answers again: every label, confidence and vote of a
+// fixed payload set matches the answers given before the first swap.
 func TestReconcileBackendSwapLive(t *testing.T) {
 	sys := newSystem(t)
 	d := importFood(t, sys)
 	job := trainFood(t, sys, d)
 	models, _ := sys.GetModels(job.ID)
+	// No cache block: every answer below is computed by the live tier.
 	inf, err := sys.Deploy(DeploymentSpec{Models: models})
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +358,10 @@ func TestReconcileBackendSwapLive(t *testing.T) {
 	if got := inf.Describe().Status.Backend; got != "sim" {
 		t.Fatalf("initial backend = %q, want sim", got)
 	}
+	fixed := func(i int) string {
+		return fmt.Sprintf("revert_%02d_%s.jpg", i, d.Classes[i%len(d.Classes)])
+	}
+	before := goldenAnswers(t, sys, inf.ID, fixed)
 
 	stop := make(chan struct{})
 	errs := make(chan error, 256)
@@ -396,6 +404,11 @@ func TestReconcileBackendSwapLive(t *testing.T) {
 	}
 	if desc.Status.Backend != "sim" {
 		t.Fatalf("post-revert backend = %q, want sim", desc.Status.Backend)
+	}
+	for i, res := range goldenAnswers(t, sys, inf.ID, fixed) {
+		if !reflect.DeepEqual(res, before[i]) {
+			t.Fatalf("payload %d after the revert = %+v, before the swap %+v", i, res, before[i])
+		}
 	}
 
 	close(stop)

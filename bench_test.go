@@ -48,10 +48,10 @@ func (benchWaitPolicy) Feedback(float64)                 {}
 
 // BenchmarkShardedSubmit drives concurrent submitters against the serving
 // runtime at 1/4/8 queue shards and reports accepted submissions per wall
-// second. One shard is the classic data plane: every Submit serializes
-// through the dispatch lock and runs its own decision point. Sharded
-// submitters instead touch only their stripe and shard and share coalesced
-// decision sweeps, so submitted QPS scales even before extra cores help.
+// second. Every submitter touches only its stripe and shard and shares a
+// coalesced decision sweep; one shard funnels every admission through a
+// single FIFO and plane, more shards spread them, so submitted QPS scales
+// even before extra cores help.
 // Run with a bounded iteration count (the wait policy keeps the backlog):
 //
 //	go test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
@@ -66,7 +66,7 @@ func BenchmarkShardedSubmit(b *testing.B) {
 			}
 			rt, err := infer.NewRuntime(d, benchWaitPolicy{},
 				ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-				func(ids []uint64, payloads []any, models []string) ([]any, error) {
+				func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
 					return make([]any, len(ids)), nil
 				},
 				infer.RuntimeConfig{

@@ -310,7 +310,7 @@ func wallClock(models []string, replicas int) float64 {
 	for i := range d.Replicas {
 		d.Replicas[i] = replicas
 	}
-	exec := func(ids []uint64, payloads []any, subset []string) ([]any, error) {
+	combine := func(ids []uint64, payloads []any, subset []string, _ [][]any) ([]any, error) {
 		out := make([]any, len(ids))
 		for i := range ids {
 			out[i] = fmt.Sprintf("prediction(%v)", payloads[i])
@@ -318,7 +318,7 @@ func wallClock(models []string, replicas int) float64 {
 		return out, nil
 	}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(99), 2000), exec,
+		ensemble.NewAccuracyTable(zoo.NewPredictor(99), 2000), combine,
 		infer.RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: speedup}})
 	if err != nil {
 		log.Fatal(err)

@@ -221,14 +221,13 @@ func (s *System) deploy(spec DeploymentSpec, forceID string, forceClasses []stri
 		dep,
 		policy,
 		ensemble.NewAccuracyTable(zoo.NewPredictor(s.opts.Seed), 2000),
-		job.executeBatch,
+		combine,
 		infer.RuntimeConfig{
 			Timeline:       &sim.WallTimeline{Speedup: s.opts.ServeSpeedup},
 			QueueCap:       spec.QueueCap,
 			Shards:         spec.Shards,
 			DispatchGroups: spec.DispatchGroups,
 			Backend:        backend,
-			Combine:        combine,
 		},
 	)
 	if err != nil {
@@ -709,17 +708,17 @@ const (
 )
 
 // buildBackend translates a defaulted, validated backend block into the
-// runtime's execution tier. BackendSim (or no block) returns nils: the
-// runtime installs its own SimBackend and keeps computing results through the
-// legacy batch Executor, bit-identical to a pre-backend deployment. BackendNN
-// builds one deterministically seeded internal/nn network per model (system
-// seed × job ID × model name); BackendHTTP a retrying remote client. Both
-// pair with the job's vote combiner, which folds per-model class indices into
+// runtime's execution tier. BackendSim (or no block) pairs a SimBackend,
+// which only paces the profiled service time, with the job's executeBatch,
+// which simulates the ensemble's answers from the payloads. BackendNN builds
+// one deterministically seeded internal/nn network per model (system seed ×
+// job ID × model name); BackendHTTP a retrying remote client. Both pair with
+// the job's vote combiner, which folds per-model class indices into
 // QueryResults.
 func (s *System) buildBackend(spec DeploymentSpec, job *InferenceJob) (infer.Backend, infer.CombineFunc, error) {
 	b := spec.Backend
 	if b == nil || b.Type == BackendSim {
-		return nil, nil, nil
+		return &infer.SimBackend{}, job.executeBatch, nil
 	}
 	switch b.Type {
 	case BackendNN:
@@ -841,10 +840,11 @@ func classIndex(v any, n int) (int, error) {
 	return c, nil
 }
 
-// executeBatch is the job's infer.Executor: it computes the simulated
-// prediction of every request in a dispatched batch against the model
-// subset the policy selected.
-func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []string) ([]any, error) {
+// executeBatch is the sim tier's infer.CombineFunc: it computes the
+// simulated prediction of every request in a dispatched batch against the
+// model subset the policy selected. SimBackend passes yield no predictions,
+// so preds is ignored.
+func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []string, _ [][]any) ([]any, error) {
 	accs, err := j.memberAccuracies(models)
 	if err != nil {
 		return nil, err

@@ -57,8 +57,10 @@ type Backend interface {
 }
 
 // CombineFunc folds the per-model backend predictions of one batch into one
-// result per request: preds[k][i] is models[k]'s prediction for IDs[i]. It
-// runs once per batch, after every model pass completed.
+// result per request: preds[k][i] is models[k]'s prediction for IDs[i]
+// (preds[k] is nil for a backend that only paces time, like SimBackend). It
+// runs once per batch, after every model pass completed, and must return one
+// result per request.
 type CombineFunc func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error)
 
 // TimelineBinder is implemented by backends that need the runtime's timeline
@@ -74,14 +76,18 @@ type RetryCounter interface {
 	Retries() uint64
 }
 
-// SimBackend is the default backend: it serves the profiled-simulation path
-// the runtime always had. Execute paces until the task's ProfiledFinish on
-// the bound timeline (a no-op under virtual-time drivers, which invoke it at
-// the finish instant), returns ProfiledLatency as the observed latency —
-// exactly the table value, so the latency EWMA stays pinned at ratio 1 and
-// the planning tables are bit-identical to a feedback-free engine — and
-// yields no predictions: the runtime's batch Executor computes results at
-// ensemble-finish time, as before the backend layer existed.
+// SimBackend is the default backend: it serves the profiled-simulation path.
+// Execute paces until the task's ProfiledFinish on the bound timeline (a
+// no-op under virtual-time drivers, which invoke it at the finish instant)
+// and returns ProfiledLatency as the observed latency — exactly the table
+// value, so the latency EWMA stays pinned at ratio 1 and the planning tables
+// are bit-identical to a feedback-free engine.
+//
+// It yields no predictions: the runtime's CombineFunc computes every result
+// from the payloads at ensemble finish. A simulated ensemble draws its
+// members' votes jointly — one shared per-request draw correlates them — so
+// per-model predictions would redo each request's truth lookup and seeded
+// draw once per model, adding allocations per request for the same answers.
 type SimBackend struct {
 	mu sync.Mutex
 	tl sim.Timeline

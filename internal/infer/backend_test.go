@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,8 +21,9 @@ import (
 )
 
 // newWallRuntime wires a runtime over a fast wall timeline for the backend
-// tests: 3 ConvNet models, echo executor unless cfg overrides the backend.
-func newWallRuntime(t *testing.T, cfg RuntimeConfig) *Runtime {
+// tests: 3 ConvNet models, the given combiner, the sim backend unless cfg
+// names another.
+func newWallRuntime(t *testing.T, combine CombineFunc, cfg RuntimeConfig) *Runtime {
 	t.Helper()
 	d := runtimeDeployment(t, 0.25)
 	if cfg.Timeline == nil {
@@ -31,7 +33,7 @@ func newWallRuntime(t *testing.T, cfg RuntimeConfig) *Runtime {
 		cfg.QueueCap = 1 << 20
 	}
 	rt, err := NewRuntime(d, &SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec, cfg)
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), combine, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func (b *blockingBackend) Close() error { return nil }
 // fail their futures fast, not wait out (or race) the backend.
 func TestRuntimeCloseCancelsInflightBackendWork(t *testing.T) {
 	b := &blockingBackend{gate: make(chan struct{})}
-	rt := newWallRuntime(t, RuntimeConfig{Backend: b})
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b})
 	defer close(b.gate)
 
 	f, err := rt.Submit([]byte("q"))
@@ -87,53 +89,70 @@ func TestRuntimeCloseCancelsInflightBackendWork(t *testing.T) {
 }
 
 // TestRuntimeBackendSaturation floods a runtime whose backend never finishes:
-// once every pool worker is parked and the bounded queue is full, further
-// dispatches fail with ErrBackendSaturated (which unwraps to ErrQueueFull, so
-// the REST 429 mapping holds) instead of growing goroutines.
+// once every pool worker is parked and the bounded pool queue is full,
+// further dispatches fail with ErrBackendSaturated (which unwraps to
+// ErrQueueFull, so the REST 429 mapping holds) instead of growing goroutines.
+// The pool queues keep their default bound, the request-queue capacity: a
+// 4-slot queue lets at most 4 batches wait per model, and submitters keep
+// refilling the request queue as batches leave it.
 func TestRuntimeBackendSaturation(t *testing.T) {
 	b := &blockingBackend{gate: make(chan struct{})}
-	rt := newWallRuntime(t, RuntimeConfig{Backend: b, ExecQueueFactor: 1})
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b, QueueCap: 4})
 	defer rt.Close()
 	defer close(b.gate)
 
-	var saturated atomic.Int64
-	var wg sync.WaitGroup
-	futs := make(chan Future, 4096)
+	var (
+		mu   sync.Mutex
+		futs []Future
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
 	for s := 0; s < 4; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1024; i++ {
+			for !stop.Load() {
 				f, err := rt.Submit([]byte("q"))
 				if err != nil {
+					runtime.Gosched() // request queue full: wait for a dispatch
 					continue
 				}
-				futs <- f
+				mu.Lock()
+				futs = append(futs, f)
+				mu.Unlock()
 			}
 		}()
 	}
-	wg.Wait()
-	close(futs)
+	// A batch refused by every model's pool resolves at once; one that some
+	// pool still accepted stays parked on the gate. Scan each future once.
+	var satErr error
+	scanned := 0
 	deadline := time.Now().Add(10 * time.Second)
-	for f := range futs {
-		select {
-		case <-f.Done():
-			if _, err := f.Wait(); errors.Is(err, ErrBackendSaturated) {
-				if !errors.Is(err, ErrQueueFull) {
-					t.Fatalf("ErrBackendSaturated must unwrap to ErrQueueFull, got %v", err)
+	for satErr == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if rt.Stats().ExecRejected == 0 {
+			continue
+		}
+		mu.Lock()
+		for _, f := range futs[scanned:] {
+			select {
+			case <-f.Done():
+				if _, err := f.Wait(); errors.Is(err, ErrBackendSaturated) {
+					satErr = err
 				}
-				saturated.Add(1)
+			default:
 			}
-		default:
-			// Still parked on the gated backend — expected for the batches
-			// that made it into the pools.
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed out scanning futures")
-		}
+		scanned = len(futs)
+		mu.Unlock()
 	}
-	if saturated.Load() == 0 {
-		t.Fatalf("no future failed with ErrBackendSaturated (rejected=%d)", rt.Stats().ExecRejected)
+	stop.Store(true)
+	wg.Wait()
+	if satErr == nil {
+		t.Fatalf("no future failed with ErrBackendSaturated within 10s (rejected=%d)", rt.Stats().ExecRejected)
+	}
+	if !errors.Is(satErr, ErrQueueFull) {
+		t.Fatalf("ErrBackendSaturated must unwrap to ErrQueueFull, got %v", satErr)
 	}
 	st := rt.Stats()
 	if st.ExecRejected == 0 {
@@ -278,10 +297,8 @@ func TestRuntimeHTTPBackendEndToEnd(t *testing.T) {
 		}
 		return out, nil
 	}
-	rt := newWallRuntime(t, RuntimeConfig{
-		Backend:         &HTTPBackend{URL: srv.URL, Timeout: 2 * time.Second, MaxRetries: 2},
-		Combine:         combine,
-		ExecQueueFactor: 512,
+	rt := newWallRuntime(t, combine, RuntimeConfig{
+		Backend: &HTTPBackend{URL: srv.URL, Timeout: 2 * time.Second, MaxRetries: 2},
 	})
 	defer rt.Close()
 
@@ -340,7 +357,7 @@ func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 		}
 		return out, nil
 	}
-	rt := newWallRuntime(t, RuntimeConfig{Backend: b1, Combine: combine, ExecQueueFactor: 512})
+	rt := newWallRuntime(t, combine, RuntimeConfig{Backend: b1})
 	defer rt.Close()
 
 	const total = 4000
@@ -413,9 +430,9 @@ func (b *slowBackend) Close() error { return nil }
 func TestLatencyFeedbackRescalesPlanning(t *testing.T) {
 	// The backend returns instantly (it only *reports* 4x latency), so a
 	// scheduler hiccup can queue several batches on a pool before its
-	// worker runs; a roomy queue keeps this test about feedback, not
-	// saturation.
-	rt := newWallRuntime(t, RuntimeConfig{Backend: &slowBackend{factor: 4}, ExecQueueFactor: 512})
+	// worker runs; the roomy request queue (which also bounds the pool
+	// queues) keeps this test about feedback, not saturation.
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: &slowBackend{factor: 4}})
 	futs := make([]Future, 0, 256)
 	for i := 0; i < 256; i++ {
 		f, err := rt.Submit([]byte("q"))
@@ -452,7 +469,7 @@ func TestLatencyFeedbackRescalesPlanning(t *testing.T) {
 
 	// The default sim backend reports the table value exactly: the scale
 	// must stay exactly 1 (no float drift) after the same load.
-	rt2 := newWallRuntime(t, RuntimeConfig{ExecQueueFactor: 512})
+	rt2 := newWallRuntime(t, echoExec, RuntimeConfig{})
 	futs = futs[:0]
 	for i := 0; i < 256; i++ {
 		f, err := rt2.Submit([]byte("q"))
@@ -560,7 +577,7 @@ func TestNNBackendServesPredictions(t *testing.T) {
 		}
 		return out, nil
 	}
-	rt := newWallRuntime(t, RuntimeConfig{Backend: backend, Combine: combine, ExecQueueFactor: 512})
+	rt := newWallRuntime(t, combine, RuntimeConfig{Backend: backend})
 	defer rt.Close()
 
 	// The same payload must classify identically on every query (a pure
@@ -612,7 +629,7 @@ func TestRuntimeDeterministicBatchingWithBackend(t *testing.T) {
 			return out, nil
 		}
 		rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-			nil, RuntimeConfig{Timeline: loop, Backend: b, Combine: combine})
+			combine, RuntimeConfig{Timeline: loop, Backend: b})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func TestSetBackendDrainTracked(t *testing.T) {
 	}
 	f.Release()
 
-	if err := rt.SetBackend(nil, nil); err != nil { // swap back to the sim default
+	if err := rt.SetBackend(&SimBackend{}, echoExec); err != nil { // swap back to the sim default
 		t.Fatal(err)
 	}
 	rt.Close()

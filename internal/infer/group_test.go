@@ -284,7 +284,7 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 	)
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string) ([]any, error) {
+		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
 			return make([]any, len(ids)), nil
 		},
 		RuntimeConfig{
@@ -292,10 +292,6 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 			QueueCap:       1 << 30,
 			Shards:         8,
 			DispatchGroups: 4,
-			// Leases free at profiled finish times while passes pace in wall
-			// time, so the pool queues must absorb that skew for the whole
-			// flood; the pools still bound the goroutine count.
-			ExecQueueFactor: 4096,
 		})
 	if err != nil {
 		t.Fatal(err)

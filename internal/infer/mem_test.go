@@ -35,7 +35,7 @@ func TestServingHeapStaysFlat(t *testing.T) {
 	d.Replicas = []int{4, 4, 4}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string) ([]any, error) {
+		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
 			out := make([]any, len(ids))
 			for i := range out {
 				out[i] = len(payloads[i].([]byte))

@@ -11,7 +11,6 @@ import (
 	"rafiki/internal/ensemble"
 	"rafiki/internal/infer/executor"
 	"rafiki/internal/sim"
-	"rafiki/internal/zoo"
 )
 
 // Runtime errors.
@@ -22,13 +21,6 @@ var (
 	// ErrClosed reports a submission to a closed runtime.
 	ErrClosed = errors.New("infer: runtime closed")
 )
-
-// Executor computes the results of one dispatched batch: ids and payloads
-// are the batch requests (parallel slices, oldest first) and models the
-// serving model subset. It must return one result per request. Executors
-// run outside the runtime locks, on executor-pool workers (or inline from
-// the finish event under a virtual-time driver).
-type Executor func(ids []uint64, payloads []any, models []string) ([]any, error)
 
 // Stats is a point-in-time snapshot of a runtime's serving metrics, safe to
 // read while the runtime keeps serving.
@@ -129,32 +121,10 @@ type RuntimeConfig struct {
 	// independent shards dispatch concurrently across cores, claiming
 	// replicas from the shared pools via short lease critical sections.
 	DispatchGroups int
-	// PollInterval is the re-decision cadence (timeline seconds) while
-	// requests wait in a non-empty queue — the wall-clock analogue of the
-	// Simulator's arrival tick, which lets deadline-pressure dispatches
-	// (Algorithm 3 line 7) fire without a new arrival. 0 defaults to τ/25.
-	PollInterval float64
-	// Predictor enables measured-accuracy bookkeeping (see Engine).
-	Predictor *zoo.Predictor
-	// MeasureFrom discards metrics before this timeline time.
-	MeasureFrom float64
 	// Backend executes each dispatched batch's per-model passes; nil
-	// defaults to SimBackend (profiled pacing, results computed by the
-	// batch Executor at ensemble finish — the pre-backend behaviour,
-	// bit-for-bit).
+	// defaults to SimBackend (profiled pacing, no predictions — the
+	// runtime's combiner computes the results from the payloads).
 	Backend Backend
-	// Combine folds per-model backend predictions into per-request results.
-	// Required when Backend returns predictions and no batch Executor is
-	// wired; nil falls back to the Executor.
-	Combine CombineFunc
-	// ExecQueueFactor scales each model pool's bounded submit queue:
-	// capacity = factor × workers, minimum 4. A dispatch that finds its
-	// model's queue full fails its batch with ErrBackendSaturated instead
-	// of queueing unboundedly. 0 defaults the capacity to the request-queue
-	// capacity: a batch holds at least one admitted request, so that bound
-	// can never reject a dispatch — saturation then only fires when a
-	// positive factor opts into a tighter queue.
-	ExecQueueFactor int
 }
 
 // runtimeStripes is the fixed stripe count of the pending-future table. It
@@ -216,8 +186,9 @@ type plane struct {
 
 // Runtime is the wall-clock driver of the dispatch Engine: goroutine-safe,
 // channel-fed, with per-request futures. Concurrent callers Submit payloads;
-// the scheduling Policy groups them into shared batches; the Executor
-// computes each batch's results when the (profiled) service time elapses.
+// the scheduling Policy groups them into shared batches; the Backend runs
+// each selected model's pass over a batch and the CombineFunc folds the
+// passes into one result per request.
 //
 // The data plane is lock-striped and, with DispatchGroups > 1, partitioned
 // into parallel dispatch planes: a submission touches only its pending-table
@@ -228,22 +199,21 @@ type plane struct {
 // and many replicas, served throughput scales with cores, not just
 // submitted throughput (DESIGN.md §10).
 //
-// With one queue shard the submitter runs its decision point synchronously
-// under plane 0's lock — exactly the pre-shard runtime, bit-for-bit. With
-// N > 1 shards, decision points are coalesced per plane: the first submitter
-// after an idle sweep schedules one via the timeline, and every submission
-// that lands while it is pending shares it.
+// Decision points are coalesced per plane at any shard count: the first
+// submitter after an idle sweep schedules one, and every submission that
+// lands while it is pending shares it. A policy error at a decision point
+// poisons the runtime and reaches every queued caller through its future.
 //
-// Decision points mirror the Simulator's: every submission (directly or via
-// the coalesced sweep), every model freeing up, and a poll tick while
-// requests wait.
+// Decision points mirror the Simulator's: every submission (via the
+// coalesced sweep), every model freeing up, and a poll tick while requests
+// wait.
 type Runtime struct {
-	tl   sim.Timeline
-	exec Executor
+	tl sim.Timeline
+	// poll is the re-decision cadence (τ/25 timeline seconds) while requests
+	// wait in a non-empty queue — the wall-clock analogue of the Simulator's
+	// arrival tick, which lets deadline-pressure dispatches (Algorithm 3
+	// line 7) fire without a new arrival.
 	poll float64
-	// pollConfigured records an explicit RuntimeConfig.PollInterval, which
-	// SetSLO must not overwrite with its τ-derived default.
-	pollConfigured bool
 
 	// syncExec marks a non-concurrent timeline (the virtual-time EventLoop,
 	// whose event heap is unlocked and whose callbacks fire single-threaded
@@ -254,10 +224,9 @@ type Runtime struct {
 	// pools[m] is model m's bounded worker pool (workers = replica count,
 	// live-resized on scale events); nil under syncExec.
 	pools []*executor.Pool
-	// execQueueFactor scales each pool's submit queue; 0 means the default
-	// bound, execQueueCapDefault (the request-queue capacity at build time).
-	execQueueFactor     int
-	execQueueCapDefault int
+	// execQueueCap bounds each pool's submit queue: the request-queue
+	// capacity, which a batch of admitted requests can never exceed.
+	execQueueCap int
 	// backend is the live backend handle; SetBackend swaps it and drains
 	// the old handle's in-flight batches before closing its backend.
 	backend atomic.Pointer[backendHandle]
@@ -300,11 +269,12 @@ type Runtime struct {
 }
 
 // NewRuntime wires a wall-clock serving runtime for a deployment, policy and
-// executor. The accuracy table feeds Equation 7 reward accounting, exactly
+// combiner (which folds each batch's backend passes into per-request
+// results). The accuracy table feeds Equation 7 reward accounting, exactly
 // as in the simulator.
-func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Executor, cfg RuntimeConfig) (*Runtime, error) {
-	if exec == nil && (cfg.Backend == nil || cfg.Combine == nil) {
-		return nil, fmt.Errorf("infer: runtime needs an executor (or a backend with a combiner)")
+func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine CombineFunc, cfg RuntimeConfig) (*Runtime, error) {
+	if combine == nil {
+		return nil, fmt.Errorf("infer: runtime needs a combiner")
 	}
 	tl := cfg.Timeline
 	if tl == nil {
@@ -313,10 +283,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	queueCap := cfg.QueueCap
 	if queueCap == 0 {
 		queueCap = 4096
-	}
-	poll := cfg.PollInterval
-	if poll <= 0 {
-		poll = d.Tau / 25
 	}
 	eng := NewEngine(d, p, acc, queueCap)
 	if cfg.Shards > 1 {
@@ -329,8 +295,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 			return nil, err
 		}
 	}
-	eng.Predictor = cfg.Predictor
-	eng.MeasureFrom = cfg.MeasureFrom
 	// Prime the accuracy surrogate for the full ensemble (the live path's
 	// default subset): its first evaluation simulates the whole sample set
 	// (~100ms+) and would otherwise stall the first dispatch — and every
@@ -344,19 +308,12 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	// histories for figures; a live runtime only reads recent tails).
 	eng.SetMetricBounds(4096, 64)
 	_, concurrent := tl.(sim.ConcurrentTimeline)
-	factor := cfg.ExecQueueFactor
-	if factor < 0 {
-		factor = 0
-	}
 	r := &Runtime{
-		tl:                  tl,
-		exec:                exec,
-		poll:                poll,
-		pollConfigured:      cfg.PollInterval > 0,
-		syncExec:            !concurrent,
-		execQueueFactor:     factor,
-		execQueueCapDefault: queueCap,
-		eng:                 eng,
+		tl:           tl,
+		poll:         d.Tau / 25,
+		syncExec:     !concurrent,
+		execQueueCap: queueCap,
+		eng:          eng,
 	}
 	r.execCtx, r.execCancel = context.WithCancel(context.Background())
 	b := cfg.Backend
@@ -366,12 +323,12 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	if tb, ok := b.(TimelineBinder); ok {
 		tb.BindTimeline(tl)
 	}
-	r.backend.Store(&backendHandle{b: b, combine: cfg.Combine, exec: exec})
+	r.backend.Store(&backendHandle{b: b, combine: combine})
 	if !r.syncExec {
 		counts := eng.ReplicaCounts()
 		r.pools = make([]*executor.Pool, len(counts))
 		for m, n := range counts {
-			r.pools[m] = executor.NewPool(n, r.execQueueCap(n))
+			r.pools[m] = executor.NewPool(n, queueCap)
 		}
 	}
 	for i := range r.stripes {
@@ -387,22 +344,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	return r, nil
 }
 
-// execQueueCap bounds a model pool's submit queue for a worker count. With
-// no explicit factor it falls back to the request-queue capacity, which can
-// never reject a batch of admitted requests; an explicit factor opts into
-// the tighter factor × workers bound (minimum 4) so saturation tests and
-// memory-constrained deployments can exercise ErrBackendSaturated.
-func (r *Runtime) execQueueCap(workers int) int {
-	if r.execQueueFactor <= 0 {
-		return r.execQueueCapDefault
-	}
-	c := workers * r.execQueueFactor
-	if c < 4 {
-		c = 4
-	}
-	return c
-}
-
 // resizePools retargets every model pool to the engine's live replica slot
 // counts. Called after any replica-pool mutation, under the exclusive
 // control lock.
@@ -413,7 +354,7 @@ func (r *Runtime) resizePools() {
 	counts := r.eng.ReplicaCounts()
 	for m, p := range r.pools {
 		if m < len(counts) {
-			p.Resize(counts[m], r.execQueueCap(counts[m]))
+			p.Resize(counts[m], r.execQueueCap)
 		}
 	}
 }
@@ -427,9 +368,12 @@ func (r *Runtime) closedErr() error {
 	return ErrClosed
 }
 
-// Submit enqueues a payload and returns a future for its batched result.
-// The future's slot comes from the completion pool; callers that Release
-// after Wait make the steady-state path allocation-free.
+// Submit enqueues a payload and returns a future for its batched result,
+// then hands the decision point to the shard's dispatch plane via a
+// coalesced sweep, so the submit path never waits on a dispatch lock.
+// A policy error at that decision point reaches the caller through the
+// future. The future's slot comes from the completion pool; callers that
+// Release after Wait make the steady-state path allocation-free.
 func (r *Runtime) Submit(payload any) (Future, error) {
 	if r.closed.Load() {
 		return Future{}, r.closedErr()
@@ -454,36 +398,7 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 	st.pending[id] = s
 	st.mu.Unlock()
 
-	if r.eng.ShardCount() > 1 {
-		// Sharded mode: hand the decision point to the shard's dispatch
-		// plane via a coalesced sweep, so the submit path never serializes
-		// on a dispatch lock. A poisoning policy error reaches the caller
-		// through the future.
-		r.scheduleSweep(r.eng.GroupOf(id))
-		return f, nil
-	}
-	// Single-shard compatibility path: run the decision point synchronously
-	// under plane 0's lock (exactly the pre-shard runtime), so a policy
-	// error at this decision point surfaces from Submit itself.
-	r.ctl.RLock()
-	r.planes[0].mu.Lock()
-	err := r.stepGroup(r.tl.Now(), 0)
-	// Only launch sets br (on this goroutine, inside the stepGroup call
-	// above) — a failAll on the poison path resolves the slot without one,
-	// so this distinguishes "joined a batch" from "failed while queued".
-	dispatched := s.br != nil
-	r.planes[0].mu.Unlock()
-	r.ctl.RUnlock()
-	if err != nil {
-		// The engine failed at this decision point. If this request made it
-		// into a batch before the error, that batch still completes — hand
-		// the caller its future; the error reaches everyone else (failAll
-		// already resolved this slot with the poisoning error).
-		if dispatched {
-			return f, nil
-		}
-		return Future{}, err
-	}
+	r.scheduleSweep(r.eng.GroupOf(id))
 	return f, nil
 }
 
@@ -638,13 +553,12 @@ func (r *Runtime) pollTick(g int) {
 	_ = r.stepGroup(r.tl.Now(), g)
 }
 
-// backendHandle binds a backend to the combiner/executor that folds its
-// predictions, and tracks the batches in flight on it so a swap can drain
-// the old backend before closing it.
+// backendHandle binds a backend to the combiner that folds its predictions,
+// and tracks the batches in flight on it so a swap can drain the old backend
+// before closing it.
 type backendHandle struct {
 	b       Backend
 	combine CombineFunc
-	exec    Executor
 	wg      sync.WaitGroup
 }
 
@@ -861,27 +775,9 @@ func (r *Runtime) passDone(br *batchRun) {
 // gets a coalesced sweep. On a wall timeline this runs as a fired-timer
 // callback on its own goroutine and must not block on plane locks (each
 // blocked callback is a pinned goroutine — the source of the old bench
-// rows' 700+ goroutine peaks), so even the single-shard layout routes
-// through the plane worker; the virtual-time loop keeps the synchronous
-// single-shard step that its golden determinism is pinned to.
+// rows' 700+ goroutine peaks), so it only schedules sweeps.
 func (r *Runtime) onModelFree() {
 	if r.closed.Load() {
-		return
-	}
-	if r.eng.ShardCount() == 1 {
-		if !r.syncExec {
-			if r.eng.QueueLen() > 0 {
-				r.scheduleSweep(0)
-			}
-			return
-		}
-		r.ctl.RLock()
-		r.planes[0].mu.Lock()
-		if !r.closed.Load() {
-			_ = r.stepGroup(r.tl.Now(), 0)
-		}
-		r.planes[0].mu.Unlock()
-		r.ctl.RUnlock()
 		return
 	}
 	for g := 0; g < r.eng.GroupCount(); g++ {
@@ -892,21 +788,16 @@ func (r *Runtime) onModelFree() {
 }
 
 // finalize folds a finished batch's model passes into per-request results
-// and resolves its futures: the handle's combiner when it has one, else the
-// batch Executor (the pre-backend path, invoked once at ensemble finish).
+// through the handle's combiner and resolves its futures.
 func (r *Runtime) finalize(br *batchRun) {
 	defer r.inflight.Done()
 	defer br.h.wg.Done()
 	err := br.err
 	var results []any
 	if err == nil {
-		if br.h.combine != nil {
-			results, err = br.h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
-		} else {
-			results, err = br.h.exec(br.ids, br.payloads, br.out.ModelNames)
-		}
+		results, err = br.h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
 		if err == nil && len(results) != len(br.futs) {
-			err = fmt.Errorf("infer: executor returned %d results for a batch of %d", len(results), len(br.futs))
+			err = fmt.Errorf("infer: combiner returned %d results for a batch of %d", len(results), len(br.futs))
 		}
 	}
 	if err != nil && r.closed.Load() && errors.Is(err, context.Canceled) {
@@ -984,27 +875,23 @@ func (r *Runtime) SetPolicy(p Policy) error {
 // SetBackend swaps the execution backend on the live runtime. Queued
 // requests dispatch onto the new backend from the next decision point;
 // batches already in flight drain on the old backend, which is closed (in
-// the background) once the last of them finishes. A nil backend reinstalls
-// the default SimBackend over the runtime's batch Executor. The runtime
-// takes ownership of the backend: pass a fresh instance, not one already
+// the background) once the last of them finishes. Both the backend and the
+// combiner that folds its predictions are required. The runtime takes
+// ownership of the backend: pass a fresh instance, not one already
 // installed.
 func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
+	if b == nil || combine == nil {
+		return fmt.Errorf("infer: SetBackend needs a backend and a combiner")
+	}
 	r.ctl.Lock()
 	defer r.ctl.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
-	if b == nil {
-		b = &SimBackend{}
-		combine = nil
-	}
-	if combine == nil && r.exec == nil {
-		return fmt.Errorf("infer: backend %s needs a combiner (runtime has no batch executor)", b.Name())
-	}
 	if tb, ok := b.(TimelineBinder); ok {
 		tb.BindTimeline(r.tl)
 	}
-	old := r.backend.Swap(&backendHandle{b: b, combine: combine, exec: r.exec})
+	old := r.backend.Swap(&backendHandle{b: b, combine: combine})
 	if old != nil && old.b != b {
 		// The drain rides the runtime's in-flight WaitGroup so Close cannot
 		// return before the old backend is drained and closed.
@@ -1029,9 +916,8 @@ func (r *Runtime) PolicyName() string {
 }
 
 // SetSLO retargets the latency SLO τ on the live runtime and rescales the
-// wait-poll cadence with it (unless RuntimeConfig.PollInterval pinned it
-// explicitly), then re-runs a decision point (a looser τ may justify
-// waiting, a tighter one may demand an immediate flush).
+// wait-poll cadence with it, then re-runs a decision point (a looser τ may
+// justify waiting, a tighter one may demand an immediate flush).
 func (r *Runtime) SetSLO(tau float64) error {
 	r.ctl.Lock()
 	defer r.ctl.Unlock()
@@ -1041,9 +927,7 @@ func (r *Runtime) SetSLO(tau float64) error {
 	if err := r.eng.SetTau(tau); err != nil {
 		return err
 	}
-	if !r.pollConfigured {
-		r.poll = tau / 25
-	}
+	r.poll = tau / 25
 	return r.stepAll(r.tl.Now())
 }
 
@@ -1058,21 +942,17 @@ func (r *Runtime) SetQueueCap(n int) error {
 	if err := r.eng.SetQueueCap(n); err != nil {
 		return err
 	}
-	// The default pool-queue bound tracks the request-queue capacity so an
-	// executor queue never rejects a batch of admitted requests.
-	if r.execQueueFactor <= 0 {
-		r.execQueueCapDefault = n
-		r.resizePools()
-	}
+	// The pool-queue bound tracks the request-queue capacity so an executor
+	// queue never rejects a batch of admitted requests.
+	r.execQueueCap = n
+	r.resizePools()
 	return nil
 }
 
 // SetShards re-shards the live queue layer to n FIFOs: the queued backlog is
 // re-hashed in arrival order (nothing dropped or reordered within a shard),
 // the dispatch planes repartition over the new shard set, and the next
-// decision point drains the new layout. Moving between 1 and N > 1 also
-// switches the submit path between the synchronous single-shard mode and the
-// coalesced sharded mode.
+// decision point drains the new layout.
 func (r *Runtime) SetShards(n int) error {
 	r.ctl.Lock()
 	defer r.ctl.Unlock()

@@ -2,16 +2,20 @@ package infer
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rafiki/internal/ensemble"
 	"rafiki/internal/sim"
 	"rafiki/internal/zoo"
 )
 
-// echoExec returns each request's payload tagged with the serving subset.
-func echoExec(ids []uint64, payloads []any, models []string) ([]any, error) {
+// echoExec is a combiner that ignores the backend's predictions and returns
+// each request's payload tagged with the serving subset.
+func echoExec(ids []uint64, payloads []any, models []string, _ [][]any) ([]any, error) {
 	out := make([]any, len(ids))
 	for i := range ids {
 		out[i] = fmt.Sprintf("%v@%d", payloads[i], len(models))
@@ -170,30 +174,122 @@ func TestRuntimeConcurrentWallClock(t *testing.T) {
 	}
 }
 
-// TestRuntimePoisonsOnPolicyError: an invalid policy action must fail the
-// stranded futures AND close the runtime, so later submissions cannot batch
-// with orphaned queue entries.
+// TestRuntimePoisonsOnPolicyError: an invalid policy action must fail every
+// queued future with the policy error AND close the runtime, so later
+// submissions cannot batch with orphaned queue entries — on one shard over
+// the virtual-time loop and on 8 shards × 2 planes over the wall clock.
 func TestRuntimePoisonsOnPolicyError(t *testing.T) {
-	d := runtimeDeployment(t, 0.5)
-	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &badPolicy{act: Action{Batch: 3, Models: []int{0}}},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(4), 200),
-		echoExec, RuntimeConfig{Timeline: loop})
-	if err != nil {
-		t.Fatal(err)
+	const policyErr = "not a candidate" // badPolicy's batch 3 is off the ladder
+	cases := []struct {
+		name string
+		cfg  func() RuntimeConfig
+		// submit queues requests until the runtime is poisoned and returns
+		// the admitted futures.
+		submit func(t *testing.T, rt *Runtime, cfg RuntimeConfig) []Future
+	}{
+		{
+			name: "1 shard, event loop",
+			cfg:  func() RuntimeConfig { return RuntimeConfig{Timeline: sim.NewEventLoop()} },
+			submit: func(t *testing.T, rt *Runtime, cfg RuntimeConfig) []Future {
+				loop := cfg.Timeline.(*sim.EventLoop)
+				var futs []Future
+				loop.Schedule(0, func() {
+					// All four are queued before the coalesced sweep, a
+					// zero-delay event at this instant, decides anything.
+					for i := 0; i < 4; i++ {
+						f, err := rt.Submit(fmt.Sprintf("doomed-%d", i))
+						if err != nil {
+							t.Errorf("submit %d before the sweep: %v", i, err)
+							return
+						}
+						futs = append(futs, f)
+					}
+				})
+				loop.RunUntil(5)
+				return futs
+			},
+		},
+		{
+			name: "8 shards x 2 groups, wall clock",
+			cfg: func() RuntimeConfig {
+				return RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 2}
+			},
+			submit: func(t *testing.T, rt *Runtime, _ RuntimeConfig) []Future {
+				var mu sync.Mutex
+				var futs []Future
+				var wg sync.WaitGroup
+				for s := 0; s < 4; s++ {
+					wg.Add(1)
+					go func(s int) {
+						defer wg.Done()
+						for i := 0; ; i++ {
+							f, err := rt.Submit(fmt.Sprintf("doomed-%d-%d", s, i))
+							if err != nil {
+								return // poisoned
+							}
+							mu.Lock()
+							futs = append(futs, f)
+							mu.Unlock()
+						}
+					}(s)
+				}
+				wg.Wait()
+				return futs
+			},
+		},
 	}
-	var fut Future
-	var subErr error
-	loop.Schedule(0, func() { fut, subErr = rt.Submit("doomed") })
-	loop.RunUntil(5)
-	if subErr == nil {
-		t.Fatal("invalid action should surface from Submit")
-	}
-	if fut.Valid() {
-		t.Fatal("no future should be handed out for a poisoned submission")
-	}
-	if _, err := rt.Submit("after"); err == nil || err == ErrClosed {
-		t.Fatalf("poisoned runtime Submit err = %v, want the policy error", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := runtimeDeployment(t, 0.5)
+			var combined atomic.Int64
+			combine := func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
+				combined.Add(1)
+				return echoExec(ids, payloads, models, preds)
+			}
+			cfg := tc.cfg()
+			rt, err := NewRuntime(d, &badPolicy{act: Action{Batch: 3, Models: []int{0}}},
+				ensemble.NewAccuracyTable(zoo.NewPredictor(4), 200), combine, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			futs := tc.submit(t, rt, cfg)
+			if len(futs) == 0 {
+				t.Fatal("no submission was admitted before the poison")
+			}
+			for i, f := range futs {
+				select {
+				case <-f.Done():
+				case <-time.After(5 * time.Second):
+					t.Fatalf("future %d never resolved", i)
+				}
+				res, err := f.Wait()
+				if err == nil || !strings.Contains(err.Error(), policyErr) || res != nil {
+					t.Fatalf("future %d = %v, %v; want the policy error", i, res, err)
+				}
+				f.Release() // panics unless resolved
+			}
+			// Exactly once: nothing reached a batch, and no future is left in
+			// the pending table for a second resolution.
+			if n := combined.Load(); n != 0 {
+				t.Fatalf("combiner ran %d times on a poisoned runtime", n)
+			}
+			if st := rt.Stats(); st.Served != 0 || st.Dispatches != 0 {
+				t.Fatalf("stats = served %d dispatches %d, want 0/0", st.Served, st.Dispatches)
+			}
+			for i := range rt.stripes {
+				st := &rt.stripes[i]
+				st.mu.Lock()
+				left := len(st.pending)
+				st.mu.Unlock()
+				if left != 0 {
+					t.Fatalf("stripe %d holds %d stranded futures", i, left)
+				}
+			}
+			if _, err := rt.Submit("after"); err == nil || !strings.Contains(err.Error(), policyErr) {
+				t.Fatalf("poisoned runtime Submit err = %v, want the policy error", err)
+			}
+		})
 	}
 }
 

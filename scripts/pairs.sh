@@ -9,9 +9,14 @@
 # changes, else HEAD~1.
 #
 # Prints, for every end-to-end metric in BENCHMARK.json, each side's median
-# and quartiles, the change's wins (ties count for neither side) and whether
-# the medians differ by more than the parent's quartile spread. Each run's
-# JSON line is kept in .bench_build/pairs/<workload>.{parent,change}.jsonl.
+# and quartiles, the change's wins (ties count for neither side), whether the
+# medians differ by more than the parent's quartile spread, and whether the
+# change's median is worse than the parent's by more than the metric's
+# relative `bound` in BENCHMARK.json. Ends with the verdict a change that
+# claims no gain is judged by: `no-regression: yes` when no metric is worse
+# beyond its bound, no change run has correct=false, and the change's failed
+# share is no higher than the parent's. Each run's JSON line is kept in
+# .bench_build/pairs/<workload>.{parent,change}.jsonl.
 #
 # Environment: SEED (first seed, default 1000), SECONDS_PER_RUN (default
 # BENCHMARK.json's run_seconds), TRACE (default 0). Run from the repository
@@ -61,16 +66,18 @@ import json, statistics, sys
 out, workload = sys.argv[1], sys.argv[2]
 spec = json.load(open("BENCHMARK.json"))
 runs = {s: [json.loads(l) for l in open(f"{out}/{workload}.{s}.jsonl")] for s in ("parent", "change")}
+bad, failed = {}, {}
 for s, rs in runs.items():
-    bad = sum(not r["correct"] for r in rs)
-    failed = sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
-    print(f"{s}: {len(rs)} runs, {bad} with correct=false, failed share {failed:.5f}")
+    bad[s] = sum(not r["correct"] for r in rs)
+    failed[s] = sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+    print(f"{s}: {len(rs)} runs, {bad[s]} with correct=false, failed share {failed[s]:.5f}")
 def quart(v):
     if len(v) < 2:
         return v[0], v[0], v[0]
     q = statistics.quantiles(v, n=4, method="inclusive")
     return q[0], statistics.median(v), q[2]
-print(f'{"metric":19} {"parent median [q1, q3]":>34} {"change median [q1, q3]":>34} {"wins":>6}  beyond parent IQR')
+print(f'{"metric":19} {"parent median [q1, q3]":>34} {"change median [q1, q3]":>34} {"wins":>6}  beyond parent IQR  worse > bound')
+regressed = []
 for m in spec["end_to_end"]:
     name = m["name"]
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -79,6 +86,20 @@ for m in spec["end_to_end"]:
     wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
     pq, cq = quart(p), quart(c)
     beyond = abs(cq[1] - pq[1]) > pq[2] - pq[0]
+    # Relative worsening of the median; from a zero parent any worsening counts.
+    loss = sign * (pq[1] - cq[1])
+    worse = loss > m["bound"] * abs(pq[1]) if pq[1] else loss > 0
+    if worse:
+        regressed.append(name)
     fmt = lambda q: f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-    print(f"{name:19} {fmt(pq):>34} {fmt(cq):>34} {wins:>3}/{len(p):<2}  {'yes' if beyond else 'no'}")
+    rel = f"loss {loss / abs(pq[1]):+.1%}" if pq[1] else f"loss {loss:+.3g}"
+    print(f"{name:19} {fmt(pq):>34} {fmt(cq):>34} {wins:>3}/{len(p):<2}  {'yes' if beyond else 'no':17}  "
+          f"{'yes' if worse else 'no'} ({rel}, bound {m['bound']:.0%})")
+if bad["change"]:
+    regressed.append("correct=false")
+if failed["change"] > failed["parent"]:
+    regressed.append("failed share")
+if regressed:
+    print("regressed: " + ", ".join(regressed))
+print(f"no-regression: {'no' if regressed else 'yes'}")
 PY
