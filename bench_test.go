@@ -50,8 +50,8 @@ func (benchWaitPolicy) Feedback(float64)                 {}
 // runtime at 1/4/8 queue shards and reports accepted submissions per wall
 // second. Every submitter touches only its stripe and shard and shares a
 // coalesced decision sweep; one shard funnels every admission through a
-// single FIFO and plane, more shards spread them, so submitted QPS scales
-// even before extra cores help.
+// single FIFO, more shards spread them, so submitted QPS scales even before
+// extra cores help.
 // Run with a bounded iteration count (the wait policy keeps the backlog):
 //
 //	go test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x

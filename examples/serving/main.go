@@ -13,14 +13,13 @@
 // The later acts move up to the SDK's declarative deployment API: a
 // DeploymentSpec deploys the trained ensemble under the RL policy with
 // autoscaling replica bounds, and a reconcile swaps the policy on the live
-// deployment without dropping queued queries. The finale shows the parallel
-// dispatch planes (DESIGN.md §10): a sharded deployment with several
-// dispatch groups serves a concurrent flood, prints the per-group dispatch
-// and batch-size stats, and a live reconcile re-shards the queue layer
-// without dropping a request — then the prediction cache (DESIGN.md §11)
-// admits a hot input after repeat touches, serves it without touching the
-// dispatch planes, and drops it the moment a live policy swap supersedes
-// the ensemble that computed it.
+// deployment without dropping queued queries. The finale shows the sharded
+// queue layer (DESIGN.md §9/§10): a sharded deployment serves a concurrent
+// flood, prints its dispatch and batch-size stats, and a live reconcile
+// re-shards the queue layer without dropping a request — then the
+// prediction cache (DESIGN.md §11) admits a hot input after repeat touches,
+// serves it without touching the runtime, and drops it the moment a live
+// policy swap supersedes the ensemble that computed it.
 //
 // Run with: go run ./examples/serving
 package main
@@ -178,28 +177,25 @@ func declarative() {
 	sharded(sys, trained)
 }
 
-// sharded is the parallel-dispatch finale: the same trained ensemble behind
-// 8 queue shards drained by 4 concurrent dispatch planes. Shards decouple
-// the submit fan-in, planes decouple the drain, replica leasing keeps the
-// shared pools consistent, and work-stealing keeps batches full even though
-// each shard's FIFO is shallow. A live reconcile then re-shards the queue
-// layer and narrows the planes without dropping a single queued query.
+// sharded is the sharded-queue finale: the same trained ensemble behind 8
+// queue shards. Shards decouple the submit fan-in, and work-stealing keeps
+// batches full even though each shard's FIFO is shallow. A live reconcile
+// then re-shards the queue layer without dropping a single queued query.
 func sharded(sys *rafiki.System, trained []rafiki.ModelInstance) {
 	inf, err := sys.Deploy(rafiki.DeploymentSpec{
-		Models:         trained,
-		Policy:         rafiki.PolicyGreedy,
-		SLO:            0.25,
-		QueueCap:       4096,
-		Shards:         8,
-		DispatchGroups: 4,
-		Replicas:       rafiki.ReplicaBounds{Min: 2, Max: 4},
+		Models:   trained,
+		Policy:   rafiki.PolicyGreedy,
+		SLO:      0.25,
+		QueueCap: 4096,
+		Shards:   8,
+		Replicas: rafiki.ReplicaBounds{Min: 2, Max: 4},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	spec := inf.Spec()
-	fmt.Printf("\nsharded deployment %s: shards=%d dispatch_groups=%d replicas>=%d\n",
-		inf.ID, spec.Shards, spec.DispatchGroups, spec.Replicas.Min)
+	fmt.Printf("\nsharded deployment %s: shards=%d replicas>=%d\n",
+		inf.ID, spec.Shards, spec.Replicas.Min)
 
 	flood := func(n int) {
 		var wg sync.WaitGroup
@@ -216,30 +212,27 @@ func sharded(sys *rafiki.System, trained []rafiki.ModelInstance) {
 	flood(160)
 
 	st := inf.Stats()
-	fmt.Printf("served %d in %d dispatches across %d planes (per-plane %v)\n",
-		st.Served, st.Dispatches, st.DispatchGroups, st.GroupDispatches)
+	fmt.Printf("served %d in %d dispatches\n", st.Served, st.Dispatches)
 	fmt.Printf("batch sizes: mean %.1f, histogram %v, %d requests stolen across shards\n",
 		st.BatchSizeMean, st.BatchSizeHist, st.Stolen)
 
-	// Reconcile the live topology: double the shards, halve the planes. The
-	// queued backlog re-hashes in arrival order; nothing is dropped.
+	// Reconcile the live topology: double the shards. The queued backlog
+	// re-hashes in arrival order; nothing is dropped.
 	desc, err := sys.ReconcileInference(inf.ID, rafiki.DeploymentSpec{
-		Policy:         rafiki.PolicyGreedy,
-		SLO:            0.25,
-		QueueCap:       4096,
-		Shards:         16,
-		DispatchGroups: 2,
-		Replicas:       rafiki.ReplicaBounds{Min: 2, Max: 4},
+		Policy:   rafiki.PolicyGreedy,
+		SLO:      0.25,
+		QueueCap: 4096,
+		Shards:   16,
+		Replicas: rafiki.ReplicaBounds{Min: 2, Max: 4},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reconciled live to shards=%d dispatch_groups=%d\n",
-		desc.Status.Shards, desc.Status.DispatchGroups)
+	fmt.Printf("reconciled live to shards=%d\n", desc.Status.Shards)
 	flood(80)
 	st = inf.Stats()
-	fmt.Printf("after re-shard: served %d total, batch mean %.1f, per-plane dispatches %v\n",
-		st.Served, st.BatchSizeMean, st.GroupDispatches)
+	fmt.Printf("after re-shard: served %d total, batch mean %.1f\n",
+		st.Served, st.BatchSizeMean)
 	if err := sys.StopInference(inf.ID); err != nil {
 		log.Fatal(err)
 	}
@@ -249,7 +242,7 @@ func sharded(sys *rafiki.System, trained []rafiki.ModelInstance) {
 
 // cached is the prediction-cache act (DESIGN.md §11): the same ensemble with
 // the read-through cache enabled serves a skewed stream — a hot input is
-// admitted after repeat touches and then short-circuits the dispatch planes
+// admitted after repeat touches and then short-circuits the runtime
 // entirely — and a live policy reconcile bumps the cache epoch, so no result
 // from the superseded ensemble is ever served stale.
 func cached(sys *rafiki.System, trained []rafiki.ModelInstance) {

@@ -223,11 +223,10 @@ func (s *System) deploy(spec DeploymentSpec, forceID string, forceClasses []stri
 		ensemble.NewAccuracyTable(zoo.NewPredictor(s.opts.Seed), 2000),
 		combine,
 		infer.RuntimeConfig{
-			Timeline:       &sim.WallTimeline{Speedup: s.opts.ServeSpeedup},
-			QueueCap:       spec.QueueCap,
-			Shards:         spec.Shards,
-			DispatchGroups: spec.DispatchGroups,
-			Backend:        backend,
+			Timeline: &sim.WallTimeline{Speedup: s.opts.ServeSpeedup},
+			QueueCap: spec.QueueCap,
+			Shards:   spec.Shards,
+			Backend:  backend,
 		},
 	)
 	if err != nil {

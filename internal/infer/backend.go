@@ -17,7 +17,7 @@ import (
 
 // ErrBackendSaturated reports a dispatched batch refused because the target
 // model's bounded executor pool had no queue room — the serving tier is
-// executing slower than the dispatch planes are deciding. Like ErrQueueFull
+// executing slower than the decision points are dispatching. Like ErrQueueFull
 // it is transient backpressure: callers should retry after a drain interval
 // (the REST layer answers 429 with a Retry-After hint).
 var ErrBackendSaturated = fmt.Errorf("infer: backend executor saturated: %w", ErrQueueFull)

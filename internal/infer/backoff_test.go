@@ -213,16 +213,15 @@ func TestSetSLOResetsBackoff(t *testing.T) {
 	}
 }
 
-// TestBackoffConcurrentFinalizes races the controller (run under -race): four
-// dispatch planes over eight shards and replicated models finalize batches on
-// pool goroutines while decision loops read δ, Stats scrapes it, and the SLO
-// changes mid-run. Every request resolves, and δ ends inside the bounds of
+// TestBackoffConcurrentFinalizes races the controller (run under -race): eight
+// shards and replicated models finalize batches on pool goroutines while
+// decision points read δ, Stats scrapes it, and the SLO changes mid-run. Every request resolves, and δ ends inside the bounds of
 // the final τ.
 func TestBackoffConcurrentFinalizes(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	d.Replicas = []int{3, 3, 3}
 	rt, err := NewRuntime(d, &AsyncEach{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
-		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}, Shards: 8, DispatchGroups: 4})
+		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ type goldenRun struct {
 	seed     int64
 	// shards is the queue-shard count (0 = the default single FIFO). The
 	// 0- and 1-shard rows pin the pre-refactor numbers bit-for-bit; the
-	// multi-shard rows pin the sharded scheduler's own behaviour against
-	// regressions. groups is the dispatch-group count (0 = one loop).
+	// multi-shard row pins the sharded scheduler's own behaviour against
+	// regressions.
 	shards int
-	groups int
 
 	served, overdue, dropped, decisions int
 	reward                              float64
@@ -84,20 +83,6 @@ var goldenRuns = []goldenRun{
 		reward: 141.4118164063, accMean: 0.8291894769, accLen: 274,
 		arrivals: 13812, latencySum: 14797.3640000396, stolen: 10973,
 	},
-	{
-		// 8 shards split across 2 dispatch groups (the simulator drains
-		// groups sequentially, so this is deterministic): each group steals
-		// only within its own 4 shards, so batches sit between the
-		// single-group stolen-full row above and the PR 4 no-stealing
-		// numbers — the drain-parallelism vs batch-efficiency trade the
-		// dispatch_groups knob exposes.
-		models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
-		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
-		tau:    1.0, anchor: 128, duration: 120, seed: 4, shards: 8, groups: 2,
-		served: 13808, overdue: 4048, dropped: 0, decisions: 34643,
-		reward: 127.1468750000, accMean: 0.8265128968, accLen: 420,
-		arrivals: 13812, latencySum: 18271.0424000409, stolen: 7516,
-	},
 }
 
 func TestSimulatorMatchesSeedGolden(t *testing.T) {
@@ -113,7 +98,6 @@ func TestSimulatorMatchesSeedGolden(t *testing.T) {
 		}
 		s := NewSimulator(d, g.policy(d), workload.NewSource(arr), ensemble.NewAccuracyTable(zoo.NewPredictor(g.seed), 4000))
 		s.Shards = g.shards
-		s.Groups = g.groups
 		s.Predictor = zoo.NewPredictor(g.seed + 1)
 		met, err := s.Run(g.duration)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 // request's result across the generation boundary), and release — while a
 // control goroutine re-shards the queue layer back and forth and swaps the
 // policy live, exercising every path that moves futures between stripes,
-// planes and batches.
+// shards and batches.
 func TestFuturePoolStress(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d},
@@ -28,7 +28,7 @@ func TestFuturePoolStress(t *testing.T) {
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 2000},
 			QueueCap: 1 << 20,
-			Shards:   8, DispatchGroups: 4,
+			Shards:   8,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -179,18 +179,6 @@ type Policy interface {
 	Feedback(reward float64)
 }
 
-// GroupedPolicy is a Policy that can fan out across dispatch groups
-// (DESIGN.md §10): the engine gives each concurrent decision loop its own
-// instance, so group drains never share mutable policy state and need no
-// cross-group locking. Policies that do not implement it (the online RL
-// agent, whose learning state is one network) are shared across groups with
-// their Decide→Feedback spans serialized instead.
-type GroupedPolicy interface {
-	Policy
-	// CloneForGroup returns a fresh instance for dispatch group g.
-	CloneForGroup(g int) Policy
-}
-
 // Deployment is a set of deployed models plus the serving parameters.
 type Deployment struct {
 	ModelNames []string
@@ -350,15 +338,11 @@ type Metrics struct {
 	// BatchSizes histograms executed dispatches by their actual batch size
 	// (the popped request count, which may sit below the chosen candidate on
 	// a shallow queue) — the observable for the sharding-vs-batching trade
-	// of DESIGN.md §9/§10. nil until the first measured dispatch.
+	// of DESIGN.md §9/§10. Empty until the first measured dispatch.
 	BatchSizes map[int]int
 	// Stolen counts requests that work-stealing batch assembly pulled from
 	// sibling shards into another shard's batch.
 	Stolen int
-	// GroupDispatches counts executed dispatches per dispatch group
-	// (parallel to the engine's group list; a single-group engine has one
-	// entry equal to Dispatches).
-	GroupDispatches []int
 }
 
 // BatchSizeMean returns the mean executed batch size over the recorded

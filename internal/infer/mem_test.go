@@ -43,10 +43,9 @@ func TestServingHeapStaysFlat(t *testing.T) {
 			return out, nil
 		},
 		infer.RuntimeConfig{
-			Timeline:       &sim.WallTimeline{Speedup: 2000},
-			QueueCap:       1 << 20,
-			Shards:         8,
-			DispatchGroups: 4,
+			Timeline: &sim.WallTimeline{Speedup: 2000},
+			QueueCap: 1 << 20,
+			Shards:   8,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func TestServingHeapStaysFlat(t *testing.T) {
 		return ms.HeapAlloc
 	}
 
-	// Warm the dispatch plane and the future pool before baselining.
+	// Warm the runtime and the future pool before baselining.
 	for i := 0; i < waveSize; i++ {
 		f, err := rt.Submit(make([]byte, payloadBytes))
 		if err != nil {

@@ -11,9 +11,9 @@ type GreedySingle struct {
 	D *Deployment
 	// Model is the index of the deployed model (0 in single-model runs).
 	Model int
-	// one is the reusable Models scratch: Decide runs serialized per clone
-	// (under its group's plane lock) and the engine copies Action.Models
-	// into the outcome, so the same backing array serves every decision.
+	// one is the reusable Models scratch: Decide runs serialized (under the
+	// runtime's dispatch lock) and the engine copies Action.Models into the
+	// outcome, so the same backing array serves every decision.
 	one [1]int
 }
 
@@ -22,10 +22,6 @@ func (g *GreedySingle) Name() string { return "greedy" }
 
 // Feedback implements Policy (baselines ignore rewards).
 func (g *GreedySingle) Feedback(float64) {}
-
-// CloneForGroup implements GroupedPolicy: the scheduler is stateless, so a
-// fresh instance per dispatch group decides identically.
-func (g *GreedySingle) CloneForGroup(int) Policy { return &GreedySingle{D: g.D, Model: g.Model} }
 
 // Decide implements Policy.
 func (g *GreedySingle) Decide(s *State) Action {
@@ -64,7 +60,7 @@ func (g *GreedySingle) Decide(s *State) Action {
 type SyncAll struct {
 	D *Deployment
 	// all is the reusable identity Models scratch (see GreedySingle.one):
-	// Decide runs serialized per clone and the engine copies Action.Models,
+	// Decide runs serialized and the engine copies Action.Models,
 	// so the full-ensemble subset is built once and reused per decision.
 	all []int
 }
@@ -74,9 +70,6 @@ func (p *SyncAll) Name() string { return "greedy-sync" }
 
 // Feedback implements Policy.
 func (p *SyncAll) Feedback(float64) {}
-
-// CloneForGroup implements GroupedPolicy (stateless scheduler).
-func (p *SyncAll) CloneForGroup(int) Policy { return &SyncAll{D: p.D} }
 
 // Decide implements Policy.
 func (p *SyncAll) Decide(s *State) Action {
@@ -137,11 +130,6 @@ func (p *AsyncEach) Name() string { return "greedy-async" }
 
 // Feedback implements Policy.
 func (p *AsyncEach) Feedback(float64) {}
-
-// CloneForGroup implements GroupedPolicy. The rotation cursor is the only
-// state; each group keeps its own, staggered by the group index so sibling
-// groups start their round-robin on different models.
-func (p *AsyncEach) CloneForGroup(g int) Policy { return &AsyncEach{D: p.D, next: g} }
 
 // Decide implements Policy.
 func (p *AsyncEach) Decide(s *State) Action {

@@ -46,13 +46,6 @@ type Stats struct {
 	// backlog depths (their sum is QueueLen).
 	Shards         int   `json:"shards"`
 	ShardQueueLens []int `json:"shard_queue_lens"`
-	// DispatchGroups is the live dispatch-plane count; GroupDispatches the
-	// per-group executed dispatch counts — the observable that independent
-	// planes are actually draining. The counters sum to Dispatches unless a
-	// live re-group changed the plane count, which resets them (the old
-	// per-plane history does not describe the new layout).
-	DispatchGroups  int   `json:"dispatch_groups"`
-	GroupDispatches []int `json:"group_dispatches"`
 	// BatchSizeMean is the mean executed batch size; BatchSizeHist the
 	// histogram of executed dispatch sizes (actual popped counts) — the
 	// sharding-vs-batching trade of DESIGN.md §9/§10, observable instead of
@@ -88,8 +81,8 @@ type Stats struct {
 	BackendRetries uint64 `json:"backend_retries"`
 	// ModelLatencyEWMA is each model's observed batch-latency EWMA in
 	// timeline seconds (0 until a backend reported one);
-	// ModelLatencyScale the applied observed/profiled ratio the dispatch
-	// planes plan with (1 = the raw zoo profile).
+	// ModelLatencyScale the applied observed/profiled ratio the decision
+	// points plan with (1 = the raw zoo profile).
 	ModelLatencyEWMA  []float64 `json:"model_latency_ewma,omitempty"`
 	ModelLatencyScale []float64 `json:"model_latency_scale,omitempty"`
 	// BackoffDelta is the live Algorithm 3 back-off δ in timeline seconds;
@@ -115,12 +108,6 @@ type RuntimeConfig struct {
 	// different shards never contend, and decision points drain the shards
 	// round-robin.
 	Shards int
-	// DispatchGroups is the dispatch-plane count (0 or 1 = one fully
-	// serialized dispatch loop). With G > 1, shard s is drained by plane
-	// s mod G: each plane has its own dispatch lock and coalesced sweep, so
-	// independent shards dispatch concurrently across cores, claiming
-	// replicas from the shared pools via short lease critical sections.
-	DispatchGroups int
 	// Backend executes each dispatched batch's per-model passes; nil
 	// defaults to SimBackend (profiled pacing, no predictions — the
 	// runtime's combiner computes the results from the payloads).
@@ -131,6 +118,11 @@ type RuntimeConfig struct {
 // is independent of the engine's shard count (which can change live), so a
 // re-shard never strands a future in the wrong stripe.
 const runtimeStripes = 16
+
+// falseSharePad is the alignment quantum of the pending-future stripes: two
+// 64-byte cache lines, so the adjacent cache-line prefetcher cannot couple
+// neighbouring stripes either.
+const falseSharePad = 128
 
 // stripeState is one lock-striped slice of the pending-future table.
 type stripeState struct {
@@ -147,59 +139,15 @@ type stripe struct {
 	_ [(falseSharePad - unsafe.Sizeof(stripeState{})%falseSharePad) % falseSharePad]byte
 }
 
-// planeState is one dispatch group's runtime-side state: the lock serializing
-// the group's decision points, its wait-poll flag, and its coalesced-sweep
-// flag. The Runtime pre-allocates one plane per possible group index, so a
-// live group-count change never resizes anything — a stale sweep armed for
-// a no-longer-populated group just runs an empty StepGroup.
-type planeState struct {
-	// mu serializes the group's decision points. Always acquired with the
-	// control lock held shared; the control lock held exclusively implies
-	// no plane lock is held by anyone.
-	mu sync.Mutex
-	// pollSet marks a pending wait-poll tick for this group. Atomic so the
-	// poll timer callback can clear it and re-route through the plane
-	// worker without taking the plane lock (timer callbacks must stay
-	// cheap: on a wall timeline each fires on its own goroutine, and a
-	// callback blocked on a busy plane is a goroutine pinned for the whole
-	// wait — the 734-goroutine pileup of the pre-worker bench rows).
-	pollSet atomic.Bool
-	// sweepSet coalesces the group's decision points: only the submitter
-	// that flips it schedules a sweep; everyone else piggybacks.
-	sweepSet atomic.Bool
-	// wake is the plane worker's one-token run signal; started latches the
-	// lazy worker spawn (concurrent timelines only).
-	wake    chan struct{}
-	started atomic.Bool
-	// pollFn is the cached poll-timer callback, so arming a poll does not
-	// allocate a fresh closure per tick.
-	pollFn func()
-}
-
-// plane pads the plane state onto its own cache lines: the planes live in one
-// fixed array, and sibling planes' locks and sweep flags are the hottest
-// words in the dispatch path — adjacent planes must not share a line.
-type plane struct {
-	planeState
-	_ [(falseSharePad - unsafe.Sizeof(planeState{})%falseSharePad) % falseSharePad]byte
-}
-
 // Runtime is the wall-clock driver of the dispatch Engine: goroutine-safe,
 // channel-fed, with per-request futures. Concurrent callers Submit payloads;
 // the scheduling Policy groups them into shared batches; the Backend runs
 // each selected model's pass over a batch and the CombineFunc folds the
 // passes into one result per request.
 //
-// The data plane is lock-striped and, with DispatchGroups > 1, partitioned
-// into parallel dispatch planes: a submission touches only its pending-table
-// stripe and its queue shard, then wakes its shard's plane. Each plane has
-// its own lock and coalesced sweep, claims replicas from the shared
-// per-model pools via the engine's lease critical sections, and launches
-// its batches while sibling planes keep dispatching — so with many shards
-// and many replicas, served throughput scales with cores, not just
-// submitted throughput (DESIGN.md §10).
-//
-// Decision points are coalesced per plane at any shard count: the first
+// The submit path is lock-striped: a submission touches only its
+// pending-table stripe and its queue shard, then arms the coalesced sweep.
+// Decision points run one at a time under the dispatch lock: the first
 // submitter after an idle sweep schedules one, and every submission that
 // lands while it is pending shares it. A policy error at a decision point
 // poisons the runtime and reaches every queued caller through its future.
@@ -238,15 +186,28 @@ type Runtime struct {
 	execRejected atomic.Uint64
 	backendErrs  atomic.Uint64
 
-	// ctl is the control lock of the data plane: decision sweeps hold it
-	// shared (plus their plane lock), reconfiguration and teardown hold it
-	// exclusively — so a control operation observes no in-flight sweep and
-	// may touch every plane and the whole engine. Lock order: ctl, then
-	// plane, then stripe/engine internals; never the reverse.
-	ctl sync.RWMutex
+	// mu is the dispatch lock: it serializes decision points with each
+	// other and with reconfiguration and teardown, so a control operation
+	// observes no in-flight sweep and may touch the whole engine. Lock
+	// order: mu, then stripe/engine internals; never the reverse.
+	mu  sync.Mutex
 	eng *Engine
-
-	planes [maxEngineGroups]plane
+	// sweepSet coalesces decision points: only the submitter that flips it
+	// schedules a sweep; everyone else piggybacks.
+	sweepSet atomic.Bool
+	// pollSet marks a pending wait-poll tick. Atomic so the poll timer
+	// callback can clear it and re-route through the sweep worker without
+	// taking the dispatch lock (timer callbacks must stay cheap: a callback
+	// blocked on a busy dispatch lock is a goroutine pinned for the whole
+	// wait).
+	pollSet atomic.Bool
+	// wake is the sweep worker's one-token run signal; workerStarted
+	// latches its lazy spawn (concurrent timelines only).
+	wake          chan struct{}
+	workerStarted atomic.Bool
+	// pollFn is the cached poll-timer callback, so arming a poll does not
+	// allocate a fresh closure per tick.
+	pollFn func()
 
 	// closed flips once (teardown or poison); errv holds the poisoning
 	// engine error, stored before closed so closedErr never misses it.
@@ -261,8 +222,8 @@ type Runtime struct {
 	// onFreeFn is the cached onModelFree method value, so arming a finish
 	// timer per dispatched model does not allocate a closure each time.
 	onFreeFn func()
-	// stopCh stops the plane workers; stopOnce latches its close; workerWG
-	// tracks the workers so Close reaps them.
+	// stopCh stops the sweep worker; stopOnce latches its close; workerWG
+	// tracks the worker so Close reaps it.
 	stopCh   chan struct{}
 	stopOnce atomic.Bool
 	workerWG sync.WaitGroup
@@ -287,11 +248,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	eng := NewEngine(d, p, acc, queueCap)
 	if cfg.Shards > 1 {
 		if err := eng.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DispatchGroups > 1 {
-		if err := eng.SetGroups(cfg.DispatchGroups); err != nil {
 			return nil, err
 		}
 	}
@@ -335,18 +291,15 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		r.stripes[i].pending = map[uint64]*futureSlot{}
 	}
 	r.onFreeFn = r.onModelFree
+	r.pollFn = r.pollTick
 	r.stopCh = make(chan struct{})
-	for g := range r.planes {
-		g := g
-		r.planes[g].wake = make(chan struct{}, 1)
-		r.planes[g].pollFn = func() { r.pollTick(g) }
-	}
+	r.wake = make(chan struct{}, 1)
 	return r, nil
 }
 
 // resizePools retargets every model pool to the engine's live replica slot
 // counts. Called after any replica-pool mutation, under the exclusive
-// control lock.
+// dispatch lock.
 func (r *Runtime) resizePools() {
 	if r.pools == nil {
 		return
@@ -369,8 +322,8 @@ func (r *Runtime) closedErr() error {
 }
 
 // Submit enqueues a payload and returns a future for its batched result,
-// then hands the decision point to the shard's dispatch plane via a
-// coalesced sweep, so the submit path never waits on a dispatch lock.
+// then hands the decision point to a coalesced sweep, so the submit path
+// never waits on the dispatch lock.
 // A policy error at that decision point reaches the caller through the
 // future. The future's slot comes from the completion pool; callers that
 // Release after Wait make the steady-state path allocation-free.
@@ -398,103 +351,88 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 	st.pending[id] = s
 	st.mu.Unlock()
 
-	r.scheduleSweep(r.eng.GroupOf(id))
+	r.scheduleSweep()
 	return f, nil
 }
 
-// scheduleSweep arms one coalesced decision point on group g's plane unless
-// one is already pending. The flag clears under the plane lock before the
-// sweep reads the queues, so a submission that finds it set is always
-// observed either by the pending sweep or by a successor scheduled after it.
+// scheduleSweep arms one coalesced decision point unless one is already
+// pending. The flag clears under the dispatch lock before the sweep reads
+// the queues, so a submission that finds it set is always observed either by
+// the pending sweep or by a successor scheduled after it.
 //
-// On a concurrent timeline the sweep runs on the plane's dedicated worker
-// goroutine (one per live plane, lazily spawned, reaped by Close) — waking
-// it is a non-blocking token send, so submitters and timer callbacks never
-// block on a busy plane and the runtime's goroutine count stays
-// O(dispatch groups), not O(armed timers). Under a virtual-time loop the
-// sweep stays a zero-delay event, preserving the loop's deterministic
-// single-threaded ordering.
-func (r *Runtime) scheduleSweep(g int) {
-	if g < 0 || g >= len(r.planes) {
-		g = 0
-	}
-	p := &r.planes[g]
-	if !p.sweepSet.CompareAndSwap(false, true) {
+// On a concurrent timeline the sweep runs on a dedicated worker goroutine
+// (lazily spawned, reaped by Close) — waking it is a non-blocking token
+// send, so submitters and timer callbacks never block on a busy dispatch
+// lock and the runtime's goroutine count stays O(1), not O(armed timers).
+// Under a virtual-time loop the sweep stays a zero-delay event, preserving
+// the loop's deterministic single-threaded ordering.
+func (r *Runtime) scheduleSweep() {
+	if !r.sweepSet.CompareAndSwap(false, true) {
 		return
 	}
 	if r.syncExec {
-		r.tl.AfterFunc(0, func() { r.sweep(g) })
+		r.tl.AfterFunc(0, r.sweep)
 		return
 	}
-	// Fast path: if the plane is free right now, run the sweep on this
-	// goroutine instead of paying a park/unpark round trip through the
-	// worker — on a single core that scheduling hop is pure added latency
-	// on the drain path. TryLock keeps every caller (submitters, timer
+	// Fast path: if the dispatch lock is free right now, run the sweep on
+	// this goroutine instead of paying a park/unpark round trip through the
+	// worker — on a single core that scheduling hop is pure added latency on
+	// the drain path. TryLock keeps every caller (submitters, timer
 	// dispatcher callbacks) non-blocking; contention falls back to the
-	// worker token below. No caller holds any runtime lock here, so the
-	// ctl → plane order is respected.
-	if r.ctl.TryRLock() {
-		if p.mu.TryLock() {
-			p.sweepSet.Store(false)
-			if !r.closed.Load() {
-				_ = r.stepGroup(r.tl.Now(), g)
-			}
-			p.mu.Unlock()
-			r.ctl.RUnlock()
-			return
+	// worker token below. No caller holds any runtime lock here.
+	if r.mu.TryLock() {
+		r.sweepSet.Store(false)
+		if !r.closed.Load() {
+			_ = r.step(r.tl.Now())
 		}
-		r.ctl.RUnlock()
+		r.mu.Unlock()
+		return
 	}
-	if p.started.CompareAndSwap(false, true) {
+	if r.workerStarted.CompareAndSwap(false, true) {
 		r.workerWG.Add(1)
-		go r.planeWorker(g)
+		go r.sweepWorker()
 	}
 	select {
-	case p.wake <- struct{}{}:
+	case r.wake <- struct{}{}:
 	default:
 	}
 }
 
-// planeWorker is a dispatch plane's dedicated sweep goroutine: it parks on
-// the plane's wake token and runs one coalesced sweep per token. At most one
-// token is ever outstanding (a new one is only sent after the running sweep
-// cleared sweepSet under the plane lock), so the non-blocking send in
+// sweepWorker is the dedicated sweep goroutine: it parks on the wake token
+// and runs one coalesced sweep per token. At most one token is ever
+// outstanding (a new one is only sent after the running sweep cleared
+// sweepSet under the dispatch lock), so the non-blocking send in
 // scheduleSweep can never drop a required wakeup.
-func (r *Runtime) planeWorker(g int) {
+func (r *Runtime) sweepWorker() {
 	defer r.workerWG.Done()
-	p := &r.planes[g]
 	for {
 		select {
-		case <-p.wake:
-			r.sweep(g)
+		case <-r.wake:
+			r.sweep()
 		case <-r.stopCh:
 			return
 		}
 	}
 }
 
-// sweep is one plane's coalesced decision point.
-func (r *Runtime) sweep(g int) {
-	r.ctl.RLock()
-	defer r.ctl.RUnlock()
-	p := &r.planes[g]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sweepSet.Store(false)
+// sweep is one coalesced decision point.
+func (r *Runtime) sweep() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sweepSet.Store(false)
 	if r.closed.Load() {
 		return
 	}
-	_ = r.stepGroup(r.tl.Now(), g)
+	_ = r.step(r.tl.Now())
 }
 
-// stepGroup runs one group's decision point, launching its dispatches and
-// arming the group's wait poll. Called with ctl held shared plus the
-// group's plane lock, or with ctl held exclusively (control path).
-func (r *Runtime) stepGroup(now float64, g int) error {
+// step runs one decision point, launching its dispatches and arming the wait
+// poll. Called with the dispatch lock held.
+func (r *Runtime) step(now float64) error {
 	if r.closed.Load() {
 		return r.closedErr()
 	}
-	outs, err := r.eng.StepGroup(now, g)
+	outs, err := r.eng.Step(now)
 	for _, out := range outs {
 		r.launch(now, out)
 	}
@@ -509,48 +447,33 @@ func (r *Runtime) stepGroup(now float64, g int) error {
 		r.failAll(err)
 		return err
 	}
-	if r.eng.GroupQueueLen(g) > 0 && r.planes[g].pollSet.CompareAndSwap(false, true) {
-		r.tl.AfterFunc(r.poll, r.planes[g].pollFn)
+	if r.eng.backlog() > 0 && r.pollSet.CompareAndSwap(false, true) {
+		r.tl.AfterFunc(r.poll, r.pollFn)
 	}
 	return nil
 }
 
-// stepAll runs a decision point on every live group in order. Control path
-// only: the caller holds ctl exclusively, so no plane lock is needed.
-func (r *Runtime) stepAll(now float64) error {
-	for g := 0; g < r.eng.GroupCount(); g++ {
-		if err := r.stepGroup(now, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pollTick is a plane's recurring decision point while its shards hold
-// waiting requests. On a wall timeline the timer callback only clears the
-// poll flag and wakes the plane worker — it must not block on the plane
-// lock, because every fired wall-timer callback is its own goroutine and a
-// busy plane would pin them all. The virtual-time loop steps inline, as
-// before, keeping its event ordering.
-func (r *Runtime) pollTick(g int) {
-	p := &r.planes[g]
+// pollTick is the recurring decision point while requests wait. On a wall
+// timeline the timer callback only clears the poll flag and schedules a
+// sweep — it must not block on the dispatch lock, because every fired
+// wall-timer callback is its own goroutine and a busy lock would pin them
+// all. The virtual-time loop steps inline, keeping its event ordering.
+func (r *Runtime) pollTick() {
 	if !r.syncExec {
-		p.pollSet.Store(false)
+		r.pollSet.Store(false)
 		if r.closed.Load() {
 			return
 		}
-		r.scheduleSweep(g)
+		r.scheduleSweep()
 		return
 	}
-	r.ctl.RLock()
-	defer r.ctl.RUnlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pollSet.Store(false)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pollSet.Store(false)
 	if r.closed.Load() {
 		return
 	}
-	_ = r.stepGroup(r.tl.Now(), g)
+	_ = r.step(r.tl.Now())
 }
 
 // backendHandle binds a backend to the combiner that folds its predictions,
@@ -659,8 +582,7 @@ func (br *batchRun) task(i int) ExecTask {
 // immediately (the SimBackend paces to the profiled finish; real backends
 // run for as long as they run); on a virtual-time loop the passes run
 // inline from the finish event, preserving the loop's determinism. Called
-// with ctl held (shared plus the dispatching plane's lock, or exclusively
-// on the control path).
+// with the dispatch lock held.
 func (r *Runtime) launch(now float64, out DispatchOutcome) {
 	bufs := batchBufsPool.Get().(*batchBufs)
 	bufs.grab(len(out.Requests), len(out.Models))
@@ -771,19 +693,14 @@ func (r *Runtime) passDone(br *batchRun) {
 }
 
 // onModelFree is the decision point at a dispatched model's finish time: the
-// freed replica is new capacity for any plane, so every plane with backlog
-// gets a coalesced sweep. On a wall timeline this runs as a fired-timer
-// callback on its own goroutine and must not block on plane locks (each
-// blocked callback is a pinned goroutine — the source of the old bench
-// rows' 700+ goroutine peaks), so it only schedules sweeps.
+// freed replica is new capacity, so a backlog gets a coalesced sweep. On a
+// wall timeline this runs as a fired-timer callback on its own goroutine and
+// must not block on the dispatch lock (each blocked callback is a pinned
+// goroutine — the source of the old bench rows' 700+ goroutine peaks), so it
+// only schedules the sweep.
 func (r *Runtime) onModelFree() {
-	if r.closed.Load() {
-		return
-	}
-	for g := 0; g < r.eng.GroupCount(); g++ {
-		if r.eng.GroupQueueLen(g) > 0 {
-			r.scheduleSweep(g)
-		}
+	if !r.closed.Load() && r.eng.backlog() > 0 {
+		r.scheduleSweep()
 	}
 }
 
@@ -861,15 +778,15 @@ func (r *Runtime) failAll(err error) {
 // conservative policy can flush a waiting backlog at once). Batches already
 // dispatched complete under the old decision.
 func (r *Runtime) SetPolicy(p Policy) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
 	if err := r.eng.SetPolicy(p); err != nil {
 		return err
 	}
-	return r.stepAll(r.tl.Now())
+	return r.step(r.tl.Now())
 }
 
 // SetBackend swaps the execution backend on the live runtime. Queued
@@ -883,8 +800,8 @@ func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
 	if b == nil || combine == nil {
 		return fmt.Errorf("infer: SetBackend needs a backend and a combiner")
 	}
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
@@ -910,8 +827,8 @@ func (r *Runtime) BackendName() string { return r.backend.Load().b.Name() }
 
 // PolicyName reports the live policy's name.
 func (r *Runtime) PolicyName() string {
-	r.ctl.RLock()
-	defer r.ctl.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.eng.Policy.Name()
 }
 
@@ -919,8 +836,8 @@ func (r *Runtime) PolicyName() string {
 // wait-poll cadence with it, then re-runs a decision point (a looser τ may
 // justify waiting, a tighter one may demand an immediate flush).
 func (r *Runtime) SetSLO(tau float64) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
@@ -928,14 +845,14 @@ func (r *Runtime) SetSLO(tau float64) error {
 		return err
 	}
 	r.poll = tau / 25
-	return r.stepAll(r.tl.Now())
+	return r.step(r.tl.Now())
 }
 
 // SetQueueCap rebounds the request queue on the live runtime (see
 // Engine.SetQueueCap for the shrink semantics).
 func (r *Runtime) SetQueueCap(n int) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
@@ -951,48 +868,29 @@ func (r *Runtime) SetQueueCap(n int) error {
 
 // SetShards re-shards the live queue layer to n FIFOs: the queued backlog is
 // re-hashed in arrival order (nothing dropped or reordered within a shard),
-// the dispatch planes repartition over the new shard set, and the next
-// decision point drains the new layout.
+// and an immediate decision point drains the new layout.
 func (r *Runtime) SetShards(n int) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
 	if err := r.eng.SetShards(n); err != nil {
 		return err
 	}
-	return r.stepAll(r.tl.Now())
+	return r.step(r.tl.Now())
 }
 
 // Shards reports the live queue-shard count.
 func (r *Runtime) Shards() int { return r.eng.ShardCount() }
-
-// SetDispatchGroups repartitions the live dispatch plane into n concurrent
-// per-group decision loops (shard s drains on plane s mod n) and re-runs a
-// decision point on every plane so any backlog lands on the new layout.
-func (r *Runtime) SetDispatchGroups(n int) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetGroups(n); err != nil {
-		return err
-	}
-	return r.stepAll(r.tl.Now())
-}
-
-// DispatchGroups reports the live dispatch-plane count.
-func (r *Runtime) DispatchGroups() int { return r.eng.GroupCount() }
 
 // SetReplicas resizes model m's replica pool on the live runtime. Growing
 // immediately re-runs a decision point so queued requests flow onto the new
 // capacity; shrinking stops dispatching to the dropped slots while batches
 // already in flight on them still complete.
 func (r *Runtime) SetReplicas(m, n int) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
@@ -1000,7 +898,7 @@ func (r *Runtime) SetReplicas(m, n int) error {
 		return err
 	}
 	r.resizePools()
-	return r.stepAll(r.tl.Now())
+	return r.step(r.tl.Now())
 }
 
 // AddReplica appends one replica slot for model m in the down state and
@@ -1008,8 +906,8 @@ func (r *Runtime) SetReplicas(m, n int) error {
 // launch second, SetReplicaDown(m, r, false) once it is running. No
 // decision point runs (a down slot adds no capacity).
 func (r *Runtime) AddReplica(m int) (int, error) {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return 0, r.closedErr()
 	}
@@ -1024,8 +922,8 @@ func (r *Runtime) AddReplica(m int) (int, error) {
 // cluster manager's failure detection and container restarts back into
 // dispatch availability. Recovery re-runs a decision point.
 func (r *Runtime) SetReplicaDown(m, rep int, down bool) error {
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return r.closedErr()
 	}
@@ -1035,13 +933,13 @@ func (r *Runtime) SetReplicaDown(m, rep int, down bool) error {
 	if down {
 		return nil
 	}
-	return r.stepAll(r.tl.Now())
+	return r.step(r.tl.Now())
 }
 
 // Backpressure reads the queue length and recent drain rate without the
 // full Stats snapshot (no latency copy or percentile sort) — the rejection
 // path calls this once per queue-full request, exactly when the runtime is
-// saturated. It never blocks on the dispatch planes.
+// saturated. It never blocks on the dispatch lock.
 func (r *Runtime) Backpressure() (queueLen int, drainRate float64) {
 	return r.eng.QueueLen(), r.eng.DrainRate(r.tl.Now(), drainWindow)
 }
@@ -1058,32 +956,30 @@ func (r *Runtime) Signals() (backlogs []ModelBacklog, growth, drainRate float64)
 }
 
 // Stats snapshots the serving metrics. Every piece is read under its own
-// engine lock, so scraping stats never stalls the dispatch planes; the
+// engine lock, so scraping stats never waits on the dispatch lock; the
 // percentile sort runs on a copy outside any lock.
 func (r *Runtime) Stats() Stats {
 	now := r.tl.Now()
 	snap := r.eng.SnapshotMetrics(now, drainWindow)
 	backlogs := r.eng.Backlogs(now)
 	st := Stats{
-		Served:          snap.Served,
-		Overdue:         snap.Overdue,
-		Dropped:         snap.Dropped,
-		Decisions:       snap.Decisions,
-		Dispatches:      snap.Dispatches,
-		QueueLen:        r.eng.QueueLen(),
-		Reward:          snap.Reward,
-		Replicas:        r.eng.ReplicaCounts(),
-		DrainRate:       snap.DrainRate,
-		Shards:          r.eng.ShardCount(),
-		ShardQueueLens:  r.eng.ShardQueueLens(),
-		DispatchGroups:  r.eng.GroupCount(),
-		GroupDispatches: snap.GroupDispatches,
-		BatchSizeMean:   snap.BatchSizeMean,
-		BatchSizeHist:   snap.BatchSizes,
-		Stolen:          snap.Stolen,
-		ModelBacklogs:   make([]float64, len(backlogs)),
-		ModelInflight:   make([]int, len(backlogs)),
-		QueueGrowth:     snap.ArrivalRate - snap.DrainRate,
+		Served:         snap.Served,
+		Overdue:        snap.Overdue,
+		Dropped:        snap.Dropped,
+		Decisions:      snap.Decisions,
+		Dispatches:     snap.Dispatches,
+		QueueLen:       r.eng.QueueLen(),
+		Reward:         snap.Reward,
+		Replicas:       r.eng.ReplicaCounts(),
+		DrainRate:      snap.DrainRate,
+		Shards:         r.eng.ShardCount(),
+		ShardQueueLens: r.eng.ShardQueueLens(),
+		BatchSizeMean:  snap.BatchSizeMean,
+		BatchSizeHist:  snap.BatchSizes,
+		Stolen:         snap.Stolen,
+		ModelBacklogs:  make([]float64, len(backlogs)),
+		ModelInflight:  make([]int, len(backlogs)),
+		QueueGrowth:    snap.ArrivalRate - snap.DrainRate,
 	}
 	for i, b := range backlogs {
 		st.ModelBacklogs[i] = b.Queued
@@ -1122,9 +1018,9 @@ func (r *Runtime) Stats() Stats {
 // once the execution layer has fully drained and is idempotent.
 func (r *Runtime) Close() {
 	if r.closed.CompareAndSwap(false, true) {
-		r.ctl.Lock()
+		r.mu.Lock()
 		r.failAll(ErrClosed)
-		r.ctl.Unlock()
+		r.mu.Unlock()
 	}
 	// Cancel outside the CAS so a Close after a policy poisoning (which
 	// flips closed without cancelling) still tears the backends down.

@@ -177,7 +177,7 @@ func TestRuntimeConcurrentWallClock(t *testing.T) {
 // TestRuntimePoisonsOnPolicyError: an invalid policy action must fail every
 // queued future with the policy error AND close the runtime, so later
 // submissions cannot batch with orphaned queue entries — on one shard over
-// the virtual-time loop and on 8 shards × 2 planes over the wall clock.
+// the virtual-time loop and on 8 shards over the wall clock.
 func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 	const policyErr = "not a candidate" // badPolicy's batch 3 is off the ladder
 	cases := []struct {
@@ -210,9 +210,9 @@ func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 			},
 		},
 		{
-			name: "8 shards x 2 groups, wall clock",
+			name: "8 shards, wall clock",
 			cfg: func() RuntimeConfig {
-				return RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 2}
+				return RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8}
 			},
 			submit: func(t *testing.T, rt *Runtime, _ RuntimeConfig) []Future {
 				var mu sync.Mutex

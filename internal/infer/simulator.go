@@ -27,11 +27,6 @@ type Simulator struct {
 	// Shards is the queue-shard count (0 or 1 = the classic single FIFO,
 	// which reproduces the pre-shard engine bit-for-bit).
 	Shards int
-	// Groups is the dispatch-group count (0 or 1 = one dispatch loop). The
-	// simulator is single-threaded, so groups drain sequentially per
-	// decision point — deterministic, pinning the grouped scheduler's
-	// decisions without wall-clock concurrency.
-	Groups int
 	// MeasureFrom discards metrics before this virtual time (RL warm-up).
 	MeasureFrom float64
 
@@ -58,11 +53,6 @@ func (s *Simulator) Run(duration float64) (*Metrics, error) {
 	s.eng = NewEngine(s.Deployment, s.Policy, s.AccTable, s.QueueCap)
 	if s.Shards > 0 {
 		if err := s.eng.SetShards(s.Shards); err != nil {
-			return nil, err
-		}
-	}
-	if s.Groups > 0 {
-		if err := s.eng.SetGroups(s.Groups); err != nil {
 			return nil, err
 		}
 	}

@@ -141,34 +141,6 @@ func (w *WindowCounter) Add(t, weight float64) {
 	}
 }
 
-// Merge folds counter o's retained windows into w window-by-window. Both
-// counters must share the same width. The sharded metric plane uses this to
-// fold per-dispatch-group counters into one global view at read time: window
-// additions are commutative, so merging per-group counters produces the same
-// buckets a single shared counter would have accumulated.
-func (w *WindowCounter) Merge(o *WindowCounter) {
-	if o == nil || !o.any {
-		return
-	}
-	for i := o.minIdx; i <= o.maxIdx; i++ {
-		if c, ok := o.counts[i]; ok {
-			w.counts[i] += c
-			if !w.any || i < w.minIdx {
-				w.minIdx = i
-			}
-			if !w.any || i > w.maxIdx {
-				w.maxIdx = i
-			}
-			w.any = true
-		}
-	}
-	if w.Keep > 0 && w.any {
-		for lo := w.maxIdx - w.Keep; w.minIdx <= lo; w.minIdx++ {
-			delete(w.counts, w.minIdx)
-		}
-	}
-}
-
 // Rate returns one point per window covering the observed span, valued as
 // events/second (empty windows report zero).
 func (w *WindowCounter) Rate() []Point {

@@ -9,8 +9,8 @@
 // instead of ever being served (DESIGN.md §11).
 //
 // Millions of users mean heavily key-skewed traffic; serving the hot region
-// from this cache multiplies effective QPS without touching the sharded
-// dispatch planes at all.
+// from this cache multiplies effective QPS without touching the serving
+// runtime at all.
 package predcache
 
 import (

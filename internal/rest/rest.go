@@ -340,11 +340,6 @@ type InferenceRequest struct {
 	// the queue into per-shard FIFOs hashed by request ID. A PUT with a
 	// different count re-hashes the queued backlog live.
 	Shards int `json:"shards,omitempty"`
-	// DispatchGroups is the dispatch-plane count (default 1): G > 1 drains
-	// shard s on plane s mod G, each plane dispatching concurrently behind
-	// its own lock with work-stealing batch assembly inside the plane. A
-	// PUT with a different count repartitions the planes live.
-	DispatchGroups int `json:"dispatch_groups,omitempty"`
 	// Replicas bounds each model's replica pool: the {"min","max"} object a
 	// GET echoes, or the legacy bare integer (see ReplicaField).
 	Replicas ReplicaField `json:"replicas,omitzero"`
@@ -400,16 +395,15 @@ func Bounds(min, max int) ReplicaField {
 // spec translates the wire request into the SDK's DeploymentSpec.
 func (req InferenceRequest) spec(models []rafiki.ModelInstance) rafiki.DeploymentSpec {
 	return rafiki.DeploymentSpec{
-		Models:         models,
-		Policy:         req.Policy,
-		SLO:            req.SLOSeconds,
-		QueueCap:       req.QueueCap,
-		Shards:         req.Shards,
-		DispatchGroups: req.DispatchGroups,
-		Replicas:       req.Replicas.ReplicaBounds,
-		Autoscale:      req.Autoscale,
-		Cache:          req.Cache,
-		Backend:        req.Backend,
+		Models:    models,
+		Policy:    req.Policy,
+		SLO:       req.SLOSeconds,
+		QueueCap:  req.QueueCap,
+		Shards:    req.Shards,
+		Replicas:  req.Replicas.ReplicaBounds,
+		Autoscale: req.Autoscale,
+		Cache:     req.Cache,
+		Backend:   req.Backend,
 	}
 }
 

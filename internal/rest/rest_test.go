@@ -664,7 +664,7 @@ func TestReconcileDeploymentOverREST(t *testing.T) {
 // live re-shard and policy swap, all while queries keep flowing.
 func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 	c, ts := newTestServer(t)
-	infID := trainAndDeploy(t, c, InferenceRequest{Policy: "async", Shards: 4, DispatchGroups: 2})
+	infID := trainAndDeploy(t, c, InferenceRequest{Policy: "async", Shards: 4})
 
 	desc, err := c.DescribeInference(infID)
 	if err != nil {
@@ -673,17 +673,11 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 	if desc.Spec.Policy != rafiki.PolicyAsync || desc.Spec.Shards != 4 {
 		t.Fatalf("deployed spec = %+v, want policy async, 4 shards", desc.Spec)
 	}
-	if desc.Spec.DispatchGroups != 2 {
-		t.Fatalf("deployed spec groups = %d, want 2", desc.Spec.DispatchGroups)
-	}
 	if desc.Status.Policy != "greedy-async" {
 		t.Fatalf("live policy = %q, want greedy-async", desc.Status.Policy)
 	}
 	if desc.Status.Shards != 4 || len(desc.Status.ShardQueueLens) != 4 {
 		t.Fatalf("status shards = %d lens = %v, want 4 shards", desc.Status.Shards, desc.Status.ShardQueueLens)
-	}
-	if desc.Status.DispatchGroups != 2 || len(desc.Status.GroupDispatches) != 2 {
-		t.Fatalf("status groups = %d per-group = %v, want 2 planes", desc.Status.DispatchGroups, desc.Status.GroupDispatches)
 	}
 
 	// Queries flow through the async scheduler (one model per batch).
@@ -724,8 +718,8 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 	// The batch-size distribution is observable over the wire: n served
 	// queries across some dispatches give a positive mean and a histogram
 	// that accounts for every request.
-	if st.DispatchGroups != 2 || st.BatchSizeMean <= 0 || len(st.BatchSizeHist) == 0 {
-		t.Fatalf("stats dispatch plane = groups %d batch mean %v hist %v", st.DispatchGroups, st.BatchSizeMean, st.BatchSizeHist)
+	if st.BatchSizeMean <= 0 || len(st.BatchSizeHist) == 0 {
+		t.Fatalf("stats batch mean %v hist %v, want both populated", st.BatchSizeMean, st.BatchSizeHist)
 	}
 	histTotal := 0
 	for b, cnt := range st.BatchSizeHist {
@@ -735,8 +729,8 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 		t.Fatalf("batch histogram %v covers %d requests, want %d", st.BatchSizeHist, histTotal, st.Served)
 	}
 
-	// PUT a live re-shard + re-plane + policy swap back to the sync ensemble.
-	desc, err = c.Reconcile(infID, InferenceRequest{Policy: "greedy", Shards: 8, DispatchGroups: 4})
+	// PUT a live re-shard + policy swap back to the sync ensemble.
+	desc, err = c.Reconcile(infID, InferenceRequest{Policy: "greedy", Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,9 +739,6 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 	}
 	if desc.Status.Policy != "greedy-sync" || desc.Status.Shards != 8 {
 		t.Fatalf("reconciled status = %+v", desc.Status)
-	}
-	if desc.Spec.DispatchGroups != 4 || desc.Status.DispatchGroups != 4 {
-		t.Fatalf("reconciled dispatch groups = spec %d status %d, want 4", desc.Spec.DispatchGroups, desc.Status.DispatchGroups)
 	}
 	res, err := c.Query(infID, "post_reshard_ramen.jpg")
 	if err != nil {
@@ -760,10 +751,6 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 	// Spec validation over the wire: a shard count beyond the cap is a 400.
 	if _, err := c.Reconcile(infID, InferenceRequest{Shards: 65}); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("oversized shard count err = %v, want validation error", err)
-	}
-	// So is a dispatch-group count beyond the cap.
-	if _, err := c.Reconcile(infID, InferenceRequest{DispatchGroups: 17}); err == nil || !strings.Contains(err.Error(), "dispatch groups") {
-		t.Fatalf("oversized dispatch-group count err = %v, want validation error", err)
 	}
 	// An unknown policy name still 400s with the async value listed.
 	if _, err := c.Reconcile(infID, InferenceRequest{Policy: "warp"}); err == nil || !strings.Contains(err.Error(), "async") {

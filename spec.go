@@ -71,15 +71,6 @@ type DeploymentSpec struct {
 	// data plane bit-for-bit. Reconciling to a different count re-hashes the
 	// queued backlog live without dropping requests.
 	Shards int `json:"shards"`
-	// DispatchGroups is the dispatch-plane count (default 1). With G > 1,
-	// shard s is drained by plane s mod G: each plane runs its own decision
-	// loop behind its own lock, claiming replicas from the shared per-model
-	// pools via short lease critical sections, so independent shards
-	// dispatch concurrently across cores. When a plane's shards cannot fill
-	// the maximum batch, work-stealing tops the batch up from sibling
-	// shards within the plane. 1 is the classic fully serialized dispatch
-	// loop. Reconciling to a different count repartitions the planes live.
-	DispatchGroups int `json:"dispatch_groups"`
 	// Autoscale drives the replica count inside [Replicas.Min, Replicas.Max]
 	// from the runtime's per-model backlog and queue-growth signals: the
 	// scale step is proportional to each model's standing backlog, and a
@@ -181,9 +172,6 @@ func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 	if spec.Shards == 0 {
 		spec.Shards = 1
 	}
-	if spec.DispatchGroups == 0 {
-		spec.DispatchGroups = 1
-	}
 	if spec.Cache != nil {
 		// Copy before defaulting: the spec arrived by value but the cache
 		// block is a pointer into the caller's struct.
@@ -250,11 +238,6 @@ const maxCacheCapacity = 1 << 20
 // submit-path parallelism and only fragment batches.
 const maxShardsPerDeployment = 64
 
-// maxDispatchGroupsPerDeployment caps the dispatch-plane count: planes
-// beyond the core count buy no drain parallelism, and narrower groups give
-// work-stealing fewer siblings to assemble batches from.
-const maxDispatchGroupsPerDeployment = 16
-
 // validate checks a defaulted spec's shape. It runs before any mutation on
 // both the deploy and reconcile paths, so a bad spec never half-applies.
 func (spec DeploymentSpec) validate() error {
@@ -287,9 +270,6 @@ func (spec DeploymentSpec) validate() error {
 	}
 	if spec.Shards < 1 || spec.Shards > maxShardsPerDeployment {
 		return fmt.Errorf("rafiki: shards must be in [1, %d], got %d", maxShardsPerDeployment, spec.Shards)
-	}
-	if spec.DispatchGroups < 1 || spec.DispatchGroups > maxDispatchGroupsPerDeployment {
-		return fmt.Errorf("rafiki: dispatch groups must be in [1, %d], got %d", maxDispatchGroupsPerDeployment, spec.DispatchGroups)
 	}
 	if c := spec.Cache; c != nil && c.Enabled {
 		if c.Capacity < 1 || c.Capacity > maxCacheCapacity {
@@ -388,16 +368,12 @@ type InferenceStatus struct {
 	QueueLen       int   `json:"queue_len"`
 	Shards         int   `json:"shards"`
 	ShardQueueLens []int `json:"shard_queue_lens"`
-	// DispatchGroups is the live dispatch-plane count and GroupDispatches
-	// the executed dispatches per plane — the observable that independent
-	// planes are draining. BatchSizeMean is the mean executed batch size
-	// (the sharding-vs-batching trade made visible) and Stolen counts
-	// requests work-stealing pulled across shards to fill batches.
-	DispatchGroups  int         `json:"dispatch_groups"`
-	GroupDispatches []int       `json:"group_dispatches"`
-	BatchSizeMean   float64     `json:"batch_size_mean"`
-	BatchSizeHist   map[int]int `json:"batch_size_hist,omitempty"`
-	Stolen          int         `json:"stolen"`
+	// BatchSizeMean is the mean executed batch size (the
+	// sharding-vs-batching trade made visible) and Stolen counts requests
+	// work-stealing pulled across shards to fill batches.
+	BatchSizeMean float64     `json:"batch_size_mean"`
+	BatchSizeHist map[int]int `json:"batch_size_hist,omitempty"`
+	Stolen        int         `json:"stolen"`
 	// Queries counts completed queries; Served/Dropped are the runtime's
 	// completion and rejection counters.
 	Queries uint64 `json:"queries"`
@@ -590,13 +566,6 @@ func (s *System) reconcileInference(id string, spec DeploymentSpec, record bool)
 			return nil, fmt.Errorf("rafiki: reconcile %s: %w", id, err)
 		}
 	}
-	if spec.DispatchGroups != job.spec.DispatchGroups {
-		// Repartition the dispatch planes over the shard set; queued
-		// requests stay where they are, only the shard→plane mapping moves.
-		if err := job.runtime.SetDispatchGroups(spec.DispatchGroups); err != nil {
-			return nil, fmt.Errorf("rafiki: reconcile %s: %w", id, err)
-		}
-	}
 	// Autoscale toggle.
 	if spec.Autoscale && job.autoStop == nil {
 		job.autoStop = make(chan struct{})
@@ -644,8 +613,6 @@ func describeLocked(j *InferenceJob) InferenceDescription {
 			QueueLen:          st.QueueLen,
 			Shards:            st.Shards,
 			ShardQueueLens:    st.ShardQueueLens,
-			DispatchGroups:    st.DispatchGroups,
-			GroupDispatches:   st.GroupDispatches,
 			BatchSizeMean:     st.BatchSizeMean,
 			BatchSizeHist:     st.BatchSizeHist,
 			Stolen:            st.Stolen,
