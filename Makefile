@@ -55,18 +55,18 @@ bench:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkQueuePopN -benchmem
 
 # One pass of the replica-scaling benchmark (virtual time, deterministic)
-# and a bounded run of the sharded-submit benchmark (wall clock, 1/4/8 queue
-# shards, every Submit arming a coalesced sweep): cheap gates that the
-# dispatch hot path still scales with replicas and the submit path with
-# shards. The fixed iteration count bounds the standing backlog the submit
-# benchmark accumulates. Last, one sequential
+# and a bounded run of the submit benchmark (wall clock, eight submitters
+# into the one request FIFO, every Submit arming a coalesced sweep): cheap
+# gates that the dispatch hot path still scales with replicas and that a
+# submit still costs one lock. The fixed iteration count bounds the standing
+# backlog the submit benchmark accumulates. Last, one sequential
 # 150-trial study on the Bayesian advisor, with its allocations, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
 # (handler alone, then over a loopback keep-alive connection).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
-	$(GO) test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
+	$(GO) test . -run none -bench BenchmarkSubmit -benchtime 20000x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x

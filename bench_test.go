@@ -3,7 +3,7 @@ package rafiki
 // Benchmark harness: one testing.B target per table/figure of the paper's
 // evaluation (Section 7), each regenerating the figure at QuickScale via
 // internal/exp and reporting its headline numbers as custom metrics, plus
-// BenchmarkShardedSubmit on the serving runtime's submit path alone.
+// BenchmarkSubmit on the serving runtime's submit path alone.
 // cmd/rafiki-bench prints the same series at full scale. End-to-end
 // serving and training performance is measured by the benchmark/ module.
 //
@@ -16,7 +16,6 @@ package rafiki
 //	go test -bench=BenchmarkFig8RandomTuning
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -37,65 +36,57 @@ func report(b *testing.B, fig *exp.Figure, keys ...string) {
 	}
 }
 
-// benchWaitPolicy never dispatches, so BenchmarkShardedSubmit measures the
-// submit path in isolation: admission, shard routing, future registration
-// and the decision-point trigger — none of the executor or completion work.
+// benchWaitPolicy never dispatches, so BenchmarkSubmit measures the submit
+// path in isolation: admission into the FIFO and the decision-point trigger —
+// none of the executor or completion work.
 type benchWaitPolicy struct{}
 
 func (benchWaitPolicy) Name() string                     { return "bench-wait" }
 func (benchWaitPolicy) Decide(*infer.State) infer.Action { return infer.Action{Wait: true} }
 func (benchWaitPolicy) Feedback(float64)                 {}
 
-// BenchmarkShardedSubmit drives concurrent submitters against the serving
-// runtime at 1/4/8 queue shards and reports accepted submissions per wall
-// second. Every submitter touches only its stripe and shard and shares a
-// coalesced decision sweep; one shard funnels every admission through a
-// single FIFO, more shards spread them, so submitted QPS scales even before
-// extra cores help.
+// BenchmarkSubmit drives eight concurrent submitters against the serving
+// runtime and reports accepted submissions per wall second. Every submission
+// takes the FIFO's lock once and shares a coalesced decision sweep.
 // Run with a bounded iteration count (the wait policy keeps the backlog):
 //
-//	go test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
-func BenchmarkShardedSubmit(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			d, err := infer.NewDeployment(
-				[]string{"inception_v3", "inception_v4", "inception_resnet_v2"},
-				[]int{1, 2, 4, 8, 16}, 0.25, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt, err := infer.NewRuntime(d, benchWaitPolicy{},
-				ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-				func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
-					return make([]any, len(ids)), nil
-				},
-				infer.RuntimeConfig{
-					Timeline: &sim.WallTimeline{},
-					QueueCap: 1 << 30,
-					Shards:   shards,
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-			payload := []byte("q")
-			b.SetParallelism(8)
-			b.ResetTimer()
-			start := time.Now()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := rt.Submit(payload); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			elapsed := time.Since(start).Seconds()
-			b.StopTimer()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed, "submitted-qps")
-			}
-			rt.Close()
+//	go test . -run none -bench BenchmarkSubmit -benchtime 20000x
+func BenchmarkSubmit(b *testing.B) {
+	d, err := infer.NewDeployment(
+		[]string{"inception_v3", "inception_v4", "inception_resnet_v2"},
+		[]int{1, 2, 4, 8, 16}, 0.25, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := infer.NewRuntime(d, benchWaitPolicy{},
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
+		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
+			return make([]any, len(ids)), nil
+		},
+		infer.RuntimeConfig{
+			Timeline: &sim.WallTimeline{},
+			QueueCap: 1 << 30,
 		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	payload := []byte("q")
+	b.SetParallelism(8)
+	b.ResetTimer()
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := rt.Submit(payload); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	elapsed := time.Since(start).Seconds()
+	b.StopTimer()
+	if elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed, "submitted-qps")
 	}
 }
 

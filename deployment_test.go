@@ -30,8 +30,6 @@ func TestDeploySpecValidation(t *testing.T) {
 		{"min above max", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 5, Max: 2}}, "max >= min"},
 		{"max above cap", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 1, Max: maxReplicasPerModel + 1}}, "per-model cap"},
 		{"negative min", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: -2, Max: 4}}, "min >= 1"},
-		{"negative shards", DeploymentSpec{Models: models, Shards: -3}, "shards"},
-		{"oversized shards", DeploymentSpec{Models: models, Shards: maxShardsPerDeployment + 1}, "shards"},
 	}
 	for _, tc := range cases {
 		if _, err := sys.Deploy(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -55,7 +53,7 @@ func TestDeploySpecValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := inf.Spec()
-	if spec.Policy != PolicyGreedy || spec.SLO != sys.opts.ServeSLO || spec.QueueCap != defaultQueueCap || spec.Shards != 1 {
+	if spec.Policy != PolicyGreedy || spec.SLO != sys.opts.ServeSLO || spec.QueueCap != defaultQueueCap {
 		t.Fatalf("defaulted spec = %+v", spec)
 	}
 	if spec.Replicas != (ReplicaBounds{Min: 1, Max: maxReplicasPerModel}) {
@@ -240,64 +238,6 @@ func TestReconcileSpec(t *testing.T) {
 		t.Fatalf("post-swap status = %+v", desc.Status)
 	}
 	if _, err := sys.Query(inf.ID, []byte("back_to_greedy_ramen.jpg")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeployShardedDataPlane deploys a 4-shard data plane through the SDK
-// (run under -race): concurrent queries spread across the shard FIFOs, every
-// one is answered, and a live reconcile re-shards the deployment without
-// dropping work.
-func TestDeployShardedDataPlane(t *testing.T) {
-	sys, err := New(Options{Seed: 42, Workers: 2, NodeCapacity: 16, ServeSpeedup: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := importFood(t, sys)
-	job := trainFood(t, sys, d)
-	models, _ := sys.GetModels(job.ID)
-	inf, err := sys.Deploy(DeploymentSpec{Models: models, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc := inf.Describe()
-	if desc.Spec.Shards != 4 || desc.Status.Shards != 4 || len(desc.Status.ShardQueueLens) != 4 {
-		t.Fatalf("sharded deploy described as %+v", desc)
-	}
-
-	const n = 48
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := sys.Query(inf.ID, []byte(fmt.Sprintf("shard_%d_salad.jpg", i))); err != nil {
-				errs <- fmt.Errorf("query %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := inf.Stats()
-	if st.Served != n {
-		t.Fatalf("served = %d, want %d", st.Served, n)
-	}
-
-	// Live re-shard down to the classic single FIFO and keep serving.
-	if _, err := sys.ReconcileInference(inf.ID, DeploymentSpec{Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := inf.Describe().Status.Shards; got != 1 {
-		t.Fatalf("shards after reconcile = %d, want 1", got)
-	}
-	if _, err := sys.Query(inf.ID, []byte("post_reshard_pizza.jpg")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.StopInference(inf.ID); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,11 +13,8 @@
 // The later acts move up to the SDK's declarative deployment API: a
 // DeploymentSpec deploys the trained ensemble under the RL policy with
 // autoscaling replica bounds, and a reconcile swaps the policy on the live
-// deployment without dropping queued queries. The finale shows the sharded
-// queue layer (DESIGN.md §9/§10): a sharded deployment serves a concurrent
-// flood, prints its dispatch and batch-size stats, and a live reconcile
-// re-shards the queue layer without dropping a request — then the
-// prediction cache (DESIGN.md §11) admits a hot input after repeat touches,
+// deployment without dropping queued queries. The finale shows the
+// prediction cache (DESIGN.md §11): it admits a hot input after repeat touches,
 // serves it without touching the runtime, and drops it the moment a live
 // policy swap supersedes the ensemble that computed it.
 //
@@ -170,69 +167,6 @@ func declarative() {
 	}
 	fmt.Printf("reconciled live to policy=%s replicas=%v — no queued query was dropped\n",
 		desc2.Status.Policy, desc2.Status.Replicas)
-	if err := sys.StopInference(inf.ID); err != nil {
-		log.Fatal(err)
-	}
-
-	sharded(sys, trained)
-}
-
-// sharded is the sharded-queue finale: the same trained ensemble behind 8
-// queue shards. Shards decouple the submit fan-in, and work-stealing keeps
-// batches full even though each shard's FIFO is shallow. A live reconcile
-// then re-shards the queue layer without dropping a single queued query.
-func sharded(sys *rafiki.System, trained []rafiki.ModelInstance) {
-	inf, err := sys.Deploy(rafiki.DeploymentSpec{
-		Models:   trained,
-		Policy:   rafiki.PolicyGreedy,
-		SLO:      0.25,
-		QueueCap: 4096,
-		Shards:   8,
-		Replicas: rafiki.ReplicaBounds{Min: 2, Max: 4},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := inf.Spec()
-	fmt.Printf("\nsharded deployment %s: shards=%d replicas>=%d\n",
-		inf.ID, spec.Shards, spec.Replicas.Min)
-
-	flood := func(n int) {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Saturation 429s are expected at this offered load.
-				_, _ = sys.Query(inf.ID, []byte(fmt.Sprintf("flood_%d_salad.jpg", i)))
-			}(i)
-		}
-		wg.Wait()
-	}
-	flood(160)
-
-	st := inf.Stats()
-	fmt.Printf("served %d in %d dispatches\n", st.Served, st.Dispatches)
-	fmt.Printf("batch sizes: mean %.1f, histogram %v, %d requests stolen across shards\n",
-		st.BatchSizeMean, st.BatchSizeHist, st.Stolen)
-
-	// Reconcile the live topology: double the shards. The queued backlog
-	// re-hashes in arrival order; nothing is dropped.
-	desc, err := sys.ReconcileInference(inf.ID, rafiki.DeploymentSpec{
-		Policy:   rafiki.PolicyGreedy,
-		SLO:      0.25,
-		QueueCap: 4096,
-		Shards:   16,
-		Replicas: rafiki.ReplicaBounds{Min: 2, Max: 4},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("reconciled live to shards=%d\n", desc.Status.Shards)
-	flood(80)
-	st = inf.Stats()
-	fmt.Printf("after re-shard: served %d total, batch mean %.1f\n",
-		st.Served, st.BatchSizeMean)
 	if err := sys.StopInference(inf.ID); err != nil {
 		log.Fatal(err)
 	}

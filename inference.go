@@ -112,9 +112,6 @@ const maxReplicasPerModel = 64
 // Equation 7 rewards the runtime feeds back on the live path; PolicyAsync
 // serves each batch with a single model round-robin (no ensemble, maximum
 // throughput).
-// spec.Shards > 1 stripes the request queue so concurrent submitters on
-// different shards never contend and decision points drain shards
-// round-robin.
 //
 // Each model runs as spec.Replicas.Min worker containers registered with the
 // cluster manager (placement prefers colocation with the job's master,
@@ -225,7 +222,6 @@ func (s *System) deploy(spec DeploymentSpec, forceID string, forceClasses []stri
 		infer.RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: s.opts.ServeSpeedup},
 			QueueCap: spec.QueueCap,
-			Shards:   spec.Shards,
 			Backend:  backend,
 		},
 	)

@@ -163,6 +163,34 @@ func TestRuntimeBackendSaturation(t *testing.T) {
 	}
 }
 
+// TestRuntimeSetQueueCapRejectsZero: the executor pools' queues share the
+// request-queue bound, so the runtime has no unbounded setting. A zero cap is
+// refused instead of shrinking every pool queue to one batch, where the
+// batches waiting on a busy backend failed with ErrBackendSaturated.
+func TestRuntimeSetQueueCapRejectsZero(t *testing.T) {
+	b := &blockingBackend{gate: make(chan struct{})}
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b, QueueCap: 64})
+	defer rt.Close()
+	defer close(b.gate)
+	for _, n := range []int{0, -1} {
+		if err := rt.SetQueueCap(n); err == nil {
+			t.Fatalf("SetQueueCap(%d) accepted", n)
+		}
+	}
+	// Three batches on the gated backend: one running and two waiting in
+	// each model's pool queue.
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.Stats().Dispatches < 3 && time.Now().Before(deadline) {
+		if _, err := rt.Submit([]byte("q")); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := rt.Stats(); st.Dispatches < 3 || st.ExecRejected != 0 {
+		t.Fatalf("dispatches %d exec_rejected %d, want >= 3 and 0", st.Dispatches, st.ExecRejected)
+	}
+}
+
 // TestHTTPBackendRetrySucceeds fails the first two calls and checks the
 // capped-backoff retry loop lands the third, counting its retries.
 func TestHTTPBackendRetrySucceeds(t *testing.T) {

@@ -214,14 +214,14 @@ func TestSetSLOResetsBackoff(t *testing.T) {
 }
 
 // TestBackoffConcurrentFinalizes races the controller (run under -race): eight
-// shards and replicated models finalize batches on pool goroutines while
-// decision points read δ, Stats scrapes it, and the SLO changes mid-run. Every request resolves, and δ ends inside the bounds of
+// submitters feed replicated models that finalize batches on pool goroutines
+// while decision points read δ, Stats scrapes it, and the SLO changes mid-run. Every request resolves, and δ ends inside the bounds of
 // the final τ.
 func TestBackoffConcurrentFinalizes(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	d.Replicas = []int{3, 3, 3}
 	rt, err := NewRuntime(d, &AsyncEach{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
-		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}, Shards: 8})
+		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -15,29 +14,24 @@ import (
 )
 
 // TestShardedDrainOccupancyInvariant is the occupancy invariant gate: the
-// engine drains eight shards against two-replica pools, stepping at every
+// engine drains one FIFO against two-replica pools, stepping at every
 // model-finish time the way the drivers do (so decision points see pools
-// with some replicas still busy), with work-stealing active (shallow shards)
-// and a live re-shard mid-run. It must hold that
+// with some replicas still busy), and grows every pool to three replicas
+// live mid-run. It must hold that
 //
 //   - no replica is ever double-booked: per (model, replica), the busy
 //     intervals [Decided, ModelFinish] of all outcomes never overlap;
 //   - every submitted request is served exactly once;
-//   - requests within a shard are never reordered, even when work-stealing
-//     pulls sibling requests into another shard's batch.
+//   - requests are dispatched in arrival order.
 func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	d := replicaDeployment(t, 5.0, 2)
 	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
-	if err := e.SetShards(8); err != nil {
-		t.Fatal(err)
-	}
 
 	const total = 600
 	nextID := uint64(0)
 	enqueue := func(now float64, n int) {
-		// IDs are assigned in arrival order, so per-shard FIFO order is
-		// exactly ascending ID order (a re-shard's arrival-order re-hash
-		// breaks ties by ID).
+		// IDs are assigned in arrival order, so FIFO order is exactly
+		// ascending ID order.
 		for i := 0; i < n; i++ {
 			if !e.Enqueue(now, Request{ID: nextID, Arrival: now}) {
 				t.Fatalf("enqueue %d rejected", nextID)
@@ -46,32 +40,27 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		}
 	}
 
-	// recs holds every outcome in dispatch order, tagged with the
-	// shard-topology epoch it ran under (a live re-shard starts a new one).
-	type record struct {
-		out   DispatchOutcome
-		epoch int
-	}
-	var recs []record
+	var outs []DispatchOutcome
 	var finishes []float64
-	now, epoch := 0.0, 0
+	now := 0.0
 	enqueue(now, total/2)
 	for step := 0; step < 1000 && e.QueueLen() > 0; step++ {
-		outs, err := e.Step(now)
+		dispatched, err := e.Step(now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, out := range outs {
-			recs = append(recs, record{out: out, epoch: epoch})
+		for _, out := range dispatched {
+			outs = append(outs, out)
 			finishes = append(finishes, out.ModelFinish...)
 		}
 		if step == 2 {
-			// Live re-shard with a standing backlog and busy replicas:
-			// nothing may be lost or reordered within the new shards.
-			if err := e.SetShards(5); err != nil {
-				t.Fatal(err)
+			// Live growth with a standing backlog and busy replicas: the
+			// new slots take work without disturbing the busy ones.
+			for m := range d.Profiles {
+				if err := e.SetReplicas(m, 3); err != nil {
+					t.Fatal(err)
+				}
 			}
-			epoch++
 			enqueue(now, total/2)
 		}
 		// Step next at the earliest pending model finish. With none pending,
@@ -92,14 +81,18 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		t.Fatalf("backlog left after draining: %d", got)
 	}
 
-	// Exactly-once service.
+	// Exactly-once service, in arrival order.
 	seen := make(map[uint64]bool, total)
-	for _, r := range recs {
-		for _, req := range r.out.Requests {
+	var last uint64
+	for i, out := range outs {
+		for j, req := range out.Requests {
 			if seen[req.ID] {
 				t.Fatalf("request %d dispatched twice", req.ID)
 			}
-			seen[req.ID] = true
+			if (i > 0 || j > 0) && req.ID <= last {
+				t.Fatalf("FIFO order broken: id %d after %d", req.ID, last)
+			}
+			seen[req.ID], last = true, req.ID
 		}
 	}
 	if len(seen) != total {
@@ -110,10 +103,10 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	// disjoint.
 	type interval struct{ start, end float64 }
 	busy := map[[2]int][]interval{}
-	for _, r := range recs {
-		for i, m := range r.out.Models {
-			key := [2]int{m, r.out.Replicas[i]}
-			busy[key] = append(busy[key], interval{r.out.Decided, r.out.ModelFinish[i]})
+	for _, out := range outs {
+		for i, m := range out.Models {
+			key := [2]int{m, out.Replicas[i]}
+			busy[key] = append(busy[key], interval{out.Decided, out.ModelFinish[i]})
 		}
 	}
 	for key, ivs := range busy {
@@ -125,33 +118,17 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 			}
 		}
 	}
-
-	// Per-shard FIFO order per topology epoch: a batch lists each shard's
-	// requests oldest-first, so per (epoch, shard) dispatched IDs ascend in
-	// dispatch order.
-	shardsByEpoch := []int{8, 5}
-	lastID := map[[2]int]uint64{}
-	stolen := 0
-	for _, r := range recs {
-		stolen += r.out.Stolen
-		for _, req := range r.out.Requests {
-			key := [2]int{r.epoch, shardFor(req.ID, shardsByEpoch[r.epoch])}
-			if last, ok := lastID[key]; ok && req.ID <= last {
-				t.Fatalf("epoch %d shard %d reordered: id %d after %d", key[0], key[1], req.ID, last)
-			}
-			lastID[key] = req.ID
+	// The invariant must have been exercised on the grown pools.
+	for m := range d.Profiles {
+		if len(busy[[2]int{m, 2}]) == 0 {
+			t.Fatalf("model %d never dispatched onto its live-added replica 2", m)
 		}
-	}
-	// The invariant must have been exercised under stealing: shallow
-	// 8-way-split shards cannot fill 16-batches alone.
-	if stolen == 0 {
-		t.Fatal("test never exercised work-stealing; deepen the backlog")
 	}
 }
 
 // TestGoroutinePeakBoundedUnderFlood is the bounded-pool gate: eight
-// submitters flood an 8-shard runtime (four replicas per model, every future
-// awaited and released) while the process goroutine count is sampled. Batch
+// submitters flood a runtime (four replicas per model, every future awaited
+// and released) while the process goroutine count is sampled. Batch
 // execution runs on the per-model pools and one sweep worker parks, so the
 // peak stays O(replicas + submitters); one goroutine per dispatch or per
 // request would blow straight past the bound.
@@ -168,7 +145,6 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 1000},
 			QueueCap: 1 << 30,
-			Shards:   8,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -231,67 +207,4 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 	if peak > maxGoroutines {
 		t.Fatalf("goroutine peak %d exceeds the bounded-pool gate %d (dispatches=%d)", peak, maxGoroutines, st.Dispatches)
 	}
-}
-
-// TestStatsDuringLiveReshardRace pins the flushArrivals topology race (run
-// under -race): Stats and Signals deliberately take no runtime lock, so
-// their arrival-buffer flush must pin the shard topology itself while a
-// live re-shard swaps the shard slice — without the pin this crashed with
-// an index out of range and a data race.
-func TestStatsDuringLiveReshardRace(t *testing.T) {
-	d := replicaDeployment(t, 0.25, 2)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = rt.Stats()
-			_, _, _ = rt.Signals()
-			_, _ = rt.Backpressure()
-		}
-	}()
-	var serveWG sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		serveWG.Add(1)
-		go func(c int) {
-			defer serveWG.Done()
-			for i := 0; i < 30; i++ {
-				f, err := rt.Submit(fmt.Sprintf("c%d-%d", c, i))
-				if err != nil {
-					t.Errorf("submit: %v", err)
-					return
-				}
-				if _, err := f.Wait(); err != nil {
-					t.Errorf("wait: %v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	for _, n := range []int{3, 16, 8, 1, 8} {
-		if err := rt.SetShards(n); err != nil {
-			t.Fatalf("set shards %d: %v", n, err)
-		}
-	}
-	serveWG.Wait()
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if st := rt.Stats(); st.Served != 120 {
-		t.Fatalf("served = %d, want 120", st.Served)
-	}
-	rt.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,9 +18,7 @@ import (
 // clock is responsible for scheduling a new decision point (Engine.Step) at
 // every ModelFinish time, and for delivering results at Finish.
 type DispatchOutcome struct {
-	// Requests is the dispatched batch, oldest first. Under work-stealing
-	// the head comes from the drained shard and the tail from its sibling
-	// shards (each contributing its own oldest requests first).
+	// Requests is the dispatched batch, oldest first.
 	Requests []Request
 	// Models are the serving model indices; ModelNames the matching names.
 	Models     []int
@@ -30,9 +27,6 @@ type DispatchOutcome struct {
 	Replicas []int
 	// Batch is the chosen candidate batch size (≥ len(Requests)).
 	Batch int
-	// Stolen counts batch requests taken from sibling shards by
-	// work-stealing assembly (0 without stealing).
-	Stolen int
 	// Decided is the decision time; ModelFinish[i] is when Models[i] frees
 	// up; Finish is the ensemble completion (the slowest selected model).
 	// ModelLatency[i] is the planned service latency of Models[i] for this
@@ -50,24 +44,13 @@ type DispatchOutcome struct {
 }
 
 // arrivalEvent buffers one Enqueue's metric side effects. Arrivals happen off
-// the decision loop (concurrent Submits touch only their shard), so the shard
+// the decision loop (concurrent Submits take only the queue lock), so Enqueue
 // records the event and the next decision point or metric read folds it into
 // the metrics.
 type arrivalEvent struct {
 	// now is the enqueue time (gates MeasureFrom); at the request arrival.
 	now, at float64
 	dropped bool
-}
-
-// engineShard is one stripe of the queue layer: a FIFO plus the lock that
-// makes it safe against concurrent enqueues, and the arrival-metric buffer.
-// spare is the buffer the last flush drained: the next flush swaps it in, so
-// two buffers alternate and Enqueue's append stops allocating.
-type engineShard struct {
-	mu     sync.Mutex
-	q      *Queue
-	events []arrivalEvent
-	spare  []arrivalEvent
 }
 
 // replicaPool is one model's replicas: each one's busy-until time, down flag
@@ -78,8 +61,8 @@ type replicaPool struct {
 	repBatch []int
 }
 
-// ModelBacklog is one model's demand signal, derived from the sharded queue
-// layer's counters: how much queued work the model is expected to absorb and
+// ModelBacklog is one model's demand signal, derived from the queue's
+// counters: how much queued work the model is expected to absorb and
 // how much it already has in flight. The autoscaler sizes its step from these
 // instead of the shared queue depth.
 type ModelBacklog struct {
@@ -130,19 +113,18 @@ func (v *modelView) reset(nm int) {
 	v.n = 0
 }
 
-// Engine is the clock-agnostic core of the serving service: the sharded FIFO
-// queue layer, replica occupancy tracking, policy invocation with Equation 7
+// Engine is the clock-agnostic core of the serving service: the FIFO request
+// queue, replica occupancy tracking, policy invocation with Equation 7
 // reward accounting, and metrics. It never reads a clock — every entry point
 // takes the current time as an argument and completion times come back to
 // the caller as data — so the same engine serves the virtual-time Simulator
 // and the wall-clock Runtime (DESIGN.md §6, §10).
 //
-// Concurrency contract: Enqueue is safe for concurrent use (requests hash to
-// one queue shard and take only that shard's lock), and so are the readers
-// (QueueLen, ShardQueueLens, ReplicaCounts, SnapshotMetrics, DrainRate,
-// Rates, Backlogs). Step and every mutator (SetShards, SetReplicas,
-// SetPolicy, ...) require the caller to serialize them: the Runtime holds its
-// dispatch lock, the Simulator is single-threaded.
+// Concurrency contract: Enqueue is safe for concurrent use (it takes only the
+// queue lock), and so are the readers (QueueLen, ReplicaCounts,
+// SnapshotMetrics, DrainRate, Rates, Backlogs). Step and every mutator
+// (SetReplicas, SetPolicy, ...) require the caller to serialize them: the
+// Runtime holds its dispatch lock, the Simulator is single-threaded.
 type Engine struct {
 	Deployment *Deployment
 	Policy     Policy
@@ -159,22 +141,20 @@ type Engine struct {
 	// MeasureFrom discards metrics before this time (RL warm-up).
 	MeasureFrom float64
 
-	// topo guards the identity of the shard set: Enqueue, Step and the
-	// readers hold it shared, SetShards exclusively.
-	topo    sync.RWMutex
-	shards  []engineShard
-	nshards atomic.Int32
-	// queued is the global backlog count; queueCap the global bound
-	// (0 = unbounded). Both atomic so the admission check never takes a lock
-	// beyond the target shard's.
-	queued   atomic.Int64
-	queueCap atomic.Int64
+	// qmu guards the request FIFO q (whose Cap is the queue bound), the
+	// arrival-event buffers and closed. spare is the buffer the last flush
+	// drained: the next flush swaps it in, so two buffers alternate and
+	// Enqueue's append stops allocating. closed marks a queue drained by
+	// closeQueue; Enqueue then refuses.
+	qmu    sync.Mutex
+	q      *Queue
+	events []arrivalEvent
+	spare  []arrivalEvent
+	closed bool
 
-	// rr is the round-robin drain cursor over the shards; view and st are
-	// the decision scratch, reused across decision points (policies must not
-	// retain *State or its slices across calls — the online RL adapter
-	// copies what it rewrites). Only Step touches them.
-	rr   int
+	// view and st are the decision scratch, reused across decision points
+	// (policies must not retain *State or its slices across calls — the
+	// online RL adapter copies what it rewrites). Only Step touches them.
 	view modelView
 	st   State
 
@@ -216,15 +196,14 @@ type Engine struct {
 	decisions atomic.Uint64
 }
 
-// NewEngine wires an engine with a single queue shard of the given global
-// capacity (0 = unbounded; the paper drops arrivals beyond a full queue).
-// SetShards widens the queue layer.
+// NewEngine wires an engine whose queue holds queueCap requests (0 =
+// unbounded; the paper drops arrivals beyond a full queue).
 func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap int) *Engine {
 	e := &Engine{
 		Deployment: d,
 		Policy:     p,
 		AccTable:   acc,
-		shards:     []engineShard{{q: NewQueue(0)}},
+		q:          NewQueue(queueCap),
 		pools:      make([]replicaPool, len(d.Profiles)),
 		dispatched: make([]uint64, len(d.Profiles)),
 		met: &Metrics{
@@ -238,8 +217,6 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 			BatchSizes: map[int]int{},
 		},
 	}
-	e.nshards.Store(1)
-	e.queueCap.Store(int64(queueCap))
 	for m := range e.pools {
 		p := &e.pools[m]
 		p.busy = make([]float64, d.ReplicaCount(m))
@@ -265,75 +242,6 @@ func (e *Engine) SetMetricBounds(latencyCap, rateKeep int) {
 	e.met.LatencyCap = latencyCap
 	e.met.ArrivalRate.Keep = rateKeep
 	e.met.OverdueRate.Keep = rateKeep
-}
-
-// maxEngineShards bounds SetShards against runaway configurations: shards
-// beyond it buy no parallelism and only fragment batches.
-const maxEngineShards = 256
-
-// mix64 is the splitmix64 finalizer: request IDs are sequential, so shard
-// routing runs them through a full-avalanche mix before reducing.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// ShardCount returns the live shard count. Safe to call concurrently.
-func (e *Engine) ShardCount() int { return int(e.nshards.Load()) }
-
-// shardFor maps a request ID onto a shard index for the given shard count.
-func shardFor(id uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(mix64(id) % uint64(n))
-}
-
-// SetShards re-shards the queue layer to n FIFOs. Queued requests are
-// re-hashed onto the new shards in global arrival order, so nothing is
-// dropped or reordered within a shard, and the drain cursor restarts at
-// shard 0. Callers serialize this with Step; concurrent Enqueues are held
-// off for the duration of the swap.
-func (e *Engine) SetShards(n int) error {
-	if n < 1 || n > maxEngineShards {
-		return fmt.Errorf("infer: shard count must be in [1, %d], got %d", maxEngineShards, n)
-	}
-	if n == len(e.shards) {
-		return nil
-	}
-	e.topo.Lock()
-	defer e.topo.Unlock()
-	var all []Request
-	var events []arrivalEvent
-	for i := range e.shards {
-		sh := &e.shards[i]
-		if l := sh.q.Len(); l > 0 {
-			all = append(all, sh.q.PopN(l)...)
-		}
-		events = append(events, sh.events...)
-		sh.events = nil
-	}
-	// Each old shard was FIFO; restore the global arrival order before
-	// re-hashing so every new shard is FIFO too.
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Arrival != all[j].Arrival {
-			return all[i].Arrival < all[j].Arrival
-		}
-		return all[i].ID < all[j].ID
-	})
-	e.shards = make([]engineShard, n)
-	for i := range e.shards {
-		e.shards[i].q = NewQueue(0)
-	}
-	e.shards[0].events = events
-	for _, r := range all {
-		e.shards[shardFor(r.ID, n)].q.Push(r)
-	}
-	e.nshards.Store(int32(n))
-	e.rr = 0
-	return nil
 }
 
 // boundedWindowCounter builds a window counter keeping only the most recent
@@ -433,15 +341,16 @@ func (e *Engine) observeBatchLatency(lat float64) {
 	}
 }
 
-// SetQueueCap rebounds the request queue (0 = unbounded; the cap is global
-// across shards). Shrinking below the current backlog keeps the queued
-// requests — only new arrivals are rejected until the queue drains under the
-// new cap.
+// SetQueueCap rebounds the request queue (0 = unbounded). Shrinking below the
+// current backlog keeps the queued requests — only new arrivals are rejected
+// until the queue drains under the new cap.
 func (e *Engine) SetQueueCap(n int) error {
 	if n < 0 {
 		return fmt.Errorf("infer: queue cap must be non-negative, got %d", n)
 	}
-	e.queueCap.Store(int64(n))
+	e.qmu.Lock()
+	e.q.Cap = n
+	e.qmu.Unlock()
 	return nil
 }
 
@@ -560,99 +469,54 @@ func (e *Engine) Metrics() *Metrics {
 	return e.met
 }
 
-// QueueLen returns the number of queued (not yet dispatched) requests across
-// every shard. Safe to call concurrently.
-func (e *Engine) QueueLen() int { return int(e.queued.Load()) }
-
-// backlog counts the requests sitting in the shard FIFOs. QueueLen counts an
-// admitted request before its push lands and a dispatched batch until its
-// pop is accounted, so a wake-up armed on it can be spurious; one armed on
-// backlog is not. Safe to call concurrently.
-func (e *Engine) backlog() int {
-	e.topo.RLock()
-	defer e.topo.RUnlock()
-	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		n += sh.q.Len()
-		sh.mu.Unlock()
-	}
-	return n
+// QueueLen returns the number of queued (not yet dispatched) requests. Safe
+// to call concurrently.
+func (e *Engine) QueueLen() int {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	return e.q.Len()
 }
 
-// ShardQueueLens returns the per-shard queue depths. Safe to call
-// concurrently.
-func (e *Engine) ShardQueueLens() []int {
-	e.topo.RLock()
-	defer e.topo.RUnlock()
-	out := make([]int, len(e.shards))
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		out[i] = sh.q.Len()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Enqueue admits a request at time now onto its hash shard, buffering the
-// arrival/drop metric event for the next decision point. Safe for concurrent
-// use: submitters on different shards touch disjoint locks.
+// Enqueue admits a request at time now, buffering the arrival/drop metric
+// event for the next decision point. It refuses a request beyond the queue
+// bound (counted as dropped) and any request once closeQueue has drained
+// the queue. Safe for concurrent use.
 func (e *Engine) Enqueue(now float64, r Request) bool {
-	e.topo.RLock()
-	defer e.topo.RUnlock()
-	sh := &e.shards[shardFor(r.ID, len(e.shards))]
-	if cap := e.queueCap.Load(); cap > 0 && e.queued.Add(1) > cap {
-		// Admission overshot the global cap: undo and drop.
-		e.queued.Add(-1)
-		sh.mu.Lock()
-		sh.events = append(sh.events, arrivalEvent{now: now, dropped: true})
-		sh.mu.Unlock()
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	if e.closed {
 		return false
-	} else if cap <= 0 {
-		// Unbounded queue: the cap check short-circuited, so count here.
-		e.queued.Add(1)
 	}
-	sh.mu.Lock()
-	sh.q.Push(r)
-	sh.events = append(sh.events, arrivalEvent{now: now, at: r.Arrival})
-	sh.mu.Unlock()
+	if !e.q.Push(r) {
+		e.events = append(e.events, arrivalEvent{now: now, dropped: true})
+		return false
+	}
+	e.events = append(e.events, arrivalEvent{now: now, at: r.Arrival})
 	return true
 }
 
+// closeQueue drains the queue and closes it: it pops every queued request,
+// and every later Enqueue refuses. Safe for concurrent use.
+func (e *Engine) closeQueue() []Request {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	e.closed = true
+	return e.q.PopN(e.q.Len())
+}
+
 // flushArrivals folds buffered enqueue events into the metrics. Safe for
-// concurrent use: it pins the shard topology shared (a live re-shard swaps
-// the slice and moves the buffered events), shard buffers drain under their
-// own locks, and the fold happens under metMu; the counters are commutative,
-// so interleaved flushes land identically.
+// concurrent use: the buffer drains under the queue lock and the fold happens
+// under metMu; the counters are commutative, so interleaved flushes land
+// identically.
 func (e *Engine) flushArrivals() {
-	e.topo.RLock()
-	defer e.topo.RUnlock()
-	e.flushArrivalsLocked()
-}
-
-// flushArrivalsLocked is flushArrivals for callers already holding topo
-// (shared or exclusive) — a second RLock on the same goroutine could
-// deadlock behind a waiting writer.
-func (e *Engine) flushArrivalsLocked() {
-	for i := range e.shards {
-		e.flushShardLocked(i)
-	}
-}
-
-// flushShardLocked drains shard si's buffered arrival events into the
-// metrics.
-func (e *Engine) flushShardLocked(si int) {
-	sh := &e.shards[si]
-	sh.mu.Lock()
-	events := sh.events
+	e.qmu.Lock()
+	events := e.events
 	if len(events) == 0 {
-		sh.mu.Unlock()
+		e.qmu.Unlock()
 		return
 	}
-	sh.events, sh.spare = sh.spare[:0], nil
-	sh.mu.Unlock()
+	e.events, e.spare = e.spare[:0], nil
+	e.qmu.Unlock()
 	e.metMu.Lock()
 	for _, ev := range events {
 		if ev.now < e.MeasureFrom {
@@ -665,73 +529,25 @@ func (e *Engine) flushShardLocked(si int) {
 		}
 	}
 	e.metMu.Unlock()
-	// Two flushes of one shard may race (a metric read and a decision
-	// point); each hands its drained buffer back, and the loser's is simply
-	// dropped.
-	sh.mu.Lock()
-	sh.spare = events[:0]
-	sh.mu.Unlock()
-}
-
-// nextShard returns the next non-empty shard at or after the round-robin
-// cursor, advancing the cursor past it; ok is false when every shard is
-// empty (a concurrent enqueue may have bumped the global count before its
-// push landed — the submitter's own decision point covers it).
-func (e *Engine) nextShard() (int, bool) {
-	n := len(e.shards)
-	for off := 0; off < n; off++ {
-		i := (e.rr + off) % n
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		l := sh.q.Len()
-		sh.mu.Unlock()
-		if l > 0 {
-			e.rr = (i + 1) % n
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// nonEmptyShards counts the shards with queued requests.
-func (e *Engine) nonEmptyShards() int {
-	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		if sh.q.Len() > 0 {
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	// Two flushes may race (a metric read and a decision point); each hands
+	// its drained buffer back, and the loser's is simply dropped.
+	e.qmu.Lock()
+	e.spare = events[:0]
+	e.qmu.Unlock()
 }
 
 // Step runs one decision point at time now and returns the executed
-// dispatches: it visits the non-empty queue shards round-robin, invoking the
-// policy on each shard until every waiting shard has been offered once with
-// no dispatch, the queues empty, or no model is free. The driver must call
-// Step again at every returned ModelFinish time (each model freeing is a new
-// decision point).
+// dispatches: it invokes the policy until it waits, the queue empties, or no
+// model is free. The driver must call Step again at every returned
+// ModelFinish time (each model freeing is a new decision point).
 func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
-	e.topo.RLock()
-	defer e.topo.RUnlock()
-	e.flushArrivalsLocked()
+	e.flushArrivals()
 	var outs []DispatchOutcome
-	// waits counts consecutive policy waits; waitTarget is the non-empty
-	// shard count snapshotted at the first wait of each run (a dispatch
-	// resets the run), so a wait-heavy sweep costs one shard scan instead
-	// of one per wait.
-	waits, waitTarget := 0, 0
 	for {
-		if len(outs) > 64*len(e.shards) {
+		if len(outs) > 64 {
 			return outs, fmt.Errorf("infer: policy %s dispatched %d times in one decision point", e.Policy.Name(), len(outs))
 		}
 		if e.QueueLen() == 0 {
-			return outs, nil
-		}
-		si, ok := e.nextShard()
-		if !ok {
 			return outs, nil
 		}
 		v := &e.view
@@ -739,53 +555,41 @@ func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 		if v.n == 0 {
 			return outs, nil
 		}
-		st := e.stateForShard(now, si, v, &e.st)
+		st := e.stateAt(now, v, &e.st)
 		e.decisions.Add(1)
 		act := e.Policy.Decide(st)
 		if act.Wait {
 			e.Policy.Feedback(0)
-			waits++
-			if waits == 1 {
-				waitTarget = e.nonEmptyShards()
-			}
-			if waits >= waitTarget {
-				return outs, nil
-			}
-			continue
+			return outs, nil
 		}
-		out, err := e.dispatch(now, si, act, v)
+		out, err := e.dispatch(now, act, v)
 		if err != nil {
 			return outs, err
 		}
 		e.Policy.Feedback(out.Reward)
-		waits = 0
 		outs = append(outs, out)
 	}
 }
 
-// state builds the policy view for draining shard si, for tests and
-// tooling. The returned state is freshly allocated (no decision scratch), so
-// callers may hold it across later decision points.
-func (e *Engine) state(now float64, si int) *State {
+// state builds the policy view at time now, for tests and tooling. The
+// returned state is freshly allocated (no decision scratch), so callers may
+// hold it across later decision points.
+func (e *Engine) state(now float64) *State {
 	var v modelView
 	e.observe(now, &v)
-	return e.stateForShard(now, si, &v, new(State))
+	return e.stateAt(now, &v, new(State))
 }
 
-// stateForShard builds the policy's decision state at time now for draining
-// shard si into st (reusing st's Waits/BusyLeft buffers, so the decision
-// scratch costs no steady-state allocations): the queue view (depth and head
-// waits) is the shard's — widened by the sibling requests work-stealing
-// could pull in when the shard alone cannot fill the maximum batch — and the
+// stateAt builds the policy's decision state at time now into st (reusing
+// st's Waits/BusyLeft buffers, so the decision scratch costs no steady-state
+// allocations): the queue view (depth and head waits) is the FIFO's, the
 // model view is v's.
-func (e *Engine) stateForShard(now float64, si int, v *modelView, st *State) *State {
+func (e *Engine) stateAt(now float64, v *modelView, st *State) *State {
 	d := e.Deployment
-	sh := &e.shards[si]
-	sh.mu.Lock()
-	queueLen := sh.q.Len()
-	waits := sh.q.WaitsAppend(now, 16, st.Waits[:0])
-	sh.mu.Unlock()
-	queueLen += e.stealable(si, queueLen)
+	e.qmu.Lock()
+	queueLen := e.q.Len()
+	waits := e.q.WaitsAppend(now, 16, st.Waits[:0])
+	e.qmu.Unlock()
 	if cap(st.BusyLeft) < len(d.Profiles) {
 		st.BusyLeft = make([]float64, len(d.Profiles))
 	}
@@ -815,67 +619,12 @@ func (e *Engine) stateForShard(now float64, si int, v *modelView, st *State) *St
 	return st
 }
 
-// stealable reports how many sibling-shard requests work-stealing could pull
-// into a batch headed by shard si: nothing while the shard itself covers the
-// maximum candidate batch (Algorithm 3's full-batch rule needs no help), and
-// at most the gap to that batch otherwise.
-func (e *Engine) stealable(si, own int) int {
-	maxB := e.Deployment.MaxBatch()
-	if own >= maxB || len(e.shards) < 2 {
-		return 0
-	}
-	gap := maxB - own
-	steal := 0
-	for sj := range e.shards {
-		if sj == si {
-			continue
-		}
-		sh := &e.shards[sj]
-		sh.mu.Lock()
-		steal += sh.q.Len()
-		sh.mu.Unlock()
-		if steal >= gap {
-			return gap
-		}
-	}
-	return steal
-}
-
-// popBatch assembles a dispatch batch of up to n requests headed by shard
-// si: the shard's own oldest requests first, then — when the shard alone
-// cannot fill the batch — requests stolen from the heads of the sibling
-// shards in drain-rotation order (si+1, si+2, ...). Stealing from a
-// sibling's head keeps every shard's FIFO order intact: a shard's remaining
-// requests are all younger than the ones just taken. Returns the batch and
-// how many requests were stolen. The batch backing array is allocated once
-// up front — it escapes into the DispatchOutcome the driver holds until the
-// batch finishes, so unlike the decision scratch it cannot be pooled — and
-// every shard appends into it in place.
-func (e *Engine) popBatch(si, n int) ([]Request, int) {
-	batch := make([]Request, 0, n)
-	stolen := 0
-	for off := 0; off < len(e.shards) && len(batch) < n; off++ {
-		sh := &e.shards[(si+off)%len(e.shards)]
-		sh.mu.Lock()
-		take := min(n-len(batch), sh.q.Len())
-		if take > 0 {
-			batch = sh.q.PopAppend(take, batch)
-			if off > 0 {
-				stolen += take
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return batch, stolen
-}
-
-// dispatch validates and executes an action at time now against shard si's
-// queue (topping the batch up from sibling shards when the shard alone
-// cannot fill it), occupying each chosen model's free replica in v and
-// returning the outcome with the Equation 7 reward:
+// dispatch validates and executes an action at time now against the queue,
+// occupying each chosen model's free replica in v and returning the outcome
+// with the Equation 7 reward:
 // a(M[v]) · (b − β·|overdue in batch|), normalized by the maximum batch size
 // so rewards stay O(1).
-func (e *Engine) dispatch(now float64, si int, act Action, v *modelView) (DispatchOutcome, error) {
+func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcome, error) {
 	d := e.Deployment
 	if len(act.Models) == 0 {
 		return DispatchOutcome{}, fmt.Errorf("infer: dispatch with empty model subset")
@@ -930,12 +679,16 @@ func (e *Engine) dispatch(now float64, si int, act Action, v *modelView) (Dispat
 		}
 	}
 
-	batch, stolen := e.popBatch(si, act.Batch)
+	// The batch escapes into the outcome the driver holds until the batch
+	// finishes, so unlike the decision scratch it cannot be pooled.
+	batch := make([]Request, 0, act.Batch)
+	e.qmu.Lock()
+	batch = e.q.PopAppend(min(act.Batch, e.q.Len()), batch)
+	e.qmu.Unlock()
 	n := len(batch)
 	if n == 0 {
 		return DispatchOutcome{}, fmt.Errorf("infer: dispatch on empty queue")
 	}
-	e.queued.Add(-int64(n))
 
 	// ModelFinish and ModelLatency share one allocation: both escape into
 	// the outcome the driver holds until the batch completes.
@@ -946,7 +699,6 @@ func (e *Engine) dispatch(now float64, si int, act Action, v *modelView) (Dispat
 		ModelNames:   names,
 		Replicas:     replicas,
 		Batch:        act.Batch,
-		Stolen:       stolen,
 		Decided:      now,
 		ModelFinish:  times[:len(act.Models):len(act.Models)],
 		ModelLatency: times[len(act.Models):],
@@ -1020,7 +772,6 @@ func (e *Engine) dispatch(now float64, si int, act Action, v *modelView) (Dispat
 	if measured {
 		m.Reward += out.Reward
 		m.Dispatches++
-		m.Stolen += stolen
 		m.BatchSizes[n]++
 	}
 
@@ -1061,7 +812,6 @@ const shareHalfLife = 1 << 14
 type MetricSnapshot struct {
 	Served, Overdue, Dropped int
 	Decisions, Dispatches    int
-	Stolen                   int
 	Reward                   float64
 	BatchSizes               map[int]int
 	BatchSizeMean            float64
@@ -1084,7 +834,6 @@ func (e *Engine) SnapshotMetrics(now, window float64) MetricSnapshot {
 		Dropped:       m.Dropped,
 		Decisions:     int(e.decisions.Load()),
 		Dispatches:    m.Dispatches,
-		Stolen:        m.Stolen,
 		Reward:        m.Reward,
 		BatchSizes:    maps.Clone(m.BatchSizes),
 		BatchSizeMean: m.BatchSizeMean(),

@@ -23,11 +23,6 @@ type goldenRun struct {
 	anchor   float64
 	duration float64
 	seed     int64
-	// shards is the queue-shard count (0 = the default single FIFO). The
-	// 0- and 1-shard rows pin the pre-refactor numbers bit-for-bit; the
-	// multi-shard row pins the sharded scheduler's own behaviour against
-	// regressions.
-	shards int
 
 	served, overdue, dropped, decisions int
 	reward                              float64
@@ -35,7 +30,6 @@ type goldenRun struct {
 	accLen                              int
 	arrivals                            float64
 	latencySum                          float64
-	stolen                              int
 }
 
 var goldenRuns = []goldenRun{
@@ -48,40 +42,12 @@ var goldenRuns = []goldenRun{
 		arrivals: 30901, latencySum: 59936.4199999722,
 	},
 	{
-		// The same workload through an explicit 1-shard configuration: the
-		// sharded queue layer at N=1 must reproduce the pre-shard engine
-		// bit-for-bit.
-		models: []string{"inception_v3"},
-		policy: func(d *Deployment) Policy { return &GreedySingle{D: d} },
-		tau:    0.56, anchor: 272, duration: 120, seed: 6, shards: 1,
-		served: 30896, overdue: 19842, dropped: 0, decisions: 1020,
-		reward: 134.6774453125, accMean: 0.7838062372, accLen: 489,
-		arrivals: 30901, latencySum: 59936.4199999722,
-	},
-	{
 		models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
 		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
 		tau:    1.0, anchor: 128, duration: 120, seed: 4,
 		served: 13808, overdue: 4671, dropped: 0, decisions: 4364,
 		reward: 119.0308398437, accMean: 0.8283627248, accLen: 241,
 		arrivals: 13812, latencySum: 15788.2858000239,
-	},
-	{
-		// The same ensemble workload over 8 queue shards, re-pinned when
-		// work-stealing batch assembly landed (DESIGN.md §10): a drained
-		// shard that cannot fill Algorithm 3's maximum batch tops it up
-		// from its siblings' heads, so the saturated single-replica load
-		// dispatches near-full batches again (served and accuracy match the
-		// single-FIFO row; overdue and reward recover most of the gap the
-		// PR 4 shallow-FIFO row lost: 9655 overdue / 53.27 reward then,
-		// 2953 / 141.41 now). Deterministic, so any change to the sharded
-		// scheduler or the stealing order shows up here.
-		models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
-		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
-		tau:    1.0, anchor: 128, duration: 120, seed: 4, shards: 8,
-		served: 13808, overdue: 2953, dropped: 0, decisions: 33017,
-		reward: 141.4118164063, accMean: 0.8291894769, accLen: 274,
-		arrivals: 13812, latencySum: 14797.3640000396, stolen: 10973,
 	},
 }
 
@@ -97,7 +63,6 @@ func TestSimulatorMatchesSeedGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSimulator(d, g.policy(d), workload.NewSource(arr), ensemble.NewAccuracyTable(zoo.NewPredictor(g.seed), 4000))
-		s.Shards = g.shards
 		s.Predictor = zoo.NewPredictor(g.seed + 1)
 		met, err := s.Run(g.duration)
 		if err != nil {
@@ -124,9 +89,6 @@ func TestSimulatorMatchesSeedGolden(t *testing.T) {
 		}
 		if math.Abs(sum-g.latencySum) > 1e-6 {
 			t.Fatalf("%s: latency sum = %.10f, want %.10f", g.models, sum, g.latencySum)
-		}
-		if met.Stolen != g.stolen {
-			t.Fatalf("%s: stolen = %d, want %d", g.models, met.Stolen, g.stolen)
 		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // N submitters submit identity-carrying payloads, await them, verify the
 // result echoes their own payload (a recycled slot must never leak another
 // request's result across the generation boundary), and release — while a
-// control goroutine re-shards the queue layer back and forth and swaps the
-// policy live, exercising every path that moves futures between stripes,
-// shards and batches.
+// control goroutine rebounds the queue, resizes a replica pool and swaps the
+// policy live, exercising every path that moves futures between the queue
+// and batches.
 func TestFuturePoolStress(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d},
@@ -28,7 +28,6 @@ func TestFuturePoolStress(t *testing.T) {
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 2000},
 			QueueCap: 1 << 20,
-			Shards:   8,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,10 @@ func TestFuturePoolStress(t *testing.T) {
 	go func() {
 		// Live reconfiguration racing the submit/await/release storm.
 		defer ctlWG.Done()
-		shardTo := []int{4, 8, 2, 8}
+		// The queue cap never drops below the 8 submitters' in-flight
+		// requests, so no Submit is refused.
+		capTo := []int{64, 1 << 20, 16, 1 << 20}
+		replicasTo := []int{2, 4, 1, 4}
 		i := 0
 		for {
 			select {
@@ -51,8 +53,12 @@ func TestFuturePoolStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := rt.SetShards(shardTo[i%len(shardTo)]); err != nil && err != ErrClosed {
-				t.Errorf("SetShards: %v", err)
+			if err := rt.SetQueueCap(capTo[i%len(capTo)]); err != nil && err != ErrClosed {
+				t.Errorf("SetQueueCap: %v", err)
+				return
+			}
+			if err := rt.SetReplicas(i%3, replicasTo[i%len(replicasTo)]); err != nil && err != ErrClosed {
+				t.Errorf("SetReplicas: %v", err)
 				return
 			}
 			var p Policy

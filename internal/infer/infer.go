@@ -1,10 +1,11 @@
-// Package infer implements Rafiki's inference service (Section 5): a FIFO
-// request queue (optionally sharded into N hashed FIFOs drained round-robin,
-// DESIGN.md §9) with an SLO τ, the greedy max-batch scheduler of Algorithm 3
-// with its AIMD-style back-off check, the synchronous (all models, full
-// ensemble) and asynchronous (one model per batch, no ensemble) baselines of
-// Section 7.2.2, and a clock-agnostic dispatch Engine that drives any
-// scheduling policy — including the RL scheduler in internal/rl.
+// Package infer implements Rafiki's inference service (Section 5): one FIFO
+// request queue (DESIGN.md §9) with an SLO τ, the greedy max-batch scheduler
+// of Algorithm 3 with its AIMD-style back-off check, the synchronous (all
+// models, full ensemble) and asynchronous (one model per batch, no ensemble)
+// baselines of Section 7.2.2, and a clock-agnostic dispatch Engine that
+// drives any scheduling policy — including the RL scheduler in internal/rl.
+// A Runtime's queued request carries its future's completion slot, so the
+// queue is the only place a queued request lives and a submit takes one lock.
 //
 // The engine has two drivers (DESIGN.md §6): the discrete-event Simulator
 // replays the paper's sine-modulated workloads deterministically in virtual
@@ -26,6 +27,9 @@ import (
 type Request struct {
 	ID      uint64
 	Arrival float64
+	// slot is the Runtime's completion record for the request (nil in the
+	// Simulator): the queue is the only place a queued request lives.
+	slot *futureSlot
 }
 
 // Queue is the FIFO request queue ("we process the requests in the queue
@@ -80,17 +84,15 @@ func (q *Queue) PopN(n int) []Request {
 	return q.PopAppend(n, make([]Request, 0, n))
 }
 
-// PopAppend removes the oldest n requests (n ≤ Len), appending them to dst.
-// Work-stealing batch assembly threads one pre-sized buffer through the
-// drained shard and its siblings, so a stolen batch costs a single allocation
-// instead of one per contributing shard.
+// PopAppend removes the oldest n requests (n ≤ Len), appending them to dst,
+// so a dispatch pops into the one buffer its outcome keeps.
 func (q *Queue) PopAppend(n int, dst []Request) []Request {
 	if n > q.n {
 		panic(fmt.Sprintf("infer: pop %d from queue of %d", n, q.n))
 	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, q.buf[q.head])
-		q.buf[q.head] = Request{} // drop the reference for hygiene
+		q.buf[q.head] = Request{} // drop the completion-slot reference
 		q.head = (q.head + 1) % len(q.buf)
 	}
 	q.n -= n
@@ -150,9 +152,7 @@ type Action struct {
 }
 
 // State is the policy's view of the system at a decision point (Section
-// 5.2's RL state: queue status + model status). Under a sharded queue layer
-// the queue view (QueueLen, Waits) is the shard being drained — the batch
-// the policy can actually pop — while the model view stays global.
+// 5.2's RL state: queue status + model status).
 type State struct {
 	Now        float64
 	QueueLen   int
@@ -337,12 +337,8 @@ type Metrics struct {
 	Dispatches int
 	// BatchSizes histograms executed dispatches by their actual batch size
 	// (the popped request count, which may sit below the chosen candidate on
-	// a shallow queue) — the observable for the sharding-vs-batching trade
-	// of DESIGN.md §9/§10. Empty until the first measured dispatch.
+	// a shallow queue). Empty until the first measured dispatch.
 	BatchSizes map[int]int
-	// Stolen counts requests that work-stealing batch assembly pulled from
-	// sibling shards into another shard's batch.
-	Stolen int
 }
 
 // BatchSizeMean returns the mean executed batch size over the recorded

@@ -45,7 +45,6 @@ func TestServingHeapStaysFlat(t *testing.T) {
 		infer.RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 2000},
 			QueueCap: 1 << 20,
-			Shards:   8,
 		})
 	if err != nil {
 		t.Fatal(err)

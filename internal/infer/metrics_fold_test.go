@@ -12,10 +12,10 @@ import (
 	"rafiki/internal/zoo"
 )
 
-// TestStatsFloodFoldsShardedMetrics hammers an 8-shard runtime at GOMAXPROCS
-// 8 with concurrent submitters while dedicated scraper goroutines spin on
-// Stats() the whole time (run under -race). Each scrape folds the shards'
-// buffered arrival events into the metric plane and copies it while the
+// TestStatsFloodFoldsShardedMetrics hammers a runtime at GOMAXPROCS 8 with
+// concurrent submitters while dedicated scraper goroutines spin on Stats()
+// the whole time (run under -race). Each scrape folds the buffered arrival
+// events into the metric plane and copies it while the
 // decision points keep dispatching, so this pins the snapshot contract:
 //
 //   - every mid-flight snapshot is self-consistent — the batch-size
@@ -30,7 +30,7 @@ func TestStatsFloodFoldsShardedMetrics(t *testing.T) {
 
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}, Shards: 8})
+		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 	}
 	// Both replicas busy: the model view reports busy until the earliest
 	// replica frees.
-	st := e.state(0, 0)
+	st := e.state(0)
 	for m, free := range st.FreeModels {
 		if free {
 			t.Fatalf("model %d free with both replicas occupied", m)
@@ -82,7 +82,7 @@ func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("outs=%d err=%v, want no dispatch while model 0 has no live replica", len(outs), err)
 	}
-	st := e.state(0, 0)
+	st := e.state(0)
 	if st.FreeModels[0] || !math.IsInf(st.BusyLeft[0], 1) {
 		t.Fatalf("dead model state free=%v busyLeft=%v", st.FreeModels[0], st.BusyLeft[0])
 	}

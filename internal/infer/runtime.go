@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"rafiki/internal/ensemble"
 	"rafiki/internal/infer/executor"
@@ -42,18 +41,10 @@ type Stats struct {
 	// batches already dispatched and finishing shortly). 0 means nothing
 	// has drained recently — callers fall back to a fixed retry hint.
 	DrainRate float64 `json:"drain_rate"`
-	// Shards is the live queue-shard count; ShardQueueLens the per-shard
-	// backlog depths (their sum is QueueLen).
-	Shards         int   `json:"shards"`
-	ShardQueueLens []int `json:"shard_queue_lens"`
 	// BatchSizeMean is the mean executed batch size; BatchSizeHist the
-	// histogram of executed dispatch sizes (actual popped counts) — the
-	// sharding-vs-batching trade of DESIGN.md §9/§10, observable instead of
-	// just documented. Stolen counts requests work-stealing pulled across
-	// shards into another shard's batch.
+	// histogram of executed dispatch sizes (actual popped counts).
 	BatchSizeMean float64     `json:"batch_size_mean"`
 	BatchSizeHist map[int]int `json:"batch_size_hist,omitempty"`
-	Stolen        int         `json:"stolen"`
 	// ModelBacklogs is each model's estimated share of the queued backlog
 	// (parallel to the deployment's model list) — exactly the signal the
 	// proportional autoscaler steps on. ModelInflight counts the requests
@@ -100,43 +91,12 @@ const drainWindow = 5.0
 type RuntimeConfig struct {
 	// Timeline drives time; nil defaults to a real-time WallTimeline.
 	Timeline sim.Timeline
-	// QueueCap bounds the queue globally across shards (0 = the simulator's
-	// default, 4096).
+	// QueueCap bounds the request queue (0 = the simulator's default, 4096).
 	QueueCap int
-	// Shards is the queue-shard count (0 or 1 = the classic single FIFO).
-	// With N > 1 shards, requests hash onto per-shard FIFOs, submissions on
-	// different shards never contend, and decision points drain the shards
-	// round-robin.
-	Shards int
 	// Backend executes each dispatched batch's per-model passes; nil
 	// defaults to SimBackend (profiled pacing, no predictions — the
 	// runtime's combiner computes the results from the payloads).
 	Backend Backend
-}
-
-// runtimeStripes is the fixed stripe count of the pending-future table. It
-// is independent of the engine's shard count (which can change live), so a
-// re-shard never strands a future in the wrong stripe.
-const runtimeStripes = 16
-
-// falseSharePad is the alignment quantum of the pending-future stripes: two
-// 64-byte cache lines, so the adjacent cache-line prefetcher cannot couple
-// neighbouring stripes either.
-const falseSharePad = 128
-
-// stripeState is one lock-striped slice of the pending-future table.
-type stripeState struct {
-	mu      sync.Mutex
-	pending map[uint64]*futureSlot
-}
-
-// stripe pads the stripe state onto its own cache lines: the 16 stripes live
-// in one fixed array, and concurrent submitters hammering adjacent stripes
-// must not false-share a line (the mutex word of stripe i and the map header
-// of stripe i+1 would otherwise ping-pong together).
-type stripe struct {
-	stripeState
-	_ [(falseSharePad - unsafe.Sizeof(stripeState{})%falseSharePad) % falseSharePad]byte
 }
 
 // Runtime is the wall-clock driver of the dispatch Engine: goroutine-safe,
@@ -145,12 +105,13 @@ type stripe struct {
 // each selected model's pass over a batch and the CombineFunc folds the
 // passes into one result per request.
 //
-// The submit path is lock-striped: a submission touches only its
-// pending-table stripe and its queue shard, then arms the coalesced sweep.
-// Decision points run one at a time under the dispatch lock: the first
-// submitter after an idle sweep schedules one, and every submission that
-// lands while it is pending shares it. A policy error at a decision point
-// poisons the runtime and reaches every queued caller through its future.
+// A submission takes one lock, the queue's: its future's slot rides in the
+// queued request, so the FIFO is the only place a queued request lives. It
+// then arms the coalesced sweep. Decision points run one at a time under the
+// dispatch lock: the first submitter after an idle sweep schedules one, and
+// every submission that lands while it is pending shares it. A policy error
+// at a decision point poisons the runtime and reaches every queued caller
+// through its future.
 //
 // Decision points mirror the Simulator's: every submission (via the
 // coalesced sweep), every model freeing up, and a poll tick while requests
@@ -189,7 +150,7 @@ type Runtime struct {
 	// mu is the dispatch lock: it serializes decision points with each
 	// other and with reconfiguration and teardown, so a control operation
 	// observes no in-flight sweep and may touch the whole engine. Lock
-	// order: mu, then stripe/engine internals; never the reverse.
+	// order: mu, then the engine's locks; never the reverse.
 	mu  sync.Mutex
 	eng *Engine
 	// sweepSet coalesces decision points: only the submitter that flips it
@@ -214,9 +175,7 @@ type Runtime struct {
 	closed atomic.Bool
 	errv   atomic.Value
 
-	nextID atomic.Uint64
-
-	stripes  [runtimeStripes]stripe
+	nextID   atomic.Uint64
 	inflight sync.WaitGroup
 
 	// onFreeFn is the cached onModelFree method value, so arming a finish
@@ -246,11 +205,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		queueCap = 4096
 	}
 	eng := NewEngine(d, p, acc, queueCap)
-	if cfg.Shards > 1 {
-		if err := eng.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
 	// Prime the accuracy surrogate for the full ensemble (the live path's
 	// default subset): its first evaluation simulates the whole sample set
 	// (~100ms+) and would otherwise stall the first dispatch — and every
@@ -286,9 +240,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		for m, n := range counts {
 			r.pools[m] = executor.NewPool(n, queueCap)
 		}
-	}
-	for i := range r.stripes {
-		r.stripes[i].pending = map[uint64]*futureSlot{}
 	}
 	r.onFreeFn = r.onModelFree
 	r.pollFn = r.pollTick
@@ -332,32 +283,24 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 		return Future{}, r.closedErr()
 	}
 	id := r.nextID.Add(1) - 1
-	st := &r.stripes[id%runtimeStripes]
 	f, s := acquireSlot(payload)
 	now := r.tl.Now()
-	st.mu.Lock()
-	if r.closed.Load() {
-		// Close's sweep may already have passed this stripe; registering now
-		// would strand the future forever.
-		st.mu.Unlock()
+	if !r.eng.Enqueue(now, Request{ID: id, Arrival: now, slot: s}) {
 		s.recycle()
-		return Future{}, r.closedErr()
-	}
-	if !r.eng.Enqueue(now, Request{ID: id, Arrival: now}) {
-		st.mu.Unlock()
-		s.recycle()
+		// failAll marks the runtime closed before it closes the queue, so a
+		// refusal from a closed queue always finds the flag set here.
+		if r.closed.Load() {
+			return Future{}, r.closedErr()
+		}
 		return Future{}, ErrQueueFull
 	}
-	st.pending[id] = s
-	st.mu.Unlock()
-
 	r.scheduleSweep()
 	return f, nil
 }
 
 // scheduleSweep arms one coalesced decision point unless one is already
 // pending. The flag clears under the dispatch lock before the sweep reads
-// the queues, so a submission that finds it set is always observed either by
+// the queue, so a submission that finds it set is always observed either by
 // the pending sweep or by a successor scheduled after it.
 //
 // On a concurrent timeline the sweep runs on a dedicated worker goroutine
@@ -447,7 +390,7 @@ func (r *Runtime) step(now float64) error {
 		r.failAll(err)
 		return err
 	}
-	if r.eng.backlog() > 0 && r.pollSet.CompareAndSwap(false, true) {
+	if r.eng.QueueLen() > 0 && r.pollSet.CompareAndSwap(false, true) {
 		r.tl.AfterFunc(r.poll, r.pollFn)
 	}
 	return nil
@@ -597,44 +540,17 @@ func (r *Runtime) launch(now float64, out DispatchOutcome) {
 	br := &batchRun{rt: r, out: out, bufs: bufs, futs: futs, ids: ids,
 		payloads: payloads, h: h, done: make(chan struct{}), preds: bufs.preds}
 	br.remaining.Store(int32(len(out.Models)))
-	// Claim the batch's futures stripe-cohort-wise: group the request IDs by
-	// pending-table stripe and take each touched stripe's lock once for its
-	// whole cohort, so stripe lock traffic is O(stripes touched), not
-	// O(batch size).
-	var touched [runtimeStripes]bool
+	// The popped requests carry their slots: move each onto the batch and
+	// unpark any waiter that arrived before dispatch (it moves onto the
+	// batch's broadcast channel).
 	for i, req := range out.Requests {
+		s := req.slot
 		ids[i] = req.ID
-		touched[req.ID%runtimeStripes] = true
-	}
-	for si := range r.stripes {
-		if !touched[si] {
-			continue
-		}
-		st := &r.stripes[si]
-		st.mu.Lock()
-		for i, id := range ids {
-			if id%runtimeStripes != uint64(si) {
-				continue
-			}
-			s := st.pending[id]
-			if s == nil {
-				continue
-			}
-			delete(st.pending, id)
-			futs[i] = s
-			payloads[i] = s.payload
-			s.br = br
-			s.state.Store(futDispatched)
-		}
-		st.mu.Unlock()
-	}
-	// Unpark any waiters that arrived before dispatch; they move onto the
-	// batch's broadcast channel. Outside the stripe locks — the send is
-	// non-blocking, but there is no reason to hold a stripe across it.
-	for _, s := range futs {
-		if s != nil {
-			s.wakeWaiter()
-		}
+		futs[i] = s
+		payloads[i] = s.payload
+		s.br = br
+		s.state.Store(futDispatched)
+		s.wakeWaiter()
 	}
 	if r.syncExec {
 		r.tl.AfterFunc(out.Finish-now, func() {
@@ -699,7 +615,7 @@ func (r *Runtime) passDone(br *batchRun) {
 // goroutine — the source of the old bench rows' 700+ goroutine peaks), so it
 // only schedules the sweep.
 func (r *Runtime) onModelFree() {
-	if !r.closed.Load() && r.eng.backlog() > 0 {
+	if !r.closed.Load() && r.eng.QueueLen() > 0 {
 		r.scheduleSweep()
 	}
 }
@@ -732,9 +648,6 @@ func (r *Runtime) finalize(br *batchRun) {
 		r.eng.observeBatchLatency(r.tl.Now() - oldest)
 	}
 	for i, s := range br.futs {
-		if s == nil {
-			continue
-		}
 		// Slots share the outcome's model-name slice; Future.Models copies
 		// on read, so batch siblings stay isolated without a per-request
 		// allocation here.
@@ -757,18 +670,14 @@ func (r *Runtime) finalize(br *batchRun) {
 	br.bufs.release()
 }
 
-// failAll resolves every pending (undispatched) future with err. Futures
-// already handed to a batch were removed from their stripe at launch, so
-// they are never double-resolved.
+// failAll closes the engine queue and resolves every queued (undispatched)
+// future with err. The queue lock linearizes it against Submit: a request is
+// either popped here or refused by Enqueue, and one popped into a batch
+// earlier is never seen here, so no future resolves twice. Callers set closed
+// first.
 func (r *Runtime) failAll(err error) {
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		for id, s := range st.pending {
-			s.resolveLocal(err)
-			delete(st.pending, id)
-		}
-		st.mu.Unlock()
+	for _, q := range r.eng.closeQueue() {
+		q.slot.resolveLocal(err)
 	}
 }
 
@@ -848,9 +757,13 @@ func (r *Runtime) SetSLO(tau float64) error {
 	return r.step(r.tl.Now())
 }
 
-// SetQueueCap rebounds the request queue on the live runtime (see
-// Engine.SetQueueCap for the shrink semantics).
+// SetQueueCap rebounds the request queue on the live runtime to n ≥ 1 (see
+// Engine.SetQueueCap for the shrink semantics). The executor pools' queues
+// take the same bound, which is why the runtime has no unbounded setting.
 func (r *Runtime) SetQueueCap(n int) error {
+	if n < 1 {
+		return fmt.Errorf("infer: queue cap must be positive, got %d", n)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed.Load() {
@@ -865,24 +778,6 @@ func (r *Runtime) SetQueueCap(n int) error {
 	r.resizePools()
 	return nil
 }
-
-// SetShards re-shards the live queue layer to n FIFOs: the queued backlog is
-// re-hashed in arrival order (nothing dropped or reordered within a shard),
-// and an immediate decision point drains the new layout.
-func (r *Runtime) SetShards(n int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetShards(n); err != nil {
-		return err
-	}
-	return r.step(r.tl.Now())
-}
-
-// Shards reports the live queue-shard count.
-func (r *Runtime) Shards() int { return r.eng.ShardCount() }
 
 // SetReplicas resizes model m's replica pool on the live runtime. Growing
 // immediately re-runs a decision point so queued requests flow onto the new
@@ -963,23 +858,20 @@ func (r *Runtime) Stats() Stats {
 	snap := r.eng.SnapshotMetrics(now, drainWindow)
 	backlogs := r.eng.Backlogs(now)
 	st := Stats{
-		Served:         snap.Served,
-		Overdue:        snap.Overdue,
-		Dropped:        snap.Dropped,
-		Decisions:      snap.Decisions,
-		Dispatches:     snap.Dispatches,
-		QueueLen:       r.eng.QueueLen(),
-		Reward:         snap.Reward,
-		Replicas:       r.eng.ReplicaCounts(),
-		DrainRate:      snap.DrainRate,
-		Shards:         r.eng.ShardCount(),
-		ShardQueueLens: r.eng.ShardQueueLens(),
-		BatchSizeMean:  snap.BatchSizeMean,
-		BatchSizeHist:  snap.BatchSizes,
-		Stolen:         snap.Stolen,
-		ModelBacklogs:  make([]float64, len(backlogs)),
-		ModelInflight:  make([]int, len(backlogs)),
-		QueueGrowth:    snap.ArrivalRate - snap.DrainRate,
+		Served:        snap.Served,
+		Overdue:       snap.Overdue,
+		Dropped:       snap.Dropped,
+		Decisions:     snap.Decisions,
+		Dispatches:    snap.Dispatches,
+		QueueLen:      r.eng.QueueLen(),
+		Reward:        snap.Reward,
+		Replicas:      r.eng.ReplicaCounts(),
+		DrainRate:     snap.DrainRate,
+		BatchSizeMean: snap.BatchSizeMean,
+		BatchSizeHist: snap.BatchSizes,
+		ModelBacklogs: make([]float64, len(backlogs)),
+		ModelInflight: make([]int, len(backlogs)),
+		QueueGrowth:   snap.ArrivalRate - snap.DrainRate,
 	}
 	for i, b := range backlogs {
 		st.ModelBacklogs[i] = b.Queued

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -176,8 +177,8 @@ func TestRuntimeConcurrentWallClock(t *testing.T) {
 
 // TestRuntimePoisonsOnPolicyError: an invalid policy action must fail every
 // queued future with the policy error AND close the runtime, so later
-// submissions cannot batch with orphaned queue entries — on one shard over
-// the virtual-time loop and on 8 shards over the wall clock.
+// submissions cannot batch with orphaned queue entries — over the
+// virtual-time loop and over the wall clock.
 func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 	const policyErr = "not a candidate" // badPolicy's batch 3 is off the ladder
 	cases := []struct {
@@ -210,9 +211,9 @@ func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 			},
 		},
 		{
-			name: "8 shards, wall clock",
+			name: "wall clock",
 			cfg: func() RuntimeConfig {
-				return RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8}
+				return RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}}
 			},
 			submit: func(t *testing.T, rt *Runtime, _ RuntimeConfig) []Future {
 				var mu sync.Mutex
@@ -269,25 +270,127 @@ func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 				}
 				f.Release() // panics unless resolved
 			}
-			// Exactly once: nothing reached a batch, and no future is left in
-			// the pending table for a second resolution.
+			// Exactly once: nothing reached a batch, and no request is left in
+			// the queue for a second resolution.
 			if n := combined.Load(); n != 0 {
 				t.Fatalf("combiner ran %d times on a poisoned runtime", n)
 			}
-			if st := rt.Stats(); st.Served != 0 || st.Dispatches != 0 {
-				t.Fatalf("stats = served %d dispatches %d, want 0/0", st.Served, st.Dispatches)
-			}
-			for i := range rt.stripes {
-				st := &rt.stripes[i]
-				st.mu.Lock()
-				left := len(st.pending)
-				st.mu.Unlock()
-				if left != 0 {
-					t.Fatalf("stripe %d holds %d stranded futures", i, left)
-				}
+			if st := rt.Stats(); st.Served != 0 || st.Dispatches != 0 || st.QueueLen != 0 {
+				t.Fatalf("stats = served %d dispatches %d queue %d, want 0/0/0", st.Served, st.Dispatches, st.QueueLen)
 			}
 			if _, err := rt.Submit("after"); err == nil || !strings.Contains(err.Error(), policyErr) {
 				t.Fatalf("poisoned runtime Submit err = %v, want the policy error", err)
+			}
+		})
+	}
+}
+
+// TestSubmitRacesClose pins the close path (run under -race): eight
+// submitters flood a wall-clock runtime until Submit refuses, while the
+// runtime closes under them — by Close, or by a policy error poisoning it at
+// its first decision point. Every admitted future resolves exactly once
+// (either served through the combiner or failed, never both), every refused
+// Submit reports why the runtime closed, and no request is left queued.
+func TestSubmitRacesClose(t *testing.T) {
+	const policyErr = "not a candidate"
+	cases := []struct {
+		name    string
+		policy  func(d *Deployment) Policy
+		close   func(rt *Runtime)
+		refused func(err error) bool
+	}{
+		{
+			name:   "close",
+			policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
+			close: func(rt *Runtime) {
+				time.Sleep(5 * time.Millisecond)
+				rt.Close()
+			},
+			refused: func(err error) bool { return errors.Is(err, ErrClosed) },
+		},
+		{
+			name:    "poison",
+			policy:  func(*Deployment) Policy { return &badPolicy{act: Action{Batch: 3, Models: []int{0}}} },
+			close:   func(*Runtime) {},
+			refused: func(err error) bool { return err != nil && strings.Contains(err.Error(), policyErr) },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := replicaDeployment(t, 0.25, 2)
+			var mu sync.Mutex
+			combined := map[any]bool{}
+			combine := func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
+				mu.Lock()
+				for _, p := range payloads {
+					combined[p] = true
+				}
+				mu.Unlock()
+				return echoExec(ids, payloads, models, preds)
+			}
+			rt, err := NewRuntime(d, tc.policy(d), ensemble.NewAccuracyTable(zoo.NewPredictor(2), 200), combine,
+				RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, QueueCap: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+
+			const submitters = 8
+			type admitted struct {
+				payload string
+				f       Future
+			}
+			accepted := make([][]admitted, submitters)
+			var wg sync.WaitGroup
+			for s := range accepted {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						p := fmt.Sprintf("s%d-%d", s, i)
+						f, err := rt.Submit(p)
+						if err != nil {
+							if !tc.refused(err) {
+								t.Errorf("refused Submit err = %v", err)
+							}
+							return
+						}
+						accepted[s] = append(accepted[s], admitted{p, f})
+					}
+				}(s)
+			}
+			tc.close(rt)
+			wg.Wait()
+			rt.Close()
+
+			served, failed := 0, 0
+			for _, as := range accepted {
+				for _, a := range as {
+					select {
+					case <-a.f.Done():
+					case <-time.After(5 * time.Second):
+						t.Fatalf("future %s never resolved", a.payload)
+					}
+					res, err := a.f.Wait()
+					mu.Lock()
+					wasCombined := combined[a.payload]
+					mu.Unlock()
+					switch {
+					case err == nil && res == fmt.Sprintf("%s@3", a.payload) && wasCombined:
+						served++
+					case err != nil && res == nil && !wasCombined && tc.refused(err):
+						failed++
+					default:
+						t.Fatalf("future %s = %v, %v (combined %v): resolved twice or wrongly", a.payload, res, err, wasCombined)
+					}
+					a.f.Release()
+				}
+			}
+			if failed == 0 {
+				t.Fatalf("no admitted future was failed by the close (served %d)", served)
+			}
+			if st := rt.Stats(); st.QueueLen != 0 {
+				t.Fatalf("queue_len after close = %d, want 0", st.QueueLen)
 			}
 		})
 	}
@@ -396,9 +499,6 @@ func TestRuntimeLiveReconfiguration(t *testing.T) {
 	}
 	if err := rt.SetSLO(0); err == nil {
 		t.Fatal("zero SLO should error")
-	}
-	if err := rt.SetQueueCap(-1); err == nil {
-		t.Fatal("negative queue cap should error")
 	}
 	rt.Close()
 	if err := rt.SetPolicy(&SyncAll{D: d}); err != ErrClosed {

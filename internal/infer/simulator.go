@@ -24,9 +24,6 @@ type Simulator struct {
 	ArrivalTick float64
 	// QueueCap bounds the queue (paper: full queues drop new requests).
 	QueueCap int
-	// Shards is the queue-shard count (0 or 1 = the classic single FIFO,
-	// which reproduces the pre-shard engine bit-for-bit).
-	Shards int
 	// MeasureFrom discards metrics before this virtual time (RL warm-up).
 	MeasureFrom float64
 
@@ -51,11 +48,6 @@ func NewSimulator(d *Deployment, p Policy, src *workload.Source, acc *ensemble.A
 func (s *Simulator) Run(duration float64) (*Metrics, error) {
 	s.loop = sim.NewEventLoop()
 	s.eng = NewEngine(s.Deployment, s.Policy, s.AccTable, s.QueueCap)
-	if s.Shards > 0 {
-		if err := s.eng.SetShards(s.Shards); err != nil {
-			return nil, err
-		}
-	}
 	s.eng.Predictor = s.Predictor
 	s.eng.MeasureFrom = s.MeasureFrom
 	s.err = nil

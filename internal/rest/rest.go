@@ -14,10 +14,10 @@
 //	GET     /api/v1/train/{id}             200      training job status
 //	GET     /api/v1/train/{id}/models      200      trained model instances (409 while running)
 //	GET     /api/v1/inference              200      list deployments (spec + status each)
-//	POST    /api/v1/inference              201      deploy a DeploymentSpec (policy, SLO, queue cap, shards, replica bounds, autoscale, cache, backend)
-//	GET     /api/v1/inference/{id}         200      describe one deployment: declarative spec + observed status (incl. shard count, per-shard queue depths, cache counters)
+//	POST    /api/v1/inference              201      deploy a DeploymentSpec (policy, SLO, queue cap, replica bounds, autoscale, cache, backend)
+//	GET     /api/v1/inference/{id}         200      describe one deployment: declarative spec + observed status (incl. queue depth, cache counters)
 //	PUT     /api/v1/inference/{id}         200      reconcile the live deployment to a changed spec
-//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, back-off δ and late batches, replicas, drain rate, per-shard queue depths, per-model backlogs, cache counters)
+//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, back-off δ and late batches, replicas, drain rate, queue depth, per-model backlogs, cache counters)
 //	POST    /api/v1/inference/{id}/scale   200      manually resize the replica pools (inside the spec bounds)
 //	DELETE  /api/v1/inference/{id}         204      stop the deployment, release its containers
 //	POST    /api/v1/query/{id}             200      classify a payload
@@ -28,18 +28,17 @@
 //
 // Deployments are declarative resources: POST /api/v1/inference takes a
 // DeploymentSpec (scheduling policy greedy|rl|async, latency SLO, queue cap,
-// queue-shard count, per-model replica bounds {min,max}, autoscale toggle,
-// prediction-cache block), GET echoes the spec alongside observed status, and
-// PUT validates a changed spec in full before reconciling the live runtime —
-// a policy swap keeps queued requests, an SLO or queue-cap change retunes the
-// scheduler, a shard-count change re-hashes the queued backlog onto the new
-// queue layout, and replica-bound changes clamp the live pools. Error mapping
-// is uniform over the SDK's typed error classes: rafiki.ErrNotFound (unknown
-// dataset, train job, deployment, or model) answers 404, rafiki.ErrConflict
-// (reading models off a still-running training job, reconciling to a
-// different model set) answers 409, malformed bodies and spec validation
-// answer 400, a request body over 4 MiB answers 413, and wrong methods on
-// known routes answer 405.
+// per-model replica bounds {min,max}, autoscale toggle, prediction-cache
+// block), GET echoes the spec alongside observed status, and PUT validates a
+// changed spec in full before reconciling the live runtime — a policy swap
+// keeps queued requests, an SLO or queue-cap change retunes the scheduler,
+// and replica-bound changes clamp the live pools. Unknown body keys are
+// ignored. Error mapping is uniform over the SDK's typed error classes:
+// rafiki.ErrNotFound (unknown dataset, train job, deployment, or model)
+// answers 404, rafiki.ErrConflict (reading models off a still-running
+// training job, reconciling to a different model set) answers 409,
+// malformed bodies and spec validation answer 400, a request body over 4 MiB
+// answers 413, and wrong methods on known routes answer 405.
 //
 // When the System was booted with rafiki.WithJournal, the journal endpoints
 // expose the durable control plane: GET /api/v1/journal streams the
@@ -334,12 +333,8 @@ type InferenceRequest struct {
 	Policy string `json:"policy,omitempty"`
 	// SLOSeconds is the latency SLO τ in profiled seconds.
 	SLOSeconds float64 `json:"slo_seconds,omitempty"`
-	// QueueCap bounds the request queue (globally, across shards).
+	// QueueCap bounds the request queue.
 	QueueCap int `json:"queue_cap,omitempty"`
-	// Shards is the serving queue's shard count (default 1): N > 1 stripes
-	// the queue into per-shard FIFOs hashed by request ID. A PUT with a
-	// different count re-hashes the queued backlog live.
-	Shards int `json:"shards,omitempty"`
 	// Replicas bounds each model's replica pool: the {"min","max"} object a
 	// GET echoes, or the legacy bare integer (see ReplicaField).
 	Replicas ReplicaField `json:"replicas,omitzero"`
@@ -399,7 +394,6 @@ func (req InferenceRequest) spec(models []rafiki.ModelInstance) rafiki.Deploymen
 		Policy:    req.Policy,
 		SLO:       req.SLOSeconds,
 		QueueCap:  req.QueueCap,
-		Shards:    req.Shards,
 		Replicas:  req.Replicas.ReplicaBounds,
 		Autoscale: req.Autoscale,
 		Cache:     req.Cache,

@@ -239,6 +239,18 @@ func TestModelsBeforeDoneConflict(t *testing.T) {
 // import + train once, deploy with the given request knobs.
 func trainAndDeploy(t *testing.T, c *Client, req InferenceRequest) string {
 	t.Helper()
+	req.TrainJobID = trainFood(t, c)
+	infID, err := c.Deploy(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infID
+}
+
+// trainFood imports the food dataset, trains on it and returns the finished
+// training job's ID.
+func trainFood(t *testing.T, c *Client) string {
+	t.Helper()
 	if _, err := c.ImportImages("food", map[string]int{"pizza": 40, "ramen": 40}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +264,7 @@ func trainAndDeploy(t *testing.T, c *Client, req InferenceRequest) string {
 	if _, err := c.WaitTrain(context.Background(), jobID, 50*time.Millisecond, 200); err != nil {
 		t.Fatal(err)
 	}
-	req.TrainJobID = jobID
-	infID, err := c.Deploy(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return infID
+	return jobID
 }
 
 // TestQueueFullAnswers429WithRetryAfter saturates a 2-slot queue with a
@@ -658,26 +665,38 @@ func TestReconcileDeploymentOverREST(t *testing.T) {
 	}
 }
 
-// TestShardedAsyncDeploymentRoundTrip covers the sharded data plane and the
-// async policy over the wire: POST a DeploymentSpec with policy "async" and
-// 4 queue shards, watch the status/stats report the shard layout, then PUT a
-// live re-shard and policy swap, all while queries keep flowing.
+// TestShardedAsyncDeploymentRoundTrip covers the async policy over the wire:
+// POST a deploy body with policy "async" that still carries the retired
+// queue keys "shards" and "dispatch_groups" (ignored like any unknown key:
+// the deployment serves from one FIFO), watch the status and stats, then PUT
+// a live policy swap, all while queries keep flowing.
 func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
-	c, ts := newTestServer(t)
-	infID := trainAndDeploy(t, c, InferenceRequest{Policy: "async", Shards: 4})
+	c, _ := newTestServer(t)
+	body := fmt.Sprintf(`{"train_job_id":%q,"policy":"async","shards":8,"dispatch_groups":4}`, trainFood(t, c))
+	var created rafiki.InferenceDescription
+	if err := c.do(http.MethodPost, "/api/v1/inference", json.RawMessage(body), &created); err != nil {
+		t.Fatal(err)
+	}
+	infID := created.ID
 
 	desc, err := c.DescribeInference(infID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc.Spec.Policy != rafiki.PolicyAsync || desc.Spec.Shards != 4 {
-		t.Fatalf("deployed spec = %+v, want policy async, 4 shards", desc.Spec)
+	if desc.Spec.Policy != rafiki.PolicyAsync {
+		t.Fatalf("deployed spec = %+v, want policy async", desc.Spec)
 	}
 	if desc.Status.Policy != "greedy-async" {
 		t.Fatalf("live policy = %q, want greedy-async", desc.Status.Policy)
 	}
-	if desc.Status.Shards != 4 || len(desc.Status.ShardQueueLens) != 4 {
-		t.Fatalf("status shards = %d lens = %v, want 4 shards", desc.Status.Shards, desc.Status.ShardQueueLens)
+	raw, err := json.Marshal(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"shards"`, `"dispatch_groups"`, `"shard_queue_lens"`, `"stolen"`} {
+		if bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("description still carries %s: %s", key, raw)
+		}
 	}
 
 	// Queries flow through the async scheduler (one model per batch).
@@ -704,13 +723,13 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stats endpoint exposes the shard layout and per-model backlogs.
+	// The stats endpoint exposes the drained queue and per-model backlogs.
 	st, err := c.InferenceStats(infID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Served != n || st.Shards != 4 || len(st.ShardQueueLens) != 4 {
-		t.Fatalf("stats = served %d shards %d lens %v, want %d/4/4 entries", st.Served, st.Shards, st.ShardQueueLens, n)
+	if st.Served != n || st.QueueLen != 0 {
+		t.Fatalf("stats = served %d queue_len %d, want %d/0", st.Served, st.QueueLen, n)
 	}
 	if len(st.ModelBacklogs) == 0 {
 		t.Fatalf("stats missing per-model backlogs: %+v", st)
@@ -729,18 +748,15 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 		t.Fatalf("batch histogram %v covers %d requests, want %d", st.BatchSizeHist, histTotal, st.Served)
 	}
 
-	// PUT a live re-shard + policy swap back to the sync ensemble.
-	desc, err = c.Reconcile(infID, InferenceRequest{Policy: "greedy", Shards: 8})
+	// PUT a live policy swap back to the sync ensemble.
+	desc, err = c.Reconcile(infID, InferenceRequest{Policy: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc.Spec.Policy != rafiki.PolicyGreedy || desc.Spec.Shards != 8 {
-		t.Fatalf("reconciled spec = %+v, want greedy over 8 shards", desc.Spec)
+	if desc.Spec.Policy != rafiki.PolicyGreedy || desc.Status.Policy != "greedy-sync" {
+		t.Fatalf("reconciled = spec %+v status %+v, want greedy", desc.Spec, desc.Status)
 	}
-	if desc.Status.Policy != "greedy-sync" || desc.Status.Shards != 8 {
-		t.Fatalf("reconciled status = %+v", desc.Status)
-	}
-	res, err := c.Query(infID, "post_reshard_ramen.jpg")
+	res, err := c.Query(infID, "post_swap_ramen.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,15 +764,10 @@ func TestShardedAsyncDeploymentRoundTrip(t *testing.T) {
 		t.Fatalf("post-swap query served by %d models, want the ensemble", len(res.Votes))
 	}
 
-	// Spec validation over the wire: a shard count beyond the cap is a 400.
-	if _, err := c.Reconcile(infID, InferenceRequest{Shards: 65}); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("oversized shard count err = %v, want validation error", err)
-	}
 	// An unknown policy name still 400s with the async value listed.
 	if _, err := c.Reconcile(infID, InferenceRequest{Policy: "warp"}); err == nil || !strings.Contains(err.Error(), "async") {
 		t.Fatalf("unknown policy err = %v, want the policy menu", err)
 	}
-	_ = ts
 }
 
 // TestCacheBlockOverREST round-trips the "cache" spec block: deploy with it,

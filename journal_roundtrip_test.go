@@ -2,6 +2,8 @@ package rafiki
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -163,6 +165,59 @@ func TestJournalKillRestartRoundTrip(t *testing.T) {
 	}
 	if !ver.ChainOK || ver.LastSeq <= stats1.Journal.LastSeq {
 		t.Fatalf("post-recovery verify = %+v (pre-kill last_seq %d)", ver, stats1.Journal.LastSeq)
+	}
+}
+
+// TestRecoverIgnoresRetiredQueueKeys: a deploy record written when the
+// serving queue still had shards and dispatch groups carries "shards" and
+// "dispatch_groups" in its spec. Recover ignores both like any unknown key
+// and the deployment serves from its one FIFO.
+func TestRecoverIgnoresRetiredQueueKeys(t *testing.T) {
+	dir := t.TempDir()
+	sys1 := newJournaledSystem(t, dir)
+	job := trainFood(t, sys1, importFood(t, sys1))
+	models, err := sys1.GetModels(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawModels, err := json.Marshal(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"id":"infer-0100","spec":{"models":%s,"shards":8,"dispatch_groups":4}}`, rawModels)
+	if _, err := sys1.jr.Append(kindDeploy, []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2 := newJournaledSystem(t, dir)
+	defer sys2.Close()
+	rep, err := sys2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Warnings) != 0 {
+		t.Fatalf("recover warnings: %v", rep.Warnings)
+	}
+	inf, err := sys2.InferenceJobByID("infer-0100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys2.Query(inf.ID, []byte("retired_keys_pizza.jpg")); err != nil {
+		t.Fatal(err)
+	}
+	desc := inf.Describe()
+	raw, err := json.Marshal(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"shards"`)) || bytes.Contains(raw, []byte(`"dispatch_groups"`)) {
+		t.Fatalf("recovered description carries a retired key: %s", raw)
+	}
+	if desc.Status.Served != 1 || desc.Status.QueueLen != 0 {
+		t.Fatalf("recovered status = served %d queue_len %d, want 1/0", desc.Status.Served, desc.Status.QueueLen)
 	}
 }
 

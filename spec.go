@@ -64,13 +64,6 @@ type DeploymentSpec struct {
 	QueueCap int `json:"queue_cap"`
 	// Replicas bounds each model's replica pool.
 	Replicas ReplicaBounds `json:"replicas"`
-	// Shards is the serving queue's shard count (default 1). With N > 1 the
-	// deployment runs N per-shard FIFOs hashed by request ID: concurrent
-	// submissions on different shards never contend and decision points
-	// drain the shards round-robin. 1 reproduces the classic single-FIFO
-	// data plane bit-for-bit. Reconciling to a different count re-hashes the
-	// queued backlog live without dropping requests.
-	Shards int `json:"shards"`
 	// Autoscale drives the replica count inside [Replicas.Min, Replicas.Max]
 	// from the runtime's per-model backlog and queue-growth signals: the
 	// scale step is proportional to each model's standing backlog, and a
@@ -169,9 +162,6 @@ func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 	if spec.Replicas.Max == 0 {
 		spec.Replicas.Max = maxReplicasPerModel
 	}
-	if spec.Shards == 0 {
-		spec.Shards = 1
-	}
 	if spec.Cache != nil {
 		// Copy before defaulting: the spec arrived by value but the cache
 		// block is a pointer into the caller's struct.
@@ -234,10 +224,6 @@ const (
 // maxCacheCapacity caps a deployment's cache entry bound.
 const maxCacheCapacity = 1 << 20
 
-// maxShardsPerDeployment caps the queue-shard count: shards beyond it buy no
-// submit-path parallelism and only fragment batches.
-const maxShardsPerDeployment = 64
-
 // validate checks a defaulted spec's shape. It runs before any mutation on
 // both the deploy and reconcile paths, so a bad spec never half-applies.
 func (spec DeploymentSpec) validate() error {
@@ -267,9 +253,6 @@ func (spec DeploymentSpec) validate() error {
 	}
 	if b.Max > maxReplicasPerModel {
 		return fmt.Errorf("rafiki: replica bound max %d exceeds the per-model cap %d", b.Max, maxReplicasPerModel)
-	}
-	if spec.Shards < 1 || spec.Shards > maxShardsPerDeployment {
-		return fmt.Errorf("rafiki: shards must be in [1, %d], got %d", maxShardsPerDeployment, spec.Shards)
 	}
 	if c := spec.Cache; c != nil && c.Enabled {
 		if c.Capacity < 1 || c.Capacity > maxCacheCapacity {
@@ -362,18 +345,12 @@ type InferenceStatus struct {
 	ModelLatencyScale []float64 `json:"model_latency_scale,omitempty"`
 	// Replicas is the live per-model replica count.
 	Replicas map[string]int `json:"replicas"`
-	// QueueLen is the current request-queue depth (summed over shards);
-	// Shards is the live queue-shard count and ShardQueueLens the per-shard
-	// depths.
-	QueueLen       int   `json:"queue_len"`
-	Shards         int   `json:"shards"`
-	ShardQueueLens []int `json:"shard_queue_lens"`
-	// BatchSizeMean is the mean executed batch size (the
-	// sharding-vs-batching trade made visible) and Stolen counts requests
-	// work-stealing pulled across shards to fill batches.
+	// QueueLen is the current request-queue depth.
+	QueueLen int `json:"queue_len"`
+	// BatchSizeMean is the mean executed batch size and BatchSizeHist the
+	// histogram of executed dispatch sizes.
 	BatchSizeMean float64     `json:"batch_size_mean"`
 	BatchSizeHist map[int]int `json:"batch_size_hist,omitempty"`
-	Stolen        int         `json:"stolen"`
 	// Queries counts completed queries; Served/Dropped are the runtime's
 	// completion and rejection counters.
 	Queries uint64 `json:"queries"`
@@ -446,9 +423,8 @@ func (s *System) ListInference() []InferenceDescription {
 // before anything mutates; then the differences are applied to the running
 // job: a policy change swaps the scheduler without dropping queued requests
 // (an RL agent being swapped out flushes its last TD update first), SLO and
-// queue-cap changes retune the runtime, a shard-count change re-hashes the
-// queued backlog onto the new queue layout, replica-bound changes clamp the
-// live pools into the new [Min, Max], and the autoscale loop starts or stops.
+// queue-cap changes retune the runtime, replica-bound changes clamp the live
+// pools into the new [Min, Max], and the autoscale loop starts or stops.
 // The model set is immutable; a reconcile spec may leave Models empty to
 // mean "keep the deployed set".
 //
@@ -559,13 +535,6 @@ func (s *System) reconcileInference(id string, spec DeploymentSpec, record bool)
 			return nil, fmt.Errorf("rafiki: reconcile %s: %w", id, err)
 		}
 	}
-	if spec.Shards != job.spec.Shards {
-		// Re-hash the queued backlog onto the new shard layout; nothing is
-		// dropped and the next decision point drains the new shards.
-		if err := job.runtime.SetShards(spec.Shards); err != nil {
-			return nil, fmt.Errorf("rafiki: reconcile %s: %w", id, err)
-		}
-	}
 	// Autoscale toggle.
 	if spec.Autoscale && job.autoStop == nil {
 		job.autoStop = make(chan struct{})
@@ -611,11 +580,8 @@ func describeLocked(j *InferenceJob) InferenceDescription {
 			ModelLatencyScale: st.ModelLatencyScale,
 			Replicas:          make(map[string]int, len(j.Models)),
 			QueueLen:          st.QueueLen,
-			Shards:            st.Shards,
-			ShardQueueLens:    st.ShardQueueLens,
 			BatchSizeMean:     st.BatchSizeMean,
 			BatchSizeHist:     st.BatchSizeHist,
-			Stolen:            st.Stolen,
 			Queries:           j.queries.Load(),
 			Served:            st.Served,
 			Dropped:           st.Dropped,
@@ -657,7 +623,7 @@ func sameModelSet(a, b []ModelInstance) bool {
 
 // Autoscaler tuning. The loop samples the runtime's per-model demand
 // signals — each model's backlog estimate and the queue-growth rate the
-// sharded engine exposes (the same numbers GET /stats reports) — every
+// engine exposes (the same numbers GET /stats reports) — every
 // autoscaleInterval of wall time, and moves each model's pool inside the
 // spec bounds with a step proportional to its standing backlog.
 const (
