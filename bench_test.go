@@ -38,7 +38,7 @@ func report(b *testing.B, fig *exp.Figure, keys ...string) {
 
 // benchWaitPolicy never dispatches, so BenchmarkSubmit measures the submit
 // path in isolation: admission into the FIFO and the decision-point trigger —
-// none of the executor or completion work.
+// none of the backend or completion work.
 type benchWaitPolicy struct{}
 
 func (benchWaitPolicy) Name() string                     { return "bench-wait" }

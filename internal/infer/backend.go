@@ -15,13 +15,6 @@ import (
 	"rafiki/internal/sim"
 )
 
-// ErrBackendSaturated reports a dispatched batch refused because the target
-// model's bounded executor pool had no queue room — the serving tier is
-// executing slower than the decision points are dispatching. Like ErrQueueFull
-// it is transient backpressure: callers should retry after a drain interval
-// (the REST layer answers 429 with a Retry-After hint).
-var ErrBackendSaturated = fmt.Errorf("infer: backend executor saturated: %w", ErrQueueFull)
-
 // ExecTask is one model's share of a dispatched batch, handed to a Backend.
 type ExecTask struct {
 	// Model is the serving model's name; ModelIndex its deployment index.
@@ -42,10 +35,10 @@ type ExecTask struct {
 // the model's per-request predictions (preds[i] answers IDs[i]; nil when the
 // backend only paces time, like the default SimBackend), the observed batch
 // latency in timeline seconds (fed into the engine's latency EWMA; <= 0 is
-// ignored), and an error that fails the whole batch. Execute runs on a
-// bounded pool worker (or inline under a virtual-time driver) and must honor
-// ctx — the runtime cancels it on Close so teardown never waits out a slow
-// or hung backend.
+// ignored), and an error that fails the whole batch. Execute runs on a pass
+// worker (or inline under a virtual-time driver) while the batch holds its
+// model's replica, and must honor ctx — the runtime cancels it on Close so
+// teardown never waits out a slow or hung backend.
 type Backend interface {
 	// Name identifies the backend kind in stats and status ("sim", "nn",
 	// "http", ...).
@@ -134,7 +127,7 @@ func (b *SimBackend) Close() error { return nil }
 // and the layer buffers belong to the net's lockedNet and grow to the largest
 // batch it has served, so a steady-state pass allocates only its preds slice;
 // sharing that scratch is why each net serializes its batches behind a mutex —
-// concurrency comes from the per-model pools. MLP.Forward stays the
+// concurrency comes from passes of different models running at once. MLP.Forward stays the
 // single-sample path for training, which needs its Backward cache.
 type NNBackend struct {
 	encode func(payload any, dst []float64) error

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,105 +88,91 @@ func TestRuntimeCloseCancelsInflightBackendWork(t *testing.T) {
 }
 
 // TestRuntimeBackendSaturation floods a runtime whose backend never finishes:
-// once every pool worker is parked and the bounded pool queue is full,
-// further dispatches fail with ErrBackendSaturated (which unwraps to
-// ErrQueueFull, so the REST 429 mapping holds) instead of growing goroutines.
-// The pool queues keep their default bound, the request-queue capacity: a
-// 4-slot queue lets at most 4 batches wait per model, and submitters keep
-// refilling the request queue as batches leave it.
+// each model's one replica stays held by the first batch's pass, so dispatch
+// stops at that batch, the request queue fills, and further submits answer
+// ErrQueueFull (the REST 429) instead of growing goroutines or queues.
+// model_inflight reports the held batch. Opening the gate resolves every
+// admitted future, each exactly once with its own result.
 func TestRuntimeBackendSaturation(t *testing.T) {
 	b := &blockingBackend{gate: make(chan struct{})}
 	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b, QueueCap: 4})
 	defer rt.Close()
-	defer close(b.gate)
+	gateOpen := false
+	defer func() {
+		if !gateOpen {
+			close(b.gate)
+		}
+	}()
 
-	var (
-		mu   sync.Mutex
-		futs []Future
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	for s := 0; s < 4; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				f, err := rt.Submit([]byte("q"))
-				if err != nil {
-					runtime.Gosched() // request queue full: wait for a dispatch
-					continue
-				}
-				mu.Lock()
-				futs = append(futs, f)
-				mu.Unlock()
-			}
-		}()
-	}
-	// A batch refused by every model's pool resolves at once; one that some
-	// pool still accepted stays parked on the gate. Scan each future once.
-	var satErr error
-	scanned := 0
+	var futs []Future
+	full := false
 	deadline := time.Now().Add(10 * time.Second)
-	for satErr == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		if rt.Stats().ExecRejected == 0 {
-			continue
+	for !full && time.Now().Before(deadline) {
+		// A refusal after the first dispatch finds the queue full for good:
+		// no later decision point can dispatch.
+		dispatched := rt.Stats().Dispatches > 0
+		f, err := rt.Submit(fmt.Sprintf("q%d", len(futs)))
+		switch {
+		case err == nil:
+			futs = append(futs, f)
+		case errors.Is(err, ErrQueueFull):
+			full = dispatched
+			time.Sleep(time.Millisecond)
+		default:
+			t.Fatal(err)
 		}
-		mu.Lock()
-		for _, f := range futs[scanned:] {
-			select {
-			case <-f.Done():
-				if _, err := f.Wait(); errors.Is(err, ErrBackendSaturated) {
-					satErr = err
-				}
-			default:
-			}
-		}
-		scanned = len(futs)
-		mu.Unlock()
 	}
-	stop.Store(true)
-	wg.Wait()
-	if satErr == nil {
-		t.Fatalf("no future failed with ErrBackendSaturated within 10s (rejected=%d)", rt.Stats().ExecRejected)
+	if !full {
+		t.Fatal("no dispatch and full queue within 10s")
 	}
-	if !errors.Is(satErr, ErrQueueFull) {
-		t.Fatalf("ErrBackendSaturated must unwrap to ErrQueueFull, got %v", satErr)
+	// Poll ticks keep running decision points; the held replicas must keep
+	// every one of them from dispatching.
+	time.Sleep(20 * time.Millisecond)
+	if _, err := rt.Submit("late"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit to a stalled runtime = %v, want ErrQueueFull", err)
 	}
 	st := rt.Stats()
-	if st.ExecRejected == 0 {
-		t.Fatalf("stats.ExecRejected = 0, want > 0")
+	if st.Dispatches != 1 || b.started.Load() != 3 {
+		t.Fatalf("dispatches %d, passes started %d; want 1 batch on the 3 single-replica models", st.Dispatches, b.started.Load())
+	}
+	for m, n := range st.ModelInflight {
+		if n != st.Served || n == 0 {
+			t.Fatalf("model %d inflight %d, want the held batch of %d", m, n, st.Served)
+		}
 	}
 	if st.Backend != "blocking" {
 		t.Fatalf("stats.Backend = %q", st.Backend)
 	}
+
+	close(b.gate)
+	gateOpen = true
+	for i, f := range futs {
+		v, err := f.Wait()
+		if err != nil {
+			t.Fatalf("future %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("q%d@3", i); v != want {
+			t.Fatalf("future %d = %v, want %s", i, v, want)
+		}
+	}
+	if st := rt.Stats(); st.Served != len(futs) {
+		t.Fatalf("served %d, want the %d admitted requests", st.Served, len(futs))
+	}
 }
 
-// TestRuntimeSetQueueCapRejectsZero: the executor pools' queues share the
-// request-queue bound, so the runtime has no unbounded setting. A zero cap is
-// refused instead of shrinking every pool queue to one batch, where the
-// batches waiting on a busy backend failed with ErrBackendSaturated.
+// TestRuntimeSetQueueCapRejectsZero: the runtime has no unbounded queue
+// setting, because the bound is what turns the backlog behind a stalled
+// backend into ErrQueueFull. Zero and negative caps are refused.
 func TestRuntimeSetQueueCapRejectsZero(t *testing.T) {
-	b := &blockingBackend{gate: make(chan struct{})}
-	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b, QueueCap: 64})
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{QueueCap: 64})
 	defer rt.Close()
-	defer close(b.gate)
 	for _, n := range []int{0, -1} {
 		if err := rt.SetQueueCap(n); err == nil {
 			t.Fatalf("SetQueueCap(%d) accepted", n)
 		}
 	}
-	// Three batches on the gated backend: one running and two waiting in
-	// each model's pool queue.
-	deadline := time.Now().Add(10 * time.Second)
-	for rt.Stats().Dispatches < 3 && time.Now().Before(deadline) {
-		if _, err := rt.Submit([]byte("q")); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := rt.Stats(); st.Dispatches < 3 || st.ExecRejected != 0 {
-		t.Fatalf("dispatches %d exec_rejected %d, want >= 3 and 0", st.Dispatches, st.ExecRejected)
+	if err := rt.SetQueueCap(1); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -370,6 +355,9 @@ func (b *countingBackend) Close() error { b.closed.Store(true); return nil }
 // TestRuntimeBackendSwapUnderLoad swaps backends while submitters flood the
 // runtime: every future resolves, batches in flight drain on the backend
 // that launched them, and the swapped-out backend is closed after draining.
+// The swap waits for the first backend's first pass while every submitter
+// still holds half its requests, so both backends serve however fast the
+// first half drains.
 func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 	b1 := &countingBackend{tag: 1}
 	combine := func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
@@ -389,6 +377,7 @@ func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 	defer rt.Close()
 
 	const total = 4000
+	swapped := make(chan struct{})
 	var wg sync.WaitGroup
 	futs := make([][]Future, 4)
 	for s := 0; s < 4; s++ {
@@ -396,6 +385,9 @@ func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < total/4; i++ {
+				if i == total/8 {
+					<-swapped
+				}
 				f, err := rt.Submit([]byte("q"))
 				if err != nil {
 					t.Errorf("submit: %v", err)
@@ -405,12 +397,20 @@ func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 			}
 		}(s)
 	}
-	// Swap to a second backend mid-flood, then back again.
+	deadline := time.Now().Add(10 * time.Second)
+	for b1.passes.Load() == 0 {
+		if time.Now().After(deadline) {
+			close(swapped)
+			t.Fatal("first backend never ran a pass")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	b2 := &countingBackend{tag: 2}
-	time.Sleep(5 * time.Millisecond)
 	if err := rt.SetBackend(b2, combine); err != nil {
+		close(swapped)
 		t.Fatal(err)
 	}
+	close(swapped)
 	wg.Wait()
 	got := map[int]int{}
 	for _, fs := range futs {
@@ -425,14 +425,14 @@ func TestRuntimeBackendSwapUnderLoad(t *testing.T) {
 	if got[1]+got[2] != total {
 		t.Fatalf("tags = %v, want %d total", got, total)
 	}
-	if got[2] == 0 {
-		t.Fatalf("no batch served by the swapped-in backend: %v", got)
+	if got[1] == 0 || got[2] == 0 {
+		t.Fatalf("want batches on both backends: %v", got)
 	}
 	if rt.BackendName() != "counting-2" {
 		t.Fatalf("live backend = %q", rt.BackendName())
 	}
 	// b1 drained (all futures resolved), so its Close must have run.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for !b1.closed.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("swapped-out backend never closed after drain")
@@ -456,10 +456,8 @@ func (b *slowBackend) Close() error { return nil }
 // profiled latency and checks the EWMA pushes the applied planning scale up,
 // while the sim backend keeps it pinned at exactly 1.
 func TestLatencyFeedbackRescalesPlanning(t *testing.T) {
-	// The backend returns instantly (it only *reports* 4x latency), so a
-	// scheduler hiccup can queue several batches on a pool before its
-	// worker runs; the roomy request queue (which also bounds the pool
-	// queues) keeps this test about feedback, not saturation.
+	// The backend returns instantly (it only *reports* 4x latency); the
+	// roomy request queue keeps this test about feedback, not saturation.
 	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: &slowBackend{factor: 4}})
 	futs := make([]Future, 0, 256)
 	for i := 0; i < 256; i++ {

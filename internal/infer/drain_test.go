@@ -126,13 +126,27 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	}
 }
 
-// TestGoroutinePeakBoundedUnderFlood is the bounded-pool gate: eight
+// TestGoroutinePeakBoundedUnderFlood is the goroutine gate: eight
 // submitters flood a runtime (four replicas per model, every future awaited
-// and released) while the process goroutine count is sampled. Batch
-// execution runs on the per-model pools and one sweep worker parks, so the
-// peak stays O(replicas + submitters); one goroutine per dispatch or per
-// request would blow straight past the bound.
+// and released) while the process goroutine count is sampled. A pass worker
+// runs only while its pass holds a replica and parks for the next one, and
+// one sweep worker parks, so the peak stays O(replicas + submitters); one
+// goroutine per dispatch or per request would blow straight past the bound.
+// The late case runs every pass for 3× its profile, so replicas stay held
+// past their plans and the backlog waits on them.
 func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+	}{
+		{"sim", nil},
+		{"late", &lateBackend{factor: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { floodGoroutinePeak(t, tc.backend) })
+	}
+}
+
+func floodGoroutinePeak(t *testing.T, backend Backend) {
 	const (
 		requests, submitters = 16000, 8
 		maxGoroutines        = 128
@@ -145,6 +159,7 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 1000},
 			QueueCap: 1 << 30,
+			Backend:  backend,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +219,8 @@ func TestGoroutinePeakBoundedUnderFlood(t *testing.T) {
 	if st.Served != requests {
 		t.Fatalf("served = %d, want %d", st.Served, requests)
 	}
+	t.Logf("goroutine peak %d over %d dispatches", peak, st.Dispatches)
 	if peak > maxGoroutines {
-		t.Fatalf("goroutine peak %d exceeds the bounded-pool gate %d (dispatches=%d)", peak, maxGoroutines, st.Dispatches)
+		t.Fatalf("goroutine peak %d exceeds the gate %d (dispatches=%d)", peak, maxGoroutines, st.Dispatches)
 	}
 }

@@ -15,8 +15,10 @@ import (
 
 // DispatchOutcome records one executed dispatch decision: which requests
 // went to which models and when the work completes. The driver owning the
-// clock is responsible for scheduling a new decision point (Engine.Step) at
-// every ModelFinish time, and for delivering results at Finish.
+// clock is responsible for scheduling a new decision point (Engine.Step)
+// whenever a model frees up — at every ModelFinish time in the Simulator, when
+// each model's pass returns and releases its replica in the Runtime — and for
+// delivering results once the batch is done.
 type DispatchOutcome struct {
 	// Requests is the dispatched batch, oldest first.
 	Requests []Request
@@ -53,12 +55,17 @@ type arrivalEvent struct {
 	dropped bool
 }
 
-// replicaPool is one model's replicas: each one's busy-until time, down flag
-// and the size of the batch it is running. Guarded by Engine.occMu.
+// replicaPool is one model's replicas: each one's busy-until time, down flag,
+// the size of the batch it is running, and whether a backend pass still holds
+// it. Guarded by Engine.occMu.
 type replicaPool struct {
 	busy     []float64
 	down     []bool
 	repBatch []int
+	// held marks a replica whose dispatched pass has not returned yet: it
+	// stays busy past its planned busy-until until release frees it. Only
+	// set when Engine.hold is on.
+	held []bool
 }
 
 // ModelBacklog is one model's demand signal, derived from the queue's
@@ -163,6 +170,11 @@ type Engine struct {
 	// under the lock.
 	occMu sync.Mutex
 	pools []replicaPool
+	// hold keeps a dispatched replica busy until its driver releases it when
+	// the backend pass returns, instead of freeing it at the planned finish.
+	// The Runtime sets it at construction; the Simulator runs no passes and
+	// frees on the plan.
+	hold bool
 
 	// The latency-feedback plane publishes every piece through atomic
 	// snapshot pointers — the EWMA state (latFb), the applied per-model
@@ -222,6 +234,7 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		p.busy = make([]float64, d.ReplicaCount(m))
 		p.down = make([]bool, d.ReplicaCount(m))
 		p.repBatch = make([]int, d.ReplicaCount(m))
+		p.held = make([]bool, d.ReplicaCount(m))
 	}
 	e.resetBackoff()
 	return e
@@ -383,10 +396,12 @@ func (e *Engine) SetReplicas(m, n int) error {
 		p.busy = append(p.busy, 0)
 		p.down = append(p.down, false)
 		p.repBatch = append(p.repBatch, 0)
+		p.held = append(p.held, false)
 	}
 	p.busy = p.busy[:n]
 	p.down = p.down[:n]
 	p.repBatch = p.repBatch[:n]
+	p.held = p.held[:n]
 	return nil
 }
 
@@ -404,6 +419,7 @@ func (e *Engine) AddReplica(m int) (int, error) {
 	p.busy = append(p.busy, 0)
 	p.down = append(p.down, true)
 	p.repBatch = append(p.repBatch, 0)
+	p.held = append(p.held, false)
 	return len(p.busy) - 1, nil
 }
 
@@ -423,16 +439,34 @@ func (e *Engine) SetReplicaDown(m, r int, down bool) error {
 	p.down[r] = down
 	if !down {
 		// A restarted container comes back idle regardless of what its
-		// predecessor was doing.
+		// predecessor was doing; that pass's late release finds busy-until
+		// moved and frees nothing.
 		p.busy[r] = 0
+		p.held[r] = false
 	}
 	return nil
 }
 
+// release frees replica rep of model m when the pass dispatched onto it with
+// planned busy-until finish returns at time now. Busy-until becomes now,
+// early or late: a decision point whose clock read predates the return
+// still sees the replica busy. A slot whose busy-until no longer equals
+// finish was dropped, restarted or re-dispatched since, and is left alone.
+func (e *Engine) release(m, rep int, finish, now float64) {
+	e.occMu.Lock()
+	defer e.occMu.Unlock()
+	p := &e.pools[m]
+	if rep >= len(p.busy) || p.busy[rep] != finish {
+		return
+	}
+	p.held[rep] = false
+	p.busy[rep] = now
+}
+
 // observe fills v with the replica pools at time now: a model is free when
-// its earliest-free live replica (the lowest index among ties) is idle by
-// now, busy until that replica's busy-until otherwise, and all-down when no
-// replica is live.
+// its earliest-free live replica that no pass holds (the lowest index among
+// ties) is idle by now, busy until the earliest busy-until of its live
+// replicas otherwise, and all-down when no replica is live.
 func (e *Engine) observe(now float64, v *modelView) {
 	v.reset(len(e.pools))
 	e.occMu.Lock()
@@ -440,19 +474,24 @@ func (e *Engine) observe(now float64, v *modelView) {
 	for m := range e.pools {
 		p := &e.pools[m]
 		idx, until := -1, 0.0
+		live, first := false, math.Inf(1)
 		for r, u := range p.busy {
-			if !p.down[r] && (idx < 0 || u < until) {
+			if p.down[r] {
+				continue
+			}
+			live, first = true, min(first, u)
+			if !p.held[r] && (idx < 0 || u < until) {
 				idx, until = r, u
 			}
 		}
 		switch {
-		case idx < 0:
+		case !live:
 			v.allDown[m] = true
-		case until <= now+1e-12:
+		case idx >= 0 && until <= now+1e-12:
 			v.rep[m], v.free[m] = idx, true
 			v.n++
 		default:
-			v.until[m] = until
+			v.until[m] = first
 		}
 	}
 }
@@ -538,8 +577,8 @@ func (e *Engine) flushArrivals() {
 
 // Step runs one decision point at time now and returns the executed
 // dispatches: it invokes the policy until it waits, the queue empties, or no
-// model is free. The driver must call Step again at every returned
-// ModelFinish time (each model freeing is a new decision point).
+// model is free. The driver must call Step again whenever a model frees up
+// (see DispatchOutcome).
 func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 	e.flushArrivals()
 	var outs []DispatchOutcome
@@ -720,6 +759,7 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 		p := &e.pools[mi]
 		p.busy[replicas[i]] = out.ModelFinish[i]
 		p.repBatch[replicas[i]] = n
+		p.held[replicas[i]] = e.hold
 	}
 	e.occMu.Unlock()
 
@@ -864,8 +904,9 @@ func (e *Engine) Rates(now, window float64) (arrival, drain float64) {
 
 // Backlogs reports each model's demand signal at time now: its estimated
 // share of the queued backlog (by recent, exponentially decayed dispatch
-// participation) plus the requests already in flight on its replicas. Safe
-// to call concurrently with decision points.
+// participation) plus the requests already in flight on its replicas — busy
+// by the plan, or held by a pass that has not returned. Safe to call
+// concurrently with decision points.
 func (e *Engine) Backlogs(now float64) []ModelBacklog {
 	queued := float64(e.QueueLen())
 	out := make([]ModelBacklog, len(e.pools))
@@ -883,7 +924,7 @@ func (e *Engine) Backlogs(now float64) []ModelBacklog {
 	for m := range out {
 		p := &e.pools[m]
 		for r, until := range p.busy {
-			if until > now+1e-12 {
+			if until > now+1e-12 || p.held[r] {
 				out[m].Inflight += p.repBatch[r]
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"rafiki/internal/ensemble"
-	"rafiki/internal/infer/executor"
 	"rafiki/internal/sim"
 )
 
@@ -56,18 +55,8 @@ type Stats struct {
 	QueueGrowth float64 `json:"queue_growth"`
 	// Backend names the live execution backend (sim/nn/http).
 	Backend string `json:"backend"`
-	// ExecWorkers/ExecBusy/ExecQueueDepth are the per-model executor-pool
-	// gauges (parallel to the model list): target worker count (= the
-	// replica count), workers running a backend pass right now, and batches
-	// waiting for a worker. Empty under a virtual-time driver, which
-	// executes inline instead of on pools.
-	ExecWorkers    []int `json:"exec_workers,omitempty"`
-	ExecBusy       []int `json:"exec_busy,omitempty"`
-	ExecQueueDepth []int `json:"exec_queue_depth,omitempty"`
-	// ExecRejected counts dispatched batches refused by a saturated pool
-	// (failed with ErrBackendSaturated); BackendErrors failed backend
-	// passes; BackendRetries the backend's internal retries (HTTP).
-	ExecRejected   uint64 `json:"exec_rejected"`
+	// BackendErrors counts failed backend passes; BackendRetries the
+	// backend's internal retries (HTTP).
 	BackendErrors  uint64 `json:"backend_errors"`
 	BackendRetries uint64 `json:"backend_retries"`
 	// ModelLatencyEWMA is each model's observed batch-latency EWMA in
@@ -92,6 +81,9 @@ type RuntimeConfig struct {
 	// Timeline drives time; nil defaults to a real-time WallTimeline.
 	Timeline sim.Timeline
 	// QueueCap bounds the request queue (0 = the simulator's default, 4096).
+	// The bound is what turns a stalled backend into ErrQueueFull: its
+	// replicas stay held, so queued requests wait for them, and admission
+	// refuses once the queue is full instead of growing it without limit.
 	QueueCap int
 	// Backend executes each dispatched batch's per-model passes; nil
 	// defaults to SimBackend (profiled pacing, no predictions — the
@@ -115,7 +107,9 @@ type RuntimeConfig struct {
 //
 // Decision points mirror the Simulator's: every submission (via the
 // coalesced sweep), every model freeing up, and a poll tick while requests
-// wait.
+// wait. A model frees up when its backend pass returns: a dispatched replica
+// stays busy until then, so replica occupancy is the runtime's only bound on
+// concurrent backend passes.
 type Runtime struct {
 	tl sim.Timeline
 	// poll is the re-decision cadence (τ/25 timeline seconds) while requests
@@ -126,16 +120,13 @@ type Runtime struct {
 
 	// syncExec marks a non-concurrent timeline (the virtual-time EventLoop,
 	// whose event heap is unlocked and whose callbacks fire single-threaded
-	// from Step/RunUntil): backend passes then run inline from the batch's
-	// finish event, preserving the loop's determinism, instead of on the
-	// executor pools.
+	// from Step/RunUntil): each backend pass then runs inline from its own
+	// model's finish event, preserving the loop's determinism, instead of on
+	// a pass worker.
 	syncExec bool
-	// pools[m] is model m's bounded worker pool (workers = replica count,
-	// live-resized on scale events); nil under syncExec.
-	pools []*executor.Pool
-	// execQueueCap bounds each pool's submit queue: the request-queue
-	// capacity, which a batch of admitted requests can never exceed.
-	execQueueCap int
+	// passCh hands a model pass to a parked pass worker (unbuffered, so a
+	// send succeeds only when one is idle). Held replicas bound the workers.
+	passCh chan passRef
 	// backend is the live backend handle; SetBackend swaps it and drains
 	// the old handle's in-flight batches before closing its backend.
 	backend atomic.Pointer[backendHandle]
@@ -144,8 +135,7 @@ type Runtime struct {
 	execCtx    context.Context
 	execCancel context.CancelFunc
 
-	execRejected atomic.Uint64
-	backendErrs  atomic.Uint64
+	backendErrs atomic.Uint64
 
 	// mu is the dispatch lock: it serializes decision points with each
 	// other and with reconfiguration and teardown, so a control operation
@@ -178,11 +168,8 @@ type Runtime struct {
 	nextID   atomic.Uint64
 	inflight sync.WaitGroup
 
-	// onFreeFn is the cached onModelFree method value, so arming a finish
-	// timer per dispatched model does not allocate a closure each time.
-	onFreeFn func()
-	// stopCh stops the sweep worker; stopOnce latches its close; workerWG
-	// tracks the worker so Close reaps it.
+	// stopCh stops the sweep worker and the pass workers; stopOnce latches
+	// its close; workerWG tracks every worker so Close reaps them.
 	stopCh   chan struct{}
 	stopOnce atomic.Bool
 	workerWG sync.WaitGroup
@@ -205,6 +192,7 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		queueCap = 4096
 	}
 	eng := NewEngine(d, p, acc, queueCap)
+	eng.hold = true
 	// Prime the accuracy surrogate for the full ensemble (the live path's
 	// default subset): its first evaluation simulates the whole sample set
 	// (~100ms+) and would otherwise stall the first dispatch — and every
@@ -219,11 +207,10 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	eng.SetMetricBounds(4096, 64)
 	_, concurrent := tl.(sim.ConcurrentTimeline)
 	r := &Runtime{
-		tl:           tl,
-		poll:         d.Tau / 25,
-		syncExec:     !concurrent,
-		execQueueCap: queueCap,
-		eng:          eng,
+		tl:       tl,
+		poll:     d.Tau / 25,
+		syncExec: !concurrent,
+		eng:      eng,
 	}
 	r.execCtx, r.execCancel = context.WithCancel(context.Background())
 	b := cfg.Backend
@@ -234,33 +221,11 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		tb.BindTimeline(tl)
 	}
 	r.backend.Store(&backendHandle{b: b, combine: combine})
-	if !r.syncExec {
-		counts := eng.ReplicaCounts()
-		r.pools = make([]*executor.Pool, len(counts))
-		for m, n := range counts {
-			r.pools[m] = executor.NewPool(n, queueCap)
-		}
-	}
-	r.onFreeFn = r.onModelFree
 	r.pollFn = r.pollTick
+	r.passCh = make(chan passRef)
 	r.stopCh = make(chan struct{})
 	r.wake = make(chan struct{}, 1)
 	return r, nil
-}
-
-// resizePools retargets every model pool to the engine's live replica slot
-// counts. Called after any replica-pool mutation, under the exclusive
-// dispatch lock.
-func (r *Runtime) resizePools() {
-	if r.pools == nil {
-		return
-	}
-	counts := r.eng.ReplicaCounts()
-	for m, p := range r.pools {
-		if m < len(counts) {
-			p.Resize(counts[m], r.execQueueCap)
-		}
-	}
 }
 
 // closedErr reports why the runtime rejects work: the poisoning engine error
@@ -480,7 +445,6 @@ func (bb *batchBufs) release() {
 // batchRun is one dispatched batch's execution state: the per-model backend
 // passes fill preds, the last one to finish finalizes the futures.
 type batchRun struct {
-	rt       *Runtime
 	out      DispatchOutcome
 	bufs     *batchBufs
 	futs     []*futureSlot
@@ -519,13 +483,12 @@ func (br *batchRun) task(i int) ExecTask {
 	}
 }
 
-// launch hands a dispatched batch to the execution layer and schedules the
-// follow-up decision points at each model's profiled finish time. On a
-// concurrent timeline each model pass goes to the model's bounded pool
-// immediately (the SimBackend paces to the profiled finish; real backends
-// run for as long as they run); on a virtual-time loop the passes run
-// inline from the finish event, preserving the loop's determinism. Called
-// with the dispatch lock held.
+// launch hands a dispatched batch to the execution layer. On a concurrent
+// timeline each model pass goes to a pass worker at once (the SimBackend
+// paces to the profiled finish; real backends run for as long as they run);
+// on a virtual-time loop each pass runs inline from its own model's finish
+// event, preserving the loop's determinism. Called with the dispatch lock
+// held.
 func (r *Runtime) launch(now float64, out DispatchOutcome) {
 	bufs := batchBufsPool.Get().(*batchBufs)
 	bufs.grab(len(out.Requests), len(out.Models))
@@ -537,7 +500,7 @@ func (r *Runtime) launch(now float64, out DispatchOutcome) {
 	// be about to read br.done after finalize broadcasts, so the struct must
 	// stay immutable until the GC proves it unreachable. Its slices live in
 	// the pooled bufs, which only the launch→pass→finalize pipeline touches.
-	br := &batchRun{rt: r, out: out, bufs: bufs, futs: futs, ids: ids,
+	br := &batchRun{out: out, bufs: bufs, futs: futs, ids: ids,
 		payloads: payloads, h: h, done: make(chan struct{}), preds: bufs.preds}
 	br.remaining.Store(int32(len(out.Models)))
 	// The popped requests carry their slots: move each onto the batch and
@@ -552,43 +515,48 @@ func (r *Runtime) launch(now float64, out DispatchOutcome) {
 		s.state.Store(futDispatched)
 		s.wakeWaiter()
 	}
-	if r.syncExec {
-		r.tl.AfterFunc(out.Finish-now, func() {
-			for i := range br.out.Models {
-				r.runModelPass(br, i)
-			}
-		})
-	} else {
-		for i := range out.Models {
-			// SubmitFunc + the package-level trampoline keep the hot path
-			// free of per-pass closure allocations.
-			if err := r.pools[out.Models[i]].SubmitFunc(runPassFn, br, i); err != nil {
-				r.execRejected.Add(1)
-				if errors.Is(err, executor.ErrSaturated) {
-					err = ErrBackendSaturated
-				} else {
-					err = r.closedErr()
-				}
-				br.fail(err)
-				r.passDone(br)
-			}
+	for i := range out.Models {
+		if r.syncExec {
+			r.tl.AfterFunc(out.ModelFinish[i]-now, func() { r.runModelPass(br, i) })
+			continue
 		}
-	}
-	for _, f := range out.ModelFinish {
-		r.tl.AfterFunc(f-now, r.onFreeFn)
+		// A parked worker takes the pass by value; spawn one only when none
+		// is idle, so a steady stream of passes starts no goroutines.
+		select {
+		case r.passCh <- passRef{br, i}:
+		default:
+			r.workerWG.Add(1)
+			go r.passWorker(passRef{br, i})
+		}
 	}
 }
 
-// runPassFn is the allocation-free executor trampoline for model passes:
-// the batch rides the pool queue as the untyped arg, so no per-pass closure
-// is built on the dispatch hot path.
-var runPassFn = func(arg any, i int) {
-	br := arg.(*batchRun)
-	br.rt.runModelPass(br, i)
+// passRef names one model pass of a dispatched batch.
+type passRef struct {
+	br *batchRun
+	i  int
+}
+
+// passWorker runs model passes: its first one, then each one handed over
+// passCh, until Close stops the workers. Every pass it runs holds a replica,
+// so the live workers never outnumber the replicas that were ever busy at
+// once.
+func (r *Runtime) passWorker(p passRef) {
+	defer r.workerWG.Done()
+	for {
+		r.runModelPass(p.br, p.i)
+		select {
+		case p = <-r.passCh:
+		case <-r.stopCh:
+			return
+		}
+	}
 }
 
 // runModelPass executes one model's backend pass and feeds the observed
-// latency back into the engine's planning EWMA.
+// latency back into the engine's planning EWMA. Then it releases the pass's
+// replica, finalizes the batch if this was its last pass, and runs the
+// decision point the freed replica calls for.
 func (r *Runtime) runModelPass(br *batchRun, i int) {
 	preds, obs, err := br.h.b.Execute(r.execCtx, br.task(i))
 	if err != nil {
@@ -598,22 +566,16 @@ func (r *Runtime) runModelPass(br *batchRun, i int) {
 		br.preds[i] = preds
 		r.eng.ObserveLatency(br.out.Models[i], len(br.ids), obs)
 	}
-	r.passDone(br)
-}
-
-// passDone retires one model pass; the last one finalizes the batch.
-func (r *Runtime) passDone(br *batchRun) {
+	r.eng.release(br.out.Models[i], br.out.Replicas[i], br.out.ModelFinish[i], r.tl.Now())
 	if br.remaining.Add(-1) == 0 {
 		r.finalize(br)
 	}
+	r.onModelFree()
 }
 
-// onModelFree is the decision point at a dispatched model's finish time: the
-// freed replica is new capacity, so a backlog gets a coalesced sweep. On a
-// wall timeline this runs as a fired-timer callback on its own goroutine and
-// must not block on the dispatch lock (each blocked callback is a pinned
-// goroutine — the source of the old bench rows' 700+ goroutine peaks), so it
-// only schedules the sweep.
+// onModelFree is the decision point at a returned model pass: the freed
+// replica is new capacity, so a backlog gets a coalesced sweep. It only
+// schedules the sweep, so a pass worker never blocks on the dispatch lock.
 func (r *Runtime) onModelFree() {
 	if !r.closed.Load() && r.eng.QueueLen() > 0 {
 		r.scheduleSweep()
@@ -758,8 +720,10 @@ func (r *Runtime) SetSLO(tau float64) error {
 }
 
 // SetQueueCap rebounds the request queue on the live runtime to n ≥ 1 (see
-// Engine.SetQueueCap for the shrink semantics). The executor pools' queues
-// take the same bound, which is why the runtime has no unbounded setting.
+// Engine.SetQueueCap for the shrink semantics). The runtime has no unbounded
+// setting: a stalled backend keeps its replicas held, and the bound is what
+// turns the backlog behind them into ErrQueueFull (a 429 over REST) instead
+// of a queue that grows without limit.
 func (r *Runtime) SetQueueCap(n int) error {
 	if n < 1 {
 		return fmt.Errorf("infer: queue cap must be positive, got %d", n)
@@ -769,14 +733,7 @@ func (r *Runtime) SetQueueCap(n int) error {
 	if r.closed.Load() {
 		return r.closedErr()
 	}
-	if err := r.eng.SetQueueCap(n); err != nil {
-		return err
-	}
-	// The pool-queue bound tracks the request-queue capacity so an executor
-	// queue never rejects a batch of admitted requests.
-	r.execQueueCap = n
-	r.resizePools()
-	return nil
+	return r.eng.SetQueueCap(n)
 }
 
 // SetReplicas resizes model m's replica pool on the live runtime. Growing
@@ -792,7 +749,6 @@ func (r *Runtime) SetReplicas(m, n int) error {
 	if err := r.eng.SetReplicas(m, n); err != nil {
 		return err
 	}
-	r.resizePools()
 	return r.step(r.tl.Now())
 }
 
@@ -806,11 +762,7 @@ func (r *Runtime) AddReplica(m int) (int, error) {
 	if r.closed.Load() {
 		return 0, r.closedErr()
 	}
-	idx, err := r.eng.AddReplica(m)
-	if err == nil {
-		r.resizePools()
-	}
-	return idx, err
+	return r.eng.AddReplica(m)
 }
 
 // SetReplicaDown marks replica rep of model m dead or recovered, feeding the
@@ -882,23 +834,11 @@ func (r *Runtime) Stats() Stats {
 	st.ModelLatencyEWMA, st.ModelLatencyScale = r.eng.LatencyFeedback()
 	st.BackoffDelta = r.eng.backoffDelta()
 	st.LateBatches = r.eng.lateBatches.Load()
-	st.ExecRejected = r.execRejected.Load()
 	st.BackendErrors = r.backendErrs.Load()
 	h := r.backend.Load()
 	st.Backend = h.b.Name()
 	if rc, ok := h.b.(RetryCounter); ok {
 		st.BackendRetries = rc.Retries()
-	}
-	if r.pools != nil {
-		st.ExecWorkers = make([]int, len(r.pools))
-		st.ExecBusy = make([]int, len(r.pools))
-		st.ExecQueueDepth = make([]int, len(r.pools))
-		for m, p := range r.pools {
-			ps := p.Stats()
-			st.ExecWorkers[m] = ps.Workers
-			st.ExecBusy[m] = ps.Busy
-			st.ExecQueueDepth[m] = ps.QueueDepth
-		}
 	}
 	return st
 }
@@ -918,9 +858,6 @@ func (r *Runtime) Close() {
 	// flips closed without cancelling) still tears the backends down.
 	r.execCancel()
 	r.inflight.Wait()
-	for _, p := range r.pools {
-		p.Close()
-	}
 	if h := r.backend.Load(); h != nil {
 		h.wg.Wait()
 		_ = h.b.Close()

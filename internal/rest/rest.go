@@ -17,7 +17,7 @@
 //	POST    /api/v1/inference              201      deploy a DeploymentSpec (policy, SLO, queue cap, replica bounds, autoscale, cache, backend)
 //	GET     /api/v1/inference/{id}         200      describe one deployment: declarative spec + observed status (incl. queue depth, cache counters)
 //	PUT     /api/v1/inference/{id}         200      reconcile the live deployment to a changed spec
-//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, back-off δ and late batches, replicas, drain rate, queue depth, per-model backlogs, cache counters)
+//	GET     /api/v1/inference/{id}/stats   200      serving metrics (batching, SLO, latency, back-off δ and late batches, replicas, drain rate, queue depth, per-model backlogs and in-flight requests, cache counters)
 //	POST    /api/v1/inference/{id}/scale   200      manually resize the replica pools (inside the spec bounds)
 //	DELETE  /api/v1/inference/{id}         204      stop the deployment, release its containers
 //	POST    /api/v1/query/{id}             200      classify a payload
@@ -72,15 +72,15 @@
 // U — POST {"model","ids","payloads"} answered by {"predictions":[...]} class
 // indices — with a per-attempt timeout of T milliseconds (default 1000) and
 // up to R retries under capped exponential backoff (default 2; -1 disables).
-// The url/timeout/retry fields are valid only with "http". Every tier
-// executes on bounded per-model worker pools sized to the replica counts; a
-// saturated pool rejects the batch with the same 429 + Retry-After semantics
-// as a full request queue. A PUT with a different block swaps the tier live,
-// draining in-flight batches on the outgoing backend before it closes. The
-// describe endpoint reports the live tier as status "backend", and /stats
-// adds the executor gauges (exec_workers, exec_busy, exec_queue_depth,
-// exec_rejected), backend error/retry counters, and the observed-latency
-// EWMA the scheduler's planning tables are rescaled by.
+// The url/timeout/retry fields are valid only with "http". A replica runs
+// one pass at a time and stays busy until its pass returns, so a stalled
+// tier backs requests up in the queue until it is full and then answers 429
+// + Retry-After like any full queue. A PUT with a different block swaps the
+// tier live, draining in-flight batches on the outgoing backend before it
+// closes. The describe endpoint reports the live tier as status "backend",
+// and /stats adds the requests in flight per model (model_inflight), backend
+// error/retry counters, and the observed-latency EWMA the scheduler's
+// planning tables are rescaled by.
 //
 // Queries are served through the deployment's batching runtime: concurrent
 // POST /query callers are grouped into shared batches by the serving policy
@@ -551,7 +551,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Only a missing deployment is 404. A full queue is backpressure,
 		// not a server fault: 429 with a Retry-After hint from the
 		// runtime's recent drain rate. Shutdown is a transient 503, and
-		// anything else — executor failures, a poisoned runtime — is a
+		// anything else — backend failures, a poisoned runtime — is a
 		// genuine server fault.
 		status := http.StatusInternalServerError
 		switch {

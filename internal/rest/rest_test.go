@@ -893,7 +893,8 @@ func TestPprofGatedByOption(t *testing.T) {
 
 // TestBackendBlockOverREST round-trips the "backend" spec block: deploy an nn
 // tier over the wire, serve a query through the real networks, watch the
-// executor observability land on /stats, and PUT back to the sim default.
+// execution gauges (model_inflight, model_latency_ewma) land on /stats, and
+// PUT back to the sim default.
 func TestBackendBlockOverREST(t *testing.T) {
 	c, _ := newTestServer(t)
 	infID := trainAndDeploy(t, c, InferenceRequest{
@@ -925,8 +926,8 @@ func TestBackendBlockOverREST(t *testing.T) {
 	if st.Backend != "nn" {
 		t.Fatalf("stats backend = %q, want nn", st.Backend)
 	}
-	if len(st.ExecWorkers) == 0 || len(st.ModelLatencyEWMA) == 0 {
-		t.Fatalf("stats missing executor observability: workers=%v ewma=%v", st.ExecWorkers, st.ModelLatencyEWMA)
+	if len(st.ModelInflight) == 0 || len(st.ModelLatencyEWMA) == 0 {
+		t.Fatalf("stats missing execution gauges: inflight=%v ewma=%v", st.ModelInflight, st.ModelLatencyEWMA)
 	}
 
 	// A PUT without the block reverts to the sim tier.

@@ -20,8 +20,14 @@
 # claims no gain is judged by: `no-regression: yes` when no metric is worse
 # beyond its bound, no change run has correct=false, and the change's failed
 # share is no higher than the parent's. Each run's JSON line is kept in
-# .bench_build/pairs/<workload>.{parent,change}.jsonl and each pair's first
-# side in .bench_build/pairs/<workload>.order.
+# .bench_build/pairs/<workload>.{parent,change}.jsonl, the per-layer metrics
+# it marked "absent from the stats" in .{parent,change}.absent (one line per
+# run), and each pair's first side in .bench_build/pairs/<workload>.order.
+#
+# With TRACE=1 the runs are traced: they carry the per-layer metrics of
+# BENCHMARK.json instead of the end-to-end ones. The summary then prints each
+# side's median for every per-layer metric present on both sides, and names
+# the ones present on only one side (a layer the change added or deleted).
 #
 # Environment: SEED (first seed, default 1000), SECONDS_PER_RUN (default
 # BENCHMARK.json's run_seconds), TRACE (default 0). Run from the repository
@@ -47,12 +53,15 @@ if [ ! -f "$parent/BENCHMARK.json" ]; then
   mkdir -p "$parent"
   git archive "$sha" | tar -x -C "$parent"
 fi
-rm -f "$out/$workload.parent.jsonl" "$out/$workload.change.jsonl" "$out/$workload.order"
+rm -f "$out/$workload".{parent,change}.{jsonl,absent} "$out/$workload.order"
 echo "workload $workload: $pairs pairs, ${seconds}s runs, seeds $seed0..$((seed0 + pairs - 1)); parent $ref ($sha), change = working tree" >&2
 
 run() { # run <side> <dir> <seed>
-  (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace "$trace") |
-    tail -n 1 >>"$out/$workload.$1.jsonl"
+  local o rc=0
+  o="$(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace "$trace")" || rc=$?
+  printf '%s\n' "$o" | tail -n 1 >>"$out/$workload.$1.jsonl"
+  printf '%s\n' "$o" | sed -n 's/^\([^ ]*\) .*(absent from the stats)$/\1/p' | paste -sd ' ' - >>"$out/$workload.$1.absent"
+  return "$rc"
 }
 # The first side of every pair: a seeded shuffle of a balanced list.
 read -r -a firsts <<<"$(python3 -c '
@@ -83,6 +92,7 @@ import json, statistics, sys
 out, workload = sys.argv[1], sys.argv[2]
 spec = json.load(open("BENCHMARK.json"))
 runs = {s: [json.loads(l) for l in open(f"{out}/{workload}.{s}.jsonl")] for s in ("parent", "change")}
+absent = {s: [set(l.split()) for l in open(f"{out}/{workload}.{s}.absent")] for s in ("parent", "change")}
 firsts = open(f"{out}/{workload}.order").read().split()
 print("order: " + " ".join("P" if f == "parent" else "C" for f in firsts) + "  (first side per pair)")
 bad, failed = {}, {}
@@ -99,6 +109,9 @@ print(f'{"metric":19} {"parent median [q1, q3]":>34} {"change median [q1, q3]":>
 regressed = []
 for m in spec["end_to_end"]:
     name = m["name"]
+    if any(name not in r["metrics"] for rs in runs.values() for r in rs):
+        print(f"{name:19} (not in every run: traced runs carry only the per-layer metrics)")
+        continue
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
     sign = 1 if m["better"] == "higher" else -1
@@ -116,6 +129,26 @@ for m in spec["end_to_end"]:
     rel = f"loss {loss / abs(pq[1]):+.1%}" if pq[1] else f"loss {loss:+.3g}"
     print(f"{name:19} {fmt(pq):>34} {fmt(cq):>34} {wins:>3}/{len(p):<2} {split['parent']:>7} {split['change']:>7}  {'yes' if beyond else 'no':17}  "
           f"{'yes' if worse else 'no'} ({rel}, bound {m['bound']:.0%})")
+# Per-layer metrics: a side has one when every run reported it from the stats.
+def present(side, name):
+    return all(name in r["metrics"] and name not in a for r, a in zip(runs[side], absent[side]))
+only = {"parent": [], "change": []}
+rows = []
+for m in spec["per_layer"]:
+    name = m["name"]
+    has = {s: present(s, name) for s in runs}
+    if has["parent"] and has["change"]:
+        p = statistics.median(r["metrics"][name]["value"] for r in runs["parent"])
+        c = statistics.median(r["metrics"][name]["value"] for r in runs["change"])
+        rows.append(f"{name:30} {p:>16.6g} {c:>16.6g} {m['unit']}")
+    elif has["parent"] or has["change"]:
+        only["parent" if has["parent"] else "change"].append(name)
+if rows:
+    print(f'{"per-layer metric":30} {"parent median":>16} {"change median":>16} unit')
+    print("\n".join(rows))
+for s, names in only.items():
+    if names:
+        print(f"per-layer only on the {s}: " + ", ".join(names))
 if bad["change"]:
     regressed.append("correct=false")
 if failed["change"] > failed["parent"]:

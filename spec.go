@@ -97,11 +97,11 @@ const (
 )
 
 // BackendSpec configures a deployment's execution tier: where a dispatched
-// batch's model passes actually run. Every tier executes on the runtime's
-// bounded per-model worker pools (one worker per replica), so saturating the
-// tier surfaces as ErrQueueFull-compatible backpressure, not goroutine
-// growth; observed batch latencies feed the engine's planning tables either
-// way (DESIGN.md §12).
+// batch's model passes actually run. On every tier a replica runs one pass
+// at a time and stays busy until it returns, so saturating the tier backs
+// requests up in the bounded request queue (ErrQueueFull backpressure), not
+// goroutine growth; observed batch latencies feed the engine's planning
+// tables either way (DESIGN.md §12).
 type BackendSpec struct {
 	// Type is the backend kind: BackendSim (the default when empty),
 	// BackendNN, or BackendHTTP.
@@ -202,7 +202,7 @@ func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 }
 
 // HTTP-backend defaults and caps: a one-second per-attempt deadline, two
-// retries, and sanity ceilings so a spec cannot park pool workers behind a
+// retries, and sanity ceilings so a spec cannot hold replicas behind a
 // minutes-long remote call budget.
 const (
 	defaultBackendTimeoutMS  = 1000
@@ -330,15 +330,10 @@ type InferenceStatus struct {
 	// Policy is the scheduler currently installed on the runtime.
 	Policy string `json:"policy"`
 	// Backend is the execution tier currently serving batches ("sim", "nn",
-	// "http", ...), with the per-model executor-pool gauges (wall-clock
-	// runtimes only — virtual-time drivers execute inline), the
-	// saturation/error/retry counters, and the observed-latency EWMA +
-	// applied planning scale per model (DESIGN.md §12).
+	// "http", ...), with the error/retry counters and the observed-latency
+	// EWMA + applied planning scale per model (DESIGN.md §12). The requests
+	// each model is running right now are the stats route's model_inflight.
 	Backend           string    `json:"backend"`
-	ExecWorkers       []int     `json:"exec_workers,omitempty"`
-	ExecBusy          []int     `json:"exec_busy,omitempty"`
-	ExecQueueDepth    []int     `json:"exec_queue_depth,omitempty"`
-	ExecRejected      uint64    `json:"exec_rejected"`
 	BackendErrors     uint64    `json:"backend_errors"`
 	BackendRetries    uint64    `json:"backend_retries"`
 	ModelLatencyEWMA  []float64 `json:"model_latency_ewma,omitempty"`
@@ -570,10 +565,6 @@ func describeLocked(j *InferenceJob) InferenceDescription {
 		Status: InferenceStatus{
 			Policy:            j.runtime.PolicyName(),
 			Backend:           st.Backend,
-			ExecWorkers:       st.ExecWorkers,
-			ExecBusy:          st.ExecBusy,
-			ExecQueueDepth:    st.ExecQueueDepth,
-			ExecRejected:      st.ExecRejected,
 			BackendErrors:     st.BackendErrors,
 			BackendRetries:    st.BackendRetries,
 			ModelLatencyEWMA:  st.ModelLatencyEWMA,
