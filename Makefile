@@ -59,14 +59,18 @@ bench:
 # into the one request FIFO, every Submit arming a coalesced sweep): cheap
 # gates that the dispatch hot path still scales with replicas and that a
 # submit still costs one lock. The fixed iteration count bounds the standing
-# backlog the submit benchmark accumulates. Last, one sequential
+# backlog the submit benchmark accumulates. Then a bounded run of the
+# submit → wait → release round trip (eight callers, every request served
+# on the paced sim backend), the path the submit benchmark leaves out.
+# Last, one sequential
 # 150-trial study on the Bayesian advisor, with its allocations, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
 # (handler alone, then over a loopback keep-alive connection).
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
-	$(GO) test . -run none -bench BenchmarkSubmit -benchtime 20000x
+	$(GO) test . -run none -bench '^BenchmarkSubmit$$' -benchtime 20000x
+	$(GO) test . -run none -bench '^BenchmarkSubmitWait$$' -benchtime 20000x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x

@@ -3,7 +3,8 @@ package rafiki
 // Benchmark harness: one testing.B target per table/figure of the paper's
 // evaluation (Section 7), each regenerating the figure at QuickScale via
 // internal/exp and reporting its headline numbers as custom metrics, plus
-// BenchmarkSubmit on the serving runtime's submit path alone.
+// BenchmarkSubmit on the serving runtime's submit path alone and
+// BenchmarkSubmitWait on its submit → serve → wait round trip.
 // cmd/rafiki-bench prints the same series at full scale. End-to-end
 // serving and training performance is measured by the benchmark/ module.
 //
@@ -36,6 +37,22 @@ func report(b *testing.B, fig *exp.Figure, keys ...string) {
 	}
 }
 
+// benchDeployment is the three-model ensemble the serving benchmarks run.
+func benchDeployment(b *testing.B) *infer.Deployment {
+	d, err := infer.NewDeployment(
+		[]string{"inception_v3", "inception_v4", "inception_resnet_v2"},
+		[]int{1, 2, 4, 8, 16}, 0.25, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// benchCombine is the serving benchmarks' trivial combiner.
+func benchCombine(ids []uint64, _ []any, _ []string, _ [][]any) ([]any, error) {
+	return make([]any, len(ids)), nil
+}
+
 // benchWaitPolicy never dispatches, so BenchmarkSubmit measures the submit
 // path in isolation: admission into the FIFO and the decision-point trigger —
 // none of the backend or completion work.
@@ -50,19 +67,12 @@ func (benchWaitPolicy) Feedback(float64)                 {}
 // takes the FIFO's lock once and shares a coalesced decision sweep.
 // Run with a bounded iteration count (the wait policy keeps the backlog):
 //
-//	go test . -run none -bench BenchmarkSubmit -benchtime 20000x
+//	go test . -run none -bench '^BenchmarkSubmit$' -benchtime 20000x
 func BenchmarkSubmit(b *testing.B) {
-	d, err := infer.NewDeployment(
-		[]string{"inception_v3", "inception_v4", "inception_resnet_v2"},
-		[]int{1, 2, 4, 8, 16}, 0.25, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchDeployment(b)
 	rt, err := infer.NewRuntime(d, benchWaitPolicy{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
-			return make([]any, len(ids)), nil
-		},
+		benchCombine,
 		infer.RuntimeConfig{
 			Timeline: &sim.WallTimeline{},
 			QueueCap: 1 << 30,
@@ -87,6 +97,51 @@ func BenchmarkSubmit(b *testing.B) {
 	b.StopTimer()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N)/elapsed, "submitted-qps")
+	}
+}
+
+// BenchmarkSubmitWait times the whole completion path BenchmarkSubmit
+// leaves out: eight concurrent callers each Submit, Wait and Release, so
+// every request is batched by SyncAll, run on the paced SimBackend (profiled
+// latencies compressed 10000×), combined and resolved. It reports served
+// requests per wall second. Run with a bounded iteration count:
+//
+//	go test . -run none -bench BenchmarkSubmitWait -benchtime 20000x
+func BenchmarkSubmitWait(b *testing.B) {
+	d := benchDeployment(b)
+	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
+		benchCombine,
+		infer.RuntimeConfig{
+			Timeline: &sim.WallTimeline{Speedup: 10000},
+			Backend:  &infer.SimBackend{},
+		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	payload := []byte("q")
+	b.SetParallelism(8)
+	b.ResetTimer()
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			f, err := rt.Submit(payload)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := f.Wait(); err != nil {
+				b.Error(err)
+				return
+			}
+			f.Release()
+		}
+	})
+	elapsed := time.Since(start).Seconds()
+	b.StopTimer()
+	if elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed, "served-qps")
 	}
 }
 

@@ -124,9 +124,7 @@ func TestShardedRuntimeDeterministicEventLoop(t *testing.T) {
 		})
 		loop.RunUntil(30)
 		for i, f := range futs {
-			select {
-			case <-f.Done():
-			default:
+			if !resolved(f) {
 				t.Fatalf("future %d unresolved", i)
 			}
 		}

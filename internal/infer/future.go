@@ -12,17 +12,13 @@ import (
 // read through a released handle fail loudly instead of silently observing
 // another request's result (the classic pooled-object ABA hazard).
 //
-// Completion is batched: a dispatched batch resolves all of its futures and
-// then closes ONE per-batch broadcast channel, so a 64-wide batch performs a
-// single wakeup instead of 64 per-request channel closes. Waiters that
-// arrive before dispatch park on the slot's one-token wake channel and are
-// unparked when the request joins a batch (or fails).
+// One wake per request: a slot is pending until it resolves — when its
+// batch finishes or a teardown fails it — and a waiter parks only on the
+// slot's own one-token wake channel, so it is woken once, at resolve.
 
-// futureSlot states. A slot moves pending → dispatched → resolved on the
-// serve path, or pending → resolved when failAll resolves it directly.
+// futureSlot states: a slot is pending from Submit until resolve.
 const (
 	futPending uint32 = iota
-	futDispatched
 	futResolved
 )
 
@@ -32,40 +28,30 @@ type futureSlot struct {
 	// carries the generation it was issued under; any mismatch means the
 	// handle outlived its request and every access panics loudly.
 	gen atomic.Uint64
-	// state is the completion state machine. Writers publish their side
-	// effects before the state store: br before futDispatched, the result
-	// fields before futResolved, so a reader observing the state also
-	// observes the data behind it.
+	// state is pending or resolved. resolve writes the result fields
+	// before the state store, so a reader observing futResolved also
+	// observes the result.
 	state atomic.Uint32
-	// waiting marks a waiter parked on wake; wakers (launch, failAll) check
-	// it after their state store and hand the parked waiter a token.
+	// waiting marks a waiter parked on wake; resolve checks it after its
+	// state store and hands the parked waiter a token.
 	waiting atomic.Bool
 	// wake is the one-token park channel, reused across generations (stale
-	// tokens are drained at acquire). A woken waiter reposts the token so
-	// concurrent waiters on one future daisy-chain instead of deadlocking.
+	// tokens are drained at acquire). A waiter woken on a resolved slot
+	// reposts the token so concurrent waiters on one future daisy-chain; a
+	// waiter woken on a pending slot (a late token from the slot's previous
+	// generation) parks again.
 	wake chan struct{}
-
-	// br is the batch the request was dispatched into; its done channel is
-	// the batch-wide completion broadcast. Written before state flips to
-	// futDispatched.
-	br *batchRun
 
 	// payload is the submitted input, dropped at completion so input bytes
 	// never outlive the request.
 	payload any
 
-	// Result fields: written before state flips to futResolved (and before
-	// the batch broadcast closes), immutable until Release.
+	// Result fields: written before state flips to futResolved, immutable
+	// until Release.
 	result  any
 	err     error
 	models  []string
 	latency float64
-
-	// doneCh materializes Done() lazily — select-style consumers are rare
-	// (tests, cancellation paths), so the common path never allocates a
-	// channel. doneClosed makes the racing close idempotent.
-	doneCh     atomic.Pointer[chan struct{}]
-	doneClosed atomic.Bool
 }
 
 // futurePool recycles completion slots across requests.
@@ -94,11 +80,16 @@ func (s *futureSlot) recycle() {
 	futurePool.Put(s)
 }
 
-// wakeWaiter hands a parked waiter the slot's token. Called after a state
-// store; the seq-cst ordering of the state store and the waiting check
-// against the waiter's waiting store and state re-check guarantees at least
-// one side observes the other, so no wakeup is lost.
-func (s *futureSlot) wakeWaiter() {
+// resolve publishes the request's outcome, drops its payload and wakes a
+// parked waiter. The seq-cst ordering of the state store and the waiting
+// check against the waiter's waiting store and state re-check guarantees at
+// least one side observes the other, so no wakeup is lost. The slot must not
+// be touched after resolve: its waiter may Release it at once.
+func (s *futureSlot) resolve(result any, err error, models []string, latency float64) {
+	s.result, s.err = result, err
+	s.models, s.latency = models, latency
+	s.payload = nil
+	s.state.Store(futResolved)
 	if s.waiting.Load() {
 		select {
 		case s.wake <- struct{}{}:
@@ -106,32 +97,6 @@ func (s *futureSlot) wakeWaiter() {
 		}
 	}
 }
-
-// resolveLocal publishes a result directly on the slot (the failAll path —
-// no batch broadcast exists yet) and wakes everything attached to it.
-func (s *futureSlot) resolveLocal(err error) {
-	s.err = err
-	s.payload = nil
-	s.state.Store(futResolved)
-	s.closeDone()
-	s.wakeWaiter()
-}
-
-// closeDone closes the lazily materialized Done channel, if any, exactly
-// once.
-func (s *futureSlot) closeDone() {
-	if chp := s.doneCh.Load(); chp != nil && s.doneClosed.CompareAndSwap(false, true) {
-		close(*chp)
-	}
-}
-
-// closedChan is the shared already-closed channel Done returns for resolved
-// futures that never materialized their own.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Future is a pending wall-clock request: it resolves when the batch the
 // scheduler placed the request in completes. It is a value handle onto a
@@ -152,9 +117,7 @@ func (f Future) slot() *futureSlot {
 	if f.s == nil {
 		panic("infer: use of zero Future")
 	}
-	if f.gen != f.s.gen.Load() {
-		panic("infer: use of released Future (stale generation handle)")
-	}
+	f.checkLive()
 	return f.s
 }
 
@@ -166,60 +129,31 @@ func (f Future) checkLive() {
 	}
 }
 
-// Wait blocks until the batch completes and returns the request's result.
+// Wait blocks until the request resolves and returns its result.
 func (f Future) Wait() (any, error) {
 	s := f.slot()
 	for {
-		switch s.state.Load() {
-		case futResolved:
+		if s.state.Load() == futResolved {
 			res, err := s.result, s.err
 			f.checkLive()
 			return res, err
-		case futDispatched:
-			// One receive on the batch's broadcast channel covers every
-			// request in the batch.
-			br := s.br
-			f.checkLive()
-			<-br.done
-		default:
-			// Not dispatched yet: park until the request joins a batch (or
-			// fails). Re-check the state after declaring ourselves parked —
-			// the waker stores state first and checks waiting second, so
-			// one of us always sees the other.
-			s.waiting.Store(true)
-			if s.state.Load() != futPending {
-				continue
-			}
-			<-s.wake
-			// Repost the token for concurrent waiters on the same future.
+		}
+		// Declare ourselves parked, then re-check: resolve stores the
+		// state first and checks waiting second, so one of us always sees
+		// the other.
+		s.waiting.Store(true)
+		if s.state.Load() == futResolved {
+			continue
+		}
+		<-s.wake
+		if s.state.Load() == futResolved {
+			// Pass the token on to any concurrent waiter on this future.
 			select {
 			case s.wake <- struct{}{}:
 			default:
 			}
 		}
 	}
-}
-
-// Done returns a channel closed when the result is ready, for callers that
-// want select semantics. The channel is materialized on first call; Wait
-// never pays for it.
-func (f Future) Done() <-chan struct{} {
-	s := f.slot()
-	if chp := s.doneCh.Load(); chp != nil {
-		return *chp
-	}
-	if s.state.Load() == futResolved {
-		return closedChan
-	}
-	ch := make(chan struct{})
-	if s.doneCh.CompareAndSwap(nil, &ch) {
-		if s.state.Load() == futResolved {
-			// The resolver may have checked doneCh before our store.
-			s.closeDone()
-		}
-		return ch
-	}
-	return *s.doneCh.Load()
 }
 
 // Models returns the model subset that served the request (after Wait). The
@@ -264,9 +198,6 @@ func (f Future) Release() {
 	s.err = nil
 	s.models = nil
 	s.latency = 0
-	s.br = nil
-	s.doneCh.Store(nil)
-	s.doneClosed.Store(false)
 	s.waiting.Store(false)
 	futurePool.Put(s)
 }

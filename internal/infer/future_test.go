@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -142,7 +143,6 @@ func TestFutureStaleHandleFailsLoudly(t *testing.T) {
 	mustPanic("Wait", func() { _, _ = stale.Wait() })
 	mustPanic("Models", func() { _ = stale.Models() })
 	mustPanic("Latency", func() { _ = stale.Latency() })
-	mustPanic("Done", func() { _ = stale.Done() })
 	mustPanic("Release", func() { stale.Release() })
 
 	var zero Future
@@ -208,5 +208,160 @@ func TestSetBackendDrainTracked(t *testing.T) {
 	rt.Close()
 	if !old.closed.Load() {
 		t.Fatal("Runtime.Close returned before the swapped-out backend was closed")
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// resolved reports, without blocking, whether f's request has resolved.
+func resolved(f Future) bool { return f.slot().state.Load() == futResolved }
+
+// waitDone runs f.Wait on its own goroutine and returns a channel closed when
+// it returns, for a select with a timeout.
+func waitDone(f Future) <-chan struct{} {
+	ch := make(chan struct{})
+	go func() {
+		_, _ = f.Wait()
+		close(ch)
+	}()
+	return ch
+}
+
+// TestFutureServeCycleAllocs pins the allocations of one 16-request batch
+// served end to end over the virtual-time loop: Submit → dispatch → backend
+// passes → finalize → Wait → Release. Waiters park on their own slots, so a
+// batch allocates no broadcast channel, and its run is pooled.
+func TestFutureServeCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const batch, wantAllocs = 16, 13
+	d := runtimeDeployment(t, 0.5)
+	loop := sim.NewEventLoop()
+	results := make([]any, batch)
+	combine := func(ids []uint64, _ []any, _ []string, _ [][]any) ([]any, error) {
+		return results[:len(ids)], nil
+	}
+	rt, err := NewRuntime(d, &SyncAll{D: d},
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), combine,
+		RuntimeConfig{Timeline: loop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	futs := make([]Future, batch)
+	horizon := 0.0
+	cycle := func() {
+		for i := range futs {
+			f, err := rt.Submit(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = f
+		}
+		horizon += 10
+		loop.RunUntil(horizon)
+		for i, f := range futs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+			futs[i] = Future{}
+		}
+	}
+	cycle() // warm the slot and run pools
+	before := rt.Stats().Dispatches
+	got := testing.AllocsPerRun(50, cycle)
+	if n := rt.Stats().Dispatches - before; n != 51 {
+		t.Fatalf("dispatches = %d over 51 cycles, want one batch per cycle", n)
+	}
+	if got != wantAllocs {
+		t.Fatalf("allocs per served batch = %v, want %d", got, wantAllocs)
+	}
+}
+
+// TestFutureStaleTokenReparks: a token left in a pending slot's wake channel
+// (a late wake from the slot's previous generation) is consumed and the
+// waiter parks again, instead of returning or spinning; resolve then returns
+// it with the resolved error.
+func TestFutureStaleTokenReparks(t *testing.T) {
+	f, s := acquireSlot("stale")
+	s.wake <- struct{}{}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.Wait()
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-errc:
+		t.Fatalf("Wait returned %v on a pending slot", err)
+	default:
+	}
+	if n := len(s.wake); n != 0 {
+		t.Fatalf("wake holds %d tokens, want 0: the waiter did not park again", n)
+	}
+	want := errors.New("teardown")
+	s.resolve(nil, want, nil, 0)
+	select {
+	case err := <-errc:
+		if err != want {
+			t.Fatalf("Wait = %v, want %v", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after resolve")
+	}
+	f.Release()
+}
+
+// TestFutureConcurrentWaiters: on the wall clock, eight goroutines wait on
+// copies of one handle — half from before dispatch, half after the request
+// resolved — and every one of them returns the same result.
+func TestFutureConcurrentWaiters(t *testing.T) {
+	d := runtimeDeployment(t, 0.25)
+	rt, err := NewRuntime(d, &SyncAll{D: d},
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
+		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const waiters = 8
+	for round := 0; round < 5; round++ {
+		payload := fmt.Sprintf("r%d", round)
+		f, err := rt.Submit(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]any, waiters)
+		var wg sync.WaitGroup
+		wait := func(w int, h Future) {
+			defer wg.Done()
+			res, err := h.Wait()
+			if err != nil {
+				t.Errorf("waiter %d: %v", w, err)
+			}
+			got[w] = res
+		}
+		wg.Add(waiters / 2)
+		for w := 0; w < waiters/2; w++ {
+			go wait(w, f)
+		}
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(waiters / 2)
+		for w := waiters / 2; w < waiters; w++ {
+			go wait(w, f)
+		}
+		wg.Wait()
+		want := payload + "@3"
+		for w, res := range got {
+			if res != want {
+				t.Fatalf("round %d waiter %d = %v, want %q", round, w, res, want)
+			}
+		}
+		f.Release()
 	}
 }

@@ -36,11 +36,10 @@ type Request struct {
 // sequentially following FIFO"), backed by a growable ring buffer so PopN is
 // O(n popped) rather than O(queue length).
 type Queue struct {
-	buf     []Request // ring storage; len(buf) is the current capacity
-	head    int       // index of the oldest request
-	n       int       // live element count
-	Cap     int       // maximum length; arrivals beyond it are dropped
-	Dropped int
+	buf  []Request // ring storage; len(buf) is the current capacity
+	head int       // index of the oldest request
+	n    int       // live element count
+	Cap  int       // maximum length; arrivals beyond it are dropped
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -65,10 +64,10 @@ func (q *Queue) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// Push appends a request, dropping it if the queue is full.
+// Push appends a request, or reports false and drops it if the queue is
+// full.
 func (q *Queue) Push(r Request) bool {
 	if q.Cap > 0 && q.n >= q.Cap {
-		q.Dropped++
 		return false
 	}
 	if q.n == len(q.buf) {
@@ -102,28 +101,10 @@ func (q *Queue) PopAppend(n int, dst []Request) []Request {
 	return dst
 }
 
-// OldestWait returns how long the head request has waited at time now, or 0
-// for an empty queue.
-func (q *Queue) OldestWait(now float64) float64 {
-	if q.n == 0 {
-		return 0
-	}
-	return now - q.at(0).Arrival
-}
-
-// Waits returns up to k head-of-queue waiting times at now (the queue-status
-// feature vector of Section 5.2, before padding).
-func (q *Queue) Waits(now float64, k int) []float64 {
-	n := k
-	if n > q.n {
-		n = q.n
-	}
-	return q.WaitsAppend(now, k, make([]float64, 0, n))
-}
-
-// WaitsAppend is Waits appending into buf (typically a scratch slice
-// truncated to length 0), so steady-state decision loops read the
-// queue-status features without allocating.
+// WaitsAppend appends up to k head-of-queue waiting times at now (the
+// queue-status feature vector of Section 5.2, before padding) to buf
+// (typically a scratch slice truncated to length 0), so steady-state
+// decision loops read the queue-status features without allocating.
 func (q *Queue) WaitsAppend(now float64, k int, buf []float64) []float64 {
 	n := k
 	if n > q.n {

@@ -42,10 +42,7 @@ func TestQueueFIFO(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	if w := q.OldestWait(10); w != 7 {
-		t.Fatalf("oldest wait = %v", w)
-	}
-	waits := q.Waits(10, 5)
+	waits := q.WaitsAppend(10, 5, nil)
 	if len(waits) != 2 || waits[0] != 7 || waits[1] != 6 {
 		t.Fatalf("waits = %v", waits)
 	}
@@ -58,8 +55,8 @@ func TestQueueCapDrops(t *testing.T) {
 	if q.Push(Request{ID: 3}) {
 		t.Fatal("push over cap should fail")
 	}
-	if q.Dropped != 1 {
-		t.Fatalf("dropped = %d", q.Dropped)
+	if q.Len() != 2 {
+		t.Fatalf("len = %d after a dropped push, want 2", q.Len())
 	}
 }
 

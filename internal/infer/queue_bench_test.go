@@ -95,7 +95,7 @@ func TestQueueRingWrap(t *testing.T) {
 	}
 	// Waits view must match arrivals in FIFO order after wrapping.
 	push(9)
-	w := q.Waits(float64(id), 4)
+	w := q.WaitsAppend(float64(id), 4, nil)
 	for i := 1; i < len(w); i++ {
 		if w[i] >= w[i-1] {
 			t.Fatalf("waits not decreasing: %v", w)

@@ -142,9 +142,7 @@ func replicaQPS(tb testing.TB, replicas int) float64 {
 	}
 	lastFinish := 0.0
 	for i, f := range futs {
-		select {
-		case <-f.Done():
-		default:
+		if !resolved(f) {
 			tb.Fatalf("future %d unresolved", i)
 		}
 		if fin := arrivals[i] + f.Latency(); fin > lastFinish {

@@ -393,81 +393,73 @@ type backendHandle struct {
 	wg      sync.WaitGroup
 }
 
-// batchBufs is the recyclable slice set a batchRun works out of: claimed
-// futures, request IDs, payloads handed to the backend and per-model
-// prediction buffers. Only the launch → model-pass → finalize pipeline ever
-// touches these (waiters touch just the slot and the done channel), so once
-// finalize has resolved every slot the set goes back to the pool — the
-// dispatch hot path then runs batch after batch without growing the heap.
-// Backends and combiners must not retain the ID/payload slices beyond the
-// call, which the ExecTask contract already requires.
-type batchBufs struct {
-	futs     []*futureSlot
-	ids      []uint64
-	payloads []any
-	preds    [][]any
-}
-
-var batchBufsPool = sync.Pool{New: func() any { return new(batchBufs) }}
-
-// grab sizes the buffer set for a batch of n requests across m models,
-// reusing prior capacity.
-func (bb *batchBufs) grab(n, m int) {
-	if cap(bb.futs) < n {
-		bb.futs = make([]*futureSlot, n)
-		bb.ids = make([]uint64, n)
-		bb.payloads = make([]any, n)
-	} else {
-		bb.futs = bb.futs[:n]
-		bb.ids = bb.ids[:n]
-		bb.payloads = bb.payloads[:n]
-	}
-	if cap(bb.preds) < m {
-		bb.preds = make([][]any, m)
-	} else {
-		bb.preds = bb.preds[:m]
-	}
-}
-
-// release clears every reference the buffers hold and returns the set to the
-// pool. Called at the end of finalize, after the last read of any buffer.
-func (bb *batchBufs) release() {
-	for i := range bb.futs {
-		bb.futs[i] = nil
-		bb.payloads[i] = nil
-	}
-	for i := range bb.preds {
-		bb.preds[i] = nil
-	}
-	batchBufsPool.Put(bb)
-}
-
 // batchRun is one dispatched batch's execution state: the per-model backend
-// passes fill preds, the last one to finish finalizes the futures.
+// passes fill preds, the last one to finish finalizes the futures. Runs are
+// pooled: only the launch → model-pass → finalize pipeline touches a run
+// (waiters touch just their own slot), so once finalize has resolved every
+// slot the run and its slices go back to the pool, and the dispatch hot path
+// runs batch after batch without growing the heap. Backends and combiners
+// must not retain the ID/payload slices beyond the call, which the ExecTask
+// contract already requires.
 type batchRun struct {
 	out      DispatchOutcome
-	bufs     *batchBufs
 	futs     []*futureSlot
 	ids      []uint64
 	payloads []any
 	h        *backendHandle
-	// done is the batch-wide completion broadcast: finalize closes it once,
-	// after resolving every slot, so a 64-wide batch wakes all its waiters
-	// with a single channel close.
-	done chan struct{}
 	// preds[k] is model k's predictions; remaining counts unfinished model
 	// passes.
 	preds     [][]any
 	remaining atomic.Int32
-	// failOnce/err record the first model pass failure; written before the
+	// failed/err record the first model pass failure; written before the
 	// pass's remaining decrement, so finalize (which runs after observing
 	// zero) always sees it.
-	failOnce sync.Once
-	err      error
+	failed atomic.Bool
+	err    error
+}
+
+var batchRunPool = sync.Pool{New: func() any { return new(batchRun) }}
+
+// grab sizes the run's slices for a batch of n requests across m models,
+// reusing prior capacity.
+func (br *batchRun) grab(n, m int) {
+	if cap(br.futs) < n {
+		br.futs = make([]*futureSlot, n)
+		br.ids = make([]uint64, n)
+		br.payloads = make([]any, n)
+	} else {
+		br.futs = br.futs[:n]
+		br.ids = br.ids[:n]
+		br.payloads = br.payloads[:n]
+	}
+	if cap(br.preds) < m {
+		br.preds = make([][]any, m)
+	} else {
+		br.preds = br.preds[:m]
+	}
+}
+
+// release clears every reference the run holds and returns it to the pool.
+// Called at the end of finalize, after the last read of the run.
+func (br *batchRun) release() {
+	for i := range br.futs {
+		br.futs[i] = nil
+		br.payloads[i] = nil
+	}
+	for i := range br.preds {
+		br.preds[i] = nil
+	}
+	br.out = DispatchOutcome{}
+	br.h = nil
+	br.err = nil
+	br.failed.Store(false)
+	batchRunPool.Put(br)
 }
 
 func (br *batchRun) fail(err error) {
-	br.failOnce.Do(func() { br.err = err })
+	if br.failed.CompareAndSwap(false, true) {
+		br.err = err
+	}
 }
 
 // task builds model pass i's ExecTask view of the batch.
@@ -490,30 +482,19 @@ func (br *batchRun) task(i int) ExecTask {
 // event, preserving the loop's determinism. Called with the dispatch lock
 // held.
 func (r *Runtime) launch(now float64, out DispatchOutcome) {
-	bufs := batchBufsPool.Get().(*batchBufs)
-	bufs.grab(len(out.Requests), len(out.Models))
-	futs, ids, payloads := bufs.futs, bufs.ids, bufs.payloads
-	h := r.backend.Load()
-	h.wg.Add(1)
+	br := batchRunPool.Get().(*batchRun)
+	br.grab(len(out.Requests), len(out.Models))
+	br.out = out
+	br.h = r.backend.Load()
+	br.h.wg.Add(1)
 	r.inflight.Add(1)
-	// The batchRun itself is NOT pooled: a waiter that loaded s.br may still
-	// be about to read br.done after finalize broadcasts, so the struct must
-	// stay immutable until the GC proves it unreachable. Its slices live in
-	// the pooled bufs, which only the launch→pass→finalize pipeline touches.
-	br := &batchRun{out: out, bufs: bufs, futs: futs, ids: ids,
-		payloads: payloads, h: h, done: make(chan struct{}), preds: bufs.preds}
 	br.remaining.Store(int32(len(out.Models)))
-	// The popped requests carry their slots: move each onto the batch and
-	// unpark any waiter that arrived before dispatch (it moves onto the
-	// batch's broadcast channel).
+	// The popped requests carry their slots: the run holds them until
+	// finalize resolves them.
 	for i, req := range out.Requests {
-		s := req.slot
-		ids[i] = req.ID
-		futs[i] = s
-		payloads[i] = s.payload
-		s.br = br
-		s.state.Store(futDispatched)
-		s.wakeWaiter()
+		br.ids[i] = req.ID
+		br.futs[i] = req.slot
+		br.payloads[i] = req.slot.payload
 	}
 	for i := range out.Models {
 		if r.syncExec {
@@ -583,14 +564,16 @@ func (r *Runtime) onModelFree() {
 }
 
 // finalize folds a finished batch's model passes into per-request results
-// through the handle's combiner and resolves its futures.
+// through the handle's combiner, resolves its futures and returns the run to
+// the pool.
 func (r *Runtime) finalize(br *batchRun) {
+	h := br.h
 	defer r.inflight.Done()
-	defer br.h.wg.Done()
+	defer h.wg.Done()
 	err := br.err
 	var results []any
 	if err == nil {
-		results, err = br.h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
+		results, err = h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
 		if err == nil && len(results) != len(br.futs) {
 			err = fmt.Errorf("infer: combiner returned %d results for a batch of %d", len(results), len(br.futs))
 		}
@@ -610,26 +593,16 @@ func (r *Runtime) finalize(br *batchRun) {
 		r.eng.observeBatchLatency(r.tl.Now() - oldest)
 	}
 	for i, s := range br.futs {
+		var res any
+		if err == nil {
+			res = results[i]
+		}
 		// Slots share the outcome's model-name slice; Future.Models copies
 		// on read, so batch siblings stay isolated without a per-request
 		// allocation here.
-		s.models = br.out.ModelNames
-		s.latency = br.out.Finish - br.out.Requests[i].Arrival
-		if err != nil {
-			s.err = err
-		} else {
-			s.result = results[i]
-		}
-		// Drop the input bytes: payloads must not outlive the request.
-		s.payload = nil
-		br.payloads[i] = nil
-		s.state.Store(futResolved)
-		s.closeDone()
+		s.resolve(res, err, br.out.ModelNames, br.out.Finish-br.out.Requests[i].Arrival)
 	}
-	// One broadcast resolves every waiter in the batch; the buffers go back
-	// to the pool after their last read above (waiters never touch them).
-	close(br.done)
-	br.bufs.release()
+	br.release()
 }
 
 // failAll closes the engine queue and resolves every queued (undispatched)
@@ -639,7 +612,7 @@ func (r *Runtime) finalize(br *batchRun) {
 // first.
 func (r *Runtime) failAll(err error) {
 	for _, q := range r.eng.closeQueue() {
-		q.slot.resolveLocal(err)
+		q.slot.resolve(nil, err, nil, 0)
 	}
 }
 

@@ -260,7 +260,7 @@ func TestRuntimePoisonsOnPolicyError(t *testing.T) {
 			}
 			for i, f := range futs {
 				select {
-				case <-f.Done():
+				case <-waitDone(f):
 				case <-time.After(5 * time.Second):
 					t.Fatalf("future %d never resolved", i)
 				}
@@ -367,7 +367,7 @@ func TestSubmitRacesClose(t *testing.T) {
 			for _, as := range accepted {
 				for _, a := range as {
 					select {
-					case <-a.f.Done():
+					case <-waitDone(a.f):
 					case <-time.After(5 * time.Second):
 						t.Fatalf("future %s never resolved", a.payload)
 					}
