@@ -27,8 +27,10 @@ race:
 
 # Tier-1 must pass repeatedly on a small box, not once: five runs of the
 # serving packages at two procs, where timing-dependent tests flake first.
+# The timeout bounds a decision point that never comes back to minutes, not
+# go test's 10-minute default per package.
 repeat:
-	GOMAXPROCS=2 $(GO) test -count=5 . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim
+	GOMAXPROCS=2 $(GO) test -count=5 -timeout 3m . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim
 
 # The end-to-end benchmark is its own module (benchmark/go.mod), so
 # `go test ./...` never reaches its tests: the manifest and the binary's

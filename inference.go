@@ -440,7 +440,8 @@ func (s *System) scaleModelLocked(job *InferenceJob, mi, target int) error {
 // StopInference tears down a deployment: it unregisters the job (later
 // queries see ErrUnknownInferenceJob), stops its autoscale loop, closes its
 // runtime — queued futures fail with infer.ErrClosed, in-flight batches
-// complete, poll timers stop — and releases the job's cluster containers.
+// complete, an armed deadline wake fires as a no-op — and releases the job's
+// cluster containers.
 func (s *System) StopInference(id string) error {
 	return s.stopInference(id, true)
 }

@@ -92,7 +92,8 @@ func AblationAlphaGreedy(sc Scale) (*Figure, error) {
 }
 
 // AblationBackoff sweeps Algorithm 3's back-off constant δ (DESIGN.md §5.3)
-// through the deployment's BackoffDelta, the field GreedySingle reads:
+// through the deployment's BackoffDelta, the δ Algorithm 3 plans with in the
+// simulator:
 // δ=0 dispatches at the last possible moment (more overdue when the estimate
 // is tight), large δ dispatches early (smaller batches, lower throughput).
 func AblationBackoff(sc Scale) (*Figure, error) {
@@ -104,7 +105,7 @@ func AblationBackoff(sc Scale) (*Figure, error) {
 	fig := &Figure{ID: "ablation-backoff", Title: "Algorithm 3 back-off constant sweep (single model, min anchor)"}
 	for _, delta := range []float64{0, 0.1, 0.3} {
 		d.BackoffDelta = delta * d.Tau
-		met, err := servingRun(d, &infer.GreedySingle{D: d}, anchor, sc, 60, false, 0)
+		met, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 60, false, 0)
 		if err != nil {
 			return nil, err
 		}

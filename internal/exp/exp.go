@@ -422,7 +422,7 @@ func singleModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, 
 	}
 	// Greedy needs no training: a single warm cycle aligns its measurement
 	// window with RL's.
-	greedy, err := servingRun(d, &infer.GreedySingle{D: d}, anchor, sc, 10, false, 0)
+	greedy, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 10, false, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -125,8 +125,8 @@ func TestRuntimeBackendSaturation(t *testing.T) {
 	if !full {
 		t.Fatal("no dispatch and full queue within 10s")
 	}
-	// Poll ticks keep running decision points; the held replicas must keep
-	// every one of them from dispatching.
+	// Later decision points (the deadline wakes the queued requests name,
+	// this submit's sweep) find every replica held and dispatch nothing.
 	time.Sleep(20 * time.Millisecond)
 	if _, err := rt.Submit("late"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit to a stalled runtime = %v, want ErrQueueFull", err)

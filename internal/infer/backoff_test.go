@@ -3,6 +3,7 @@ package infer
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,17 +12,21 @@ import (
 	"rafiki/internal/zoo"
 )
 
-// lateTimeline is an EventLoop whose timers all wake lag late. Every batch's
-// passes run from a timer armed for the planned finish, so each batch — and
-// the finalize that reads the clock — completes lag after the plan: the wall
-// clock's late wake-ups, in deterministic virtual time.
+// lateTimeline is an EventLoop whose pass timers all wake lag late. Every
+// batch's passes run from a timer armed for the planned finish, so each
+// batch — and the finalize that reads the clock — completes lag after the
+// plan: a backend slower than its profile, in deterministic virtual time.
+// The runtime's deadline wake keeps its instant, so dispatches are on time.
 type lateTimeline struct {
 	*sim.EventLoop
 	lag float64
 }
 
+// deadlineWakePC identifies the runtime's cached deadline-wake callback.
+var deadlineWakePC = reflect.ValueOf((&Runtime{}).scheduleSweep).Pointer()
+
 func (l *lateTimeline) AfterFunc(d float64, fn func()) {
-	if d > 0 {
+	if d > 0 && reflect.ValueOf(fn).Pointer() != deadlineWakePC {
 		d += l.lag
 	}
 	l.EventLoop.AfterFunc(d, fn)

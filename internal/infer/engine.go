@@ -164,6 +164,10 @@ type Engine struct {
 	// online RL adapter copies what it rewrites). Only Step touches them.
 	view modelView
 	st   State
+	// until is the Action.Until of the wait that ended the last Step, 0
+	// when something else ended it. Only Step writes it; a Runtime arms its
+	// deadline wake from it, the Simulator ignores it.
+	until float64
 
 	// occMu guards the replica pools. pools itself is fixed at construction
 	// (the deployment's model set never changes); each pool's slices resize
@@ -581,6 +585,7 @@ func (e *Engine) flushArrivals() {
 // (see DispatchOutcome).
 func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 	e.flushArrivals()
+	e.until = 0
 	var outs []DispatchOutcome
 	for {
 		if len(outs) > 64 {
@@ -598,6 +603,7 @@ func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 		e.decisions.Add(1)
 		act := e.Policy.Decide(st)
 		if act.Wait {
+			e.until = act.Until
 			e.Policy.Feedback(0)
 			return outs, nil
 		}

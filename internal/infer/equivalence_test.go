@@ -35,7 +35,7 @@ type goldenRun struct {
 var goldenRuns = []goldenRun{
 	{
 		models: []string{"inception_v3"},
-		policy: func(d *Deployment) Policy { return &GreedySingle{D: d} },
+		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
 		tau:    0.56, anchor: 272, duration: 120, seed: 6,
 		served: 30896, overdue: 19842, dropped: 0, decisions: 1020,
 		reward: 134.6774453125, accMean: 0.7838062372, accLen: 489,

@@ -121,6 +121,10 @@ func (q *Queue) WaitsAppend(now float64, k int, buf []float64) []float64 {
 type Action struct {
 	// Wait, when true, defers dispatching to the next decision point.
 	Wait bool
+	// Until, on a wait, is the earliest time the answer can change without
+	// an arrival or a returned pass: the driver decides again then. 0 means
+	// only those events can change it.
+	Until float64
 	// Batch is the target batch size (one of the deployment's candidates).
 	// The dispatcher serves min(Batch, queue length) requests.
 	Batch int

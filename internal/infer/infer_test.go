@@ -108,9 +108,10 @@ func TestDeploymentThroughputAnchors(t *testing.T) {
 	}
 }
 
+// Algorithm 3 on a single model is SyncAll over a one-model deployment.
 func TestGreedySingleDecisions(t *testing.T) {
 	d := singleDeployment(t)
-	g := &GreedySingle{D: d}
+	g := &SyncAll{D: d}
 	base := &State{
 		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true}, BusyLeft: []float64{0},
@@ -217,7 +218,7 @@ func runSim(t *testing.T, d *Deployment, p Policy, anchor, duration float64, see
 
 func TestSimulatorGreedyServesLoad(t *testing.T) {
 	d := singleDeployment(t)
-	met := runSim(t, d, &GreedySingle{D: d}, 272, 300, 3)
+	met := runSim(t, d, &SyncAll{D: d}, 272, 300, 3)
 	if met.Served == 0 {
 		t.Fatal("no requests served")
 	}
@@ -269,8 +270,8 @@ func TestSimulatorAsyncAccuracyLower(t *testing.T) {
 
 func TestSimulatorDeterministic(t *testing.T) {
 	d := singleDeployment(t)
-	a := runSim(t, d, &GreedySingle{D: d}, 272, 120, 6)
-	b := runSim(t, d, &GreedySingle{D: d}, 272, 120, 6)
+	a := runSim(t, d, &SyncAll{D: d}, 272, 120, 6)
+	b := runSim(t, d, &SyncAll{D: d}, 272, 120, 6)
 	if a.Served != b.Served || a.Overdue != b.Overdue || a.Reward != b.Reward {
 		t.Fatal("simulator not deterministic")
 	}
@@ -278,7 +279,7 @@ func TestSimulatorDeterministic(t *testing.T) {
 
 func TestSimulatorMeasureFromSkipsWarmup(t *testing.T) {
 	d := singleDeployment(t)
-	p := &GreedySingle{D: d}
+	p := &SyncAll{D: d}
 	rng := sim.NewRNG(7)
 	arr, _ := workload.NewSineArrival(272, 500*d.Tau, rng.SplitNamed("arrival"))
 	s := NewSimulator(d, p, workload.NewSource(arr), ensemble.NewAccuracyTable(zoo.NewPredictor(7), 2000))
@@ -292,7 +293,7 @@ func TestSimulatorMeasureFromSkipsWarmup(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no measured arrivals")
 	}
-	full := runSim(t, d, &GreedySingle{D: d}, 272, 120, 7)
+	full := runSim(t, d, &SyncAll{D: d}, 272, 120, 7)
 	if total >= full.ArrivalRate.Total() {
 		t.Fatal("MeasureFrom did not skip warm-up arrivals")
 	}

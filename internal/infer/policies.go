@@ -1,74 +1,74 @@
 package infer
 
-// GreedySingle is Algorithm 3 for a single deployed model: dispatch the
-// maximum batch when the queue covers it; otherwise dispatch the largest
-// candidate batch that fits once the head request's remaining slack —
-// including the AIMD-style back-off δ (State.Delta) — would be exceeded by
-// waiting longer. Requests below the smallest candidate batch keep waiting
-// for the queue to fill (the straggler behaviour the paper attributes to
-// Line 7, which the RL scheduler fixes).
-type GreedySingle struct {
-	D *Deployment
-	// Model is the index of the deployed model (0 in single-model runs).
-	Model int
-	// one is the reusable Models scratch: Decide runs serialized (under the
-	// runtime's dispatch lock) and the engine copies Action.Models into the
-	// outcome, so the same backing array serves every decision.
-	one [1]int
-}
+import "math"
 
-// Name implements Policy.
-func (g *GreedySingle) Name() string { return "greedy" }
-
-// Feedback implements Policy (baselines ignore rewards).
-func (g *GreedySingle) Feedback(float64) {}
-
-// Decide implements Policy.
-func (g *GreedySingle) Decide(s *State) Action {
-	if !s.FreeModels[g.Model] {
-		return Action{Wait: true}
-	}
-	g.one[0] = g.Model
+// algorithm3 is Algorithm 3's batch rule for the free models in models: it
+// dispatches the maximum batch when the queue covers it; otherwise the
+// largest candidate batch the queue covers, once the head request's wait
+// plus c(b) — the slowest model's latency for that batch — and the back-off
+// δ (State.Delta) reach τ. Requests below the smallest candidate batch keep
+// waiting for the queue to fill (the straggler behaviour the paper
+// attributes to Line 7, which the RL scheduler fixes).
+//
+// A deadline wait names the instant the rule starts to hold in Until, so
+// the driver decides again exactly then; every other wait leaves Until 0.
+// models is returned as the dispatch's model subset.
+func algorithm3(s *State, models []int) Action {
 	maxB := s.Batches[len(s.Batches)-1]
 	if s.QueueLen >= maxB {
-		return Action{Batch: maxB, Models: g.one[:]}
+		return Action{Batch: maxB, Models: models}
 	}
 	// b = max{b in B, b <= len(q)}
-	b := -1
-	bi := -1
+	b, bi := -1, -1
 	for i, cand := range s.Batches {
 		if cand <= s.QueueLen {
 			b, bi = cand, i
 		}
 	}
 	if b < 0 {
-		return Action{Wait: true} // queue below the smallest batch: wait
+		return Action{Wait: true}
+	}
+	c := 0.0
+	for _, m := range models {
+		c = max(c, s.LatencyTable[m][bi])
 	}
 	wait := 0.0
 	if len(s.Waits) > 0 {
 		wait = s.Waits[0]
 	}
-	if s.LatencyTable[g.Model][bi]+wait+s.Delta >= s.Tau {
-		return Action{Batch: b, Models: g.one[:]}
+	if c+wait+s.Delta >= s.Tau {
+		return Action{Batch: b, Models: models}
 	}
-	return Action{Wait: true}
+	// The head's wait grows with the clock: name the first float instant at
+	// which the rule, evaluated as above, holds.
+	due := func(t float64) bool { return c+(wait+(t-s.Now))+s.Delta >= s.Tau }
+	until := s.Now + (s.Tau - s.Delta - c - wait)
+	for due(math.Nextafter(until, s.Now)) {
+		until = math.Nextafter(until, s.Now)
+	}
+	for !due(until) {
+		until = math.Nextafter(until, math.Inf(1))
+	}
+	return Action{Wait: true, Until: until}
 }
 
 // SyncAll is the first Section 7.2.2 baseline: every batch is served by all
-// models synchronously (full ensemble). Batch selection follows Algorithm 3
-// with the ensemble's cost, i.e. the slowest model's latency.
+// models synchronously (full ensemble), and on a one-model deployment it is
+// Algorithm 3 itself. Batch selection follows Algorithm 3 with the
+// ensemble's cost, i.e. the slowest model's latency.
 type SyncAll struct {
 	D *Deployment
-	// all is the reusable identity Models scratch (see GreedySingle.one):
-	// Decide runs serialized and the engine copies Action.Models,
-	// so the full-ensemble subset is built once and reused per decision.
+	// all is the reusable identity Models scratch: Decide runs serialized
+	// (under the runtime's dispatch lock) and the engine copies
+	// Action.Models into the outcome, so the full-ensemble subset is built
+	// once and reused per decision.
 	all []int
 }
 
 // Name implements Policy.
 func (p *SyncAll) Name() string { return "greedy-sync" }
 
-// Feedback implements Policy.
+// Feedback implements Policy (baselines ignore rewards).
 func (p *SyncAll) Feedback(float64) {}
 
 // Decide implements Policy.
@@ -84,34 +84,7 @@ func (p *SyncAll) Decide(s *State) Action {
 			p.all[i] = i
 		}
 	}
-	all := p.all
-	maxB := s.Batches[len(s.Batches)-1]
-	if s.QueueLen >= maxB {
-		return Action{Batch: maxB, Models: all}
-	}
-	b, bi := -1, -1
-	for i, cand := range s.Batches {
-		if cand <= s.QueueLen {
-			b, bi = cand, i
-		}
-	}
-	if b < 0 {
-		return Action{Wait: true}
-	}
-	slowest := 0.0
-	for m := range s.FreeModels {
-		if c := s.LatencyTable[m][bi]; c > slowest {
-			slowest = c
-		}
-	}
-	wait := 0.0
-	if len(s.Waits) > 0 {
-		wait = s.Waits[0]
-	}
-	if slowest+wait+s.Delta >= s.Tau {
-		return Action{Batch: b, Models: all}
-	}
-	return Action{Wait: true}
+	return algorithm3(s, p.all)
 }
 
 // AsyncEach is the second Section 7.2.2 baseline: models run asynchronously,
@@ -121,7 +94,7 @@ type AsyncEach struct {
 	D *Deployment
 	// next rotates which free model grabs the batch so the load spreads.
 	next int
-	// one is the reusable Models scratch (see GreedySingle.one).
+	// one is the reusable Models scratch (see SyncAll.all).
 	one [1]int
 }
 
@@ -147,27 +120,9 @@ func (p *AsyncEach) Decide(s *State) Action {
 		return Action{Wait: true}
 	}
 	p.one[0] = model
-	maxB := s.Batches[len(s.Batches)-1]
-	if s.QueueLen >= maxB {
+	act := algorithm3(s, p.one[:])
+	if !act.Wait {
 		p.next = (model + 1) % n
-		return Action{Batch: maxB, Models: p.one[:]}
 	}
-	b, bi := -1, -1
-	for i, cand := range s.Batches {
-		if cand <= s.QueueLen {
-			b, bi = cand, i
-		}
-	}
-	if b < 0 {
-		return Action{Wait: true}
-	}
-	wait := 0.0
-	if len(s.Waits) > 0 {
-		wait = s.Waits[0]
-	}
-	if s.LatencyTable[model][bi]+wait+s.Delta >= s.Tau {
-		p.next = (model + 1) % n
-		return Action{Batch: b, Models: p.one[:]}
-	}
-	return Action{Wait: true}
+	return act
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -106,17 +107,13 @@ type RuntimeConfig struct {
 // through its future.
 //
 // Decision points mirror the Simulator's: every submission (via the
-// coalesced sweep), every model freeing up, and a poll tick while requests
-// wait. A model frees up when its backend pass returns: a dispatched replica
-// stays busy until then, so replica occupancy is the runtime's only bound on
-// concurrent backend passes.
+// coalesced sweep), every model freeing up, and the instant a waiting
+// policy names (Action.Until), when Algorithm 3's deadline rule starts to
+// hold without a new arrival. A model frees up when its backend pass
+// returns: a dispatched replica stays busy until then, so replica occupancy
+// is the runtime's only bound on concurrent backend passes.
 type Runtime struct {
 	tl sim.Timeline
-	// poll is the re-decision cadence (τ/25 timeline seconds) while requests
-	// wait in a non-empty queue — the wall-clock analogue of the Simulator's
-	// arrival tick, which lets deadline-pressure dispatches (Algorithm 3
-	// line 7) fire without a new arrival.
-	poll float64
 
 	// syncExec marks a non-concurrent timeline (the virtual-time EventLoop,
 	// whose event heap is unlocked and whose callbacks fire single-threaded
@@ -143,22 +140,19 @@ type Runtime struct {
 	// order: mu, then the engine's locks; never the reverse.
 	mu  sync.Mutex
 	eng *Engine
+	// deadline is the earliest armed deadline wake not yet reached, +Inf
+	// when none is armed. Guarded by mu. deadlineFn, the wake's cached
+	// callback (no closure per arm), only schedules a coalesced sweep, so a
+	// timer callback never blocks on the dispatch lock.
+	deadline   float64
+	deadlineFn func()
 	// sweepSet coalesces decision points: only the submitter that flips it
 	// schedules a sweep; everyone else piggybacks.
 	sweepSet atomic.Bool
-	// pollSet marks a pending wait-poll tick. Atomic so the poll timer
-	// callback can clear it and re-route through the sweep worker without
-	// taking the dispatch lock (timer callbacks must stay cheap: a callback
-	// blocked on a busy dispatch lock is a goroutine pinned for the whole
-	// wait).
-	pollSet atomic.Bool
 	// wake is the sweep worker's one-token run signal; workerStarted
 	// latches its lazy spawn (concurrent timelines only).
 	wake          chan struct{}
 	workerStarted atomic.Bool
-	// pollFn is the cached poll-timer callback, so arming a poll does not
-	// allocate a fresh closure per tick.
-	pollFn func()
 
 	// closed flips once (teardown or poison); errv holds the poisoning
 	// engine error, stored before closed so closedErr never misses it.
@@ -208,9 +202,9 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	_, concurrent := tl.(sim.ConcurrentTimeline)
 	r := &Runtime{
 		tl:       tl,
-		poll:     d.Tau / 25,
 		syncExec: !concurrent,
 		eng:      eng,
+		deadline: math.Inf(1),
 	}
 	r.execCtx, r.execCancel = context.WithCancel(context.Background())
 	b := cfg.Backend
@@ -221,7 +215,7 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		tb.BindTimeline(tl)
 	}
 	r.backend.Store(&backendHandle{b: b, combine: combine})
-	r.pollFn = r.pollTick
+	r.deadlineFn = r.scheduleSweep
 	r.passCh = make(chan passRef)
 	r.stopCh = make(chan struct{})
 	r.wake = make(chan struct{}, 1)
@@ -334,8 +328,8 @@ func (r *Runtime) sweep() {
 	_ = r.step(r.tl.Now())
 }
 
-// step runs one decision point, launching its dispatches and arming the wait
-// poll. Called with the dispatch lock held.
+// step runs one decision point, launching its dispatches and arming the
+// deadline wake its wait names. Called with the dispatch lock held.
 func (r *Runtime) step(now float64) error {
 	if r.closed.Load() {
 		return r.closedErr()
@@ -355,33 +349,19 @@ func (r *Runtime) step(now float64) error {
 		r.failAll(err)
 		return err
 	}
-	if r.eng.QueueLen() > 0 && r.pollSet.CompareAndSwap(false, true) {
-		r.tl.AfterFunc(r.poll, r.pollFn)
+	if now >= r.deadline {
+		r.deadline = math.Inf(1) // the armed wake has come
+	}
+	// Arm a wake only for an instant earlier than the armed one (a later
+	// arrival that raised the batch); a superseded wake fires as one
+	// harmless sweep. The floor keeps every wake strictly after now, and
+	// deadline is the instant the timeline will fire at.
+	if u := r.eng.until; u > 0 && u < r.deadline {
+		d := max(u, math.Nextafter(now, math.Inf(1))) - now
+		r.deadline = now + d
+		r.tl.AfterFunc(d, r.deadlineFn)
 	}
 	return nil
-}
-
-// pollTick is the recurring decision point while requests wait. On a wall
-// timeline the timer callback only clears the poll flag and schedules a
-// sweep — it must not block on the dispatch lock, because every fired
-// wall-timer callback is its own goroutine and a busy lock would pin them
-// all. The virtual-time loop steps inline, keeping its event ordering.
-func (r *Runtime) pollTick() {
-	if !r.syncExec {
-		r.pollSet.Store(false)
-		if r.closed.Load() {
-			return
-		}
-		r.scheduleSweep()
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pollSet.Store(false)
-	if r.closed.Load() {
-		return
-	}
-	_ = r.step(r.tl.Now())
 }
 
 // backendHandle binds a backend to the combiner that folds its predictions,
@@ -676,9 +656,9 @@ func (r *Runtime) PolicyName() string {
 	return r.eng.Policy.Name()
 }
 
-// SetSLO retargets the latency SLO τ on the live runtime and rescales the
-// wait-poll cadence with it, then re-runs a decision point (a looser τ may
-// justify waiting, a tighter one may demand an immediate flush).
+// SetSLO retargets the latency SLO τ on the live runtime, then re-runs a
+// decision point (a looser τ may justify waiting, a tighter one may demand
+// an immediate flush).
 func (r *Runtime) SetSLO(tau float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -688,7 +668,6 @@ func (r *Runtime) SetSLO(tau float64) error {
 	if err := r.eng.SetTau(tau); err != nil {
 		return err
 	}
-	r.poll = tau / 25
 	return r.step(r.tl.Now())
 }
 

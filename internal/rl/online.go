@@ -2,6 +2,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"rafiki/internal/infer"
@@ -24,6 +25,11 @@ import (
 //     action mask already excludes busy models, so clamping loses nothing.
 //   - A step counter readable outside the runtime lock (atomic), so callers
 //     can observe that online learning is advancing while queries are served.
+//   - A bound on every wait (infer.Action.Until): the agent cannot name the
+//     instant its answer changes, so a wait lasts until the last instant the
+//     head request can still meet τ on the fastest single-request pass, or
+//     one such pass once that instant has gone. Without it a wait with no
+//     later arrival would never be decided again.
 type Online struct {
 	agent *Agent
 	steps atomic.Int64
@@ -52,7 +58,27 @@ func (o *Online) Name() string { return "rl" }
 func (o *Online) Decide(s *infer.State) infer.Action {
 	act := o.agent.Decide(o.sanitize(s))
 	o.steps.Add(1)
+	if act.Wait {
+		act.Until = waitBound(s)
+	}
 	return act
+}
+
+// waitBound is the instant a wait ends: Now + τ − wait − min_m c(m, b₁),
+// or one fastest pass from now once that has passed.
+func waitBound(s *infer.State) float64 {
+	fastest := math.Inf(1)
+	for _, row := range s.LatencyTable {
+		fastest = min(fastest, row[0])
+	}
+	wait := 0.0
+	if len(s.Waits) > 0 {
+		wait = s.Waits[0]
+	}
+	if until := s.Now + s.Tau - wait - fastest; until > s.Now {
+		return until
+	}
+	return s.Now + fastest
 }
 
 // Feedback implements infer.Policy, delivering the Equation 7 reward of the

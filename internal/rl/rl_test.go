@@ -167,7 +167,7 @@ func TestRLBeatsGreedyAtLowRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := runServing(t, d, &infer.GreedySingle{D: d}, 228, 280, 280, 11)
+	greedy := runServing(t, d, &infer.SyncAll{D: d}, 228, 280, 280, 11)
 	agent, err := NewAgent(DefaultConfig(), 1, testB, sim.NewRNG(12))
 	if err != nil {
 		t.Fatal(err)
@@ -344,5 +344,51 @@ func TestOnlineSanitizesWallClockStates(t *testing.T) {
 	}
 	if act := o.Decide(s); !act.Wait && len(act.Models) == 0 {
 		t.Fatalf("post-training decide invalid: %+v", act)
+	}
+}
+
+// TestOnlineLoneRequestResolves: the agent cannot name the instant its
+// answer changes, so each of its waits is bounded. One request and no later
+// arrival, over a virtual-time runtime, still resolves within 10τ. One model
+// and one batch size leave the agent two actions, so about half the seeds
+// answer the request with a wait first.
+func TestOnlineLoneRequestResolves(t *testing.T) {
+	d, err := infer.NewDeployment([]string{"inception_v3"}, []int{1}, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func(ids []uint64, payloads []any, _ []string, _ [][]any) ([]any, error) {
+		return append([]any(nil), payloads...), nil
+	}
+	waited := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		o, err := NewOnline(DefaultConfig(), len(d.ModelNames), d.Batches, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop := sim.NewEventLoop()
+		rt, err := infer.NewRuntime(d, o, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echo,
+			infer.RuntimeConfig{Timeline: loop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const at = 0.01
+		loop.Schedule(at, func() {
+			if _, err := rt.Submit("x"); err != nil {
+				t.Error(err)
+			}
+		})
+		loop.RunUntil(at + 10*d.Tau)
+		st := rt.Stats()
+		rt.Close()
+		if st.Served != 1 {
+			t.Fatalf("seed %d: served %d after 10τ (%d decisions), want the lone request", seed, st.Served, st.Decisions)
+		}
+		if st.Decisions > 1 {
+			waited++
+		}
+	}
+	if waited == 0 {
+		t.Fatal("no agent waited: the test no longer exercises a bounded wait")
 	}
 }

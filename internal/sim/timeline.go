@@ -60,7 +60,8 @@ func (l *EventLoop) AfterFunc(d float64, fn func()) {
 // and non-blocking — every serving-plane wall callback is a flag-set or a
 // channel close. The dispatcher parks in no pool: it exits whenever the
 // heap drains and is respawned by the next AfterFunc, so an idle timeline
-// holds zero goroutines and needs no Close.
+// holds zero goroutines and needs no Close. Its entry point and sleep timer
+// live as long as the timeline, so a respawn allocates nothing.
 type WallTimeline struct {
 	Speedup float64
 
@@ -74,6 +75,10 @@ type WallTimeline struct {
 	// wake (cap 1) interrupts that sleep when an earlier event arrives.
 	next time.Time
 	wake chan struct{}
+	// timer is the dispatcher's sleep and dispatchFn its cached entry
+	// point; only the one running dispatcher touches timer.
+	timer      *time.Timer
+	dispatchFn func()
 }
 
 // wallEvent is one scheduled callback; events ride the heap by value.
@@ -115,12 +120,13 @@ func (w *WallTimeline) AfterFunc(d float64, fn func()) {
 	w.mu.Lock()
 	if w.wake == nil {
 		w.wake = make(chan struct{}, 1)
+		w.dispatchFn = w.dispatch
 	}
 	w.push(wallEvent{when: when, fn: fn})
 	if !w.running {
 		w.running = true
 		w.mu.Unlock()
-		go w.dispatch()
+		go w.dispatchFn()
 		return
 	}
 	// A sleeping dispatcher aims at w.next; an earlier arrival has to
@@ -140,7 +146,6 @@ func (w *WallTimeline) AfterFunc(d float64, fn func()) {
 // earliest remaining deadline (or an earlier arrival's wake token), exit
 // when the heap is empty.
 func (w *WallTimeline) dispatch() {
-	var timer *time.Timer
 	for {
 		w.mu.Lock()
 		if len(w.events) == 0 {
@@ -159,17 +164,15 @@ func (w *WallTimeline) dispatch() {
 		w.next = w.events[0].when
 		d := w.events[0].when.Sub(now)
 		w.mu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(d)
+		if w.timer == nil {
+			w.timer = time.NewTimer(d)
 		} else {
-			timer.Reset(d)
+			w.timer.Reset(d) // Go ≥ 1.23 timers: no stale tick to drain
 		}
 		select {
-		case <-timer.C:
+		case <-w.timer.C:
 		case <-w.wake:
-			if !timer.Stop() {
-				<-timer.C
-			}
+			w.timer.Stop()
 		}
 	}
 }
