@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race repeat benchmark-test benchmark-smoke bench bench-smoke verify-journal
+.PHONY: check fmt vet build test race repeat portable benchmark-test benchmark-smoke bench bench-smoke verify-journal
 
-check: fmt vet build race repeat benchmark-test benchmark-smoke bench-smoke verify-journal
+check: fmt vet build race repeat portable benchmark-test benchmark-smoke bench-smoke verify-journal
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -31,6 +31,14 @@ race:
 # go test's 10-minute default per package.
 repeat:
 	GOMAXPROCS=2 $(GO) test -count=5 -timeout 3m . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim
+
+# The Bayesian advisor's linear algebra runs amd64 assembly where the CPU has
+# AVX2 and FMA. Test the portable fallback on its own (the purego tag turns
+# the kernels off), and vet it cross-compiled for arm64, where there is no
+# assembly at all; neither needs anything beyond the local toolchain.
+portable:
+	$(GO) test -tags purego ./internal/linalg ./internal/gp ./internal/advisor
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/gp ./internal/advisor
 
 # The end-to-end benchmark is its own module (benchmark/go.mod), so
 # `go test ./...` never reaches its tests: the manifest and the binary's
@@ -65,7 +73,9 @@ bench:
 # submit → wait → release round trip (eight callers, every request served
 # on the paced sim backend), the path the submit benchmark leaves out.
 # Last, one sequential
-# 150-trial study on the Bayesian advisor, with its allocations, one 16-sample
+# 150-trial study on the Bayesian advisor, with its allocations, one batch of
+# expected improvements (512 candidates, 150 observations) on the vector
+# kernels and on the portable loops, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
 # (handler alone, then over a loopback keep-alive connection).
@@ -74,6 +84,7 @@ bench-smoke:
 	$(GO) test . -run none -bench '^BenchmarkSubmit$$' -benchtime 20000x
 	$(GO) test . -run none -bench '^BenchmarkSubmitWait$$' -benchtime 20000x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
+	$(GO) test ./internal/gp/ -run none -bench BenchmarkExpectedImprovements -benchtime 1x
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x

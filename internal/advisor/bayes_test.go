@@ -4,11 +4,37 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
+	_ "unsafe" // go:linkname to linalg's CPU gate
 
 	"rafiki/internal/sim"
 )
+
+// vectorKernels is linalg's CPU gate. Tests flip it so that the portable
+// loops and the vector kernels run in one process.
+//
+//go:linkname vectorKernels rafiki/internal/linalg.useVector
+var vectorKernels bool
+
+// onBothPaths runs f on the portable loops and then on the vector kernels,
+// skipping the vector half where the CPU gate is off.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	vector := vectorKernels
+	t.Cleanup(func() { vectorKernels = vector })
+	t.Run("portable", func(t *testing.T) {
+		vectorKernels = false
+		f(t)
+	})
+	t.Run("vector", func(t *testing.T) {
+		if !vector {
+			t.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+		}
+		vectorKernels = true
+		f(t)
+	})
+}
 
 // goldenSpace is the Section 7.1.1 space (log knobs, a dependency and a
 // post-hook that draws nothing but rewrites a value) plus a categorical knob,
@@ -55,7 +81,13 @@ func trialPrint(tr *Trial) uint32 {
 // proposal.
 func goldenStudy(t testing.TB, trials int) []uint32 {
 	t.Helper()
-	adv := NewBayesAdvisor(goldenSpace(t), sim.NewRNG(20180607))
+	return seededStudy(t, trials, 20180607)
+}
+
+// seededStudy is goldenStudy's study from the given seed.
+func seededStudy(t testing.TB, trials int, seed int64) []uint32 {
+	t.Helper()
+	adv := NewBayesAdvisor(goldenSpace(t), sim.NewRNG(seed))
 	prints := make([]uint32, trials)
 	for i := range prints {
 		tr, err := adv.Next("w")
@@ -80,13 +112,38 @@ var goldenPrints = []uint32{
 
 // TestBayesStudyMatchesGolden: the rewrite draws the same candidates in the
 // same order and ranks them the same way, so a seeded sequential study
-// proposes exactly the trials it did before, run after run.
+// proposes exactly the trials it did before, run after run, on either path
+// through linalg's kernels.
 func TestBayesStudyMatchesGolden(t *testing.T) {
-	for run := 0; run < 2; run++ {
-		for i, p := range goldenStudy(t, len(goldenPrints)) {
-			if p != goldenPrints[i] {
-				t.Fatalf("run %d: proposal %d has print %#08x, golden %#08x", run, i, p, goldenPrints[i])
+	onBothPaths(t, func(t *testing.T) {
+		for run := 0; run < 2; run++ {
+			for i, p := range goldenStudy(t, len(goldenPrints)) {
+				if p != goldenPrints[i] {
+					t.Fatalf("run %d: proposal %d has print %#08x, golden %#08x", run, i, p, goldenPrints[i])
+				}
 			}
+		}
+	})
+}
+
+// TestBayesStudyVectorMatchesPortable: a whole 150-trial sequential study,
+// the length of one the end-to-end train_bayes workload runs, proposes the
+// same trials on the vector kernels as on the portable loops.
+func TestBayesStudyVectorMatchesPortable(t *testing.T) {
+	if !vectorKernels {
+		t.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+	}
+	t.Cleanup(func() { vectorKernels = true })
+	for _, seed := range []int64{1, 2, 3} {
+		vectorKernels = false
+		portable := seededStudy(t, 150, seed)
+		vectorKernels = true
+		if vector := seededStudy(t, 150, seed); !slices.Equal(vector, portable) {
+			i := 0
+			for vector[i] == portable[i] {
+				i++
+			}
+			t.Fatalf("seed %d: proposal %d has print %#08x on the vector path, %#08x on the portable", seed, i, vector[i], portable[i])
 		}
 	}
 }

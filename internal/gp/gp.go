@@ -41,7 +41,8 @@ func sqDist(a, b []float64) float64 {
 }
 
 // BlockSize is how many points ExpectedImprovements scores per pass over the
-// factor; a caller streaming candidates should hand over multiples of it.
+// factor, the width of linalg's vector kernels; a caller streaming
+// candidates should hand over multiples of it.
 const BlockSize = linalg.Block
 
 // GP is a Gaussian-process regressor. Observations are added incrementally;
@@ -65,10 +66,12 @@ type GP struct {
 	alpha  linalg.Vector
 	yMean  float64
 
-	// Scratch kept across calls is O(BlockSize·n), as a finished study's
-	// advisor stays reachable; a full factorisation's O(n²) buffers are not.
-	ks  linalg.Vector // one kernel row
-	blk []float64     // BlockSize kernel rows, interleaved for SolveLowerBlock
+	// Scratch kept across calls is O(BlockSize·n), at most 2n rows, as a
+	// finished study's advisor stays reachable; a full factorisation's O(n²)
+	// buffers are not.
+	ks   linalg.Vector // one kernel row
+	blk  []float64     // BlockSize kernel rows, interleaved for SolveLowerBlock
+	cols []float64     // a block's points by coordinate: coordinate j of lane c at j*BlockSize+c
 }
 
 // New returns a GP with the given kernel and observation-noise variance.
@@ -152,11 +155,19 @@ func (g *GP) sqDists() []float64 {
 	return d2
 }
 
-// expOver sets e to exp(−d²/2ℓ²) elementwise: the part of the kernel matrix
-// that depends on the length scale alone. e may be d2.
+// expOver sets e to exp(−d²/2ℓ²) elementwise, a block at a time: the part of
+// the kernel matrix that depends on the length scale alone. e may be d2.
 func expOver(e, d2 []float64, lengthScale float64) {
-	for i, v := range d2 {
-		e[i] = math.Exp(-v / (2 * lengthScale * lengthScale))
+	den := 2 * lengthScale * lengthScale
+	for len(d2) > 0 {
+		var blk [linalg.Block]float64
+		m := min(len(d2), linalg.Block)
+		for c, v := range d2[:m] {
+			blk[c] = -v / den
+		}
+		linalg.ExpBlock(&blk)
+		copy(e, blk[:m])
+		e, d2 = e[m:], d2[m:]
 	}
 }
 
@@ -251,7 +262,15 @@ func (g *GP) FitHyperparams() (float64, error) {
 		g.Kernel = entry
 		return 0, errors.New("gp: hyper-parameter fit failed for all grid points")
 	}
+	// Leave the factor at the winner, out of the grid's buffers, so the next
+	// refit does not allocate its own to refactor.
 	g.Kernel = best
+	if g.fitted != best {
+		expOver(e, d2, best.LengthScale)
+		if g.factor(m, e) == nil {
+			g.solve()
+		}
+	}
 	return bestLL, nil
 }
 
@@ -289,25 +308,39 @@ func (g *GP) ExpectedImprovement(x []float64, xi float64) (float64, error) {
 // ExpectedImprovements writes into out the EI of the len(out) points stored
 // back to back in xs: ExpectedImprovement over a batch, BlockSize points
 // sharing each pass over the factor out of one reused block-sized workspace.
+// A block's kernel rows are built an observation at a time, the squared
+// distances coordinate by coordinate across the lanes and the exponentials by
+// one ExpBlock per row; every lane computes what RBF.of and Predict compute,
+// operation for operation.
 func (g *GP) ExpectedImprovements(xs []float64, xi float64, out []float64) error {
 	if err := g.refit(); err != nil {
 		return err
 	}
 	n := len(g.ys)
 	if cap(g.blk) < n*BlockSize {
-		g.blk = make([]float64, (n+16)*BlockSize) // room for the next 16 observations
+		g.blk = make([]float64, 2*n*BlockSize) // doubling: O(log n) allocations per study
 	}
-	blk, kernel, alpha := g.blk[:n*BlockSize], g.Kernel, g.alpha
+	if len(g.cols) != g.dim*BlockSize {
+		g.cols = make([]float64, g.dim*BlockSize)
+	}
+	blk, cols, kernel, alpha := g.blk[:n*BlockSize], g.cols, g.Kernel, g.alpha
+	den := 2 * kernel.LengthScale * kernel.LengthScale
 	prior := kernel.of(0)
 	for len(out) > 0 {
 		m := min(BlockSize, len(out))
-		var mean, vv [BlockSize]float64
 		for c := 0; c < BlockSize; c++ {
 			// Lanes past the last point rerun it; their results are dropped.
-			x := xs[min(c, m-1)*g.dim:][:g.dim]
-			for i := 0; i < n; i++ {
-				k := kernel.of(sqDist(g.x(i), x))
-				blk[i*BlockSize+c] = k
+			for j, v := range xs[min(c, m-1)*g.dim:][:g.dim] {
+				cols[j*BlockSize+c] = v
+			}
+		}
+		var mean, vv [BlockSize]float64
+		for i := 0; i < n; i++ {
+			row := (*[BlockSize]float64)(blk[i*BlockSize:])
+			linalg.RBFBlock(row, g.x(i), cols, den)
+			for c, e := range row {
+				k := kernel.SignalVar * e
+				row[c] = k
 				mean[c] += k * alpha[i]
 			}
 		}

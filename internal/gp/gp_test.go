@@ -3,10 +3,17 @@ package gp
 import (
 	"math"
 	"testing"
+	_ "unsafe" // go:linkname to linalg's CPU gate
 
 	"rafiki/internal/linalg"
 	"rafiki/internal/sim"
 )
+
+// vectorKernels is linalg's CPU gate. Tests flip it so that the portable
+// loops and the vector kernels run in one process.
+//
+//go:linkname vectorKernels rafiki/internal/linalg.useVector
+var vectorKernels bool
 
 func TestRBFKernelProperties(t *testing.T) {
 	k := RBF{LengthScale: 0.5, SignalVar: 2}
@@ -407,6 +414,129 @@ func TestExpectedImprovementsMatchesPerPoint(t *testing.T) {
 	}
 	if err := New(RBF{LengthScale: 0.3, SignalVar: 1}, 1e-4).ExpectedImprovements(nil, 0, nil); err != ErrNoData {
 		t.Fatalf("batch EI on an empty model: %v", err)
+	}
+}
+
+// TestExpectedImprovementsVectorMatchesPortable: on random models, batch EI
+// is bit for bit the same whichever path linalg takes, across block
+// remainders, a jittered factor, a hyper-parameter fit, and a length scale
+// so short that most exponentials fall below the vector kernel's range to
+// zero or subnormal values.
+func TestExpectedImprovementsVectorMatchesPortable(t *testing.T) {
+	if !vectorKernels {
+		t.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+	}
+	t.Cleanup(func() { vectorKernels = true })
+	models := []struct {
+		name     string
+		kernel   RBF
+		noise    float64
+		n, dim   int
+		jittered bool // duplicate observations at next to no noise
+		fit      bool
+	}{
+		{"one", RBF{LengthScale: 0.3, SignalVar: 0.2}, 1e-4, 1, 3, false, false},
+		{"block-1", RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4, 15, 4, false, false},
+		{"block", RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4, 16, 1, false, false},
+		{"block+1", RBF{LengthScale: 0.5, SignalVar: 1}, 1e-3, 17, 6, false, false},
+		{"n150", RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4, 150, 7, false, false},
+		{"short", RBF{LengthScale: 0.01, SignalVar: 1}, 1e-4, 40, 3, false, false},
+		{"jittered", RBF{LengthScale: 0.3, SignalVar: 1}, 1e-20, 24, 2, true, false},
+		{"fitted", RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4, 60, 5, false, true},
+	}
+	rng := sim.NewRNG(8)
+	for _, m := range models {
+		xs := randomPoints(rng, m.n, m.dim)
+		if m.jittered {
+			xs[1], xs[9] = xs[0], xs[0]
+		}
+		ys := make([]float64, m.n)
+		for i, x := range xs {
+			ys[i] = math.Sin(3*x[0]) + 0.1*rng.Float64()
+		}
+		cands := append(randomPoints(rng, 100, m.dim), xs[0]) // 101: a block remainder, one at distance 0
+		var flat []float64
+		for _, c := range cands {
+			flat = append(flat, c...)
+		}
+		if m.kernel.LengthScale == 0.01 {
+			below := 0
+			for _, x := range xs {
+				for _, c := range cands {
+					if -sqDist(x, c)/(2*0.01*0.01) < -708 {
+						below++
+					}
+				}
+			}
+			if below == 0 {
+				t.Fatalf("%s: no kernel value below the vector range", m.name)
+			}
+		}
+		var eis [2][]float64
+		var kernels [2]RBF
+		for p, vector := range []bool{false, true} {
+			vectorKernels = vector
+			g := New(m.kernel, m.noise)
+			for i, x := range xs {
+				g.Add(x, ys[i])
+			}
+			if m.fit {
+				if _, err := g.FitHyperparams(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eis[p] = make([]float64, len(cands))
+			if err := g.ExpectedImprovements(flat, 0.01, eis[p]); err != nil {
+				t.Fatal(err)
+			}
+			kernels[p] = g.Kernel
+		}
+		if kernels[0] != kernels[1] {
+			t.Fatalf("%s: fitted kernel %+v portable, %+v vector", m.name, kernels[0], kernels[1])
+		}
+		for i := range cands {
+			if math.Float64bits(eis[0][i]) != math.Float64bits(eis[1][i]) {
+				t.Fatalf("%s: EI[%d] = %v portable, %v vector", m.name, i, eis[0][i], eis[1][i])
+			}
+		}
+	}
+}
+
+// BenchmarkExpectedImprovements scores 512 candidates against 150
+// observations, the size of a late proposal in a 150-trial study, on each
+// path.
+func BenchmarkExpectedImprovements(b *testing.B) {
+	rng := sim.NewRNG(9)
+	g := New(RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4)
+	for _, x := range randomPoints(rng, 150, 7) {
+		g.Add(x, math.Sin(3*x[0])+0.1*rng.Float64())
+	}
+	var flat []float64
+	for _, c := range randomPoints(rng, 512, 7) {
+		flat = append(flat, c...)
+	}
+	out := make([]float64, 512)
+	if err := g.ExpectedImprovements(flat, 0.01, out); err != nil { // fit and workspace outside the timings
+		b.Fatal(err)
+	}
+	vector := vectorKernels
+	defer func() { vectorKernels = vector }()
+	for _, path := range []struct {
+		name   string
+		vector bool
+	}{{"vector", true}, {"portable", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.vector && !vector {
+				b.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+			}
+			vectorKernels = path.vector
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := g.ExpectedImprovements(flat, 0.01, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

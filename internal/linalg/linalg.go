@@ -1,14 +1,22 @@
 // Package linalg is the linear-algebra kernel under Rafiki's Gaussian-process
 // advisor (internal/gp is its only importer): a packed Cholesky factor that
 // grows a row per observation and solves for a block of right-hand sides,
-// and the textbook dense path the tests hold it to. Stdlib only; both retry
-// with diagonal jitter, the standard remedy for near-singular kernel matrices.
+// and the textbook dense path the tests hold it to. Stdlib plus amd64
+// assembly for the blocked solve and the exponential (ExpBlock, and
+// RBFBlock, which feeds it squared distances), with a portable fallback;
+// both factorisations retry with diagonal jitter, the standard remedy for
+// near-singular kernel matrices.
+//
+// The assembly runs on AVX2 and FMA when the CPU has them and computes every
+// lane bit for bit as the portable Go does. The gate is set once at init;
+// the purego build tag, or any other architecture, keeps the portable loops.
 package linalg
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrNotPositiveDefinite is returned when a matrix is not (numerically)
@@ -54,8 +62,9 @@ func nextJitter(jitter, meanDiag float64) (float64, bool) {
 	return jitter, jitter <= 1e-4*scale
 }
 
-// Block is how many right-hand sides SolveLowerBlock carries per pass.
-const Block = 8
+// Block is how many right-hand sides SolveLowerBlock carries per pass, and
+// how many values ExpBlock takes.
+const Block = 16
 
 // Chol is the Cholesky factor L of a symmetric positive-definite matrix,
 // packed by rows (row i: i+1 entries at offset i(i+1)/2) so inner products
@@ -150,14 +159,29 @@ func (c *Chol) SolveUpperT(x Vector) {
 // SolveLowerBlock solves L·X = B in place for Block right-hand sides at once,
 // entry i of right-hand side r at v[i*Block+r]. Each row of L is loaded once
 // per block, and the Block running sums are independent of one another; each
-// is accumulated in the order the dense SolveLower uses.
+// is accumulated in the order the dense SolveLower uses, whichever path runs.
 func (c *Chol) SolveLowerBlock(v []float64) {
+	if c.n == 0 {
+		return
+	}
+	_ = v[c.n*Block-1] // the kernel reads and writes n·Block entries
+	if useVector {
+		solveLowerBlockAVX2(&c.l[0], &v[0], c.n)
+		return
+	}
+	c.solveLowerHalf(v, 0)
+	c.solveLowerHalf(v, Block/2)
+}
+
+// solveLowerHalf is the portable SolveLowerBlock on the eight right-hand
+// sides from lane off.
+func (c *Chol) solveLowerHalf(v []float64, off int) {
 	for i := 0; i < c.n; i++ {
 		li := c.row(i)
-		vi := (*[Block]float64)(v[i*Block:])
+		vi := (*[Block / 2]float64)(v[i*Block+off:])
 		a0, a1, a2, a3, a4, a5, a6, a7 := vi[0], vi[1], vi[2], vi[3], vi[4], vi[5], vi[6], vi[7]
 		for k, l := range li[:i] {
-			vk := (*[Block]float64)(v[k*Block:])
+			vk := (*[Block / 2]float64)(v[k*Block+off:])
 			a0 -= l * vk[0]
 			a1 -= l * vk[1]
 			a2 -= l * vk[2]
@@ -168,8 +192,56 @@ func (c *Chol) SolveLowerBlock(v []float64) {
 			a7 -= l * vk[7]
 		}
 		d := li[i]
-		*vi = [Block]float64{a0 / d, a1 / d, a2 / d, a3 / d, a4 / d, a5 / d, a6 / d, a7 / d}
+		*vi = [Block / 2]float64{a0 / d, a1 / d, a2 / d, a3 / d, a4 / d, a5 / d, a6 / d, a7 / d}
 	}
+}
+
+// ExpBlock sets each v[c] to math.Exp(v[c]), bit for bit. The vector kernel
+// is a lane-wise port of math.Exp's own AVX+FMA path, which math.Exp takes on
+// every CPU the gate admits; it covers arguments in [-708, 0], and lanes
+// outside that range (subnormal or zero results, positive arguments, NaN)
+// are handed to math.Exp itself.
+func ExpBlock(v *[Block]float64) {
+	if useVector {
+		expLanes(v, expBlockAVX2(v))
+		return
+	}
+	for c, x := range v {
+		v[c] = math.Exp(x)
+	}
+}
+
+// expLanes sets v[c] to math.Exp(v[c]) for each bit c set in lanes: the
+// lanes the vector kernels leave to math.Exp.
+func expLanes(v *[Block]float64, lanes uint32) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		c := bits.TrailingZeros32(lanes)
+		v[c] = math.Exp(v[c])
+	}
+}
+
+// RBFBlock sets row[c] = exp(−d²/den) for each of the Block points held by
+// coordinate in cols (coordinate j of point c at cols[j*Block+c]), d² the
+// squared distance between x and the point summed coordinate by coordinate:
+// what an RBF kernel computes one point at a time, bit for bit, followed by
+// ExpBlock's exponential.
+func RBFBlock(row *[Block]float64, x, cols []float64, den float64) {
+	cols = cols[:len(x)*Block]
+	if useVector && len(x) > 0 {
+		expLanes(row, rbfBlockAVX2(row, &x[0], len(x), &cols[0], den))
+		return
+	}
+	*row = [Block]float64{}
+	for j, a := range x {
+		for c, b := range (*[Block]float64)(cols[j*Block:]) {
+			d := a - b
+			row[c] += d * d
+		}
+	}
+	for c, d2 := range row {
+		row[c] = -d2 / den
+	}
+	ExpBlock(row)
 }
 
 // Matrix is a dense row-major matrix. It and the functions below are the

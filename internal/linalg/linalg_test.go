@@ -267,34 +267,133 @@ func TestCholAppendIsTheNextRowOfFactor(t *testing.T) {
 	}
 }
 
+// haveVector is the gate as the CPU set it, before any test flips it.
+var haveVector = useVector
+
+// bothPaths runs f once on the portable loops and once on the vector
+// kernels, restoring the gate afterwards. The vector half is skipped where
+// the gate is off.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	t.Cleanup(func() { useVector = haveVector })
+	t.Run("portable", func(t *testing.T) {
+		useVector = false
+		f(t)
+	})
+	t.Run("vector", func(t *testing.T) {
+		if !haveVector {
+			t.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+		}
+		useVector = true
+		f(t)
+	})
+}
+
 // TestSolveLowerBlock: every lane of the blocked solve is the dense forward
-// substitution on that right-hand side, operation for operation.
+// substitution on that right-hand side, operation for operation and bit for
+// bit, on either path, so the two paths agree with each other too.
 func TestSolveLowerBlock(t *testing.T) {
-	g := sim.NewRNG(17)
-	for _, n := range []int{1, 2, 7, 33} {
-		var c Chol
-		if err := c.Factor(packLower(randomSPD(g, n)), n); err != nil {
-			t.Fatal(err)
-		}
-		v := make([]float64, n*Block)
-		for i := range v {
-			v[i] = g.Normal(0, 1)
-		}
-		var want [Block]Vector
-		for r := range want {
-			b := NewVector(n)
-			for i := range b {
-				b[i] = v[i*Block+r]
+	bothPaths(t, func(t *testing.T) {
+		g := sim.NewRNG(17)
+		for _, n := range []int{0, 1, 2, 7, 15, 16, 17, 33, 150} {
+			var c Chol
+			if err := c.Factor(packLower(randomSPD(g, n)), n); err != nil {
+				t.Fatal(err)
 			}
-			want[r] = SolveLower(unpack(&c), b)
-		}
-		c.SolveLowerBlock(v)
-		for i := 0; i < n; i++ {
-			for r := 0; r < Block; r++ {
-				if v[i*Block+r] != want[r][i] {
-					t.Fatalf("n=%d lane %d entry %d: %v, dense %v", n, r, i, v[i*Block+r], want[r][i])
+			v := make([]float64, n*Block)
+			for i := range v {
+				v[i] = g.Normal(0, 1)
+			}
+			var want [Block]Vector
+			for r := range want {
+				b := NewVector(n)
+				for i := range b {
+					b[i] = v[i*Block+r]
+				}
+				want[r] = SolveLower(unpack(&c), b)
+			}
+			c.SolveLowerBlock(v)
+			for i := 0; i < n; i++ {
+				for r := 0; r < Block; r++ {
+					if math.Float64bits(v[i*Block+r]) != math.Float64bits(want[r][i]) {
+						t.Fatalf("n=%d lane %d entry %d: %v, dense %v", n, r, i, v[i*Block+r], want[r][i])
+					}
 				}
 			}
 		}
+	})
+}
+
+// TestExpBlockMatchesMathExp holds ExpBlock to math.Exp bit for bit over
+// arguments inside and around the vector kernel's range, the special values
+// it hands back to math.Exp among them.
+func TestExpBlockMatchesMathExp(t *testing.T) {
+	g := sim.NewRNG(19)
+	args := []float64{
+		math.Copysign(0, -1), 0, -708, -708.39, -745.13, -745.14, -800, -1e300,
+		math.Inf(-1), math.Inf(1), math.NaN(), 1, 709.78, 710, -1e-320, -5e-324,
+		math.Nextafter(-708, 0), math.Nextafter(-708, -1000),
 	}
+	const draws = 1 << 20
+	for len(args) < draws {
+		switch len(args) % 3 {
+		case 0:
+			args = append(args, g.Uniform(-800, 0))
+		case 1:
+			args = append(args, -50*(-math.Log(1-g.Float64()))) // −Exp·50
+		default:
+			args = append(args, math.Float64frombits(uint64(g.Int63())|1<<63)) // any negative bits
+		}
+	}
+	bothPaths(t, func(t *testing.T) {
+		var v [Block]float64
+		for i := 0; i+Block <= len(args); i += Block {
+			copy(v[:], args[i:])
+			ExpBlock(&v)
+			for c, got := range v {
+				x := args[i+c]
+				want := math.Exp(x)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("exp(%v) [bits %#x] = %v [%#x], math.Exp %v [%#x]",
+						x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
+}
+
+// TestRBFBlock: each lane is exp(−d²/den) for d² summed coordinate by
+// coordinate, as a kernel computes it one point at a time, on either path;
+// the short length scale sends most lanes below the vector range.
+func TestRBFBlock(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		g := sim.NewRNG(23)
+		for _, dim := range []int{0, 1, 2, 7} {
+			for _, den := range []float64{2 * 0.2 * 0.2, 2 * 0.01 * 0.01, 2} {
+				x := make([]float64, dim)
+				cols := make([]float64, dim*Block)
+				for j := range x {
+					x[j] = g.Float64()
+				}
+				for i := range cols {
+					cols[i] = g.Float64()
+				}
+				if dim > 0 {
+					cols[0] = math.NaN()
+				}
+				var row [Block]float64
+				RBFBlock(&row, x, cols, den)
+				for c, got := range row {
+					d2 := 0.0
+					for j := range x {
+						d := x[j] - cols[j*Block+c]
+						d2 += d * d
+					}
+					want := math.Exp(-d2 / den)
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("dim %d den %v lane %d: %v, want %v", dim, den, c, got, want)
+					}
+				}
+			}
+		}
+	})
 }

@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"rafiki/internal/store"
@@ -40,12 +40,27 @@ type Layer struct {
 
 // ShapeKey returns the canonical shape signature used for shape-matched
 // parameter reuse, e.g. "conv3:3x3x64".
-func (l Layer) ShapeKey() string {
-	parts := make([]string, len(l.Shape))
+func (l Layer) ShapeKey() string { return string(l.appendShapeKey(nil)) }
+
+// appendShapeKey appends ShapeKey's signature to b.
+func (l *Layer) appendShapeKey(b []byte) []byte {
+	b = append(append(b, l.Name...), ':')
 	for i, s := range l.Shape {
-		parts[i] = fmt.Sprint(s)
+		if i > 0 {
+			b = append(b, 'x')
+		}
+		b = strconv.AppendInt(b, int64(s), 10)
 	}
-	return l.Name + ":" + strings.Join(parts, "x")
+	return b
+}
+
+// clone deep-copies the layer.
+func (l *Layer) clone() Layer {
+	return Layer{
+		Name:  l.Name,
+		Shape: append([]int(nil), l.Shape...),
+		Data:  append([]float64(nil), l.Data...),
+	}
 }
 
 // Checkpoint is a full model parameter set plus the metadata the tuning
@@ -72,12 +87,8 @@ func (c *Checkpoint) Clone() *Checkpoint {
 		Owner: c.Owner, Public: c.Public,
 	}
 	out.Layers = make([]Layer, len(c.Layers))
-	for i, l := range c.Layers {
-		out.Layers[i] = Layer{
-			Name:  l.Name,
-			Shape: append([]int(nil), l.Shape...),
-			Data:  append([]float64(nil), l.Data...),
-		}
+	for i := range c.Layers {
+		out.Layers[i] = c.Layers[i].clone()
 	}
 	return out
 }
@@ -298,37 +309,47 @@ func (s *Server) bestForModel(model string, visible func(*Checkpoint) bool) (*Ch
 }
 
 // FetchMatching returns, for each requested layer signature, the matching
-// layer from the highest-accuracy checkpoint that contains it (any model).
-// Missing signatures are simply absent from the result — the caller
-// random-initializes those layers (Section 4.2.2's architecture tuning).
+// layer from the highest-accuracy checkpoint that contains it (any model; the
+// first key in sorted order wins ties). Missing signatures are simply absent
+// from the result — the caller random-initializes those layers (Section
+// 4.2.2's architecture tuning). Every stored checkpoint counts as one read
+// for the cold tier, but the scan reads them in place, compares signatures
+// as bytes, and copies only the winning layers.
 func (s *Server) FetchMatching(signatures []string) map[string]Layer {
-	want := map[string]bool{}
+	slot := make(map[string]int, len(signatures)) // signature -> index into best
 	for _, sig := range signatures {
-		want[sig] = true
+		if _, ok := slot[sig]; !ok {
+			slot[sig] = len(slot)
+		}
 	}
 	type cand struct {
-		layer Layer
+		layer *Layer // nil until a checkpoint has the signature
 		acc   float64
 	}
-	best := map[string]cand{}
+	best := make([]cand, len(slot))
+	var sig []byte
 	for _, key := range s.Keys() {
-		c, _, err := s.Get(key)
+		c, _, err := s.access(key)
 		if err != nil {
 			continue
 		}
-		for _, l := range c.Layers {
-			sig := l.ShapeKey()
-			if !want[sig] {
+		for i := range c.Layers {
+			l := &c.Layers[i]
+			sig = l.appendShapeKey(sig[:0])
+			j, ok := slot[string(sig)]
+			if !ok {
 				continue
 			}
-			if cur, ok := best[sig]; !ok || c.Accuracy > cur.acc {
-				best[sig] = cand{layer: l, acc: c.Accuracy}
+			if b := &best[j]; b.layer == nil || c.Accuracy > b.acc {
+				*b = cand{layer: l, acc: c.Accuracy}
 			}
 		}
 	}
 	out := make(map[string]Layer, len(best))
-	for sig, c := range best {
-		out[sig] = c.layer
+	for sig, j := range slot {
+		if l := best[j].layer; l != nil {
+			out[sig] = l.clone()
+		}
 	}
 	return out
 }

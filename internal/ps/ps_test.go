@@ -146,6 +146,70 @@ func TestShapeKeyAndFetchMatching(t *testing.T) {
 	}
 }
 
+// TestFetchMatchingTiesCountsAndCopies: equal accuracies go to the first key
+// in sorted order, a signature requested twice is answered once, only exact
+// signatures match, every stored checkpoint counts one read, and the layers
+// handed out are copies the caller may mutate.
+func TestFetchMatchingTiesCountsAndCopies(t *testing.T) {
+	s := New(4, nil)
+	s.Put("b/t1", ckpt("b", "t1", 0.7, layer("conv", []int{3, 3}, 2), layer("conv", []int{3, 3}, 9)))
+	s.Put("a/t1", ckpt("a", "t1", 0.7, layer("conv", []int{3, 3}, 1)))
+	s.Put("c/t1", ckpt("c", "t1", 0.6, layer("fc", []int{8, 2}, 3), layer("conv", []int{3, 3}, 4)))
+	s.Put("d/t1", ckpt("d", "t1", 0.9, layer("conv", []int{3, 3, 1}, 5), layer("conv3", []int{3}, 6)))
+
+	got := s.FetchMatching([]string{"conv:3x3", "fc:8x2", "conv:3x3", "conv:03x3", "conv:3x3x", "conv3:3"})
+	if len(got) != 3 {
+		t.Fatalf("matched %d signatures (%v), want 3", len(got), got)
+	}
+	if l := got["conv:3x3"]; l.Data[0] != 1 || l.Name != "conv" || len(l.Shape) != 2 {
+		t.Fatalf("conv:3x3 = %+v, want a/t1's layer (first key among equal accuracies)", l)
+	}
+	if l := got["fc:8x2"]; l.Data[0] != 3 {
+		t.Fatalf("fc:8x2 = %+v, want c/t1's", l)
+	}
+	if l := got["conv3:3"]; l.Data[0] != 6 {
+		t.Fatalf("conv3:3 = %+v, want d/t1's", l)
+	}
+	for _, sh := range s.shards {
+		for key, e := range sh.entries {
+			if e.accesses != 1 {
+				t.Fatalf("%s read %d times by one fetch, want 1", key, e.accesses)
+			}
+		}
+	}
+
+	l := got["conv:3x3"]
+	l.Data[0], l.Shape[0] = -1, -1
+	again := s.FetchMatching([]string{"conv:3x3"})["conv:3x3"]
+	if again.Data[0] != 1 || again.Shape[0] != 3 {
+		t.Fatalf("mutating a fetched layer reached the store: %+v", again)
+	}
+	if len(s.FetchMatching(nil)) != 0 {
+		t.Fatal("no signatures requested, some returned")
+	}
+}
+
+// BenchmarkFetchMatching: a warm-start lookup over 256 checkpoints of the
+// architecture-tuning shape (eight conv layers and an fc head each).
+func BenchmarkFetchMatching(b *testing.B) {
+	s := New(16, nil)
+	for i := 0; i < 256; i++ {
+		layers := make([]Layer, 0, 9)
+		for j := 1; j <= 8; j++ {
+			layers = append(layers, Layer{Name: fmt.Sprintf("conv%d", j), Shape: []int{3, 3, 32}, Data: []float64{0.9}})
+		}
+		layers = append(layers, Layer{Name: "fc", Shape: []int{256, 10}, Data: []float64{0.9}})
+		s.Put(fmt.Sprint("probe/", i), ckpt("probe", fmt.Sprint("t", i), 0.8+float64(i%17)/100, layers...))
+	}
+	sigs := []string{"conv1:3x3x32", "conv4:3x3x32", "fc:256x10"}
+	b.ReportAllocs()
+	for b.Loop() {
+		if len(s.FetchMatching(sigs)) != len(sigs) {
+			b.Fatal("a signature went unmatched")
+		}
+	}
+}
+
 func TestColdTierSpillAndReload(t *testing.T) {
 	fs, err := store.NewFS(2, 1024, 1)
 	if err != nil {
