@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race repeat portable benchmark-test benchmark-smoke bench bench-smoke verify-journal
+.PHONY: check fmt vet build test race repeat portable benchmark-test benchmark-smoke bench bench-smoke verify-journal fuzz-smoke
 
-check: fmt vet build race repeat portable benchmark-test benchmark-smoke bench-smoke verify-journal
+check: fmt vet build race repeat portable benchmark-test benchmark-smoke bench-smoke verify-journal fuzz-smoke
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -97,3 +97,9 @@ verify-journal:
 	rm -rf artifacts/journal
 	RAFIKI_JOURNAL_DIR=artifacts/journal $(GO) test . -run TestJournalKillRestartRoundTrip -race -count=1
 	$(GO) run ./cmd/rafiki-bench -verify-journal artifacts/journal
+
+# Ten seconds of coverage-guided fuzzing of the offline chain verifier: any
+# segment bytes must verify without a panic and with a self-consistent
+# result. `go test ./...` replays only its seed inputs.
+fuzz-smoke:
+	$(GO) test -run none -fuzz FuzzVerifyDir -fuzztime 10s ./internal/journal

@@ -3,6 +3,7 @@ package rafiki
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ func TestDeploySpecValidation(t *testing.T) {
 		{"no models", DeploymentSpec{}, "at least one model"},
 		{"bad policy", DeploymentSpec{Models: models, Policy: "round-robin"}, "unknown policy"},
 		{"negative slo", DeploymentSpec{Models: models, SLO: -1}, "SLO"},
+		{"nan slo", DeploymentSpec{Models: models, SLO: math.NaN()}, "SLO"},
 		{"negative queue cap", DeploymentSpec{Models: models, QueueCap: -1}, "queue cap"},
 		{"min above max", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 5, Max: 2}}, "max >= min"},
 		{"max above cap", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 1, Max: maxReplicasPerModel + 1}}, "per-model cap"},

@@ -70,11 +70,11 @@ type RetryCounter interface {
 }
 
 // SimBackend is the default backend: it serves the profiled-simulation path.
-// Execute paces until the task's ProfiledFinish on the bound timeline (a
-// no-op under virtual-time drivers, which invoke it at the finish instant)
-// and returns ProfiledLatency as the observed latency — exactly the table
-// value, so the latency EWMA stays pinned at ratio 1 and the planning tables
-// are bit-identical to a feedback-free engine.
+// Execute sleeps until the task's ProfiledFinish on a bound concurrent
+// timeline (virtual-time drivers invoke it at the finish instant, so there
+// is nothing to wait) and returns ProfiledLatency as the observed latency —
+// exactly the table value, so the latency EWMA stays pinned at ratio 1 and
+// the planning tables are bit-identical to a feedback-free engine.
 //
 // It yields no predictions: the runtime's CombineFunc computes every result
 // from the payloads at ensemble finish. A simulated ensemble draws its
@@ -83,16 +83,17 @@ type RetryCounter interface {
 // draw once per model, adding allocations per request for the same answers.
 type SimBackend struct {
 	mu sync.Mutex
-	tl sim.Timeline
+	ct sim.ConcurrentTimeline
 }
 
 // Name implements Backend.
 func (b *SimBackend) Name() string { return "sim" }
 
-// BindTimeline implements TimelineBinder.
+// BindTimeline implements TimelineBinder: only a concurrent timeline is
+// slept on.
 func (b *SimBackend) BindTimeline(tl sim.Timeline) {
 	b.mu.Lock()
-	b.tl = tl
+	b.ct, _ = tl.(sim.ConcurrentTimeline)
 	b.mu.Unlock()
 }
 
@@ -100,16 +101,12 @@ func (b *SimBackend) BindTimeline(tl sim.Timeline) {
 // cancellation.
 func (b *SimBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
 	b.mu.Lock()
-	tl := b.tl
+	ct := b.ct
 	b.mu.Unlock()
-	if tl != nil {
-		if wait := t.ProfiledFinish - tl.Now(); wait > 0 {
-			done := make(chan struct{})
-			tl.AfterFunc(wait, func() { close(done) })
-			select {
-			case <-done:
-			case <-ctx.Done():
-				return nil, 0, ctx.Err()
+	if ct != nil {
+		if wait := t.ProfiledFinish - ct.Now(); wait > 0 {
+			if err := ct.Sleep(ctx, wait); err != nil {
+				return nil, 0, err
 			}
 		}
 	}

@@ -87,6 +87,47 @@ func TestRuntimeCloseCancelsInflightBackendWork(t *testing.T) {
 	}
 }
 
+// hourSimBackend is the sim backend with every pass an hour past its plan:
+// its Execute sleeps on the bound timeline until Close cancels it.
+type hourSimBackend struct {
+	SimBackend
+	started chan struct{}
+}
+
+func (b *hourSimBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
+	select {
+	case b.started <- struct{}{}:
+	default:
+	}
+	t.ProfiledFinish += 3600
+	return b.SimBackend.Execute(ctx, t)
+}
+
+// TestRuntimeCloseCancelsSimPace: a Close while the sim backend sleeps out a
+// pass on a real-time wall clock cancels the sleep and fails the future
+// fast, as it does for any backend honoring its context.
+func TestRuntimeCloseCancelsSimPace(t *testing.T) {
+	b := &hourSimBackend{started: make(chan struct{}, 1)}
+	rt := newWallRuntime(t, echoExec, RuntimeConfig{Backend: b, Timeline: &sim.WallTimeline{Speedup: 1}})
+	f, err := rt.Submit([]byte("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-b.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("backend pass never started")
+	}
+	start := time.Now()
+	rt.Close()
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close blocked %v behind a pacing sim backend", elapsed)
+	}
+	if _, err := f.Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("in-flight future error = %v, want ErrClosed", err)
+	}
+}
+
 // TestRuntimeBackendSaturation floods a runtime whose backend never finishes:
 // each model's one replica stays held by the first batch's pass, so dispatch
 // stops at that batch, the request queue fills, and further submits answer

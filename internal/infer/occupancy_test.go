@@ -21,20 +21,20 @@ type latePass struct {
 	decided, returned float64
 }
 
-// lateBackend runs every pass for factor× the model's zoo profile at the
-// pass's batch size on the bound timeline, reports that as the observed
-// latency, and records the pass.
+// lateBackend sleeps every pass for factor× the model's zoo profile at the
+// pass's batch size on the bound wall-clock timeline, reports that as the
+// observed latency, and records the pass.
 type lateBackend struct {
 	factor float64
 	mu     sync.Mutex
-	tl     sim.Timeline
+	tl     sim.ConcurrentTimeline
 	passes []latePass
 }
 
 func (b *lateBackend) Name() string { return "late" }
 func (b *lateBackend) BindTimeline(tl sim.Timeline) {
 	b.mu.Lock()
-	b.tl = tl
+	b.tl = tl.(sim.ConcurrentTimeline)
 	b.mu.Unlock()
 }
 func (b *lateBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
@@ -46,12 +46,8 @@ func (b *lateBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, 
 		return nil, 0, err
 	}
 	start := tl.Now()
-	done := make(chan struct{})
-	tl.AfterFunc(b.factor*p.BatchLatency(len(t.IDs)), func() { close(done) })
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+	if err := tl.Sleep(ctx, b.factor*p.BatchLatency(len(t.IDs))); err != nil {
+		return nil, 0, err
 	}
 	now := tl.Now()
 	b.mu.Lock()

@@ -279,8 +279,8 @@ func (r *Runtime) scheduleSweep() {
 	// Fast path: if the dispatch lock is free right now, run the sweep on
 	// this goroutine instead of paying a park/unpark round trip through the
 	// worker — on a single core that scheduling hop is pure added latency on
-	// the drain path. TryLock keeps every caller (submitters, timer
-	// dispatcher callbacks) non-blocking; contention falls back to the
+	// the drain path. TryLock keeps every caller (submitters, the deadline
+	// wake's timer callback) non-blocking; contention falls back to the
 	// worker token below. No caller holds any runtime lock here.
 	if r.mu.TryLock() {
 		r.sweepSet.Store(false)

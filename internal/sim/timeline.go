@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -11,8 +12,8 @@ import (
 // seconds since the timeline's origin.
 //
 // Implementations differ in execution model: EventLoop fires callbacks
-// single-threaded from Step/RunUntil, while WallTimeline fires them from
-// timer goroutines — Timeline consumers must do their own locking if they
+// single-threaded from Step/RunUntil, while WallTimeline fires each one on
+// its own goroutine — Timeline consumers must do their own locking if they
 // can be driven concurrently.
 type Timeline interface {
 	// Now returns the current time in seconds.
@@ -22,16 +23,18 @@ type Timeline interface {
 	AfterFunc(d float64, fn func())
 }
 
-// ConcurrentTimeline marks Timeline implementations whose methods are safe
-// to call from any goroutine and whose callbacks may run concurrently with
-// each other. WallTimeline is one; the EventLoop is not (its heap is
-// unlocked and callbacks fire single-threaded from Step/RunUntil), so
-// consumers that would otherwise offload work to worker goroutines must
-// stay synchronous when this interface is absent.
+// ConcurrentTimeline is a Timeline whose methods are safe to call from any
+// goroutine, whose callbacks may run concurrently with each other, and on
+// which a goroutine may block for a span of timeline time. WallTimeline is
+// one; the EventLoop is not (its heap is unlocked, its callbacks fire
+// single-threaded from Step/RunUntil, and a goroutine blocked on it would
+// stop its clock), so consumers that would otherwise offload work to worker
+// goroutines must stay synchronous when this interface is absent.
 type ConcurrentTimeline interface {
 	Timeline
-	// ConcurrentScheduling is a marker; it does nothing.
-	ConcurrentScheduling()
+	// Sleep blocks for d timeline seconds, or returns ctx.Err() when ctx
+	// is done first.
+	Sleep(ctx context.Context, d float64) error
 }
 
 // AfterFunc implements Timeline over the event loop's virtual clock.
@@ -43,48 +46,20 @@ func (l *EventLoop) AfterFunc(d float64, fn func()) {
 }
 
 // WallTimeline is the process-clock Timeline: Now is the wall time elapsed
-// since the first observation, scaled by Speedup, and AfterFunc arms real
-// timers. It is safe for concurrent use.
+// since the first call of Now, scaled by Speedup, and AfterFunc and Sleep
+// wait on the runtime's own timers. It is safe for concurrent use and holds
+// no goroutine of its own, so it needs no Close.
 //
 // Speedup is the number of timeline seconds that pass per wall-clock second
 // (default 1: timeline time is wall time). Serving latencies in this
 // codebase are simulated from profiled GPU costs, so a test or demo can run
 // a "wall-clock" deployment hundreds of times faster than real time while
 // every duration, SLO and latency metric stays in profiled seconds.
-//
-// Scheduled callbacks fire serially from one dispatcher goroutine over a
-// deadline min-heap, not from a time.AfterFunc goroutine per firing: under a
-// dispatch storm tens of thousands of timers fire per second, and one
-// runnable goroutine per firing both blows the process goroutine peak and
-// allocates a runtime timer per callback. Callbacks must therefore be short
-// and non-blocking — every serving-plane wall callback is a flag-set or a
-// channel close. The dispatcher parks in no pool: it exits whenever the
-// heap drains and is respawned by the next AfterFunc, so an idle timeline
-// holds zero goroutines and needs no Close. Its entry point and sleep timer
-// live as long as the timeline, so a respawn allocates nothing.
 type WallTimeline struct {
 	Speedup float64
 
 	once  sync.Once
 	start time.Time
-
-	mu      sync.Mutex
-	events  []wallEvent
-	running bool
-	// next is the deadline the dispatcher is currently sleeping toward;
-	// wake (cap 1) interrupts that sleep when an earlier event arrives.
-	next time.Time
-	wake chan struct{}
-	// timer is the dispatcher's sleep and dispatchFn its cached entry
-	// point; only the one running dispatcher touches timer.
-	timer      *time.Timer
-	dispatchFn func()
-}
-
-// wallEvent is one scheduled callback; events ride the heap by value.
-type wallEvent struct {
-	when time.Time
-	fn   func()
 }
 
 func (w *WallTimeline) speedup() float64 {
@@ -94,125 +69,48 @@ func (w *WallTimeline) speedup() float64 {
 	return w.Speedup
 }
 
-func (w *WallTimeline) init() {
-	w.once.Do(func() { w.start = time.Now() })
+// wall converts d timeline seconds to the wall duration they last;
+// non-positive d is no time at all.
+func (w *WallTimeline) wall(d float64) time.Duration {
+	return time.Duration(max(d, 0) / w.speedup() * float64(time.Second))
 }
 
 // Now implements Timeline.
 func (w *WallTimeline) Now() float64 {
-	w.init()
+	w.once.Do(func() { w.start = time.Now() })
 	return time.Since(w.start).Seconds() * w.speedup()
 }
 
-// ConcurrentScheduling marks the WallTimeline as safe for concurrent use
-// (ConcurrentTimeline).
-func (w *WallTimeline) ConcurrentScheduling() {}
-
-// AfterFunc implements Timeline: fn runs on the timeline's dispatcher
-// goroutine after d timeline seconds (d/Speedup wall seconds). fn must not
-// block — it delays every later callback on the same timeline.
+// AfterFunc implements Timeline: fn runs on its own goroutine after d
+// timeline seconds (d/Speedup wall seconds).
 func (w *WallTimeline) AfterFunc(d float64, fn func()) {
-	w.init()
-	if d < 0 {
-		d = 0
-	}
-	when := time.Now().Add(time.Duration(d / w.speedup() * float64(time.Second)))
-	w.mu.Lock()
-	if w.wake == nil {
-		w.wake = make(chan struct{}, 1)
-		w.dispatchFn = w.dispatch
-	}
-	w.push(wallEvent{when: when, fn: fn})
-	if !w.running {
-		w.running = true
-		w.mu.Unlock()
-		go w.dispatchFn()
-		return
-	}
-	// A sleeping dispatcher aims at w.next; an earlier arrival has to
-	// interrupt the sleep or it would fire late. The token send is
-	// non-blocking: one pending token already guarantees a re-evaluation.
-	interrupt := when.Before(w.next)
-	w.mu.Unlock()
-	if interrupt {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
+	time.AfterFunc(w.wall(d), fn)
 }
 
-// dispatch drains the deadline heap: run everything due, sleep until the
-// earliest remaining deadline (or an earlier arrival's wake token), exit
-// when the heap is empty.
-func (w *WallTimeline) dispatch() {
-	for {
-		w.mu.Lock()
-		if len(w.events) == 0 {
-			w.running = false
-			w.mu.Unlock()
-			return
-		}
-		now := time.Now()
-		if !w.events[0].when.After(now) {
-			ev := w.pop()
-			w.mu.Unlock()
-			// Outside the lock: callbacks may re-enter AfterFunc.
-			ev.fn()
-			continue
-		}
-		w.next = w.events[0].when
-		d := w.events[0].when.Sub(now)
-		w.mu.Unlock()
-		if w.timer == nil {
-			w.timer = time.NewTimer(d)
-		} else {
-			w.timer.Reset(d) // Go ≥ 1.23 timers: no stale tick to drain
-		}
-		select {
-		case <-w.timer.C:
-		case <-w.wake:
-			w.timer.Stop()
-		}
-	}
-}
+// sleepTimers recycles Sleep's timers, so a steady stream of sleeps
+// allocates none. A recycled timer carries no stale tick into its next
+// Sleep: since Go 1.23 (this module's go line is 1.24) Stop discards a
+// tick the channel has not delivered, and a timer Stop reports as already
+// fired (possible only under GODEBUG=asynctimerchan=1) is dropped rather
+// than pooled.
+var sleepTimers sync.Pool
 
-// push and pop maintain the wallEvent min-heap by value — container/heap
-// would box every event into an interface on the submit hot path.
-func (w *WallTimeline) push(ev wallEvent) {
-	w.events = append(w.events, ev)
-	i := len(w.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !w.events[i].when.Before(w.events[parent].when) {
-			break
-		}
-		w.events[i], w.events[parent] = w.events[parent], w.events[i]
-		i = parent
+// Sleep implements ConcurrentTimeline on a pooled timer.
+func (w *WallTimeline) Sleep(ctx context.Context, d float64) error {
+	t, _ := sleepTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(w.wall(d))
+	} else {
+		t.Reset(w.wall(d))
 	}
-}
-
-func (w *WallTimeline) pop() wallEvent {
-	ev := w.events[0]
-	last := len(w.events) - 1
-	w.events[0] = w.events[last]
-	w.events[last] = wallEvent{}
-	w.events = w.events[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(w.events) && w.events[l].when.Before(w.events[min].when) {
-			min = l
+	select {
+	case <-t.C:
+		sleepTimers.Put(t)
+		return nil
+	case <-ctx.Done():
+		if t.Stop() {
+			sleepTimers.Put(t)
 		}
-		if r < len(w.events) && w.events[r].when.Before(w.events[min].when) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		w.events[i], w.events[min] = w.events[min], w.events[i]
-		i = min
+		return ctx.Err()
 	}
-	return ev
 }

@@ -27,6 +27,7 @@ package rafiki
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -114,6 +115,15 @@ type System struct {
 // Recover to replay an existing journal).
 func New(opts Options, extras ...Option) (*System, error) {
 	opts = opts.withDefaults()
+	// NaN passes withDefaults' <= 0 tests. A NaN SLO, or a NaN or infinite
+	// speedup, makes the serving clock or its deadlines NaN: no deadline
+	// ever comes, so every query would hang.
+	if math.IsNaN(opts.ServeSLO) {
+		return nil, fmt.Errorf("rafiki: ServeSLO must be a number, got %v", opts.ServeSLO)
+	}
+	if math.IsNaN(opts.ServeSpeedup) || math.IsInf(opts.ServeSpeedup, 0) {
+		return nil, fmt.Errorf("rafiki: ServeSpeedup must be finite, got %v", opts.ServeSpeedup)
+	}
 	fs, err := store.NewFS(opts.Nodes, 1<<20, 2)
 	if err != nil {
 		return nil, fmt.Errorf("rafiki: storage: %w", err)

@@ -2,6 +2,7 @@ package rafiki
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,44 @@ func newSystem(t *testing.T) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestNewServingClockOptions: New refuses a serving clock that could never
+// reach a deadline (a NaN SLO, a NaN or infinite speedup) instead of booting
+// a System whose every query hangs, and still defaults zero and negative
+// values.
+func TestNewServingClockOptions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name             string
+		slo, speedup     float64
+		want             string // error substring; "" means New succeeds
+		wantSLO, wantSpd float64
+	}{
+		{"defaults", 0, 0, "", 0.25, 1},
+		{"negative", -1, -3, "", 0.25, 1},
+		{"negative infinite speedup", 0.5, -inf, "", 0.5, 1},
+		{"nan speedup", 0.25, nan, "ServeSpeedup", 0, 0},
+		{"infinite speedup", 0.25, inf, "ServeSpeedup", 0, 0},
+		{"nan slo", nan, 10, "ServeSLO", 0, 0},
+	}
+	for _, tc := range cases {
+		sys, err := New(Options{ServeSLO: tc.slo, ServeSpeedup: tc.speedup})
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: New err = %v, want substring %q", tc.name, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: New: %v", tc.name, err)
+			continue
+		}
+		if sys.opts.ServeSLO != tc.wantSLO || sys.opts.ServeSpeedup != tc.wantSpd {
+			t.Errorf("%s: ServeSLO, ServeSpeedup = %v, %v, want %v, %v", tc.name,
+				sys.opts.ServeSLO, sys.opts.ServeSpeedup, tc.wantSLO, tc.wantSpd)
+		}
+	}
 }
 
 func importFood(t *testing.T, sys *System) *Dataset {

@@ -238,7 +238,7 @@ func (spec DeploymentSpec) validate() error {
 	if spec.Policy == PolicyRL && len(spec.Models) > 8 {
 		return fmt.Errorf("rafiki: policy %q supports at most 8 models, got %d", PolicyRL, len(spec.Models))
 	}
-	if spec.SLO <= 0 {
+	if !(spec.SLO > 0) { // also NaN
 		return fmt.Errorf("rafiki: SLO must be positive, got %v", spec.SLO)
 	}
 	if spec.QueueCap < 0 {
