@@ -74,7 +74,8 @@ bench:
 # on the paced sim backend), the path the submit benchmark leaves out.
 # Last, one sequential
 # 150-trial study on the Bayesian advisor, with its allocations, one batch of
-# expected improvements (512 candidates, 150 observations) on the vector
+# expected improvements (512 candidates, 150 observations) and one
+# hyper-parameter fit (150 observations, with its allocations) on the vector
 # kernels and on the portable loops, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
@@ -85,6 +86,7 @@ bench-smoke:
 	$(GO) test . -run none -bench '^BenchmarkSubmitWait$$' -benchtime 20000x
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/gp/ -run none -bench BenchmarkExpectedImprovements -benchtime 1x
+	$(GO) test ./internal/gp/ -run none -bench BenchmarkFitHyperparams -benchtime 1x -benchmem
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x

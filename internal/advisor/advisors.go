@@ -31,14 +31,21 @@ type baseAdvisor struct {
 	seen     int
 }
 
+// Collect records a result. A non-finite perf (a diverged or failed trial)
+// cannot be the incumbent.
 func (b *baseAdvisor) Collect(_ string, t *Trial, perf float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.seen++
+	if !finite(perf) {
+		return
+	}
 	if b.bestT == nil || perf > b.bestPerf {
 		b.bestT, b.bestPerf = t.Clone(), perf
 	}
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func (b *baseAdvisor) Best() (*Trial, float64) {
 	b.mu.Lock()
@@ -277,9 +284,14 @@ func (b *BayesAdvisor) bestCandidate() (*Trial, error) {
 	return best, nil
 }
 
-// Collect implements Advisor, feeding the GP.
+// Collect implements Advisor, feeding the GP. A non-finite perf is kept out
+// of the GP: one NaN or Inf observation would make every posterior mean, and
+// so every expected improvement, NaN for the rest of the study.
 func (b *BayesAdvisor) Collect(worker string, t *Trial, perf float64) {
 	b.baseAdvisor.Collect(worker, t, perf)
+	if !finite(perf) {
+		return
+	}
 	x, err := b.space.Vector(t)
 	if err != nil {
 		return // unencodable trials (shouldn't happen) just skip the GP

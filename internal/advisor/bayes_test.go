@@ -198,6 +198,44 @@ func TestBayesRefitTrigger(t *testing.T) {
 	}
 }
 
+// TestBayesSkipsNonFiniteResults: a NaN or Inf result changes nothing the
+// advisor does next. In the GP it made every expected improvement NaN, so
+// Next fell back to random search for the rest of the study; as the first
+// result it stayed the incumbent for good.
+func TestBayesSkipsNonFiniteResults(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, at := range []int{0, 12} {
+			var prints [2][]uint32
+			var best [2]*Trial
+			for side, report := range []bool{false, true} {
+				adv := NewBayesAdvisor(goldenSpace(t), sim.NewRNG(11))
+				for i := 0; i < at+11; i++ {
+					tr, err := adv.Next("w")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i > at {
+						prints[side] = append(prints[side], trialPrint(tr))
+					}
+					switch {
+					case i != at:
+						adv.Collect("w", tr, goldenResponse(tr))
+					case report:
+						adv.Collect("w", tr, bad)
+					}
+				}
+				best[side], _ = adv.Best()
+			}
+			if !slices.Equal(prints[0], prints[1]) {
+				t.Fatalf("%v at trial %d: next proposals %x, without that report %x", bad, at, prints[1], prints[0])
+			}
+			if trialPrint(best[0]) != trialPrint(best[1]) {
+				t.Fatalf("%v at trial %d: incumbent %v, without that report %v", bad, at, best[1], best[0])
+			}
+		}
+	}
+}
+
 // TestBayesNextAllocations: once the scratch exists a proposal allocates
 // for the trial it returns, not for the candidates it scores.
 func TestBayesNextAllocations(t *testing.T) {

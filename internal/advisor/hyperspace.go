@@ -109,6 +109,10 @@ type Knob struct {
 	Min, Max float64
 	Log      bool
 
+	// log(Min) and log(Max) of a Log knob, taken once at declaration for
+	// every draw and encoding.
+	logMin, logMax float64
+
 	// Categorical knobs.
 	Cats []string
 
@@ -146,8 +150,11 @@ func (h *HyperSpace) AddRangeKnob(name string, dtype Dtype, min, max float64, op
 	for _, o := range opts {
 		o(k)
 	}
-	if k.Log && min <= 0 {
-		return fmt.Errorf("advisor: log knob %q needs positive min", name)
+	if k.Log {
+		if min <= 0 {
+			return fmt.Errorf("advisor: log knob %q needs positive min", name)
+		}
+		k.logMin, k.logMax = math.Log(min), math.Log(max)
 	}
 	return h.add(k)
 }
@@ -287,7 +294,7 @@ func (h *HyperSpace) draw(k *Knob, rng *sim.RNG) Value {
 	}
 	var v float64
 	if k.Log {
-		v = rng.LogUniform(k.Min, k.Max)
+		v = math.Exp(rng.Uniform(k.logMin, k.logMax)) // rng.LogUniform's expression, logs taken once
 	} else {
 		v = rng.Uniform(k.Min, k.Max)
 	}
@@ -345,7 +352,7 @@ func encode(knobs []*Knob, t *Trial, out []float64) ([]float64, error) {
 		}
 		lo, hi, x := k.Min, k.Max, v.Num
 		if k.Log {
-			lo, hi, x = math.Log(lo), math.Log(hi), math.Log(x)
+			lo, hi, x = k.logMin, k.logMax, math.Log(x)
 		}
 		n := (x - lo) / (hi - lo)
 		if n < 0 {

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"rafiki/internal/linalg"
 )
@@ -132,21 +134,24 @@ func (g *GP) refit() error {
 		extended = g.chol.Append(row)
 	}
 	if !extended {
-		e := g.sqDists()
+		e := g.sqDists(nil)
 		expOver(e, e, g.Kernel.LengthScale)
-		if err := g.factor(e, e); err != nil {
+		if err := g.factor(&g.chol, e, e, g.Kernel.SignalVar); err != nil {
+			g.fitted, g.fitN = RBF{}, 0
 			return err
 		}
+		g.fitted = g.Kernel
 	}
-	g.solve()
+	g.alpha = g.solve(&g.chol, g.alpha)
+	g.yMean, g.fitN = g.ySum/float64(n), n
 	return nil
 }
 
-// sqDists returns the squared distance between every pair of observations,
-// packed like the factor: row i holds d²(i, 0..i).
-func (g *GP) sqDists() []float64 {
+// sqDists appends to d2[:0] the squared distance between every pair of
+// observations, packed like the factor: row i holds d²(i, 0..i).
+func (g *GP) sqDists(d2 []float64) []float64 {
 	n := len(g.ys)
-	d2 := make([]float64, 0, n*(n+1)/2)
+	d2 = slices.Grow(d2[:0], n*(n+1)/2)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			d2 = append(d2, sqDist(g.x(j), g.x(i)))
@@ -171,35 +176,44 @@ func expOver(e, d2 []float64, lengthScale float64) {
 	}
 }
 
-// factor factors m = SignalVar·e + NoiseVar·I from scratch for the current
-// kernel, e being expOver at its length scale. m may be e.
-func (g *GP) factor(m, e []float64) error {
+// factor sets c to the factor of m = signalVar·e + NoiseVar·I, e being
+// expOver at the kernel's length scale, from scratch. m may be e.
+func (g *GP) factor(c *linalg.Chol, m, e []float64, signalVar float64) error {
 	n := len(g.ys)
 	for i, v := range e {
-		m[i] = g.Kernel.SignalVar * v
+		m[i] = signalVar * v
 	}
 	for i := 0; i < n; i++ {
 		m[i*(i+1)/2+i] += g.NoiseVar
 	}
-	g.fitted, g.fitN = g.Kernel, 0
-	if err := g.chol.Factor(m, n); err != nil {
-		g.fitted = RBF{}
+	if err := c.Factor(m, n); err != nil {
 		return fmt.Errorf("gp: kernel matrix: %w", err)
 	}
 	return nil
 }
 
-// solve computes alpha = K⁻¹(y − mean) against the current factor.
-func (g *GP) solve() {
-	n := len(g.ys)
-	g.yMean = g.ySum / float64(n)
-	g.alpha = g.alpha[:0]
+// solve returns alpha = K⁻¹(y − mean) against the factor c, in alpha's
+// storage.
+func (g *GP) solve(c *linalg.Chol, alpha linalg.Vector) linalg.Vector {
+	yMean := g.ySum / float64(len(g.ys))
+	alpha = alpha[:0]
 	for _, y := range g.ys {
-		g.alpha = append(g.alpha, y-g.yMean)
+		alpha = append(alpha, y-yMean)
 	}
-	g.chol.SolveLower(g.alpha)
-	g.chol.SolveUpperT(g.alpha)
-	g.fitN = n
+	c.SolveLower(alpha)
+	c.SolveUpperT(alpha)
+	return alpha
+}
+
+// logEvidence is the log marginal likelihood of the observations given the
+// factor c and its alpha.
+func (g *GP) logEvidence(c *linalg.Chol, alpha linalg.Vector) float64 {
+	yMean := g.ySum / float64(len(g.ys))
+	quad := 0.0
+	for i, y := range g.ys {
+		quad += (y - yMean) * alpha[i]
+	}
+	return -0.5*quad - c.LogDiagSum() - 0.5*float64(len(g.ys))*math.Log(2*math.Pi)
 }
 
 // Predict returns the posterior mean and variance at x.
@@ -222,55 +236,93 @@ func (g *GP) LogMarginalLikelihood() (float64, error) {
 	if err := g.refit(); err != nil {
 		return 0, err
 	}
-	quad := 0.0
-	for i, y := range g.ys {
-		quad += (y - g.yMean) * g.alpha[i]
-	}
-	return -0.5*quad - g.chol.LogDiagSum() - 0.5*float64(len(g.ys))*math.Log(2*math.Pi), nil
+	return g.logEvidence(&g.chol, g.alpha), nil
 }
 
+// The hyper-parameter grid FitHyperparams searches, length-scale major.
+var (
+	fitLengths = [...]float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0}
+	fitSignals = [...]float64{0.01, 0.05, 0.1, 0.5, 1.0}
+)
+
+// fitSpace is one FitHyperparams' workspace: O(n²) floats that live only as
+// long as the fit, pooled because a GP holding them would multiply them by
+// every finished study that stays reachable (DESIGN.md §16).
+type fitSpace struct {
+	// d2 holds the pairwise squared distances, packed like the factor, and
+	// once e is taken from them, the matrix of a lane Factor takes alone.
+	d2    []float64
+	e     []float64 // exp(−d²/2ℓ²), one packed triangle per grid length scale
+	m     []float64 // linalg.Lanes kernel matrices interleaved by lane, then their factors
+	chol  linalg.Chol
+	alpha linalg.Vector
+}
+
+var fitSpaces = sync.Pool{New: func() any { return new(fitSpace) }}
+
 // FitHyperparams grid-searches length scale and signal variance to maximize
-// the log marginal likelihood. It mutates the kernel in place and returns the
-// best likelihood found; when no grid point factors, the kernel is left as
-// it was. A small grid suffices for the normalized [0,1]^d hyper-parameter
-// spaces Rafiki tunes over. Distances are taken once per fit, exponentials
-// once per length scale and shared by its signal variances.
+// the log marginal likelihood, keeping the first maximum in grid order. It
+// mutates the kernel in place, leaves the factor at the winner, and returns
+// the best likelihood found; when no grid point factors, the kernel and the
+// factor are left as they were. A small grid suffices for the normalized
+// [0,1]^d hyper-parameter spaces Rafiki tunes over. Distances are taken once
+// per fit and exponentials once per length scale; the grid points are
+// factored linalg.Lanes at a time, and a point whose unjittered attempt fails
+// is factored alone, as a from-scratch refit would factor it.
 func (g *GP) FitHyperparams() (float64, error) {
-	if len(g.ys) == 0 {
+	n := len(g.ys)
+	if n == 0 {
 		return 0, ErrNoData
 	}
-	lengths := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0}
-	signals := []float64{0.01, 0.05, 0.1, 0.5, 1.0}
-	bestLL := math.Inf(-1)
-	entry, best := g.Kernel, g.Kernel
-	d2 := g.sqDists()
-	e, m := make([]float64, len(d2)), make([]float64, len(d2))
-	for _, l := range lengths {
-		expOver(e, d2, l)
-		for _, s := range signals {
-			g.Kernel = RBF{LengthScale: l, SignalVar: s}
-			if g.factor(m, e) != nil {
+	ws := fitSpaces.Get().(*fitSpace)
+	defer fitSpaces.Put(ws)
+	ws.d2 = g.sqDists(ws.d2)
+	tri := len(ws.d2)
+	ws.e = slices.Grow(ws.e[:0], len(fitLengths)*tri)[:len(fitLengths)*tri]
+	for i, l := range fitLengths {
+		expOver(ws.e[i*tri:(i+1)*tri], ws.d2, l)
+	}
+	ws.m = slices.Grow(ws.m[:0], linalg.Lanes*tri)[:linalg.Lanes*tri]
+	// point returns grid point p's kernel and its length scale's exponentials.
+	point := func(p int) (RBF, []float64) {
+		l := p / len(fitSignals)
+		return RBF{LengthScale: fitLengths[l], SignalVar: fitSignals[p%len(fitSignals)]}, ws.e[l*tri:][:tri]
+	}
+	const points = len(fitLengths) * len(fitSignals)
+	bestLL, best := math.Inf(-1), g.Kernel
+	for p0 := 0; p0 < points; p0 += linalg.Lanes {
+		// Each lane's matrix is formed as factor forms it. Lanes past the
+		// last point refactor it; their results are dropped.
+		for lane := range linalg.Lanes {
+			k, e := point(min(p0+lane, points-1))
+			for i, v := range e {
+				ws.m[i*linalg.Lanes+lane] = k.SignalVar * v
+			}
+			for i := 0; i < n; i++ {
+				ws.m[(i*(i+1)/2+i)*linalg.Lanes+lane] += g.NoiseVar
+			}
+		}
+		ok := linalg.FactorLanes(ws.m, n)
+		for lane := range min(linalg.Lanes, points-p0) {
+			k, e := point(p0 + lane)
+			if ok>>lane&1 == 1 {
+				ws.chol.SetLane(ws.m, n, lane)
+			} else if g.factor(&ws.chol, ws.d2, e, k.SignalVar) != nil {
 				continue
 			}
-			g.solve()
-			if ll, _ := g.LogMarginalLikelihood(); ll > bestLL {
-				bestLL, best = ll, g.Kernel
+			ws.alpha = g.solve(&ws.chol, ws.alpha)
+			if ll := g.logEvidence(&ws.chol, ws.alpha); ll > bestLL {
+				bestLL, best = ll, k
+				g.chol, ws.chol = ws.chol, g.chol
+				g.alpha, ws.alpha = ws.alpha, g.alpha
 			}
 		}
 	}
 	if math.IsInf(bestLL, -1) {
-		g.Kernel = entry
 		return 0, errors.New("gp: hyper-parameter fit failed for all grid points")
 	}
-	// Leave the factor at the winner, out of the grid's buffers, so the next
-	// refit does not allocate its own to refactor.
-	g.Kernel = best
-	if g.fitted != best {
-		expOver(e, d2, best.LengthScale)
-		if g.factor(m, e) == nil {
-			g.solve()
-		}
-	}
+	g.Kernel, g.fitted = best, best
+	g.yMean, g.fitN = g.ySum/float64(n), n
 	return bestLL, nil
 }
 

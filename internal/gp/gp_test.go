@@ -2,6 +2,8 @@ package gp
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	_ "unsafe" // go:linkname to linalg's CPU gate
 
@@ -554,5 +556,175 @@ func TestFitHyperparamsKeepsKernelOnTotalFailure(t *testing.T) {
 	}
 	if g.Kernel != entry {
 		t.Fatalf("failed fit left kernel %+v, want %+v", g.Kernel, entry)
+	}
+}
+
+// scalarGridFit is FitHyperparams as it was before the grid ran in lanes,
+// kept as the reference: every grid point factored from scratch by
+// Chol.Factor, solved, and the first maximum of the evidence kept.
+func scalarGridFit(g *GP) (best RBF, bestLL float64, chol linalg.Chol, alpha linalg.Vector, err error) {
+	n := len(g.ys)
+	bestLL = math.Inf(-1)
+	for _, l := range fitLengths {
+		for _, s := range fitSignals {
+			k := RBF{LengthScale: l, SignalVar: s}
+			m := make([]float64, 0, n*(n+1)/2)
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					m = append(m, k.of(sqDist(g.x(j), g.x(i))))
+				}
+				m[len(m)-1] += g.NoiseVar
+			}
+			var c linalg.Chol
+			if c.Factor(m, n) != nil {
+				continue
+			}
+			yMean := g.ySum / float64(n)
+			a := linalg.NewVector(n)
+			for i, y := range g.ys {
+				a[i] = y - yMean
+			}
+			c.SolveLower(a)
+			c.SolveUpperT(a)
+			quad := 0.0
+			for i, y := range g.ys {
+				quad += (y - yMean) * a[i]
+			}
+			if ll := -0.5*quad - c.LogDiagSum() - 0.5*float64(n)*math.Log(2*math.Pi); ll > bestLL {
+				best, bestLL, chol, alpha = k, ll, c, a
+			}
+		}
+	}
+	if math.IsInf(bestLL, -1) {
+		err = ErrNoData // any error: the fit must fail too
+	}
+	return best, bestLL, chol, alpha, err
+}
+
+// factorBits reads a factor's order, jitter and packed entries as bits.
+func factorBits(c *linalg.Chol) []uint64 {
+	v := reflect.ValueOf(c).Elem()
+	l := v.FieldByName("l")
+	bits := []uint64{uint64(v.FieldByName("n").Int()), math.Float64bits(v.FieldByName("jitter").Float())}
+	for k := range c.N() * (c.N() + 1) / 2 {
+		bits = append(bits, math.Float64bits(l.Index(k).Float()))
+	}
+	return bits
+}
+
+// TestFitHyperparamsMatchesScalarGrid: the grid factored linalg.Lanes points
+// at a time picks the kernel, returns the evidence and leaves the factor
+// (entries and jitter) and alpha that 30 from-scratch factorisations give, bit
+// for bit, on either path: across sizes, on sets whose duplicated points at
+// next to no noise send grid points up the jitter ladder (the winner among
+// them), and on a set where no grid point factors.
+func TestFitHyperparamsMatchesScalarGrid(t *testing.T) {
+	sets := []struct {
+		name     string
+		n, dim   int
+		noise    float64
+		dups     int // points copied from earlier ones
+		laddered bool
+		fails    bool
+	}{
+		{"n9", 9, 3, 1e-4, 0, false, false},
+		{"n40", 40, 5, 1e-4, 0, false, false},
+		{"n150", 150, 7, 1e-4, 0, false, false},
+		{"n40-duplicates", 40, 2, 1e-20, 6, true, false},
+		{"n150-duplicates", 150, 7, 1e-20, 20, true, false},
+		{"all-fail", 6, 2, -10, 0, false, true},
+	}
+	entry := RBF{LengthScale: 0.2, SignalVar: 0.1}
+	onBothPaths(t, func(t *testing.T) {
+		rng := sim.NewRNG(31)
+		for _, set := range sets {
+			xs := randomPoints(rng, set.n, set.dim)
+			for d := 0; d < set.dups; d++ {
+				copy(xs[set.n-1-2*d], xs[d])
+			}
+			g := New(entry, 1e-4)
+			for _, x := range xs {
+				g.Add(x, math.Sin(3*x[0])+0.1*rng.Float64())
+			}
+			g.NoiseVar = set.noise
+			want, wantLL, wantChol, wantAlpha, wantErr := scalarGridFit(g)
+			ll, err := g.FitHyperparams()
+			if (err != nil) != set.fails || (wantErr != nil) != set.fails {
+				t.Fatalf("%s: fit error %v, reference %v", set.name, err, wantErr)
+			}
+			if set.fails {
+				if g.Kernel != entry {
+					t.Fatalf("%s: failed fit left kernel %+v, want %+v", set.name, g.Kernel, entry)
+				}
+				continue
+			}
+			if g.Kernel != want || math.Float64bits(ll) != math.Float64bits(wantLL) {
+				t.Fatalf("%s: fit chose %+v (evidence %v), reference %+v (%v)", set.name, g.Kernel, ll, want, wantLL)
+			}
+			if got, ref := factorBits(&g.chol), factorBits(&wantChol); !slices.Equal(got, ref) {
+				t.Fatalf("%s: factor differs from the reference's (order and jitter %v, reference %v)", set.name, got[:2], ref[:2])
+			}
+			if set.laddered && wantChol.N() > 0 && factorBits(&wantChol)[1] == 0 {
+				t.Fatalf("%s: the winner took no jitter; the set does not test the ladder", set.name)
+			}
+			for i, a := range wantAlpha {
+				if math.Float64bits(g.alpha[i]) != math.Float64bits(a) {
+					t.Fatalf("%s: alpha[%d] %v, reference %v", set.name, i, g.alpha[i], a)
+				}
+			}
+			if g.fitted != want || g.fitN != set.n {
+				t.Fatalf("%s: fit left the factor marked %+v over %d observations", set.name, g.fitted, g.fitN)
+			}
+		}
+	})
+}
+
+// onBothPaths runs f on the portable loops and then on the vector kernels,
+// skipping the vector half where the CPU gate is off.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	vector := vectorKernels
+	t.Cleanup(func() { vectorKernels = vector })
+	t.Run("portable", func(t *testing.T) {
+		vectorKernels = false
+		f(t)
+	})
+	t.Run("vector", func(t *testing.T) {
+		if !vector {
+			t.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+		}
+		vectorKernels = true
+		f(t)
+	})
+}
+
+// BenchmarkFitHyperparams is one hyper-parameter fit over 150 observations,
+// the size of the last fit in a 150-trial study, on each path.
+func BenchmarkFitHyperparams(b *testing.B) {
+	rng := sim.NewRNG(9)
+	g := New(RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4)
+	for _, x := range randomPoints(rng, 150, 7) {
+		g.Add(x, math.Sin(3*x[0])+0.1*rng.Float64())
+	}
+	vector := vectorKernels
+	defer func() { vectorKernels = vector }()
+	for _, path := range []struct {
+		name   string
+		vector bool
+	}{{"vector", true}, {"portable", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.vector && !vector {
+				b.Skip("vector kernels off: not amd64, purego build, no AVX2+FMA, or GODEBUG moved math.Exp off FMA")
+			}
+			vectorKernels = path.vector
+			b.ReportAllocs()
+			if _, err := g.FitHyperparams(); err != nil { // the pooled workspace outside the timings
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				if _, err := g.FitHyperparams(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

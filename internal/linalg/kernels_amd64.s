@@ -328,3 +328,81 @@ TEXT exp16<>(SB), NOSPLIT|NOFRAME, $0-0
 	ORL          BX, AX
 	XORL         $0xffff, AX
 	RET
+
+// func cholRowLanesAVX2(l *float64, i int)
+//
+// Row i of four packed Cholesky factors at once, interleaved by lane (entry
+// k of lane g at l[4k+g]), in place as Chol.Append computes it per lane:
+// for each j < i, l[i][j] = (l[i][j] − l[i][:j]·l[j][:j]) / l[j][j], then
+// the pivot l[i][i] + 0 − l[i][:i]·l[i][:i], which is stored unrooted.
+// Each dot product is Vector.Dot's: four partial sums over k mod 4 (one YMM
+// register each, a lane per factor), the tail into the first, summed as
+// (s0+s1)+(s2+s3), with a multiply then an add and never FMA.
+TEXT ·cholRowLanesAVX2(SB), NOSPLIT, $0-16
+	MOVQ  l+0(FP), R8 // row j, from row 0
+	MOVQ  i+8(FP), CX
+	LEAQ  1(CX), AX
+	IMULQ CX, AX
+	SHLQ  $4, AX      // 32 bytes per entry, i(i+1)/2 entries before row i
+	LEAQ  (R8)(AX*1), SI
+	XORQ  DX, DX      // j
+
+dot:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   DX, R10
+	SHLQ   $5, R10    // j entries, in bytes
+	MOVQ   R10, R9
+	ANDQ   $-128, R9  // the entries the four sums take together
+	XORQ   BX, BX
+
+quads:
+	CMPQ    BX, R9
+	JGE     tail
+	VMOVUPD 0(SI)(BX*1), Y4
+	VMOVUPD 32(SI)(BX*1), Y5
+	VMOVUPD 64(SI)(BX*1), Y6
+	VMOVUPD 96(SI)(BX*1), Y7
+	VMULPD  0(R8)(BX*1), Y4, Y4
+	VMULPD  32(R8)(BX*1), Y5, Y5
+	VMULPD  64(R8)(BX*1), Y6, Y6
+	VMULPD  96(R8)(BX*1), Y7, Y7
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y5, Y1, Y1
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $128, BX
+	JMP     quads
+
+tail:
+	CMPQ    BX, R10
+	JGE     sum
+	VMOVUPD (SI)(BX*1), Y4
+	VMULPD  (R8)(BX*1), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	ADDQ    $32, BX
+	JMP     tail
+
+sum:
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD (SI)(R10*1), Y4 // l[i][j]
+	CMPQ    DX, CX
+	JGE     pivot
+	VSUBPD  Y0, Y4, Y4
+	VDIVPD  (R8)(R10*1), Y4, Y4
+	VMOVUPD Y4, (SI)(R10*1)
+	LEAQ    32(R8)(R10*1), R8 // row j+1 starts j+1 entries later
+	INCQ    DX
+	JMP     dot
+
+pivot:
+	VXORPD  Y5, Y5, Y5
+	VADDPD  Y5, Y4, Y4 // the jitter of a first attempt, as Append adds it
+	VSUBPD  Y0, Y4, Y4
+	VMOVUPD Y4, (SI)(R10*1)
+	VZEROUPPER
+	RET

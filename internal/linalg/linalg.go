@@ -2,8 +2,9 @@
 // advisor (internal/gp is its only importer): a packed Cholesky factor that
 // grows a row per observation and solves for a block of right-hand sides,
 // and the textbook dense path the tests hold it to. Stdlib plus amd64
-// assembly for the blocked solve and the exponential (ExpBlock, and
-// RBFBlock, which feeds it squared distances), with a portable fallback;
+// assembly for the blocked solve, four factorisations side by side
+// (FactorLanes) and the exponential (ExpBlock, and RBFBlock, which feeds it
+// squared distances), with a portable fallback;
 // both factorisations retry with diagonal jitter, the standard remedy for
 // near-singular kernel matrices.
 //
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrNotPositiveDefinite is returned when a matrix is not (numerically)
@@ -125,6 +127,46 @@ func (c *Chol) Factor(a []float64, n int) error {
 	}
 	c.n, c.jitter = 0, 0
 	return ErrNotPositiveDefinite
+}
+
+// Lanes is how many matrices FactorLanes factors side by side.
+const Lanes = 4
+
+// FactorLanes overwrites a, Lanes n×n matrices whose lower triangles are
+// packed by rows as Factor takes them and interleaved by lane (entry k of
+// lane g at a[k*Lanes+g]), with their Cholesky factors, and returns the lanes
+// it factored, bit g for lane g. Each such lane is bit for bit the factor
+// Factor settles on at its first, unjittered attempt; SetLane copies it out.
+// The other lanes are left undefined and are Factor's to take alone, jitter
+// ladder and all: those whose pivot was not positive, and every lane where
+// the vector kernels are off.
+func FactorLanes(a []float64, n int) (ok uint) {
+	if !useVector {
+		return 0
+	}
+	a = a[:n*(n+1)/2*Lanes]
+	ok = 1<<Lanes - 1
+	for i := 0; i < n && ok != 0; i++ {
+		cholRowLanesAVX2(&a[0], i) // leaves the row's pivots on its diagonal
+		pivots := (*[Lanes]float64)(a[(i*(i+1)/2+i)*Lanes:])
+		for g, pivot := range pivots {
+			if pivot <= 0 || math.IsNaN(pivot) {
+				ok &^= 1 << g
+			}
+			pivots[g] = math.Sqrt(pivot)
+		}
+	}
+	return ok
+}
+
+// SetLane replaces the factor with lane g of the order-n factors
+// FactorLanes left in a, a lane it returned as factored.
+func (c *Chol) SetLane(a []float64, n, g int) {
+	c.n, c.jitter = n, 0
+	c.l = slices.Grow(c.l[:0], n*(n+1)/2)[:n*(n+1)/2]
+	for k := range c.l {
+		c.l[k] = a[k*Lanes+g]
+	}
 }
 
 // LogDiagSum returns Σ log L[i][i], half the log-determinant of the matrix.

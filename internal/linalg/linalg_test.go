@@ -397,3 +397,83 @@ func TestRBFBlock(t *testing.T) {
 		}
 	})
 }
+
+// TestFactorLanesMatchesAppend: every lane FactorLanes factors is, bit for
+// bit, the factor Append builds row by row without jitter, and the lanes it
+// leaves out are exactly those where Append refuses a row — a negative pivot,
+// a NaN entry, or a duplicated row if its pivot rounds to zero or below — with
+// the rows before that one, and the refused row's off-diagonal entries, as
+// Append computed them. Where the vector kernels are off it factors no lane.
+func TestFactorLanesMatchesAppend(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		g := sim.NewRNG(29)
+		spoils := []string{"none", "negative", "duplicate", "nan", "all-negative"}
+		for _, n := range []int{1, 2, 3, 4, 5, 8, 9, 31, 64} {
+			for _, spoil := range spoils {
+				var packed [Lanes][]float64
+				var refused [Lanes]bool // lanes spoiled so that Append must refuse a row
+				a := make([]float64, n*(n+1)/2*Lanes)
+				for lane := range packed {
+					m := randomSPD(g, n)
+					r := min((n+lane)/2, n-1) // the row a spoil rewrites
+					switch {
+					case r == 0:
+					case spoil == "negative" && lane == 1, spoil == "all-negative":
+						m.Set(r, r, -1)
+						refused[lane] = true
+					case spoil == "duplicate" && lane == 2:
+						for j := 0; j < n; j++ {
+							m.Set(r, j, m.At(r-1, j))
+							m.Set(j, r, m.At(j, r-1))
+						}
+						m.Set(r, r, m.At(r-1, r-1))
+					case spoil == "nan" && lane == 3:
+						m.Set(r, 0, math.NaN())
+						refused[lane] = true
+					}
+					packed[lane] = packLower(m)
+					for k, v := range packed[lane] {
+						a[k*Lanes+lane] = v
+					}
+				}
+				ok := FactorLanes(a, n)
+				if !useVector {
+					if ok != 0 {
+						t.Fatalf("n=%d %s: portable path factored lanes %b", n, spoil, ok)
+					}
+					continue
+				}
+				for lane, p := range packed {
+					var want Chol
+					for i := 0; i < n && want.Append(p[i*(i+1)/2:i*(i+1)/2+i+1]); i++ {
+					}
+					if refused[lane] && want.N() == n {
+						t.Fatalf("n=%d %s lane %d: Append took the spoiled row", n, spoil, lane)
+					}
+					if got := ok>>lane&1 == 1; got != (want.N() == n) {
+						t.Fatalf("n=%d %s lane %d: factored %v, Append took %d of %d rows", n, spoil, lane, got, want.N(), n)
+					}
+					f := want.N() // rows 0..f-1 and row f's off-diagonal entries
+					if f < n {
+						for k := 0; k < f*(f+1)/2+f; k++ {
+							if math.Float64bits(a[k*Lanes+lane]) != math.Float64bits(want.l[k]) {
+								t.Fatalf("n=%d %s lane %d: entry %d is %v, Append %v", n, spoil, lane, k, a[k*Lanes+lane], want.l[k])
+							}
+						}
+						continue
+					}
+					var c Chol
+					c.SetLane(a, n, lane)
+					if c.N() != n || c.jitter != 0 || len(c.l) != n*(n+1)/2 {
+						t.Fatalf("n=%d %s lane %d: SetLane gave order %d, jitter %v, %d entries", n, spoil, lane, c.N(), c.jitter, len(c.l))
+					}
+					for k, v := range want.l[:n*(n+1)/2] {
+						if math.Float64bits(c.l[k]) != math.Float64bits(v) {
+							t.Fatalf("n=%d %s lane %d: entry %d is %v, Append %v", n, spoil, lane, k, c.l[k], v)
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -35,6 +35,9 @@ func hasAVX2FMA() bool
 func solveLowerBlockAVX2(l, v *float64, n int)
 
 //go:noescape
+func cholRowLanesAVX2(l *float64, i int)
+
+//go:noescape
 func expBlockAVX2(v *[Block]float64) (outside uint32)
 
 //go:noescape

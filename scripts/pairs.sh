@@ -5,10 +5,15 @@
 # fresh seed per pair (SEED, SEED+1, ...). Which side runs first is a
 # balanced shuffle drawn from SEED: half the pairs (one more for either side
 # at an odd count) run the parent first, in an order no fixed pattern such as
-# ABBA can line up with the host's drift. The change is this working tree; the parent is [parent-ref]'s
-# committed files, extracted under .bench_build/pairs/ and built there by its
-# own run.sh. parent-ref defaults to HEAD when tracked files have uncommitted
-# changes, else HEAD~1.
+# ABBA can line up with the host's drift. Both sides are built and run alike:
+# each is a tree object extracted under .bench_build/pairs/<tree-sha> (equally
+# long paths, no .git) and built there by its own run.sh. The change's tree
+# is this working tree as `git add -A` would stage it, written through a
+# temporary index; the parent's is [parent-ref]'s. parent-ref defaults to
+# HEAD when tracked files have uncommitted changes, else HEAD~1. After the
+# first pair it prints each side's rafiki-benchmark sha256, and `null set`
+# when they are equal: the two sides are one tree, so any difference the
+# summary shows is the host's.
 #
 # Prints each pair's order as it runs, then, for every end-to-end metric in
 # BENCHMARK.json, each side's median and quartiles, the change's wins (ties
@@ -47,14 +52,26 @@ seconds="${SECONDS_PER_RUN:-$(python3 -c 'import json;print(json.load(open("BENC
 trace="${TRACE:-0}"
 
 out="$root/.bench_build/pairs"
-parent="$out/$sha"
-if [ ! -f "$parent/BENCHMARK.json" ]; then
-  rm -rf "$parent"
-  mkdir -p "$parent"
-  git archive "$sha" | tar -x -C "$parent"
-fi
+mkdir -p "$out"
+index="$out/index.$$"
+cp "$(git rev-parse --git-path index)" "$index"
+GIT_INDEX_FILE="$index" git add -A
+tree="$(GIT_INDEX_FILE="$index" git write-tree)"
+rm -f "$index"
+extract() { # extract <tree-ish>: prints the directory it is extracted to
+  local dir
+  dir="$out/$(git rev-parse "$1^{tree}")"
+  if [ ! -f "$dir/BENCHMARK.json" ]; then
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    git archive "$1" | tar -x -C "$dir"
+  fi
+  echo "$dir"
+}
+parent="$(extract "$sha")"
+change="$(extract "$tree")"
 rm -f "$out/$workload".{parent,change}.{jsonl,absent} "$out/$workload.order"
-echo "workload $workload: $pairs pairs, ${seconds}s runs, seeds $seed0..$((seed0 + pairs - 1)); parent $ref ($sha), change = working tree" >&2
+echo "workload $workload: $pairs pairs, ${seconds}s runs, seeds $seed0..$((seed0 + pairs - 1)); parent $ref ($sha) in $parent, change = working tree in $change" >&2
 
 run() { # run <side> <dir> <seed>
   local o rc=0
@@ -78,13 +95,19 @@ for i in $(seq 0 $((pairs - 1))); do
   first="${firsts[$i]}"
   if [ "$first" = parent ]; then
     run parent "$parent" "$seed"
-    run change "$root" "$seed"
+    run change "$change" "$seed"
   else
-    run change "$root" "$seed"
+    run change "$change" "$seed"
     run parent "$parent" "$seed"
   fi
   echo "$first" >>"$out/$workload.order"
   echo "pair $((i + 1))/$pairs done (seed $seed, $first first)" >&2
+  if [ "$i" -eq 0 ]; then
+    hp="$(sha256sum <"$parent/.bench_build/rafiki-benchmark" | cut -d' ' -f1)"
+    hc="$(sha256sum <"$change/.bench_build/rafiki-benchmark" | cut -d' ' -f1)"
+    echo "rafiki-benchmark sha256: parent $hp, change $hc"
+    if [ "$hp" = "$hc" ]; then echo "null set"; fi
+  fi
 done
 
 python3 - "$out" "$workload" <<'PY'
