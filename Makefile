@@ -100,8 +100,11 @@ verify-journal:
 	RAFIKI_JOURNAL_DIR=artifacts/journal $(GO) test . -run TestJournalKillRestartRoundTrip -race -count=1
 	$(GO) run ./cmd/rafiki-bench -verify-journal artifacts/journal
 
-# Ten seconds of coverage-guided fuzzing of the offline chain verifier: any
-# segment bytes must verify without a panic and with a self-consistent
-# result. `go test ./...` replays only its seed inputs.
+# Ten seconds of coverage-guided fuzzing each of the offline chain verifier
+# (any segment bytes verify without a panic and with a self-consistent
+# result) and of deployment-spec defaulting and validation (idempotent
+# defaults, no panic, no NaN in an accepted spec). `go test ./...` replays
+# only their seed inputs.
 fuzz-smoke:
 	$(GO) test -run none -fuzz FuzzVerifyDir -fuzztime 10s ./internal/journal
+	$(GO) test -run none -fuzz FuzzDeploymentSpec -fuzztime 10s .

@@ -28,6 +28,10 @@ func TestDeploySpecValidation(t *testing.T) {
 		{"bad policy", DeploymentSpec{Models: models, Policy: "round-robin"}, "unknown policy"},
 		{"negative slo", DeploymentSpec{Models: models, SLO: -1}, "SLO"},
 		{"nan slo", DeploymentSpec{Models: models, SLO: math.NaN()}, "SLO"},
+		{"nan cache ttl", DeploymentSpec{Models: models, Cache: &CacheSpec{Enabled: true, TTLSeconds: math.NaN()}}, "cache TTL"},
+		{"nan cache threshold", DeploymentSpec{Models: models, Cache: &CacheSpec{Enabled: true, AdmitThreshold: math.NaN()}}, "cache admit threshold"},
+		{"nan cache half-life", DeploymentSpec{Models: models, Cache: &CacheSpec{Enabled: true, HalfLifeSeconds: math.NaN()}}, "cache half-life"},
+		{"nan ttl on a disabled cache", DeploymentSpec{Models: models, Cache: &CacheSpec{TTLSeconds: math.NaN()}}, "cache TTL"},
 		{"negative queue cap", DeploymentSpec{Models: models, QueueCap: -1}, "queue cap"},
 		{"min above max", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 5, Max: 2}}, "max >= min"},
 		{"max above cap", DeploymentSpec{Models: models, Replicas: ReplicaBounds{Min: 1, Max: maxReplicasPerModel + 1}}, "per-model cap"},

@@ -23,12 +23,10 @@ type ExecTask struct {
 	// IDs and Payloads are the batch requests (parallel, oldest first).
 	IDs      []uint64
 	Payloads []any
-	// Decided is the dispatch decision time, ProfiledFinish the time the
-	// latency table predicts this model frees up, and ProfiledLatency the
-	// table's service estimate for this batch size — all in timeline seconds.
-	Decided         float64
-	ProfiledFinish  float64
-	ProfiledLatency float64
+	// Decided is the dispatch decision time and ProfiledFinish the time the
+	// latency table predicts this model frees up, both in timeline seconds.
+	Decided        float64
+	ProfiledFinish float64
 }
 
 // Backend executes one model's pass over a dispatched batch. Execute returns
@@ -58,9 +56,19 @@ type CombineFunc func(ids []uint64, payloads []any, models []string, preds [][]a
 
 // TimelineBinder is implemented by backends that need the runtime's timeline
 // (to pace simulated latency or timestamp observed latency in timeline
-// seconds). The runtime binds it before the first Execute.
+// seconds). NewRuntime and SetBackend bind it before they publish the
+// backend's handle atomically, so the binding happens-before every Execute
+// and a backend reads its timeline without a lock.
 type TimelineBinder interface {
 	BindTimeline(tl sim.Timeline)
+}
+
+// timelineNow reads a bound timeline, 0 when none is bound.
+func timelineNow(tl sim.Timeline) float64 {
+	if tl == nil {
+		return 0
+	}
+	return tl.Now()
 }
 
 // RetryCounter is implemented by backends that retry transient failures
@@ -72,9 +80,10 @@ type RetryCounter interface {
 // SimBackend is the default backend: it serves the profiled-simulation path.
 // Execute sleeps until the task's ProfiledFinish on a bound concurrent
 // timeline (virtual-time drivers invoke it at the finish instant, so there
-// is nothing to wait) and returns ProfiledLatency as the observed latency —
-// exactly the table value, so the latency EWMA stays pinned at ratio 1 and
-// the planning tables are bit-identical to a feedback-free engine.
+// is nothing to wait) and returns the planned pass time ProfiledFinish −
+// Decided as the observed latency. That is the table value up to one
+// rounding, far inside the feedback's dead-band, so the applied scale stays
+// exactly 1 and planning is bit-identical to a feedback-free engine.
 //
 // It yields no predictions: the runtime's CombineFunc computes every result
 // from the payloads at ensemble finish. A simulated ensemble draws its
@@ -82,7 +91,6 @@ type RetryCounter interface {
 // per-model predictions would redo each request's truth lookup and seeded
 // draw once per model, adding allocations per request for the same answers.
 type SimBackend struct {
-	mu sync.Mutex
 	ct sim.ConcurrentTimeline
 }
 
@@ -92,25 +100,20 @@ func (b *SimBackend) Name() string { return "sim" }
 // BindTimeline implements TimelineBinder: only a concurrent timeline is
 // slept on.
 func (b *SimBackend) BindTimeline(tl sim.Timeline) {
-	b.mu.Lock()
 	b.ct, _ = tl.(sim.ConcurrentTimeline)
-	b.mu.Unlock()
 }
 
 // Execute implements Backend: wait out the profiled service time, honoring
 // cancellation.
 func (b *SimBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
-	b.mu.Lock()
-	ct := b.ct
-	b.mu.Unlock()
-	if ct != nil {
-		if wait := t.ProfiledFinish - ct.Now(); wait > 0 {
-			if err := ct.Sleep(ctx, wait); err != nil {
+	if b.ct != nil {
+		if wait := t.ProfiledFinish - b.ct.Now(); wait > 0 {
+			if err := b.ct.Sleep(ctx, wait); err != nil {
 				return nil, 0, err
 			}
 		}
 	}
-	return nil, t.ProfiledLatency, nil
+	return nil, t.ProfiledFinish - t.Decided, nil
 }
 
 // Close implements Backend.
@@ -129,9 +132,7 @@ func (b *SimBackend) Close() error { return nil }
 type NNBackend struct {
 	encode func(payload any, dst []float64) error
 	nets   map[string]*lockedNet
-
-	mu sync.Mutex
-	tl sim.Timeline
+	tl     sim.Timeline
 }
 
 // lockedNet is one model's network plus its batched pass's scratch, all
@@ -167,21 +168,9 @@ func NewNNBackend(encode func(payload any, dst []float64) error, nets map[string
 func (b *NNBackend) Name() string { return "nn" }
 
 // BindTimeline implements TimelineBinder.
-func (b *NNBackend) BindTimeline(tl sim.Timeline) {
-	b.mu.Lock()
-	b.tl = tl
-	b.mu.Unlock()
-}
+func (b *NNBackend) BindTimeline(tl sim.Timeline) { b.tl = tl }
 
-func (b *NNBackend) now() float64 {
-	b.mu.Lock()
-	tl := b.tl
-	b.mu.Unlock()
-	if tl == nil {
-		return 0
-	}
-	return tl.Now()
-}
+func (b *NNBackend) now() float64 { return timelineNow(b.tl) }
 
 // Execute implements Backend: encode the batch into the net's input matrix,
 // run one batched forward pass over it, and observe the real wall of the pass
@@ -252,30 +241,16 @@ type HTTPBackend struct {
 	Client *http.Client
 
 	retries atomic.Uint64
-
-	mu sync.Mutex
-	tl sim.Timeline
+	tl      sim.Timeline
 }
 
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return "http" }
 
 // BindTimeline implements TimelineBinder.
-func (b *HTTPBackend) BindTimeline(tl sim.Timeline) {
-	b.mu.Lock()
-	b.tl = tl
-	b.mu.Unlock()
-}
+func (b *HTTPBackend) BindTimeline(tl sim.Timeline) { b.tl = tl }
 
-func (b *HTTPBackend) now() float64 {
-	b.mu.Lock()
-	tl := b.tl
-	b.mu.Unlock()
-	if tl == nil {
-		return 0
-	}
-	return tl.Now()
-}
+func (b *HTTPBackend) now() float64 { return timelineNow(b.tl) }
 
 // Retries implements RetryCounter.
 func (b *HTTPBackend) Retries() uint64 { return b.retries.Load() }

@@ -51,7 +51,7 @@ func (b *blockingBackend) Execute(ctx context.Context, t ExecTask) ([]any, float
 	b.started.Add(1)
 	select {
 	case <-b.gate:
-		return nil, t.ProfiledLatency, nil
+		return nil, t.ProfiledFinish - t.Decided, nil
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}
@@ -389,7 +389,7 @@ func (b *countingBackend) Execute(ctx context.Context, t ExecTask) ([]any, float
 	for i := range preds {
 		preds[i] = b.tag
 	}
-	return preds, t.ProfiledLatency, nil
+	return preds, t.ProfiledFinish - t.Decided, nil
 }
 func (b *countingBackend) Close() error { b.closed.Store(true); return nil }
 
@@ -489,7 +489,7 @@ type slowBackend struct {
 
 func (b *slowBackend) Name() string { return "slow" }
 func (b *slowBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
-	return nil, t.ProfiledLatency * b.factor, nil
+	return nil, (t.ProfiledFinish - t.Decided) * b.factor, nil
 }
 func (b *slowBackend) Close() error { return nil }
 
@@ -534,8 +534,8 @@ func TestLatencyFeedbackRescalesPlanning(t *testing.T) {
 		t.Fatalf("no observed-latency EWMA recorded: %v", st.ModelLatencyEWMA)
 	}
 
-	// The default sim backend reports the table value exactly: the scale
-	// must stay exactly 1 (no float drift) after the same load.
+	// The default sim backend reports its planned pass time, one rounding
+	// off the table value: the scale must stay exactly 1 after the same load.
 	rt2 := newWallRuntime(t, echoExec, RuntimeConfig{})
 	futs = futs[:0]
 	for i := 0; i < 256; i++ {

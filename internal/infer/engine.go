@@ -31,14 +31,9 @@ type DispatchOutcome struct {
 	Batch int
 	// Decided is the decision time; ModelFinish[i] is when Models[i] frees
 	// up; Finish is the ensemble completion (the slowest selected model).
-	// ModelLatency[i] is the planned service latency of Models[i] for this
-	// batch size (ModelFinish[i] - Decided, but exact: the backend layer
-	// echoes it as the simulated observation, and the latency EWMA must see
-	// the table value bit-for-bit, not a float round trip through addition).
-	Decided      float64
-	ModelFinish  []float64
-	ModelLatency []float64
-	Finish       float64
+	Decided     float64
+	ModelFinish []float64
+	Finish      float64
 	// Overdue counts batch requests whose latency exceeds τ.
 	Overdue int
 	// Reward is the action's Equation 7 reward.
@@ -180,17 +175,12 @@ type Engine struct {
 	// frees on the plan.
 	hold bool
 
-	// The latency-feedback plane publishes every piece through atomic
-	// snapshot pointers — the EWMA state (latFb), the applied per-model
-	// scales and the rescaled planning table — so both the dispatch hot path
-	// and the feedback ingest read lock-free; latMu only serializes the rare
-	// copy-on-write update (a quantized scale actually moving). Nil pointers
-	// mean "no feedback yet": every estimate is the profiled table value,
-	// bit-for-bit. See latency.go.
-	latMu      sync.Mutex
-	latFb      atomic.Pointer[latFeedback]
-	latScalePt atomic.Pointer[[]float64]
-	latTablePt atomic.Pointer[[][]float64]
+	// lat is the latency-feedback plane, one entry per model (latency.go):
+	// its EWMAs are atomics any pass folds into, its applied scale and
+	// rescaled row are decision scratch behind table, the c(m,b) table only
+	// the decision path reads and rebuilds.
+	lat   []latModel
+	table [][]float64
 	// backoff is Algorithm 3's δ controller for the live SLO (see
 	// observeBatchLatency); lateBatches counts the finalized batches it saw
 	// finish past τ.
@@ -221,6 +211,8 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		AccTable:   acc,
 		q:          NewQueue(queueCap),
 		pools:      make([]replicaPool, len(d.Profiles)),
+		lat:        make([]latModel, len(d.Profiles)),
+		table:      slices.Clone(d.LatencyTable()),
 		dispatched: make([]uint64, len(d.Profiles)),
 		met: &Metrics{
 			OverdueRate: metrics.NewWindowCounter(1),
@@ -234,6 +226,8 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		},
 	}
 	for m := range e.pools {
+		e.lat[m].raw.Store(math.Float64bits(1))
+		e.lat[m].applied = 1
 		p := &e.pools[m]
 		p.busy = make([]float64, d.ReplicaCount(m))
 		p.down = make([]bool, d.ReplicaCount(m))
@@ -617,12 +611,17 @@ func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 }
 
 // state builds the policy view at time now, for tests and tooling. The
-// returned state is freshly allocated (no decision scratch), so callers may
-// hold it across later decision points.
+// returned state is freshly allocated, its c(m,b) table copied out of the
+// decision scratch, so callers may hold it across later decision points.
 func (e *Engine) state(now float64) *State {
 	var v modelView
 	e.observe(now, &v)
-	return e.stateAt(now, &v, new(State))
+	st := e.stateAt(now, &v, new(State))
+	st.LatencyTable = slices.Clone(st.LatencyTable)
+	for m, row := range st.LatencyTable {
+		st.LatencyTable[m] = slices.Clone(row)
+	}
+	return st
 }
 
 // stateAt builds the policy's decision state at time now into st (reusing
@@ -735,26 +734,20 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 		return DispatchOutcome{}, fmt.Errorf("infer: dispatch on empty queue")
 	}
 
-	// ModelFinish and ModelLatency share one allocation: both escape into
-	// the outcome the driver holds until the batch completes.
-	times := make([]float64, 2*len(act.Models))
 	out := DispatchOutcome{
-		Requests:     batch,
-		Models:       models,
-		ModelNames:   names,
-		Replicas:     replicas,
-		Batch:        act.Batch,
-		Decided:      now,
-		ModelFinish:  times[:len(act.Models):len(act.Models)],
-		ModelLatency: times[len(act.Models):],
-		Finish:       now,
+		Requests:    batch,
+		Models:      models,
+		ModelNames:  names,
+		Replicas:    replicas,
+		Batch:       act.Batch,
+		Decided:     now,
+		ModelFinish: make([]float64, nm),
+		Finish:      now,
 	}
 	// Occupy the chosen replica of each selected model; the ensemble
 	// completes with the slowest.
 	for i, mi := range act.Models {
-		lat := e.modelLatency(mi, n)
-		out.ModelLatency[i] = lat
-		f := now + lat
+		f := now + e.modelLatency(mi, n)
 		out.ModelFinish[i] = f
 		if f > out.Finish {
 			out.Finish = f

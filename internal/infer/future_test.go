@@ -163,7 +163,7 @@ type closeTrackingBackend struct {
 func (b *closeTrackingBackend) Name() string { return "close-tracking" }
 
 func (b *closeTrackingBackend) Execute(ctx context.Context, task ExecTask) ([]any, float64, error) {
-	return nil, task.ProfiledLatency, nil
+	return nil, task.ProfiledFinish - task.Decided, nil
 }
 
 func (b *closeTrackingBackend) Close() error {

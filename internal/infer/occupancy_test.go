@@ -184,7 +184,7 @@ type passRecorder struct{ fn func(ExecTask) }
 func (b *passRecorder) Name() string { return "recorder" }
 func (b *passRecorder) Execute(_ context.Context, t ExecTask) ([]any, float64, error) {
 	b.fn(t)
-	return nil, t.ProfiledLatency, nil
+	return nil, t.ProfiledFinish - t.Decided, nil
 }
 func (b *passRecorder) Close() error { return nil }
 

@@ -445,13 +445,12 @@ func (br *batchRun) fail(err error) {
 // task builds model pass i's ExecTask view of the batch.
 func (br *batchRun) task(i int) ExecTask {
 	return ExecTask{
-		Model:           br.out.ModelNames[i],
-		ModelIndex:      br.out.Models[i],
-		IDs:             br.ids,
-		Payloads:        br.payloads,
-		Decided:         br.out.Decided,
-		ProfiledFinish:  br.out.ModelFinish[i],
-		ProfiledLatency: br.out.ModelLatency[i],
+		Model:          br.out.ModelNames[i],
+		ModelIndex:     br.out.Models[i],
+		IDs:            br.ids,
+		Payloads:       br.payloads,
+		Decided:        br.out.Decided,
+		ProfiledFinish: br.out.ModelFinish[i],
 	}
 }
 

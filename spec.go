@@ -254,18 +254,21 @@ func (spec DeploymentSpec) validate() error {
 	if b.Max > maxReplicasPerModel {
 		return fmt.Errorf("rafiki: replica bound max %d exceeds the per-model cap %d", b.Max, maxReplicasPerModel)
 	}
-	if c := spec.Cache; c != nil && c.Enabled {
-		if c.Capacity < 1 || c.Capacity > maxCacheCapacity {
+	if c := spec.Cache; c != nil {
+		if c.Enabled && (c.Capacity < 1 || c.Capacity > maxCacheCapacity) {
 			return fmt.Errorf("rafiki: cache capacity must be in [1, %d], got %d", maxCacheCapacity, c.Capacity)
 		}
-		if c.TTLSeconds <= 0 {
-			return fmt.Errorf("rafiki: cache TTL must be positive, got %v", c.TTLSeconds)
-		}
-		if c.AdmitThreshold <= 0 {
-			return fmt.Errorf("rafiki: cache admit threshold must be positive, got %v", c.AdmitThreshold)
-		}
-		if c.HalfLifeSeconds <= 0 {
-			return fmt.Errorf("rafiki: cache half-life must be positive, got %v", c.HalfLifeSeconds)
+		// An enabled block is defaulted, so no field is 0; a disabled one
+		// may leave a field unset, but what it sets must be positive. The
+		// !(x > 0) form refuses NaN too: a NaN TTL never expires an entry,
+		// and a NaN threshold or half-life never admits a key.
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"TTL", c.TTLSeconds}, {"admit threshold", c.AdmitThreshold}, {"half-life", c.HalfLifeSeconds}} {
+			if !(f.v > 0) && (c.Enabled || f.v != 0) {
+				return fmt.Errorf("rafiki: cache %s must be positive, got %v", f.name, f.v)
+			}
 		}
 	}
 	if b := spec.Backend; b != nil {

@@ -34,7 +34,7 @@ func (h HyperConf) withDefaults() HyperConf {
 	if h.Advisor == "" {
 		h.Advisor = "random"
 	}
-	if h.Delta <= 0 {
+	if !(h.Delta > 0) { // also NaN, which would never checkpoint
 		h.Delta = 0.005
 	}
 	return h
