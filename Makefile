@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race repeat portable benchmark-test benchmark-smoke bench bench-smoke verify-journal fuzz-smoke
+.PHONY: check fmt vet build test race repeat exp-golden portable benchmark-test benchmark-smoke bench bench-smoke verify-journal fuzz-smoke
 
-check: fmt vet build race repeat portable benchmark-test benchmark-smoke bench-smoke verify-journal fuzz-smoke
+check: fmt vet build race repeat exp-golden portable benchmark-test benchmark-smoke bench-smoke verify-journal fuzz-smoke
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -26,11 +26,19 @@ race:
 	$(GO) test -race ./...
 
 # Tier-1 must pass repeatedly on a small box, not once: five runs of the
-# serving packages at two procs, where timing-dependent tests flake first.
+# serving packages, and of the tuning package whose live workers contend on
+# one master, at two procs, where timing-dependent tests flake first.
 # The timeout bounds a decision point that never comes back to minutes, not
 # go test's 10-minute default per package.
 repeat:
-	GOMAXPROCS=2 $(GO) test -count=5 -timeout 3m . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim
+	GOMAXPROCS=2 $(GO) test -count=5 -timeout 3m . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim ./internal/tune
+
+# Every paper figure at quick scale is deterministic (the same at any
+# GOMAXPROCS): regenerate them all and diff against the committed output, so
+# a refactor that claims to change no figure is checked. A failed run
+# truncates the output, which the diff catches too.
+exp-golden:
+	$(GO) run ./cmd/rafiki-bench -exp all | diff -u testdata/exp_quick_golden.txt -
 
 # The Bayesian advisor's linear algebra runs amd64 assembly where the CPU has
 # AVX2 and FMA. Test the portable fallback on its own (the purego tag turns

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -247,7 +248,7 @@ var (
 
 // fitSpace is one FitHyperparams' workspace: O(n²) floats that live only as
 // long as the fit, pooled because a GP holding them would multiply them by
-// every finished study that stays reachable (DESIGN.md §16).
+// every advisor that stays reachable (DESIGN.md §16).
 type fitSpace struct {
 	// d2 holds the pairwise squared distances, packed like the factor, and
 	// once e is taken from them, the matrix of a lane Factor takes alone.
@@ -258,7 +259,34 @@ type fitSpace struct {
 	alpha linalg.Vector
 }
 
-var fitSpaces = sync.Pool{New: func() any { return new(fitSpace) }}
+// fitSpaces is the pool of idle workspaces. It is a free list, not a
+// sync.Pool: a GC empties a sync.Pool, and each refill regrows a workspace
+// (≈1.2 MB at n = 150), so the smaller the live heap, the more often fits
+// paid for one. It keeps at most GOMAXPROCS workspaces.
+var fitSpaces struct {
+	mu   sync.Mutex
+	idle []*fitSpace
+}
+
+func getFitSpace() *fitSpace {
+	fitSpaces.mu.Lock()
+	defer fitSpaces.mu.Unlock()
+	n := len(fitSpaces.idle)
+	if n == 0 {
+		return new(fitSpace)
+	}
+	ws := fitSpaces.idle[n-1]
+	fitSpaces.idle = fitSpaces.idle[:n-1]
+	return ws
+}
+
+func putFitSpace(ws *fitSpace) {
+	fitSpaces.mu.Lock()
+	defer fitSpaces.mu.Unlock()
+	if len(fitSpaces.idle) < runtime.GOMAXPROCS(0) {
+		fitSpaces.idle = append(fitSpaces.idle, ws)
+	}
+}
 
 // FitHyperparams grid-searches length scale and signal variance to maximize
 // the log marginal likelihood, keeping the first maximum in grid order. It
@@ -274,8 +302,8 @@ func (g *GP) FitHyperparams() (float64, error) {
 	if n == 0 {
 		return 0, ErrNoData
 	}
-	ws := fitSpaces.Get().(*fitSpace)
-	defer fitSpaces.Put(ws)
+	ws := getFitSpace()
+	defer putFitSpace(ws)
 	ws.d2 = g.sqDists(ws.d2)
 	tri := len(ws.d2)
 	ws.e = slices.Grow(ws.e[:0], len(fitLengths)*tri)[:len(fitLengths)*tri]

@@ -3,6 +3,7 @@ package gp
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	_ "unsafe" // go:linkname to linalg's CPU gate
@@ -539,6 +540,27 @@ func BenchmarkExpectedImprovements(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFitWorkspaceOutlivesGC: a refit at the same size reuses the idle
+// workspace even when garbage collections ran in between. With the workspace
+// in a sync.Pool, two collections emptied it and the refit regrew it, so
+// fits allocated more the smaller the live heap was.
+func TestFitWorkspaceOutlivesGC(t *testing.T) {
+	g := New(RBF{LengthScale: 0.2, SignalVar: 0.1}, 1e-4)
+	for _, x := range randomPoints(sim.NewRNG(5), 40, 3) {
+		g.Add(x, x[0]-x[1])
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := g.FitHyperparams(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refit after two collections made %v allocations, want 0", allocs)
 	}
 }
 

@@ -50,12 +50,22 @@ type SimResult struct {
 // BestAccuracy returns the study's final best accuracy.
 func (r *SimResult) BestAccuracy() float64 { return r.Master.BestPerf() }
 
-// simWorker is one simulated worker GPU's state.
-type simWorker struct {
-	name    string
-	rng     *sim.RNG
-	session *surrogate.Session
-	asg     *Assignment
+// NewAdvisor builds the TrialAdvisor of the given kind over space; rng
+// seeds the random and Bayesian advisors (the grid needs none).
+func NewAdvisor(kind AdvisorKind, space *advisor.HyperSpace, rng *sim.RNG) (advisor.Advisor, error) {
+	switch kind {
+	case RandomSearch, "":
+		return advisor.NewRandomAdvisor(space, rng), nil
+	case BayesOpt:
+		return advisor.NewBayesAdvisor(space, rng), nil
+	case GridSearch:
+		g, err := advisor.NewGridAdvisor(space, 3)
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
+	return nil, fmt.Errorf("tune: unknown advisor kind %q", kind)
 }
 
 // RunSim executes a full study over virtual time with the given number of
@@ -63,7 +73,8 @@ type simWorker struct {
 // real cluster: each epoch costs Trainer.EpochSeconds of virtual time, and
 // the master observes reports in virtual-time order — so CoStudy's
 // checkpoint sharing sees the same interleavings the paper's deployment
-// does, while the whole study runs in milliseconds of real time.
+// does, while the whole study runs in milliseconds of real time. Each
+// simulated GPU is a Worker whose protocol steps the event loop schedules.
 func RunSim(opt SimOptions) (*SimResult, error) {
 	if opt.Workers <= 0 {
 		return nil, fmt.Errorf("tune: need at least one worker, got %d", opt.Workers)
@@ -77,22 +88,10 @@ func RunSim(opt SimOptions) (*SimResult, error) {
 			return nil, err
 		}
 	}
-	var adv advisor.Advisor
-	switch opt.Advisor {
-	case RandomSearch, "":
-		adv = advisor.NewRandomAdvisor(space, root.SplitNamed("advisor"))
-	case BayesOpt:
-		adv = advisor.NewBayesAdvisor(space, root.SplitNamed("advisor"))
-	case GridSearch:
-		g, err := advisor.NewGridAdvisor(space, 3)
-		if err != nil {
-			return nil, err
-		}
-		adv = g
-	default:
-		return nil, fmt.Errorf("tune: unknown advisor kind %q", opt.Advisor)
+	adv, err := NewAdvisor(opt.Advisor, space, root.SplitNamed("advisor"))
+	if err != nil {
+		return nil, err
 	}
-
 	pserver := ps.New(8, nil)
 	master, err := NewMaster(opt.Conf, adv, pserver, root.SplitNamed("master"))
 	if err != nil {
@@ -111,115 +110,48 @@ func RunSim(opt SimOptions) (*SimResult, error) {
 		BestByEpochs: metrics.NewTimeSeries("best-by-epochs"),
 	}
 
+	// step runs the worker's next protocol step: an epoch of the trial in
+	// flight (closing the trial when it ends), then kRequest for the next
+	// trial once the worker is idle.
+	step := func(w *Worker) error {
+		if w.session != nil {
+			done, err := w.epoch()
+			if err != nil || !done {
+				return err
+			}
+			if err := w.end(loop.Now()); err != nil {
+				return err
+			}
+			if err := res.BestSoFar.Append(loop.Now(), master.BestPerf()); err != nil {
+				return err
+			}
+			if err := res.BestByEpochs.Append(float64(master.TotalEpochs()), master.BestPerf()); err != nil {
+				return err
+			}
+			res.WallSeconds = loop.Now()
+		}
+		_, err := w.begin(loop.Now())
+		return err
+	}
 	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	var startNext func(w *simWorker)
-	var epoch func(w *simWorker)
-
-	epoch = func(w *simWorker) {
-		if runErr != nil || w.session == nil {
-			return
-		}
-		acc, done := w.session.Step()
-		dir, err := master.ReportEpoch(w.name, acc)
-		if err != nil {
-			fail(err)
-			return
-		}
-		switch dir {
-		case DirPut:
-			if err := saveCheckpoint(pserver, opt.Conf.Name, opt.Conf.Model, w.asg.Trial.ID, acc, w.session.Quality(), opt.Conf.Public, archLayersFor(opt.Conf, w.asg.Trial, w.session.Quality(), acc)); err != nil {
-				fail(err)
-				return
-			}
-		case DirStop:
-			w.session.Abort()
-			done = true
-		}
-		if !done {
-			loop.After(trainerCfg.EpochSeconds, func() { epoch(w) })
-			return
-		}
-		result := w.session.Result()
-		putFinal, err := master.FinishTrial(w.name, result, loop.Now())
-		if err != nil {
-			fail(err)
-			return
-		}
-		if putFinal {
-			if err := saveCheckpoint(pserver, opt.Conf.Name, opt.Conf.Model, w.asg.Trial.ID, result.FinalAccuracy, result.FinalQuality, opt.Conf.Public, archLayersFor(opt.Conf, w.asg.Trial, result.FinalQuality, result.FinalAccuracy)); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if err := res.BestSoFar.Append(loop.Now(), master.BestPerf()); err != nil {
-			fail(err)
-			return
-		}
-		if err := res.BestByEpochs.Append(float64(master.TotalEpochs()), master.BestPerf()); err != nil {
-			fail(err)
-			return
-		}
-		w.session, w.asg = nil, nil
-		res.WallSeconds = loop.Now()
-		startNext(w)
-	}
-
-	startNext = func(w *simWorker) {
+	var advance func(w *Worker)
+	advance = func(w *Worker) {
 		if runErr != nil {
 			return
 		}
-		asg, err := master.RequestTrial(w.name, loop.Now())
-		if err != nil {
-			fail(err)
-			return
+		if runErr = step(w); runErr == nil && w.session != nil {
+			loop.After(trainerCfg.EpochSeconds, func() { advance(w) })
 		}
-		if asg == nil {
-			return // study over for this worker
-		}
-		hyp, err := surrogate.FromTrial(asg.Trial)
-		if err != nil {
-			fail(err)
-			return
-		}
-		w.asg = asg
-		w.session = trainer.NewSession(hyp, asg.Warm, w.rng)
-		loop.After(trainerCfg.EpochSeconds, func() { epoch(w) })
 	}
-
 	for i := 0; i < opt.Workers; i++ {
-		w := &simWorker{
-			name: fmt.Sprintf("worker-%d", i),
-			rng:  root.SplitNamed(fmt.Sprintf("worker-%d", i)),
-		}
-		startNext(w)
+		name := fmt.Sprintf("worker-%d", i)
+		advance(NewWorker(name, master, trainer, pserver, root.SplitNamed(name)))
 	}
-	for loop.Step() {
-		if runErr != nil {
-			return nil, runErr
-		}
+	for runErr == nil && loop.Step() {
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
 	res.History = master.History()
 	return res, nil
-}
-
-// archLayersFor builds the per-trial checkpoint layers under architecture
-// tuning; nil (the fixed-architecture payload) otherwise.
-func archLayersFor(conf Config, trial *advisor.Trial, quality, acc float64) []ps.Layer {
-	if conf.ArchKnob == "" {
-		return nil
-	}
-	depth, err := trial.Float(conf.ArchKnob)
-	if err != nil {
-		return nil
-	}
-	return ArchLayers(int(depth), quality, acc)
 }

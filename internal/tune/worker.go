@@ -3,7 +3,6 @@ package tune
 import (
 	"fmt"
 
-	"rafiki/internal/advisor"
 	"rafiki/internal/ps"
 	"rafiki/internal/sim"
 	"rafiki/internal/surrogate"
@@ -12,13 +11,19 @@ import (
 // Worker evaluates trials against the surrogate trainer, speaking the
 // kRequest/kReport/kFinish protocol with its master. One Worker runs one
 // trial at a time (the paper: "At one time, each worker trains the model
-// with a given trial").
+// with a given trial"). The protocol's three steps — begin, epoch, end — are
+// the only copy of it: RunOneTrial loops them on the wall clock, RunSim
+// schedules them on a virtual-time event loop.
 type Worker struct {
 	Name    string
 	master  *Master
 	trainer *surrogate.Trainer
 	ps      *ps.Server
 	rng     *sim.RNG
+
+	// The trial in flight; nil between trials.
+	asg     *Assignment
+	session *surrogate.Session
 }
 
 // NewWorker returns a worker bound to a master. ps may be nil when the study
@@ -29,51 +34,73 @@ func NewWorker(name string, master *Master, trainer *surrogate.Trainer, pserver 
 }
 
 // RunOneTrial requests, trains and reports a single trial. It returns false
-// when the master has no more trials. Used by the live (goroutine) mode;
-// the virtual-time driver steps sessions itself.
+// when the master has no more trials.
 func (w *Worker) RunOneTrial() (bool, error) {
-	asg, err := w.master.RequestTrial(w.Name, 0)
-	if err != nil {
+	if more, err := w.begin(0); !more {
 		return false, err
 	}
-	if asg == nil {
-		return false, nil
-	}
-	hyp, err := surrogate.FromTrial(asg.Trial)
-	if err != nil {
-		return false, err
-	}
-	session := w.trainer.NewSession(hyp, asg.Warm, w.rng)
 	for {
-		acc, done := session.Step()
-		dir, err := w.master.ReportEpoch(w.Name, acc)
+		done, err := w.epoch()
 		if err != nil {
 			return false, err
-		}
-		switch dir {
-		case DirPut:
-			if err := w.putCheckpoint(asg.Trial, acc, session.Quality()); err != nil {
-				return false, err
-			}
-		case DirStop:
-			session.Abort()
-			done = true
 		}
 		if done {
 			break
 		}
 	}
-	res := session.Result()
-	putFinal, err := w.master.FinishTrial(w.Name, res, 0)
+	if err := w.end(0); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// begin sends kRequest at time now and opens a training session on the
+// assigned trial, warm-started as the master says. It returns false when the
+// master has no more trials.
+func (w *Worker) begin(now float64) (bool, error) {
+	asg, err := w.master.RequestTrial(w.Name, now)
+	if asg == nil || err != nil {
+		return false, err
+	}
+	hyp, err := surrogate.FromTrial(asg.Trial)
 	if err != nil {
 		return false, err
 	}
-	if putFinal {
-		if err := w.putCheckpoint(asg.Trial, res.FinalAccuracy, res.FinalQuality); err != nil {
+	w.asg, w.session = asg, w.trainer.NewSession(hyp, asg.Warm, w.rng)
+	return true, nil
+}
+
+// epoch trains one epoch and sends kReport, obeying the master's reply:
+// kPut checkpoints the parameters, kStop aborts the trial. It returns true
+// when the trial is over.
+func (w *Worker) epoch() (bool, error) {
+	acc, done := w.session.Step()
+	dir, err := w.master.ReportEpoch(w.Name, acc)
+	if err != nil {
+		return false, err
+	}
+	switch dir {
+	case DirPut:
+		if err := w.putCheckpoint(acc, w.session.Quality()); err != nil {
 			return false, err
 		}
+	case DirStop:
+		w.session.Abort()
+		done = true
 	}
-	return true, nil
+	return done, nil
+}
+
+// end sends kFinish at time now, makes the final put when the master asks
+// for it, and closes the trial.
+func (w *Worker) end(now float64) error {
+	res := w.session.Result()
+	putFinal, err := w.master.FinishTrial(w.Name, res, now)
+	if err == nil && putFinal {
+		err = w.putCheckpoint(res.FinalAccuracy, res.FinalQuality)
+	}
+	w.asg, w.session = nil, nil
+	return err
 }
 
 // Run loops RunOneTrial until the study completes.
@@ -92,18 +119,18 @@ func (w *Worker) Run() error {
 // putCheckpoint persists the worker's current model parameters. Under
 // architecture tuning the checkpoint carries the trial's per-layer shape
 // signatures so future trials can shape-match against it.
-func (w *Worker) putCheckpoint(trial *advisor.Trial, acc, quality float64) error {
+func (w *Worker) putCheckpoint(acc, quality float64) error {
 	if w.ps == nil {
 		return fmt.Errorf("tune: worker %s ordered to checkpoint without a parameter server", w.Name)
 	}
 	c := w.master.conf
 	var layers []ps.Layer
 	if c.ArchKnob != "" {
-		if depth, err := trial.Float(c.ArchKnob); err == nil {
+		if depth, err := w.asg.Trial.Float(c.ArchKnob); err == nil {
 			layers = ArchLayers(int(depth), quality, acc)
 		}
 	}
-	return saveCheckpoint(w.ps, c.Name, c.Model, trial.ID, acc, quality, c.Public, layers)
+	return saveCheckpoint(w.ps, c.Name, c.Model, w.asg.Trial.ID, acc, quality, c.Public, layers)
 }
 
 // saveCheckpoint writes a trial checkpoint to the parameter server. layers

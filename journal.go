@@ -167,20 +167,19 @@ func (s *System) adoptID(id string) {
 }
 
 // journalTrainComplete appends a training job's completion record: its final
-// status plus each model's best checkpoint, gob-encoded into the journal's
+// snapshot plus each model's best checkpoint, gob-encoded into the journal's
 // content-addressed blob sidecar with only digests on-ledger. Called exactly
-// once per job (guarded by completeOnce) *before* done becomes observable, so
-// a deploy following Wait always orders after the completion on the ledger —
-// and recovery restores the checkpoints instead of re-training.
-func (s *System) journalTrainComplete(j *TrainJob) error {
+// once per job (guarded by completeOnce) *before* the snapshot becomes
+// observable, so a deploy following Wait always orders after the completion
+// on the ledger — and recovery restores the checkpoints instead of
+// re-training.
+func (s *System) journalTrainComplete(id string, final TrainStatus) error {
 	if s.jr == nil {
 		return nil
 	}
-	st := j.Status()
-	st.Done = true // not yet observable via the done flag; the record says so
-	rec := trainCompleteRec{ID: j.ID, Status: st}
-	for _, model := range j.models {
-		best, err := s.jobBest(j.ID, model)
+	rec := trainCompleteRec{ID: id, Status: final}
+	for _, model := range final.Models {
+		best, err := s.jobBest(id, model)
 		if err != nil {
 			continue // an errored job may have published nothing for this model
 		}
@@ -351,16 +350,14 @@ func (s *System) restoreTrainJob(sub trainSubmitRec, comp *trainCompleteRec) err
 			return fmt.Errorf("checkpoint %s: %w", ck.Key, err)
 		}
 	}
-	st := comp.Status
-	st.Done = true
+	final := comp.Status
+	final.Done = true
 	job := &TrainJob{
-		ID:        sub.ID,
-		Conf:      sub.Conf,
-		sys:       s,
-		models:    append([]string(nil), st.Models...),
-		done:      true,
-		recovered: true,
-		recStatus: st,
+		ID:     sub.ID,
+		Conf:   sub.Conf,
+		sys:    s,
+		models: final.Models,
+		final:  &final,
 	}
 	job.completeOnce.Do(func() {}) // already complete: never re-journal
 	s.adoptID(sub.ID)

@@ -168,16 +168,9 @@ func TestTrainEndToEnd(t *testing.T) {
 		}
 		fams[fam] = true
 	}
-	// The cluster registered a master and workers per model.
-	containers := 0
-	for _, name := range sysContainers(sys) {
-		if strings.HasPrefix(name, job.ID+"/") {
-			containers++
-		}
-	}
-	want := len(st.Models) * (1 + 2) // master + 2 workers each
-	if containers != want {
-		t.Fatalf("containers = %d, want %d", containers, want)
+	// The finished job released the master and workers it ran per model.
+	if n := jobContainers(sys, job.ID); n != 0 {
+		t.Fatalf("containers = %d after Wait, want 0", n)
 	}
 }
 

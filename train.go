@@ -2,7 +2,10 @@ package rafiki
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"rafiki/internal/advisor"
@@ -73,23 +76,24 @@ type TrainJob struct {
 	ID   string
 	Conf TrainConfig
 
-	sys     *System
-	models  []string
-	masters map[string]*tune.Master
-	wg      sync.WaitGroup
+	sys    *System
+	models []string
+	wg     sync.WaitGroup
 
-	// completeOnce guards the one-time completion step (journal the
-	// train_complete record, then flip done): Wait and the monitor goroutine
-	// race to it, and a recovered job arrives with it already burnt.
+	// completeOnce guards the one-time completion step (build the final
+	// snapshot, journal it, release the containers): Wait and the monitor
+	// goroutine race to it, and a recovered job arrives with it already
+	// burnt.
 	completeOnce sync.Once
 
 	mu   sync.Mutex
 	errs []error
-	done bool
-	// recovered marks a job rebuilt from the journal: its masters never ran
-	// in this process, so Status answers from the recorded final snapshot.
-	recovered bool
-	recStatus TrainStatus
+	// masters answer Status while the job trains. They are all built before
+	// the job is published, and dropped when final is set.
+	masters map[string]*tune.Master
+	// final is the finished job's status: built once from the masters, or
+	// restored from the journal. A finished job answers from it alone.
+	final *TrainStatus
 }
 
 // Train submits a training job (Figure 2's rafiki.Train(...).run()): Rafiki
@@ -104,8 +108,9 @@ func (s *System) Train(cfg TrainConfig) (*TrainJob, error) {
 
 // train is Train with the journal switch: live calls mint an ID and append a
 // train_submit record (carrying the defaulted config and resolved model set,
-// so replay is deterministic) before any side effect; replay passes the
-// recorded ID and record=false.
+// so replay is deterministic) once the job's containers are launched and
+// before the job is listed or trains; replay passes the recorded ID and
+// record=false.
 func (s *System) train(cfg TrainConfig, forceID string, record bool) (*TrainJob, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("rafiki: training job needs a name")
@@ -113,8 +118,8 @@ func (s *System) train(cfg TrainConfig, forceID string, record bool) (*TrainJob,
 	cfg.Hyper = cfg.Hyper.withDefaults()
 	// Validate the advisor kind before any side effect (ID mint, journal
 	// append, container launches), so a bad config never half-applies.
-	switch cfg.Hyper.Advisor {
-	case "random", "bayes", "grid":
+	switch tune.AdvisorKind(cfg.Hyper.Advisor) {
+	case tune.RandomSearch, tune.BayesOpt, tune.GridSearch:
 	default:
 		return nil, fmt.Errorf("rafiki: unknown advisor %q", cfg.Hyper.Advisor)
 	}
@@ -140,11 +145,6 @@ func (s *System) train(cfg TrainConfig, forceID string, record bool) (*TrainJob,
 	}
 
 	id := s.mintOrAdopt("train", forceID)
-	if record {
-		if err := s.journalAppend(kindTrainSubmit, trainSubmitRec{ID: id, Conf: cfg, Models: models}); err != nil {
-			return nil, err
-		}
-	}
 	job := &TrainJob{
 		ID:      id,
 		Conf:    cfg,
@@ -152,81 +152,29 @@ func (s *System) train(cfg TrainConfig, forceID string, record bool) (*TrainJob,
 		models:  models,
 		masters: map[string]*tune.Master{},
 	}
+	workers, err := job.build(len(ds.Classes))
+	if err == nil && record {
+		err = s.journalAppend(kindTrainSubmit, trainSubmitRec{ID: id, Conf: cfg, Models: models})
+	}
+	if err != nil {
+		// A Train the cluster cannot hold fails whole: nothing stays
+		// launched, listed or journaled.
+		job.release()
+		return nil, err
+	}
 	s.mu.Lock()
 	s.trainJobs[job.ID] = job
 	s.mu.Unlock()
-
-	for _, model := range models {
-		var adv advisor.Advisor
-		space, err := advisor.CIFAR10ConvNetSpace()
-		if err != nil {
-			return nil, err
-		}
-		switch cfg.Hyper.Advisor {
-		case "random":
-			adv = advisor.NewRandomAdvisor(space, s.rng.SplitNamed(job.ID+model+"adv"))
-		case "bayes":
-			adv = advisor.NewBayesAdvisor(space, s.rng.SplitNamed(job.ID+model+"adv"))
-		case "grid":
-			g, err := advisor.NewGridAdvisor(space, 3)
-			if err != nil {
-				return nil, err
+	for _, worker := range workers {
+		job.wg.Add(1)
+		go func() {
+			defer job.wg.Done()
+			if err := worker.Run(); err != nil {
+				job.mu.Lock()
+				job.errs = append(job.errs, err)
+				job.mu.Unlock()
 			}
-			adv = g
-		default:
-			return nil, fmt.Errorf("rafiki: unknown advisor %q", cfg.Hyper.Advisor)
-		}
-		mconf := tune.Config{
-			Name:       job.ID + "/" + model,
-			Model:      model,
-			MaxTrials:  cfg.Hyper.MaxTrials,
-			CoStudy:    cfg.Hyper.CoStudy,
-			Delta:      cfg.Hyper.Delta,
-			Patience:   5,
-			MinDelta:   0.001,
-			Alpha0:     1.0,
-			AlphaDecay: 0.9,
-			AlphaMin:   0.05,
-		}
-		master, err := tune.NewMaster(mconf, adv, s.ps, s.rng.SplitNamed(job.ID+model+"master"))
-		if err != nil {
-			return nil, err
-		}
-		job.masters[model] = master
-
-		// Register the master container (checkpointable) and workers with
-		// the cluster manager.
-		if _, err := s.cluster.Launch(cluster.Spec{
-			Name: job.ID + "/" + model + "/master",
-			Kind: cluster.KindMaster,
-			Job:  job.ID,
-			// The master implements Snapshot/Restore (Section 6.3).
-			Checkpoint: master,
-		}, 0); err != nil {
-			return nil, fmt.Errorf("rafiki: launch master: %w", err)
-		}
-
-		trainer := surrogate.NewTrainer(trainerFor(model, len(ds.Classes)))
-		for w := 0; w < s.opts.Workers; w++ {
-			workerName := fmt.Sprintf("%s/%s/worker-%d", job.ID, model, w)
-			if _, err := s.cluster.Launch(cluster.Spec{
-				Name: workerName,
-				Kind: cluster.KindWorker,
-				Job:  job.ID,
-			}, 0); err != nil {
-				return nil, fmt.Errorf("rafiki: launch worker: %w", err)
-			}
-			worker := tune.NewWorker(workerName, master, trainer, s.ps, s.rng.SplitNamed(workerName))
-			job.wg.Add(1)
-			go func() {
-				defer job.wg.Done()
-				if err := worker.Run(); err != nil {
-					job.mu.Lock()
-					job.errs = append(job.errs, err)
-					job.mu.Unlock()
-				}
-			}()
-		}
+		}()
 	}
 	go func() {
 		job.wg.Wait()
@@ -235,18 +183,86 @@ func (s *System) train(cfg TrainConfig, forceID string, record bool) (*TrainJob,
 	return job, nil
 }
 
+// build makes each model's advisor, master and tuning workers and launches
+// their containers: the master's first, checkpointable because the master
+// implements Snapshot/Restore (Section 6.3), then the workers'. The job is
+// not yet published, so nothing else reads its masters while they fill.
+func (j *TrainJob) build(classes int) ([]*tune.Worker, error) {
+	s := j.sys
+	var workers []*tune.Worker
+	for _, model := range j.models {
+		space, err := advisor.CIFAR10ConvNetSpace()
+		if err != nil {
+			return nil, err
+		}
+		adv, err := tune.NewAdvisor(tune.AdvisorKind(j.Conf.Hyper.Advisor), space, s.rng.SplitNamed(j.ID+model+"adv"))
+		if err != nil {
+			return nil, err
+		}
+		mconf := tune.Config{
+			Name:       j.ID + "/" + model,
+			Model:      model,
+			MaxTrials:  j.Conf.Hyper.MaxTrials,
+			CoStudy:    j.Conf.Hyper.CoStudy,
+			Delta:      j.Conf.Hyper.Delta,
+			Patience:   5,
+			MinDelta:   0.001,
+			Alpha0:     1.0,
+			AlphaDecay: 0.9,
+			AlphaMin:   0.05,
+		}
+		master, err := tune.NewMaster(mconf, adv, s.ps, s.rng.SplitNamed(j.ID+model+"master"))
+		if err != nil {
+			return nil, err
+		}
+		j.masters[model] = master
+		if _, err := s.cluster.Launch(cluster.Spec{
+			Name:       j.ID + "/" + model + "/master",
+			Kind:       cluster.KindMaster,
+			Job:        j.ID,
+			Checkpoint: master,
+		}, 0); err != nil {
+			return nil, fmt.Errorf("rafiki: launch master: %w", err)
+		}
+		trainer := surrogate.NewTrainer(trainerFor(model, classes))
+		for w := 0; w < s.opts.Workers; w++ {
+			name := fmt.Sprintf("%s/%s/worker-%d", j.ID, model, w)
+			if _, err := s.cluster.Launch(cluster.Spec{Name: name, Kind: cluster.KindWorker, Job: j.ID}, 0); err != nil {
+				return nil, fmt.Errorf("rafiki: launch worker: %w", err)
+			}
+			workers = append(workers, tune.NewWorker(name, master, trainer, s.ps, s.rng.SplitNamed(name)))
+		}
+	}
+	return workers, nil
+}
+
+// release removes every container the job launched.
+func (j *TrainJob) release() {
+	for _, name := range j.sys.cluster.Containers() {
+		if strings.HasPrefix(name, j.ID+"/") {
+			_ = j.sys.cluster.Remove(name) // listed just now: it exists
+		}
+	}
+}
+
 // finish is the one-time completion step, raced harmlessly by Wait and the
-// monitor goroutine. The train_complete record (final status + checkpoint
-// blobs) is journaled *before* done becomes observable: a caller that saw
-// done and deployed therefore always lands its deploy record after the
-// completion on the ledger, so replay restores checkpoints before any
-// deployment needs them. A journal closed mid-write (process shutdown) just
-// loses the completion record — the job replays as incomplete and re-trains.
+// monitor goroutine. It builds the final snapshot from the masters and
+// journals it in the train_complete record (with the checkpoint blobs)
+// *before* the job reads as done: a caller that saw done and deployed
+// therefore always lands its deploy record after the completion on the
+// ledger, so replay restores checkpoints before any deployment needs them. A
+// journal closed mid-write (process shutdown) just loses the completion
+// record — the job replays as incomplete and re-trains. Then the job releases
+// its containers and drops its masters; from here on it is only its
+// snapshot.
 func (j *TrainJob) finish() {
 	j.completeOnce.Do(func() {
-		_ = j.sys.journalTrainComplete(j)
+		final := j.Status()
+		final.Done = true
+		_ = j.sys.journalTrainComplete(j.ID, final)
+		j.release()
 		j.mu.Lock()
-		j.done = true
+		j.final, j.masters = &final, nil
 		j.mu.Unlock()
 		// Checkpoint publication: the job's best checkpoints are now in the
 		// parameter server, so any deployment serving these architectures
@@ -312,30 +328,25 @@ func (j *TrainJob) Wait() error {
 	return nil
 }
 
-// Status reports progress (usable while the job runs). A journal-recovered
-// job answers from its recorded final snapshot: its masters never ran in
-// this process.
+// Status reports progress (usable while the job runs). A finished job,
+// live or journal-recovered, answers from its final snapshot.
 func (j *TrainJob) Status() TrainStatus {
 	j.mu.Lock()
-	done, recovered := j.done, j.recovered
+	final, masters := j.final, j.masters
 	j.mu.Unlock()
-	if recovered {
-		st := j.recStatus
-		st.Models = append([]string(nil), j.recStatus.Models...)
-		st.BestAccuracy = make(map[string]float64, len(j.recStatus.BestAccuracy))
-		for k, v := range j.recStatus.BestAccuracy {
-			st.BestAccuracy[k] = v
-		}
+	if final != nil {
+		st := *final
+		st.Models = slices.Clone(final.Models)
+		st.BestAccuracy = maps.Clone(final.BestAccuracy)
 		return st
 	}
 	st := TrainStatus{
 		JobID:        j.ID,
-		Done:         done,
-		Models:       append([]string(nil), j.models...),
+		Models:       slices.Clone(j.models),
 		MaxTrials:    len(j.models) * j.Conf.Hyper.MaxTrials,
 		BestAccuracy: map[string]float64{},
 	}
-	for model, m := range j.masters {
+	for model, m := range masters {
 		st.Finished += m.Finished()
 		st.BestAccuracy[model] = m.BestPerf()
 	}
@@ -391,7 +402,7 @@ func (s *System) GetModels(trainJobID string) ([]ModelInstance, error) {
 		return nil, fmt.Errorf("rafiki: %w: unknown training job %q", ErrNotFound, trainJobID)
 	}
 	job.mu.Lock()
-	done := job.done
+	done := job.final != nil
 	job.mu.Unlock()
 	if !done {
 		return nil, fmt.Errorf("rafiki: %w: training job %s still running", ErrConflict, trainJobID)
