@@ -29,9 +29,12 @@ race:
 # serving packages, and of the tuning package whose live workers contend on
 # one master, at two procs, where timing-dependent tests flake first.
 # The timeout bounds a decision point that never comes back to minutes, not
-# go test's 10-minute default per package.
+# go test's 10-minute default per package. Then ten race-detector runs of the
+# prediction cache, whose singleflight and invalidation-race tests all
+# contend on its one lock.
 repeat:
 	GOMAXPROCS=2 $(GO) test -count=5 -timeout 3m . ./internal/infer/... ./internal/predcache ./internal/rest ./internal/sim ./internal/tune
+	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 3m ./internal/predcache
 
 # Every paper figure at quick scale is deterministic (the same at any
 # GOMAXPROCS): regenerate them all and diff against the committed output, so
@@ -86,8 +89,9 @@ bench:
 # hyper-parameter fit (150 observations, with its allocations) on the vector
 # kernels and on the portable loops, one 16-sample
 # batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
-# long seeded stream (lazy sim.RNG vs math/rand), and one REST cache hit
-# (handler alone, then over a loopback keep-alive connection).
+# long seeded stream (lazy sim.RNG vs math/rand), one REST cache hit
+# (handler alone, then over a loopback keep-alive connection), and a bounded
+# run of parallel prediction-cache hits at one and two procs.
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench '^BenchmarkSubmit$$' -benchtime 20000x
@@ -98,6 +102,7 @@ bench-smoke:
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x
+	$(GO) test ./internal/predcache/ -run none -bench '^BenchmarkGetOrComputeHit$$' -cpu 1,2 -benchtime 100000x
 
 # Durability gate: run the kill/restart round-trip test under -race with the
 # journal written to artifacts/journal, then audit the surviving ledger's
@@ -110,9 +115,12 @@ verify-journal:
 
 # Ten seconds of coverage-guided fuzzing each of the offline chain verifier
 # (any segment bytes verify without a panic and with a self-consistent
-# result) and of deployment-spec defaulting and validation (idempotent
-# defaults, no panic, no NaN in an accepted spec). `go test ./...` replays
-# only their seed inputs.
+# result), of deployment-spec defaulting and validation (idempotent
+# defaults, no panic, no NaN in an accepted spec) and of live reconciles
+# (a refused one changes nothing, an accepted one records the defaulted spec,
+# cache stats follow the cache block). `go test ./...` replays only their
+# seed inputs.
 fuzz-smoke:
 	$(GO) test -run none -fuzz FuzzVerifyDir -fuzztime 10s ./internal/journal
 	$(GO) test -run none -fuzz FuzzDeploymentSpec -fuzztime 10s .
+	$(GO) test -run none -fuzz FuzzReconcileSpec -fuzztime 10s .

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rafiki/internal/predcache"
 )
 
 // deployCached deploys the trained food models with a prediction cache whose
@@ -54,8 +56,8 @@ func TestCacheSpecValidation(t *testing.T) {
 	}
 	inf2 := deployCached(t, sys, models, DeploymentSpec{Cache: &CacheSpec{Enabled: true}})
 	spec := inf2.Spec()
-	if c := spec.Cache; c.Capacity != defaultCacheCapacity || c.TTLSeconds != defaultCacheTTLSeconds ||
-		c.AdmitThreshold != defaultCacheAdmitThreshold || c.HalfLifeSeconds != defaultCacheHalfLifeSeconds {
+	if c := spec.Cache; c.Capacity != predcache.DefaultCapacity || c.TTLSeconds != predcache.DefaultTTL ||
+		c.AdmitThreshold != predcache.DefaultAdmitThreshold || c.HalfLifeSeconds != predcache.DefaultHalfLife {
 		t.Fatalf("defaulted cache block = %+v", c)
 	}
 }

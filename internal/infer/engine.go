@@ -136,7 +136,9 @@ type Engine struct {
 	// indices under 64 key a bitmask → accuracy cache, skipping the
 	// sort+join subset-key build and table lock per dispatch. Values are the
 	// table's own (deterministic) results, so the two caches never disagree.
-	accByMask sync.Map
+	// Only dispatch (inside Step) touches it, so Step's serialization guards
+	// it.
+	accByMask map[uint64]float64
 	// Predictor, when non-nil, simulates real per-request predictions for
 	// measured accuracy; nil skips accuracy measurement.
 	Predictor *zoo.Predictor
@@ -209,6 +211,7 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		Deployment: d,
 		Policy:     p,
 		AccTable:   acc,
+		accByMask:  make(map[uint64]float64),
 		q:          NewQueue(queueCap),
 		pools:      make([]replicaPool, len(d.Profiles)),
 		lat:        make([]latModel, len(d.Profiles)),
@@ -700,8 +703,8 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 	// Equation 7's accuracy term comes from the surrogate table (internally
 	// locked), resolved before the batch pops — an accuracy error then
 	// leaves the queue intact. The bitmask cache short-circuits the steady
-	// state: after the first dispatch of a subset, later ones hit a
-	// lock-free map keyed by the model index set.
+	// state: after the first dispatch of a subset, later ones hit a plain
+	// map keyed by the model index set.
 	var mask uint64
 	maskable := len(d.Profiles) <= 64
 	if maskable {
@@ -709,17 +712,18 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 			mask |= 1 << uint(mi)
 		}
 	}
-	var acc float64
-	if cached, ok := e.accByMask.Load(mask); maskable && ok {
-		acc = cached.(float64)
-	} else {
+	acc, ok := 0.0, false
+	if maskable {
+		acc, ok = e.accByMask[mask]
+	}
+	if !ok {
 		var err error
 		acc, err = e.AccTable.Accuracy(names)
 		if err != nil {
 			return DispatchOutcome{}, err
 		}
 		if maskable {
-			e.accByMask.Store(mask, acc)
+			e.accByMask[mask] = acc
 		}
 	}
 

@@ -40,7 +40,7 @@ func newHotTracker(maxKeys int) *hotTracker {
 }
 
 // touch records one access of key at time now and reports whether the key's
-// decayed frequency has reached threshold. The caller holds the shard lock.
+// decayed frequency has reached threshold. The caller holds the cache lock.
 func (t *hotTracker) touch(key uint64, now, halfLife, threshold float64) bool {
 	e := t.keys[key]
 	if e == nil {
@@ -74,7 +74,7 @@ func (t *hotTracker) sweep(now, halfLife, threshold float64) {
 }
 
 // hotCount reports how many tracked keys are at or above threshold at time
-// now. The caller holds the shard lock.
+// now. The caller holds the cache lock.
 func (t *hotTracker) hotCount(now, halfLife, threshold float64) int {
 	n := 0
 	for _, e := range t.keys {

@@ -1,12 +1,12 @@
 // Package predcache is a read-through prediction cache for the serving path:
 // results are keyed by a 64-bit digest of the query input (scoped to one
-// deployment — each deployment owns its own cache), stored in sharded LRU
-// segments with a TTL, and only *admitted* once an exponential-decay hotness
-// tracker has seen the key often enough — one-off inputs never displace the
-// hot region. Concurrent misses on a hot key collapse through a singleflight
-// so the engine sees exactly one request, and event-driven invalidation is an
-// epoch bump: entries written under a superseded epoch are dropped at lookup
-// instead of ever being served (DESIGN.md §11).
+// deployment — each deployment owns its own cache), stored in one LRU with a
+// TTL, and only *admitted* once an exponential-decay hotness tracker has seen
+// the key often enough — one-off inputs never displace the hot region.
+// Concurrent misses on a hot key collapse through a singleflight so the engine
+// sees exactly one request, and event-driven invalidation is an epoch bump:
+// entries written under a superseded epoch are dropped at lookup instead of
+// ever being served (DESIGN.md §11).
 //
 // Millions of users mean heavily key-skewed traffic; serving the hot region
 // from this cache multiplies effective QPS without touching the serving
@@ -17,50 +17,49 @@ import (
 	"bytes"
 	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Config tunes a Cache. Zero values take defaults (see normalize).
+// Defaults for Config's zero fields, shared with the deployment spec's cache
+// block: a modest entry bound, a one-minute TTL, and an admission
+// threshold/half-life pair under which a key must repeat within a couple of
+// half-lives before its results are cached.
+const (
+	DefaultCapacity       = 4096
+	DefaultTTL            = 60 // seconds
+	DefaultAdmitThreshold = 2
+	DefaultHalfLife       = 10 // seconds
+)
+
+// Config tunes a Cache. Zero values take the Default* constants.
 type Config struct {
-	// Capacity bounds the stored entry count (approximately: it is split
-	// across the lock shards). Default 4096.
+	// Capacity bounds the stored entry count.
 	Capacity int
-	// TTL is the entry lifetime in clock seconds. Default 60.
+	// TTL is the entry lifetime in clock seconds.
 	TTL float64
 	// AdmitThreshold is the decayed touch count at which a key becomes hot
-	// and its results cacheable. Default 2: a key must repeat within a couple
-	// of half-lives before it is ever stored.
+	// and its results cacheable.
 	AdmitThreshold float64
-	// HalfLife is the hotness decay half-life in clock seconds. Default 10.
+	// HalfLife is the hotness decay half-life in clock seconds.
 	HalfLife float64
-	// Shards is the lock-shard count (default 16, clamped so every shard
-	// holds at least one entry).
-	Shards int
 	// Now supplies the clock (seconds; monotonicity is the caller's
 	// contract). Default: wall time.
 	Now func() float64
 }
 
-// normalize fills defaults and clamps the shard count.
+// normalize fills defaults.
 func (c Config) normalize() Config {
 	if c.Capacity <= 0 {
-		c.Capacity = 4096
+		c.Capacity = DefaultCapacity
 	}
 	if c.TTL <= 0 {
-		c.TTL = 60
+		c.TTL = DefaultTTL
 	}
 	if c.AdmitThreshold <= 0 {
-		c.AdmitThreshold = 2
+		c.AdmitThreshold = DefaultAdmitThreshold
 	}
 	if c.HalfLife <= 0 {
-		c.HalfLife = 10
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	if c.Shards > c.Capacity {
-		c.Shards = c.Capacity
+		c.HalfLife = DefaultHalfLife
 	}
 	if c.Now == nil {
 		c.Now = func() float64 { return float64(time.Now().UnixNano()) * 1e-9 }
@@ -104,16 +103,6 @@ type flight struct {
 	err   error
 }
 
-// cacheShard is one lock stripe: its LRU segment, its hotness tracker, and
-// its in-flight computations.
-type cacheShard struct {
-	mu      sync.Mutex
-	items   map[uint64]*entry
-	lru     *list.List // front = most recently used
-	hot     *hotTracker
-	flights map[uint64]*flight
-}
-
 // Stats is a point-in-time snapshot of the cache's counters, JSON-shaped for
 // the stats endpoints.
 type Stats struct {
@@ -142,88 +131,48 @@ type Stats struct {
 	Epoch         uint64 `json:"epoch"`
 }
 
-// Cache is the sharded read-through store. Safe for concurrent use.
+// Cache is the read-through store. Safe for concurrent use: one mutex guards
+// all of it.
 type Cache struct {
-	// cfgMu guards cfg against live reconfiguration; lookups take it shared.
-	cfgMu sync.RWMutex
-	cfg   Config
+	now func() float64 // cfg.Now, fixed at construction; read without mu
 
-	epoch  atomic.Uint64
-	shards []cacheShard
-
-	hits, misses      atomic.Uint64
-	admissions        atomic.Uint64
-	collapsed         atomic.Uint64
-	staleEvictions    atomic.Uint64
-	ttlEvictions      atomic.Uint64
-	capacityEvictions atomic.Uint64
-	invalidations     atomic.Uint64
+	mu      sync.Mutex
+	cfg     Config
+	items   map[uint64]*entry
+	lru     *list.List // front = most recently used
+	hot     *hotTracker
+	flights map[uint64]*flight
+	// st holds the counters and the current epoch; Snapshot fills in the
+	// derived fields.
+	st Stats
 }
 
-// New builds a cache. The shard count is fixed for the cache's lifetime;
-// capacity, TTL, and the admission parameters are live-tunable via Configure.
+// New builds a cache. Capacity, TTL, and the admission parameters are
+// live-tunable via Configure; the clock is fixed.
 func New(cfg Config) *Cache {
 	cfg = cfg.normalize()
-	c := &Cache{cfg: cfg, shards: make([]cacheShard, cfg.Shards)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.items = make(map[uint64]*entry)
-		sh.lru = list.New()
-		sh.hot = newHotTracker(c.perShardHotCap(cfg))
-		sh.flights = make(map[uint64]*flight)
+	// The hotness tracker holds a few times the capacity, so admission state
+	// survives moderate churn without growing unboundedly under a uniform
+	// key flood.
+	return &Cache{
+		now:     cfg.Now,
+		cfg:     cfg,
+		items:   make(map[uint64]*entry),
+		lru:     list.New(),
+		hot:     newHotTracker(max(1024, 8*cfg.Capacity)),
+		flights: make(map[uint64]*flight),
 	}
-	return c
-}
-
-// perShardHotCap bounds each shard's hotness tracker: a few times the cache's
-// per-shard capacity, so admission state survives moderate churn without
-// growing unboundedly under a uniform key flood.
-func (c *Cache) perShardHotCap(cfg Config) int {
-	n := 8 * cfg.Capacity / len(c.shards)
-	if n < 64 {
-		n = 64
-	}
-	return n
-}
-
-// perShardCap splits the configured capacity across shards (at least one
-// entry per shard).
-func perShardCap(capacity, shards int) int {
-	n := capacity / shards
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// shardFor maps a key digest onto its lock shard.
-func (c *Cache) shardFor(key uint64) *cacheShard {
-	// The digest is already mixed (FNV / splitmix at the caller); fold the
-	// high bits in so shard count and any downstream map bucketing never see
-	// the same low bits.
-	return &c.shards[(key^key>>32)%uint64(len(c.shards))]
 }
 
 // Configure retunes capacity, TTL and the admission parameters on the live
-// cache. Stored entries survive (capacity shrinks trim LRU-first); the shard
-// count and clock are fixed at construction.
+// cache. Stored entries survive (a capacity shrink trims LRU-first); the
+// clock and the hotness tracker's bound are fixed at construction.
 func (c *Cache) Configure(cfg Config) {
 	cfg = cfg.normalize()
-	c.cfgMu.Lock()
-	cfg.Shards = len(c.shards) // fixed
-	cfg.Now = c.cfg.Now
+	c.mu.Lock()
 	c.cfg = cfg
-	c.cfgMu.Unlock()
-	// Trim every shard under the (possibly smaller) new capacity.
-	limit := perShardCap(cfg.Capacity, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for sh.lru.Len() > limit {
-			c.evictOldest(sh)
-		}
-		sh.mu.Unlock()
-	}
+	c.trim()
+	c.mu.Unlock()
 }
 
 // Invalidate publishes an invalidation event: the epoch bumps, and every
@@ -231,29 +180,24 @@ func (c *Cache) Configure(cfg Config) {
 // of ever being served — the deployment's model set, checkpoints, policy or
 // spec changed, so cached results describe a superseded ensemble.
 func (c *Cache) Invalidate() {
-	c.epoch.Add(1)
-	c.invalidations.Add(1)
+	c.mu.Lock()
+	c.st.Epoch++
+	c.st.Invalidations++
+	c.mu.Unlock()
 }
 
-// Epoch returns the current invalidation epoch.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// evictOldest drops the shard's LRU tail. The caller holds the shard lock.
-func (c *Cache) evictOldest(sh *cacheShard) {
-	back := sh.lru.Back()
-	if back == nil {
-		return
+// trim evicts LRU-first down to the configured capacity. The caller holds mu.
+func (c *Cache) trim() {
+	for c.lru.Len() > c.cfg.Capacity {
+		c.remove(c.lru.Back().Value.(*entry))
+		c.st.CapacityEvictions++
 	}
-	e := back.Value.(*entry)
-	sh.lru.Remove(back)
-	delete(sh.items, e.key)
-	c.capacityEvictions.Add(1)
 }
 
-// removeEntry unlinks e from the shard. The caller holds the shard lock.
-func (sh *cacheShard) removeEntry(e *entry) {
-	sh.lru.Remove(e.elem)
-	delete(sh.items, e.key)
+// remove unlinks e. The caller holds mu.
+func (c *Cache) remove(e *entry) {
+	c.lru.Remove(e.elem)
+	delete(c.items, e.key)
 }
 
 // GetOrCompute is the read-through path for one request: key is the input's
@@ -273,119 +217,86 @@ func (sh *cacheShard) removeEntry(e *entry) {
 // hands it on must copy it first. input may be a borrowed buffer: the cache
 // copies it when it opens a flight, and only that copy is ever retained.
 func (c *Cache) GetOrCompute(key uint64, input []byte, compute func() (any, error)) (any, Outcome, error) {
-	c.cfgMu.RLock()
-	cfg := c.cfg
-	c.cfgMu.RUnlock()
-	now := cfg.Now()
-	sh := c.shardFor(key)
-
-	sh.mu.Lock()
-	if e, ok := sh.items[key]; ok {
+	now := c.now()
+	c.mu.Lock()
+	if e, ok := c.items[key]; ok {
 		switch {
-		case e.epoch != c.epoch.Load():
-			sh.removeEntry(e)
-			c.staleEvictions.Add(1)
+		case e.epoch != c.st.Epoch:
+			c.remove(e)
+			c.st.StaleEvictions++
 		case now > e.expires:
-			sh.removeEntry(e)
-			c.ttlEvictions.Add(1)
+			c.remove(e)
+			c.st.TTLEvictions++
 		case !bytes.Equal(e.input, input):
 			// Digest collision: the slot belongs to another input. Fall
 			// through as a miss; the colliding inputs keep fighting over one
 			// slot, but neither is ever served the other's result.
 		default:
-			sh.lru.MoveToFront(e.elem)
-			val := e.val
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return val, Hit, nil
+			c.lru.MoveToFront(e.elem)
+			c.st.Hits++
+			c.mu.Unlock()
+			return e.val, Hit, nil
 		}
 	}
-	c.misses.Add(1)
-	hot := sh.hot.touch(key, now, cfg.HalfLife, cfg.AdmitThreshold)
-	if !hot {
-		sh.mu.Unlock()
+	c.st.Misses++
+	if !c.hot.touch(key, now, c.cfg.HalfLife, c.cfg.AdmitThreshold) {
+		c.mu.Unlock()
 		v, err := compute()
 		return v, ComputedCold, err
 	}
-	if fl, ok := sh.flights[key]; ok && bytes.Equal(fl.input, input) {
-		sh.mu.Unlock()
+	if fl, ok := c.flights[key]; ok && bytes.Equal(fl.input, input) {
+		c.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
 			return nil, Collapsed, fl.err
 		}
-		c.collapsed.Add(1)
+		c.mu.Lock()
+		c.st.Collapsed++
+		c.mu.Unlock()
 		return fl.val, Collapsed, nil
 	}
-	fl := &flight{done: make(chan struct{}), input: bytes.Clone(input), epoch: c.epoch.Load()}
-	sh.flights[key] = fl
-	sh.mu.Unlock()
+	fl := &flight{done: make(chan struct{}), input: bytes.Clone(input), epoch: c.st.Epoch}
+	c.flights[key] = fl
+	c.mu.Unlock()
 
 	fl.val, fl.err = compute()
 
-	sh.mu.Lock()
-	if sh.flights[key] == fl {
-		delete(sh.flights, key)
+	now = c.now()
+	c.mu.Lock()
+	if c.flights[key] == fl {
+		delete(c.flights, key)
 	}
-	if fl.err == nil && c.epoch.Load() == fl.epoch {
-		e := &entry{
-			key:     key,
-			input:   fl.input,
-			val:     fl.val,
-			epoch:   fl.epoch,
-			expires: cfg.Now() + cfg.TTL,
+	if fl.err == nil && c.st.Epoch == fl.epoch {
+		if old, ok := c.items[key]; ok {
+			c.remove(old)
 		}
-		if old, ok := sh.items[key]; ok {
-			sh.removeEntry(old)
-		}
-		e.elem = sh.lru.PushFront(e)
-		sh.items[key] = e
-		limit := perShardCap(cfg.Capacity, len(c.shards))
-		for sh.lru.Len() > limit {
-			c.evictOldest(sh)
-		}
-		c.admissions.Add(1)
+		e := &entry{key: key, input: fl.input, val: fl.val, epoch: fl.epoch, expires: now + c.cfg.TTL}
+		e.elem = c.lru.PushFront(e)
+		c.items[key] = e
+		c.trim()
+		c.st.Admissions++
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(fl.done)
 	return fl.val, ComputedHot, fl.err
 }
 
 // Len returns the live stored-entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
-// Snapshot returns the cache's counters. Safe to call while serving.
+// Snapshot returns the cache's counters. Safe to call while serving; it
+// walks the hotness tracker under the lock.
 func (c *Cache) Snapshot() Stats {
-	c.cfgMu.RLock()
-	cfg := c.cfg
-	c.cfgMu.RUnlock()
-	now := cfg.Now()
-	st := Stats{
-		Hits:              c.hits.Load(),
-		Misses:            c.misses.Load(),
-		Admissions:        c.admissions.Load(),
-		Collapsed:         c.collapsed.Load(),
-		StaleEvictions:    c.staleEvictions.Load(),
-		TTLEvictions:      c.ttlEvictions.Load(),
-		CapacityEvictions: c.capacityEvictions.Load(),
-		Invalidations:     c.invalidations.Load(),
-		Epoch:             c.epoch.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += len(sh.items)
-		st.HotKeys += sh.hot.hotCount(now, cfg.HalfLife, cfg.AdmitThreshold)
-		sh.mu.Unlock()
-	}
+	now := c.now()
+	c.mu.Lock()
+	st := c.st
+	st.Entries = len(c.items)
+	st.HotKeys = c.hot.hotCount(now, c.cfg.HalfLife, c.cfg.AdmitThreshold)
+	c.mu.Unlock()
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)
 	}

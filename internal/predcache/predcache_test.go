@@ -1,6 +1,7 @@
 package predcache
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,7 @@ func TestAdmissionThenHitThenTTLExpiry(t *testing.T) {
 	clk := &fakeClock{}
 	// Half-life far above the TTL so expiry, not hotness decay, is what the
 	// post-TTL lookup exercises.
-	c := New(Config{Capacity: 64, TTL: 10, AdmitThreshold: 2, HalfLife: 100, Shards: 2, Now: clk.Now})
+	c := New(Config{Capacity: 64, TTL: 10, AdmitThreshold: 2, HalfLife: 100, Now: clk.Now})
 	var computes atomic.Int64
 	in := []byte("hot-key")
 
@@ -196,10 +197,10 @@ func TestSingleflightExactlyOneSubmit(t *testing.T) {
 	}
 	close(started)
 	// Hold the leader until every other caller is committed to its flight: a
-	// caller counts its miss under the shard lock, in the same critical
+	// caller counts its miss under the cache lock, in the same critical
 	// section that finds the flight, so once the warm-up miss plus all
 	// waiters are counted nobody can still arrive late and see a Hit.
-	for c.misses.Load() < 1+waiters {
+	for c.Snapshot().Misses < 1+waiters {
 		runtime.Gosched()
 	}
 	close(release)
@@ -320,12 +321,12 @@ func TestDigestCollisionNeverServesWrongResult(t *testing.T) {
 // stored as computed and every non-cold outcome returns that very value.
 func TestCacheOwnsItsInputAndSharesItsValue(t *testing.T) {
 	clk := &fakeClock{}
-	c := New(Config{Capacity: 64, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Shards: 1, Now: clk.Now})
+	c := New(Config{Capacity: 64, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Now: clk.Now})
 	buf := []byte("borrowed-key")
 	key := digestOf(buf)
 	val := &struct{ n int }{7}
 	v, out, err := c.GetOrCompute(key, buf, func() (any, error) {
-		fl := c.shards[0].flights[key]
+		fl := c.flights[key]
 		if fl == nil || &fl.input[0] == &buf[0] || string(fl.input) != "borrowed-key" {
 			t.Error("the open flight does not own a copy of the input")
 		}
@@ -334,7 +335,7 @@ func TestCacheOwnsItsInputAndSharesItsValue(t *testing.T) {
 	if err != nil || out != ComputedHot || v != val {
 		t.Fatalf("leader = %v, %v, %v; want the computed value, ComputedHot", v, out, err)
 	}
-	e := c.shards[0].items[key]
+	e := c.items[key]
 	if e == nil || &e.input[0] == &buf[0] {
 		t.Fatal("the stored entry does not own a copy of the input")
 	}
@@ -347,7 +348,7 @@ func TestCacheOwnsItsInputAndSharesItsValue(t *testing.T) {
 
 func TestCapacityEvictionLRU(t *testing.T) {
 	clk := &fakeClock{}
-	c := New(Config{Capacity: 4, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Shards: 1, Now: clk.Now})
+	c := New(Config{Capacity: 4, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Now: clk.Now})
 	var computes atomic.Int64
 	for i := 0; i < 8; i++ {
 		get(t, c, []byte{byte(i)}, &computes)
@@ -361,10 +362,53 @@ func TestCapacityEvictionLRU(t *testing.T) {
 	}
 }
 
+// TestCapacityIsExact: Capacity bounds the whole cache, however the admitted
+// digests fall. Every key here is a multiple of 16, the skew that a cache
+// split into 16 per-digest stripes would crowd into one of them.
+func TestCapacityIsExact(t *testing.T) {
+	clk := &fakeClock{}
+	c := New(Config{Capacity: 64, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Now: clk.Now})
+	lookup := func(i int) Outcome {
+		t.Helper()
+		_, out, err := c.GetOrCompute(uint64(16*i), []byte{byte(i)}, func() (any, error) { return i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for i := 0; i < 64; i++ {
+		if out := lookup(i); out != ComputedHot {
+			t.Fatalf("key %d outcome = %v, want ComputedHot", i, out)
+		}
+	}
+	if st := c.Snapshot(); st.Entries != 64 || st.CapacityEvictions != 0 {
+		t.Fatalf("64 admitted keys: entries = %d, capacity evictions = %d; want 64, 0", st.Entries, st.CapacityEvictions)
+	}
+	// Touch key 0 so key 1 is the LRU entry, then admit a 65th key.
+	if out := lookup(0); out != Hit {
+		t.Fatalf("key 0 outcome = %v, want Hit", out)
+	}
+	lookup(64)
+	if st := c.Snapshot(); st.Entries != 64 || st.CapacityEvictions != 1 {
+		t.Fatalf("65th key: entries = %d, capacity evictions = %d; want 64, 1", st.Entries, st.CapacityEvictions)
+	}
+	for i := 0; i <= 64; i++ {
+		if i == 1 {
+			continue
+		}
+		if out := lookup(i); out != Hit {
+			t.Fatalf("key %d outcome = %v after the eviction, want Hit", i, out)
+		}
+	}
+	if out := lookup(1); out != ComputedHot {
+		t.Fatalf("LRU key 1 outcome = %v, want ComputedHot (evicted)", out)
+	}
+}
+
 // TestConfigureLive retunes capacity and TTL on a warm cache.
 func TestConfigureLive(t *testing.T) {
 	clk := &fakeClock{}
-	c := New(Config{Capacity: 16, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Shards: 1, Now: clk.Now})
+	c := New(Config{Capacity: 16, TTL: 1e9, AdmitThreshold: 1, HalfLife: 100, Now: clk.Now})
 	var computes atomic.Int64
 	for i := 0; i < 16; i++ {
 		get(t, c, []byte{byte(i)}, &computes)
@@ -425,4 +469,66 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	wg.Wait()
 	c.Snapshot() // must not race
+}
+
+// BenchmarkGetOrComputeHit: parallel lookups of a resident 1024-key set, so
+// every operation is a Hit; -cpu 1,2 shows what the cache lock costs when
+// callers contend on it.
+func BenchmarkGetOrComputeHit(b *testing.B) {
+	const keys = 1024
+	c := New(Config{TTL: 1e9, AdmitThreshold: 1})
+	inputs := make([][]byte, keys)
+	digests := make([]uint64, keys)
+	for i := range inputs {
+		inputs[i] = []byte{byte(i), byte(i >> 8), 'k'}
+		digests[i] = digestOf(inputs[i])
+		if _, out, _ := c.GetOrCompute(digests[i], inputs[i], func() (any, error) { return i, nil }); out != ComputedHot {
+			b.Fatalf("warm key %d outcome = %v, want ComputedHot", i, out)
+		}
+	}
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(7919))
+		for pb.Next() {
+			i = (i + 1) % keys
+			if _, out, _ := c.GetOrCompute(digests[i], inputs[i], nil); out != Hit {
+				b.Errorf("key %d outcome = %v, want Hit", i, out)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkHotTrackerWalk times the two full walks of the hotness tracker,
+// which run under the cache lock: Snapshot's hot-key count and the sweep a
+// new key triggers once the tracker is full. 32768 keys is the bound at the
+// default capacity; 2048 is one sixteenth of it.
+func BenchmarkHotTrackerWalk(b *testing.B) {
+	for _, n := range []int{2048, 32768} {
+		fill := func(t *hotTracker) {
+			for k := 0; k < n; k++ {
+				t.touch(uint64(k), 0, DefaultHalfLife, DefaultAdmitThreshold)
+			}
+		}
+		b.Run(fmt.Sprintf("hotCount/keys=%d", n), func(b *testing.B) {
+			t := newHotTracker(n)
+			fill(t)
+			for b.Loop() {
+				t.hotCount(1, DefaultHalfLife, DefaultAdmitThreshold)
+			}
+		})
+		// Every tracked key is one touch old at the sweep, so the sweep
+		// drops them all, as under a uniform key flood.
+		b.Run(fmt.Sprintf("sweep/keys=%d", n), func(b *testing.B) {
+			t := newHotTracker(n)
+			for b.Loop() {
+				b.StopTimer()
+				fill(t)
+				b.StartTimer()
+				t.sweep(1, DefaultHalfLife, DefaultAdmitThreshold)
+			}
+		})
+	}
 }

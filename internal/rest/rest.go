@@ -53,7 +53,7 @@
 // The optional "cache" spec block configures the read-through prediction
 // cache (DESIGN.md §11): {"enabled":true, "capacity":N, "ttl_seconds":S,
 // "admit_threshold":T, "half_life_seconds":H}. When enabled, query results
-// for hot payloads are served from a sharded LRU without touching the
+// for hot payloads are served from one LRU without touching the
 // batching runtime; only keys whose exponential-decay frequency crosses the
 // admission threshold are stored, concurrent identical misses collapse into
 // one engine submission, and a policy swap, replica scale, or fresh trainer

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func newSystem(t *testing.T) *System {
+func newSystem(t testing.TB) *System {
 	t.Helper()
 	sys, err := New(Options{Seed: 42, Workers: 2, NodeCapacity: 16, ServeSpeedup: 400})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestNewServingClockOptions(t *testing.T) {
 	}
 }
 
-func importFood(t *testing.T, sys *System) *Dataset {
+func importFood(t testing.TB, sys *System) *Dataset {
 	t.Helper()
 	d, err := sys.ImportImages("food", map[string]int{
 		"pizza": 60, "ramen": 60, "salad": 60, "burger": 60, "sushi": 60,
@@ -66,7 +66,7 @@ func importFood(t *testing.T, sys *System) *Dataset {
 	return d
 }
 
-func trainFood(t *testing.T, sys *System, d *Dataset) *TrainJob {
+func trainFood(t testing.TB, sys *System, d *Dataset) *TrainJob {
 	t.Helper()
 	job, err := sys.Train(TrainConfig{
 		Name:        "train-food",

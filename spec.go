@@ -168,16 +168,16 @@ func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 		c := *spec.Cache
 		if c.Enabled {
 			if c.Capacity == 0 {
-				c.Capacity = defaultCacheCapacity
+				c.Capacity = predcache.DefaultCapacity
 			}
 			if c.TTLSeconds == 0 {
-				c.TTLSeconds = defaultCacheTTLSeconds
+				c.TTLSeconds = predcache.DefaultTTL
 			}
 			if c.AdmitThreshold == 0 {
-				c.AdmitThreshold = defaultCacheAdmitThreshold
+				c.AdmitThreshold = predcache.DefaultAdmitThreshold
 			}
 			if c.HalfLifeSeconds == 0 {
-				c.HalfLifeSeconds = defaultCacheHalfLifeSeconds
+				c.HalfLifeSeconds = predcache.DefaultHalfLife
 			}
 		}
 		spec.Cache = &c
@@ -209,16 +209,6 @@ const (
 	defaultBackendMaxRetries = 2
 	maxBackendTimeoutMS      = 60_000
 	maxBackendRetries        = 8
-)
-
-// Prediction-cache defaults: a modest entry bound, a one-minute TTL, and an
-// admission threshold/half-life pair under which a key must repeat within a
-// couple of half-lives before its results are cached.
-const (
-	defaultCacheCapacity        = 4096
-	defaultCacheTTLSeconds      = 60
-	defaultCacheAdmitThreshold  = 2
-	defaultCacheHalfLifeSeconds = 10
 )
 
 // maxCacheCapacity caps a deployment's cache entry bound.
