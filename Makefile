@@ -37,11 +37,13 @@ repeat:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 3m ./internal/predcache
 
 # Every paper figure at quick scale is deterministic (the same at any
-# GOMAXPROCS): regenerate them all and diff against the committed output, so
-# a refactor that claims to change no figure is checked. A failed run
-# truncates the output, which the diff catches too.
+# GOMAXPROCS): regenerate them all, once at the host's procs and once at one,
+# and diff each against the committed output, so a refactor that claims to
+# change no figure is checked. A failed run truncates the output, which the
+# diff catches too.
 exp-golden:
 	$(GO) run ./cmd/rafiki-bench -exp all | diff -u testdata/exp_quick_golden.txt -
+	GOMAXPROCS=1 $(GO) run ./cmd/rafiki-bench -exp all | diff -u testdata/exp_quick_golden.txt -
 
 # The Bayesian advisor's linear algebra runs amd64 assembly where the CPU has
 # AVX2 and FMA. Test the portable fallback on its own (the purego tag turns
@@ -88,7 +90,8 @@ bench:
 # expected improvements (512 candidates, 150 observations) and one
 # hyper-parameter fit (150 observations, with its allocations) on the vector
 # kernels and on the portable loops, one 16-sample
-# batch through the nn kernel (Forward×16 vs ForwardBatch), one short and one
+# batch through the nn kernel (Forward×16 vs ForwardBatch), one RL learning
+# step (the agent's TD update, with its allocations), one short and one
 # long seeded stream (lazy sim.RNG vs math/rand), one REST cache hit
 # (handler alone, then over a loopback keep-alive connection), and a bounded
 # run of parallel prediction-cache hits at one and two procs.
@@ -100,6 +103,7 @@ bench-smoke:
 	$(GO) test ./internal/gp/ -run none -bench BenchmarkExpectedImprovements -benchtime 1x
 	$(GO) test ./internal/gp/ -run none -bench BenchmarkFitHyperparams -benchtime 1x -benchmem
 	$(GO) test ./internal/nn/ -run none -bench BenchmarkForwardBatch -benchtime 1x
+	$(GO) test ./internal/rl/ -run none -bench BenchmarkAgentUpdate -benchtime 100x -benchmem
 	$(GO) test ./internal/sim/ -run none -bench BenchmarkNewRNG -benchtime 1x
 	$(GO) test ./internal/rest/ -run none -bench BenchmarkQueryHit -benchtime 1x
 	$(GO) test ./internal/predcache/ -run none -bench '^BenchmarkGetOrComputeHit$$' -cpu 1,2 -benchtime 100000x

@@ -209,7 +209,7 @@ func BenchmarkFig10SingleMax(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, fig, "greedy_overdue", "rl_overdue")
+		report(b, fig, "greedy_overdue", "rl_overdue", "greedy_dropped", "rl_dropped")
 	}
 }
 
@@ -231,7 +231,7 @@ func BenchmarkFig13SingleMin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, fig, "greedy_overdue", "rl_overdue")
+		report(b, fig, "greedy_overdue", "rl_overdue", "greedy_dropped", "rl_dropped")
 	}
 }
 
@@ -242,7 +242,7 @@ func BenchmarkFig14MultiMin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, fig, "baseline_overdue", "rl_overdue", "baseline_accuracy", "rl_accuracy")
+		report(b, fig, "baseline_overdue", "rl_overdue", "baseline_dropped", "rl_dropped", "baseline_accuracy", "rl_accuracy")
 	}
 }
 
@@ -253,7 +253,7 @@ func BenchmarkFig15MultiMax(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, fig, "baseline_overdue", "rl_overdue", "baseline_accuracy", "rl_accuracy")
+		report(b, fig, "baseline_overdue", "rl_overdue", "baseline_dropped", "rl_dropped", "baseline_accuracy", "rl_accuracy")
 	}
 }
 

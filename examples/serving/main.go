@@ -5,10 +5,12 @@
 // the actor-critic RL scheduler, which drops models under load to keep
 // requests inside the latency SLO.
 //
-// Both halves run the same clock-agnostic dispatch engine: first the
-// virtual-time Simulator replays the paper's experiments, then the
-// wall-clock Runtime serves real concurrent clients — goroutines hammering
-// one deployment through per-request futures, batched by the same policy.
+// Both halves run the same serving runtime: first the Simulator harness
+// drives it over a virtual-time event loop to replay the paper's
+// experiments, then it serves real concurrent clients on the wall clock —
+// goroutines hammering one deployment through per-request futures, batched
+// by the same policy. The RL scheduler is rl.Online, the policy a "policy:
+// rl" deployment installs.
 //
 // The later acts move up to the SDK's declarative deployment API: a
 // DeploymentSpec deploys the trained ensemble under the RL policy with
@@ -77,7 +79,7 @@ func main() {
 
 	cfg := rl.DefaultConfig()
 	cfg.Gamma = 0.9 // per 0.1s of virtual time (semi-MDP discounting)
-	agent, err := rl.NewAgent(cfg, len(models), batches, sim.NewRNG(101))
+	agent, err := rl.NewOnline(cfg, len(models), batches, sim.NewRNG(101))
 	if err != nil {
 		log.Fatal(err)
 	}

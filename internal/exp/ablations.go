@@ -91,27 +91,29 @@ func AblationAlphaGreedy(sc Scale) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationBackoff sweeps Algorithm 3's back-off constant δ (DESIGN.md §5.3)
-// through the deployment's BackoffDelta, the δ Algorithm 3 plans with in the
-// simulator:
-// δ=0 dispatches at the last possible moment (more overdue when the estimate
-// is tight), large δ dispatches early (smaller batches, lower throughput).
+// AblationBackoff sweeps the floor of Algorithm 3's back-off δ (DESIGN.md
+// §5.3, §20) through the deployment's BackoffDelta. The runtime's δ
+// controller starts at that floor and adapts above it to the batches that
+// finish past τ, so each row also prints the δ the run ended at. A floor of
+// 0 lets δ fall to dispatching at the last possible moment; a high floor
+// dispatches early (smaller batches, lower throughput).
 func AblationBackoff(sc Scale) (*Figure, error) {
 	d, err := infer.NewDeployment([]string{"inception_v3"}, servingBatches, 0.56, 1)
 	if err != nil {
 		return nil, err
 	}
 	anchor := zoo.MustLookup("inception_v3").Throughput(servingBatches[0])
-	fig := &Figure{ID: "ablation-backoff", Title: "Algorithm 3 back-off constant sweep (single model, min anchor)"}
+	fig := &Figure{ID: "ablation-backoff", Title: "Algorithm 3 back-off floor sweep (single model, min anchor)"}
 	for _, delta := range []float64{0, 0.1, 0.3} {
 		d.BackoffDelta = delta * d.Tau
 		met, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 60, false, 0)
 		if err != nil {
 			return nil, err
 		}
-		fig.addf("delta=%.1f·tau: served=%d overdue=%d mean-latency=%.3fs",
-			delta, met.Served, met.Overdue, meanOf(met.Latencies))
+		fig.addf("delta floor=%.1f·tau: served=%d overdue=%d mean-latency=%.3fs final delta=%.3f·tau",
+			delta, met.Served, met.Overdue, meanOf(met.Latencies), met.BackoffDelta/d.Tau)
 		fig.put(fmt.Sprintf("overdue_delta_%.1f", delta), float64(met.Overdue))
+		fig.put(fmt.Sprintf("final_delta_%.1f", delta), met.BackoffDelta/d.Tau)
 	}
 	return fig, nil
 }

@@ -375,10 +375,10 @@ func Fig11(sc Scale) (*Figure, error) {
 	return fig, nil
 }
 
-// servingRun drives one policy over the sine workload and returns metrics.
-// tick > 0 overrides the simulator's arrival/decision granularity (the
-// multi-model RL experiments use a coarser 0.1 s tick: fewer wait decisions
-// between dispatches sharpen the policy-gradient signal).
+// servingRun drives one policy over the sine workload through the serving
+// runtime and returns metrics. tick > 0 overrides the harness's arrival
+// granularity (the multi-model RL experiments use a coarser 0.1 s tick: fewer
+// arrival decisions between dispatches sharpen the policy-gradient signal).
 func servingRun(d *infer.Deployment, p infer.Policy, anchor float64, sc Scale, seedOffset int64, measureAccuracy bool, tick float64) (*infer.Metrics, error) {
 	seed := sc.Seed + seedOffset
 	rng := sim.NewRNG(seed)
@@ -426,7 +426,7 @@ func singleModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, 
 	if err != nil {
 		return nil, err
 	}
-	agent, err := rl.NewAgent(rl.DefaultConfig(), 1, servingBatches, sim.NewRNG(sc.Seed+11))
+	agent, err := rl.NewOnline(rl.DefaultConfig(), 1, servingBatches, sim.NewRNG(sc.Seed+11))
 	if err != nil {
 		return nil, err
 	}
@@ -440,10 +440,12 @@ func singleModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, 
 	fig.addf("arrival anchor: %.0f req/s, tau=%.2fs, B=%v", anchor, d.Tau, servingBatches)
 	fig.addf("greedy overdue: %s", overdueTimeline(greedy))
 	fig.addf("rl     overdue: %s", overdueTimeline(rlMet))
-	fig.addf("totals: greedy served=%d overdue=%d | rl served=%d overdue=%d",
-		greedy.Served, greedy.Overdue, rlMet.Served, rlMet.Overdue)
+	fig.addf("totals: greedy served=%d overdue=%d dropped=%d | rl served=%d overdue=%d dropped=%d",
+		greedy.Served, greedy.Overdue, greedy.Dropped, rlMet.Served, rlMet.Overdue, rlMet.Dropped)
 	fig.put("greedy_overdue", float64(greedy.Overdue))
 	fig.put("rl_overdue", float64(rlMet.Overdue))
+	fig.put("greedy_dropped", float64(greedy.Dropped))
+	fig.put("rl_dropped", float64(rlMet.Dropped))
 	fig.put("greedy_served", float64(greedy.Served))
 	fig.put("rl_served", float64(rlMet.Served))
 	return fig, nil
@@ -479,7 +481,7 @@ func multiModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, e
 	}
 	cfg := rl.DefaultConfig()
 	cfg.Gamma = 0.9 // per 0.1 s of virtual time (semi-MDP discounting)
-	agent, err := rl.NewAgent(cfg, len(multiModels), servingBatches, sim.NewRNG(sc.Seed+21))
+	agent, err := rl.NewOnline(cfg, len(multiModels), servingBatches, sim.NewRNG(sc.Seed+21))
 	if err != nil {
 		return nil, err
 	}
@@ -494,10 +496,12 @@ func multiModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, e
 	fig.addf("(a) %s accuracy: %.4f | (b) rl accuracy: %.4f", baseName, base.Accuracy.Mean(), rlMet.Accuracy.Mean())
 	fig.addf("(c) %s overdue: %s", baseName, overdueTimeline(base))
 	fig.addf("(d) rl overdue: %s", overdueTimeline(rlMet))
-	fig.addf("totals: %s served=%d overdue=%d | rl served=%d overdue=%d",
-		baseName, base.Served, base.Overdue, rlMet.Served, rlMet.Overdue)
+	fig.addf("totals: %s served=%d overdue=%d dropped=%d | rl served=%d overdue=%d dropped=%d",
+		baseName, base.Served, base.Overdue, base.Dropped, rlMet.Served, rlMet.Overdue, rlMet.Dropped)
 	fig.put("baseline_overdue", float64(base.Overdue))
 	fig.put("rl_overdue", float64(rlMet.Overdue))
+	fig.put("baseline_dropped", float64(base.Dropped))
+	fig.put("rl_dropped", float64(rlMet.Dropped))
 	fig.put("baseline_accuracy", base.Accuracy.Mean())
 	fig.put("rl_accuracy", rlMet.Accuracy.Mean())
 	return fig, nil
@@ -555,7 +559,7 @@ func Fig16(sc Scale) (*Figure, error) {
 		// Learned agent.
 		cfg := rl.DefaultConfig()
 		cfg.Gamma = 0.9
-		agent, err := rl.NewAgent(cfg, len(multiModels), servingBatches, sim.NewRNG(sc.Seed+31))
+		agent, err := rl.NewOnline(cfg, len(multiModels), servingBatches, sim.NewRNG(sc.Seed+31))
 		if err != nil {
 			return nil, err
 		}

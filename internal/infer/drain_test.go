@@ -14,10 +14,10 @@ import (
 )
 
 // TestShardedDrainOccupancyInvariant is the occupancy invariant gate: the
-// engine drains one FIFO against two-replica pools, stepping at every
-// model-finish time the way the drivers do (so decision points see pools
-// with some replicas still busy), and grows every pool to three replicas
-// live mid-run. It must hold that
+// engine drains one FIFO against two-replica pools, releasing each pass's
+// replica at its model-finish time and stepping then, the way the runtime
+// does (so decision points see pools with some replicas still busy), and
+// grows every pool to three replicas live mid-run. It must hold that
 //
 //   - no replica is ever double-booked: per (model, replica), the busy
 //     intervals [Decided, ModelFinish] of all outcomes never overlap;
@@ -33,7 +33,7 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		// IDs are assigned in arrival order, so FIFO order is exactly
 		// ascending ID order.
 		for i := 0; i < n; i++ {
-			if !e.Enqueue(now, Request{ID: nextID, Arrival: now}) {
+			if !e.Enqueue(Request{ID: nextID, Arrival: now}) {
 				t.Fatalf("enqueue %d rejected", nextID)
 			}
 			nextID++
@@ -45,6 +45,13 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	now := 0.0
 	enqueue(now, total/2)
 	for step := 0; step < 1000 && e.QueueLen() > 0; step++ {
+		for _, out := range outs {
+			for i, m := range out.Models {
+				if out.ModelFinish[i] <= now {
+					e.release(m, out.Replicas[i], out.ModelFinish[i], out.ModelFinish[i])
+				}
+			}
+		}
 		dispatched, err := e.Step(now)
 		if err != nil {
 			t.Fatal(err)

@@ -10,15 +10,13 @@ import (
 
 	"rafiki/internal/ensemble"
 	"rafiki/internal/metrics"
-	"rafiki/internal/zoo"
 )
 
 // DispatchOutcome records one executed dispatch decision: which requests
-// went to which models and when the work completes. The driver owning the
-// clock is responsible for scheduling a new decision point (Engine.Step)
-// whenever a model frees up — at every ModelFinish time in the Simulator, when
-// each model's pass returns and releases its replica in the Runtime — and for
-// delivering results once the batch is done.
+// went to which models and when the work is planned to complete. The Runtime
+// runs each model's pass, releases the pass's replica when it returns
+// (Engine.release), schedules a new decision point (Engine.Step) then, and
+// delivers results once the batch is done.
 type DispatchOutcome struct {
 	// Requests is the dispatched batch, oldest first.
 	Requests []Request
@@ -27,15 +25,11 @@ type DispatchOutcome struct {
 	ModelNames []string
 	// Replicas[i] is the replica slot of Models[i] that serves the batch.
 	Replicas []int
-	// Batch is the chosen candidate batch size (≥ len(Requests)).
-	Batch int
 	// Decided is the decision time; ModelFinish[i] is when Models[i] frees
 	// up; Finish is the ensemble completion (the slowest selected model).
 	Decided     float64
 	ModelFinish []float64
 	Finish      float64
-	// Overdue counts batch requests whose latency exceeds τ.
-	Overdue int
 	// Reward is the action's Equation 7 reward.
 	Reward float64
 }
@@ -43,10 +37,9 @@ type DispatchOutcome struct {
 // arrivalEvent buffers one Enqueue's metric side effects. Arrivals happen off
 // the decision loop (concurrent Submits take only the queue lock), so Enqueue
 // records the event and the next decision point or metric read folds it into
-// the metrics.
+// the metrics. at is the request's arrival.
 type arrivalEvent struct {
-	// now is the enqueue time (gates MeasureFrom); at the request arrival.
-	now, at float64
+	at      float64
 	dropped bool
 }
 
@@ -58,8 +51,7 @@ type replicaPool struct {
 	down     []bool
 	repBatch []int
 	// held marks a replica whose dispatched pass has not returned yet: it
-	// stays busy past its planned busy-until until release frees it. Only
-	// set when Engine.hold is on.
+	// stays busy past its planned busy-until until release frees it.
 	held []bool
 }
 
@@ -117,16 +109,18 @@ func (v *modelView) reset(nm int) {
 
 // Engine is the clock-agnostic core of the serving service: the FIFO request
 // queue, replica occupancy tracking, policy invocation with Equation 7
-// reward accounting, and metrics. It never reads a clock — every entry point
-// takes the current time as an argument and completion times come back to
-// the caller as data — so the same engine serves the virtual-time Simulator
-// and the wall-clock Runtime (DESIGN.md §6, §10).
+// reward accounting, and metrics. It never reads a clock — a request carries
+// its arrival, decision points take the current time, and completion times
+// come back to the caller as data — so the one Runtime that drives it serves
+// on the wall clock and, for the paper's figures, on a virtual-time event
+// loop (DESIGN.md §6, §10). A dispatched replica stays held until the
+// Runtime releases it when the pass returns.
 //
 // Concurrency contract: Enqueue is safe for concurrent use (it takes only the
 // queue lock), and so are the readers (QueueLen, ReplicaCounts,
 // SnapshotMetrics, DrainRate, Rates, Backlogs). Step and every mutator
 // (SetReplicas, SetPolicy, ...) require the caller to serialize them: the
-// Runtime holds its dispatch lock, the Simulator is single-threaded.
+// Runtime holds its dispatch lock.
 type Engine struct {
 	Deployment *Deployment
 	Policy     Policy
@@ -139,11 +133,6 @@ type Engine struct {
 	// Only dispatch (inside Step) touches it, so Step's serialization guards
 	// it.
 	accByMask map[uint64]float64
-	// Predictor, when non-nil, simulates real per-request predictions for
-	// measured accuracy; nil skips accuracy measurement.
-	Predictor *zoo.Predictor
-	// MeasureFrom discards metrics before this time (RL warm-up).
-	MeasureFrom float64
 
 	// qmu guards the request FIFO q (whose Cap is the queue bound), the
 	// arrival-event buffers and closed. spare is the buffer the last flush
@@ -162,8 +151,8 @@ type Engine struct {
 	view modelView
 	st   State
 	// until is the Action.Until of the wait that ended the last Step, 0
-	// when something else ended it. Only Step writes it; a Runtime arms its
-	// deadline wake from it, the Simulator ignores it.
+	// when something else ended it. Only Step writes it; the Runtime arms its
+	// deadline wake from it.
 	until float64
 
 	// occMu guards the replica pools. pools itself is fixed at construction
@@ -171,11 +160,6 @@ type Engine struct {
 	// under the lock.
 	occMu sync.Mutex
 	pools []replicaPool
-	// hold keeps a dispatched replica busy until its driver releases it when
-	// the backend pass returns, instead of freeing it at the planned finish.
-	// The Runtime sets it at construction; the Simulator runs no passes and
-	// frees on the plan.
-	hold bool
 
 	// lat is the latency-feedback plane, one entry per model (latency.go):
 	// its EWMAs are atomics any pass folds into, its applied scale and
@@ -189,23 +173,22 @@ type Engine struct {
 	backoff     atomic.Pointer[backoffState]
 	lateBatches atomic.Uint64
 
-	// metMu guards the metric plane: met, the per-model dispatch shares
-	// feeding Backlogs (dispatched/popped) and the accuracy series clock
-	// (maxAccT).
+	// metMu guards the metric plane: met and the per-model dispatch shares
+	// feeding Backlogs (dispatched/popped).
 	metMu      sync.Mutex
-	met        *Metrics
+	met        engineMetrics
 	dispatched []uint64
 	popped     uint64
-	maxAccT    float64
 
 	// decisions counts policy decision points. It is bumped once per
-	// Decide, outside metMu, and read into Metrics.Decisions by the
-	// metric reads.
+	// Decide, outside metMu, and read by SnapshotMetrics.
 	decisions atomic.Uint64
 }
 
 // NewEngine wires an engine whose queue holds queueCap requests (0 =
-// unbounded; the paper drops arrivals beyond a full queue).
+// unbounded; the paper drops arrivals beyond a full queue). Its metric plane
+// is bounded for an engine that lives as long as its deployment: it keeps
+// the latencyKeep most recent latencies and rateKeep seconds of rates.
 func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap int) *Engine {
 	e := &Engine{
 		Deployment: d,
@@ -217,17 +200,13 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 		lat:        make([]latModel, len(d.Profiles)),
 		table:      slices.Clone(d.LatencyTable()),
 		dispatched: make([]uint64, len(d.Profiles)),
-		met: &Metrics{
-			OverdueRate: metrics.NewWindowCounter(1),
-			ArrivalRate: metrics.NewWindowCounter(1),
-			// Only the recent tail feeds drain-rate estimates, so bound
-			// retention: a long-lived runtime must not grow one map entry
-			// per second of serving forever.
-			ServedRate: boundedWindowCounter(1, servedRateKeep),
-			Accuracy:   metrics.NewTimeSeries("accuracy"),
-			BatchSizes: map[int]int{},
+		met: engineMetrics{
+			arrivals:   metrics.NewWindowCounter(1),
+			drained:    metrics.NewWindowCounter(1),
+			batchSizes: map[int]int{},
 		},
 	}
+	e.met.arrivals.Keep, e.met.drained.Keep = rateKeep, rateKeep
 	for m := range e.pools {
 		e.lat[m].raw.Store(math.Float64bits(1))
 		e.lat[m].applied = 1
@@ -241,29 +220,42 @@ func NewEngine(d *Deployment, p Policy, acc *ensemble.AccuracyTable, queueCap in
 	return e
 }
 
-// servedRateKeep bounds every served-rate window to its recent tail; only
-// drain-rate estimates read it.
-const servedRateKeep = 64
+// The metric plane's bounds: Stats percentiles cover the latencyKeep most
+// recent requests, and the rate windows, which only the drain and growth
+// estimates read, keep their rateKeep most recent seconds.
+const (
+	latencyKeep = 4096
+	rateKeep    = 64
+)
 
-// SetMetricBounds bounds the metric plane for a long-lived runtime: the
-// latency window becomes a ring of latencyCap recent samples, and the
-// arrival/overdue rate windows retain only the most recent rateKeep seconds.
-// 0 keeps a bound unset (full history — the simulator's default, whose
-// figures read complete series).
-func (e *Engine) SetMetricBounds(latencyCap, rateKeep int) {
-	e.metMu.Lock()
-	defer e.metMu.Unlock()
-	e.met.LatencyCap = latencyCap
-	e.met.ArrivalRate.Keep = rateKeep
-	e.met.OverdueRate.Keep = rateKeep
+// engineMetrics is the engine's metric plane, guarded by Engine.metMu.
+type engineMetrics struct {
+	// served counts completed requests, overdue those whose planned latency
+	// exceeds τ, dropped the arrivals a full queue refused.
+	served, overdue, dropped int
+	// dispatches counts executed batch dispatches; batchSizes histograms
+	// them by their actual (popped) batch size.
+	dispatches int
+	batchSizes map[int]int
+	// reward is the cumulative Equation 7 reward.
+	reward float64
+	// latencies is a ring of the latencyKeep most recent planned latencies,
+	// latHead its oldest slot once full.
+	latencies []float64
+	latHead   int
+	// arrivals counts admitted requests per second at their arrival; drained
+	// counts completed ones per second at their batch finish.
+	arrivals, drained *metrics.WindowCounter
 }
 
-// boundedWindowCounter builds a window counter keeping only the most recent
-// keep windows.
-func boundedWindowCounter(width float64, keep int) *metrics.WindowCounter {
-	w := metrics.NewWindowCounter(width)
-	w.Keep = keep
-	return w
+// addLatency records one request latency in the ring.
+func (m *engineMetrics) addLatency(l float64) {
+	if len(m.latencies) < latencyKeep {
+		m.latencies = append(m.latencies, l)
+		return
+	}
+	m.latencies[m.latHead] = l
+	m.latHead = (m.latHead + 1) % latencyKeep
 }
 
 // SetPolicy swaps the scheduling policy in place. Queued requests and busy
@@ -497,18 +489,6 @@ func (e *Engine) observe(now float64, v *modelView) {
 	}
 }
 
-// Metrics returns the engine's metric plane after folding in any buffered
-// arrival events. The value is live: read it once decision points have
-// stopped (the Simulator returns it at the end of its run); concurrent
-// readers use SnapshotMetrics.
-func (e *Engine) Metrics() *Metrics {
-	e.flushArrivals()
-	e.metMu.Lock()
-	defer e.metMu.Unlock()
-	e.met.Decisions = int(e.decisions.Load())
-	return e.met
-}
-
 // QueueLen returns the number of queued (not yet dispatched) requests. Safe
 // to call concurrently.
 func (e *Engine) QueueLen() int {
@@ -517,21 +497,21 @@ func (e *Engine) QueueLen() int {
 	return e.q.Len()
 }
 
-// Enqueue admits a request at time now, buffering the arrival/drop metric
-// event for the next decision point. It refuses a request beyond the queue
-// bound (counted as dropped) and any request once closeQueue has drained
-// the queue. Safe for concurrent use.
-func (e *Engine) Enqueue(now float64, r Request) bool {
+// Enqueue admits a request, buffering the arrival/drop metric event for the
+// next decision point. It refuses a request beyond the queue bound (counted
+// as dropped) and any request once closeQueue has drained the queue. Safe
+// for concurrent use.
+func (e *Engine) Enqueue(r Request) bool {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
 	if e.closed {
 		return false
 	}
 	if !e.q.Push(r) {
-		e.events = append(e.events, arrivalEvent{now: now, dropped: true})
+		e.events = append(e.events, arrivalEvent{dropped: true})
 		return false
 	}
-	e.events = append(e.events, arrivalEvent{now: now, at: r.Arrival})
+	e.events = append(e.events, arrivalEvent{at: r.Arrival})
 	return true
 }
 
@@ -559,13 +539,10 @@ func (e *Engine) flushArrivals() {
 	e.qmu.Unlock()
 	e.metMu.Lock()
 	for _, ev := range events {
-		if ev.now < e.MeasureFrom {
-			continue
-		}
 		if ev.dropped {
-			e.met.Dropped++
+			e.met.dropped++
 		} else {
-			e.met.ArrivalRate.Add(ev.at, 1)
+			e.met.arrivals.Add(ev.at, 1)
 		}
 	}
 	e.metMu.Unlock()
@@ -611,20 +588,6 @@ func (e *Engine) Step(now float64) ([]DispatchOutcome, error) {
 		e.Policy.Feedback(out.Reward)
 		outs = append(outs, out)
 	}
-}
-
-// state builds the policy view at time now, for tests and tooling. The
-// returned state is freshly allocated, its c(m,b) table copied out of the
-// decision scratch, so callers may hold it across later decision points.
-func (e *Engine) state(now float64) *State {
-	var v modelView
-	e.observe(now, &v)
-	st := e.stateAt(now, &v, new(State))
-	st.LatencyTable = slices.Clone(st.LatencyTable)
-	for m, row := range st.LatencyTable {
-		st.LatencyTable[m] = slices.Clone(row)
-	}
-	return st
 }
 
 // stateAt builds the policy's decision state at time now into st (reusing
@@ -743,7 +706,6 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 		Models:      models,
 		ModelNames:  names,
 		Replicas:    replicas,
-		Batch:       act.Batch,
 		Decided:     now,
 		ModelFinish: make([]float64, nm),
 		Finish:      now,
@@ -762,11 +724,10 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 		p := &e.pools[mi]
 		p.busy[replicas[i]] = out.ModelFinish[i]
 		p.repBatch[replicas[i]] = n
-		p.held[replicas[i]] = e.hold
+		p.held[replicas[i]] = true
 	}
 	e.occMu.Unlock()
 
-	measured := now >= e.MeasureFrom
 	// The reward needs no metric state: compute it before taking metMu.
 	rewardAcc := acc
 	if d.AccuracyEmphasis > 1 {
@@ -779,7 +740,7 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 	}
 	e.metMu.Lock()
 	defer e.metMu.Unlock()
-	m := e.met
+	m := &e.met
 	e.popped += uint64(n)
 	for _, mi := range act.Models {
 		e.dispatched[mi] += uint64(n)
@@ -793,55 +754,22 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 			e.dispatched[mi] >>= 1
 		}
 	}
-	if measured {
-		m.ServedRate.Add(out.Finish, float64(n))
-	}
+	m.drained.Add(out.Finish, float64(n))
+	overdue := 0
 	for _, r := range batch {
 		lat := out.Finish - r.Arrival
-		if measured {
-			m.addLatency(lat)
-			m.Served++
-		}
+		m.addLatency(lat)
 		if lat > d.Tau {
-			out.Overdue++
-			if measured {
-				m.Overdue++
-				m.OverdueRate.Add(out.Finish, 1)
-			}
+			overdue++
 		}
 	}
+	m.served += n
+	m.overdue += overdue
 
-	out.Reward = rewardAcc * (float64(n) - d.Beta*float64(out.Overdue)) / float64(d.MaxBatch())
-	if measured {
-		m.Reward += out.Reward
-		m.Dispatches++
-		m.BatchSizes[n]++
-	}
-
-	// Measured accuracy via simulated predictions.
-	if e.Predictor != nil && measured {
-		correct := 0
-		for _, r := range batch {
-			preds, truth, err := e.Predictor.PredictAll(r.ID, names)
-			if err != nil {
-				return DispatchOutcome{}, err
-			}
-			vote, err := ensemble.VoteModels(names, preds)
-			if err != nil {
-				return DispatchOutcome{}, err
-			}
-			if vote == truth {
-				correct++
-			}
-		}
-		// Finish times are not monotone across models; clamp to the newest
-		// accuracy sample time so the series stays time ordered.
-		at := max(out.Finish, e.maxAccT)
-		e.maxAccT = at
-		if err := m.Accuracy.Append(at, float64(correct)/float64(n)); err != nil {
-			return DispatchOutcome{}, err
-		}
-	}
+	out.Reward = rewardAcc * (float64(n) - d.Beta*float64(overdue)) / float64(d.MaxBatch())
+	m.reward += out.Reward
+	m.dispatches++
+	m.batchSizes[n]++
 	return out, nil
 }
 
@@ -850,8 +778,7 @@ func (e *Engine) dispatch(now float64, act Action, v *modelView) (DispatchOutcom
 const shareHalfLife = 1 << 14
 
 // MetricSnapshot is a consistent copy of the engine's reward/metric plane,
-// safe to read while decision points keep dispatching (the concurrent
-// drivers' alternative to Metrics).
+// safe to read while decision points keep dispatching.
 type MetricSnapshot struct {
 	Served, Overdue, Dropped int
 	Decisions, Dispatches    int
@@ -869,20 +796,26 @@ func (e *Engine) SnapshotMetrics(now, window float64) MetricSnapshot {
 	e.flushArrivals()
 	e.metMu.Lock()
 	defer e.metMu.Unlock()
-	m := e.met
+	m := &e.met
 	since := now - window
+	// Every dispatch adds its batch to served and one count to its
+	// histogram bin, so the histogram's mean is served per dispatch.
+	mean := 0.0
+	if m.dispatches > 0 {
+		mean = float64(m.served) / float64(m.dispatches)
+	}
 	return MetricSnapshot{
-		Served:        m.Served,
-		Overdue:       m.Overdue,
-		Dropped:       m.Dropped,
+		Served:        m.served,
+		Overdue:       m.overdue,
+		Dropped:       m.dropped,
 		Decisions:     int(e.decisions.Load()),
-		Dispatches:    m.Dispatches,
-		Reward:        m.Reward,
-		BatchSizes:    maps.Clone(m.BatchSizes),
-		BatchSizeMean: m.BatchSizeMean(),
-		Latencies:     slices.Clone(m.Latencies),
-		DrainRate:     m.ServedRate.TotalSince(since) / window,
-		ArrivalRate:   m.ArrivalRate.TotalSince(since) / window,
+		Dispatches:    m.dispatches,
+		Reward:        m.reward,
+		BatchSizes:    maps.Clone(m.batchSizes),
+		BatchSizeMean: mean,
+		Latencies:     slices.Clone(m.latencies),
+		DrainRate:     m.drained.TotalSince(since) / window,
+		ArrivalRate:   m.arrivals.TotalSince(since) / window,
 	}
 }
 
@@ -892,7 +825,7 @@ func (e *Engine) SnapshotMetrics(now, window float64) MetricSnapshot {
 func (e *Engine) DrainRate(now, window float64) float64 {
 	e.metMu.Lock()
 	defer e.metMu.Unlock()
-	return e.met.ServedRate.TotalSince(now-window) / window
+	return e.met.drained.TotalSince(now-window) / window
 }
 
 // Rates reports the recent arrival and drain rates (requests per timeline
@@ -902,7 +835,7 @@ func (e *Engine) Rates(now, window float64) (arrival, drain float64) {
 	since := now - window
 	e.metMu.Lock()
 	defer e.metMu.Unlock()
-	return e.met.ArrivalRate.TotalSince(since) / window, e.met.ServedRate.TotalSince(since) / window
+	return e.met.arrivals.TotalSince(since) / window, e.met.drained.TotalSince(since) / window
 }
 
 // Backlogs reports each model's demand signal at time now: its estimated

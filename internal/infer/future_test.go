@@ -236,7 +236,7 @@ func TestFutureServeCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	const batch, wantAllocs = 16, 13
+	const batch, wantAllocs = 16, 12
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	results := make([]any, batch)

@@ -7,10 +7,10 @@
 // A Runtime's queued request carries its future's completion slot, so the
 // queue is the only place a queued request lives and a submit takes one lock.
 //
-// The engine has two drivers (DESIGN.md §6): the discrete-event Simulator
-// replays the paper's sine-modulated workloads deterministically in virtual
-// time, and the wall-clock Runtime batches real concurrent callers through
-// the same policies with per-request futures.
+// One Runtime drives the engine (DESIGN.md §6): it batches real
+// concurrent callers through the policies with per-request futures on the
+// wall clock, and the Simulator harness runs it on a virtual-time event loop
+// to replay the paper's sine-modulated workloads deterministically.
 package infer
 
 import (
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 
-	"rafiki/internal/metrics"
 	"rafiki/internal/zoo"
 )
 
@@ -27,8 +26,8 @@ import (
 type Request struct {
 	ID      uint64
 	Arrival float64
-	// slot is the Runtime's completion record for the request (nil in the
-	// Simulator): the queue is the only place a queued request lives.
+	// slot is the Runtime's completion record for the request: the queue is
+	// the only place a queued request lives.
 	slot *futureSlot
 }
 
@@ -288,68 +287,6 @@ func (d *Deployment) MinThroughput() float64 {
 	return minThr
 }
 
-// Metrics aggregates a serving run's outcome.
-type Metrics struct {
-	// Served is the number of completed requests; Overdue those with
-	// latency > τ; Dropped those rejected by the full queue.
-	Served, Overdue, Dropped int
-	// OverdueRate is a per-second time series of overdue completions
-	// (Figures 10/13/14c/15c...).
-	OverdueRate *metrics.WindowCounter
-	// ArrivalRate is a per-second time series of arrivals.
-	ArrivalRate *metrics.WindowCounter
-	// ServedRate counts completed requests per second, stamped at their
-	// batch finish time — the queue's drain rate, which backpressure
-	// replies (HTTP 429 Retry-After) derive their estimate from.
-	ServedRate *metrics.WindowCounter
-	// Accuracy is the per-batch ensemble accuracy over time (Figures
-	// 14a/15a...); only populated when ground truth simulation is on.
-	Accuracy *metrics.TimeSeries
-	// Latencies collects per-request latency for summary statistics. With
-	// LatencyCap = 0 (simulator runs, which end) it is the full history;
-	// otherwise it is a ring of the most recent LatencyCap samples.
-	Latencies []float64
-	// LatencyCap, when > 0, bounds Latencies to a sliding window so a
-	// long-lived serving runtime does not grow memory per request.
-	LatencyCap int
-	latHead    int
-	// Reward is the cumulative Equation 7 reward.
-	Reward float64
-	// Decisions counts policy invocations.
-	Decisions int
-	// Dispatches counts executed batch dispatches (Decisions minus waits);
-	// batching shows up as Dispatches ≪ Served.
-	Dispatches int
-	// BatchSizes histograms executed dispatches by their actual batch size
-	// (the popped request count, which may sit below the chosen candidate on
-	// a shallow queue). Empty until the first measured dispatch.
-	BatchSizes map[int]int
-}
-
-// BatchSizeMean returns the mean executed batch size over the recorded
-// histogram (0 before any measured dispatch).
-func (m *Metrics) BatchSizeMean() float64 {
-	sum, count := 0, 0
-	for b, n := range m.BatchSizes {
-		sum += b * n
-		count += n
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
-}
-
-// addLatency records one request latency, honouring LatencyCap.
-func (m *Metrics) addLatency(l float64) {
-	if m.LatencyCap > 0 && len(m.Latencies) >= m.LatencyCap {
-		m.Latencies[m.latHead] = l
-		m.latHead = (m.latHead + 1) % m.LatencyCap
-		return
-	}
-	m.Latencies = append(m.Latencies, l)
-}
-
 // percentiles sorts samples in place and reads the requested percentiles
 // (each in [0,100]); all zeros for an empty sample set.
 func percentiles(samples []float64, ps ...float64) []float64 {
@@ -369,15 +306,4 @@ func percentiles(samples []float64, ps ...float64) []float64 {
 		out[j] = samples[i]
 	}
 	return out
-}
-
-// LatencyPercentiles returns the requested latency percentiles over the
-// collected window with a single copy+sort.
-func (m *Metrics) LatencyPercentiles(ps ...float64) []float64 {
-	return percentiles(append([]float64(nil), m.Latencies...), ps...)
-}
-
-// LatencyPercentile returns one latency percentile (p in [0,100]).
-func (m *Metrics) LatencyPercentile(p float64) float64 {
-	return m.LatencyPercentiles(p)[0]
 }

@@ -207,7 +207,7 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	dispatch := func(now float64, n int) []DispatchOutcome {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if !e.Enqueue(now, Request{ID: next, Arrival: now}) {
+			if !e.Enqueue(Request{ID: next, Arrival: now}) {
 				t.Fatal("enqueue refused")
 			}
 			next++

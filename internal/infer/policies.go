@@ -10,7 +10,7 @@ import "math"
 // waiting for the queue to fill (the straggler behaviour the paper
 // attributes to Line 7, which the RL scheduler fixes).
 //
-// A deadline wait names the instant the rule starts to hold in Until, so
+// A deadline wait names the instant the rule starts to apply in Until, so
 // the driver decides again exactly then; every other wait leaves Until 0.
 // models is returned as the dispatch's model subset.
 func algorithm3(s *State, models []int) Action {

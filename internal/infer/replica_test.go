@@ -3,6 +3,7 @@ package infer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,20 @@ import (
 	"rafiki/internal/sim"
 	"rafiki/internal/zoo"
 )
+
+// state builds the engine's policy view at time now for a test. The
+// returned state is freshly allocated, its c(m,b) table copied out of the
+// decision scratch, so the test may hold it across later decision points.
+func (e *Engine) state(now float64) *State {
+	var v modelView
+	e.observe(now, &v)
+	st := e.stateAt(now, &v, new(State))
+	st.LatencyTable = slices.Clone(st.LatencyTable)
+	for m, row := range st.LatencyTable {
+		st.LatencyTable[m] = slices.Clone(row)
+	}
+	return st
+}
 
 // replicaDeployment builds the three-ConvNet ensemble with the given
 // per-model replica count.
@@ -32,7 +47,7 @@ func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 2)
 	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
 	for i := 0; i < 32; i++ {
-		e.Enqueue(0, Request{ID: uint64(i), Arrival: 0})
+		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
 	outs, err := e.Step(0)
 	if err != nil {
@@ -76,7 +91,7 @@ func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		e.Enqueue(0, Request{ID: uint64(i), Arrival: 0})
+		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
 	outs, err := e.Step(0)
 	if err != nil || len(outs) != 0 {

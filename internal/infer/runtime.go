@@ -81,7 +81,7 @@ const drainWindow = 5.0
 type RuntimeConfig struct {
 	// Timeline drives time; nil defaults to a real-time WallTimeline.
 	Timeline sim.Timeline
-	// QueueCap bounds the request queue (0 = the simulator's default, 4096).
+	// QueueCap bounds the request queue (0 = the default, 4096).
 	// The bound is what turns a stalled backend into ErrQueueFull: its
 	// replicas stay held, so queued requests wait for them, and admission
 	// refuses once the queue is full instead of growing it without limit.
@@ -92,8 +92,9 @@ type RuntimeConfig struct {
 	Backend Backend
 }
 
-// Runtime is the wall-clock driver of the dispatch Engine: goroutine-safe,
-// channel-fed, with per-request futures. Concurrent callers Submit payloads;
+// Runtime drives the dispatch Engine: goroutine-safe, channel-fed,
+// with per-request futures, on the wall clock or on a virtual-time event
+// loop (the Simulator harness). Concurrent callers Submit payloads;
 // the scheduling Policy groups them into shared batches; the Backend runs
 // each selected model's pass over a batch and the CombineFunc folds the
 // passes into one result per request.
@@ -106,10 +107,10 @@ type RuntimeConfig struct {
 // at a decision point poisons the runtime and reaches every queued caller
 // through its future.
 //
-// Decision points mirror the Simulator's: every submission (via the
-// coalesced sweep), every model freeing up, and the instant a waiting
-// policy names (Action.Until), when Algorithm 3's deadline rule starts to
-// hold without a new arrival. A model frees up when its backend pass
+// Decision points are every submission (via the coalesced sweep), every
+// model freeing up, and the instant a waiting policy names (Action.Until),
+// when Algorithm 3's deadline rule starts to apply without a new arrival.
+// A model frees up when its backend pass
 // returns: a dispatched replica stays busy until then, so replica occupancy
 // is the runtime's only bound on concurrent backend passes.
 type Runtime struct {
@@ -147,8 +148,11 @@ type Runtime struct {
 	deadline   float64
 	deadlineFn func()
 	// sweepSet coalesces decision points: only the submitter that flips it
-	// schedules a sweep; everyone else piggybacks.
+	// schedules a sweep; everyone else piggybacks. sweepFn is the sweep's
+	// cached event callback on a virtual-time loop (no method value per
+	// scheduled sweep).
 	sweepSet atomic.Bool
+	sweepFn  func()
 	// wake is the sweep worker's one-token run signal; workerStarted
 	// latches its lazy spawn (concurrent timelines only).
 	wake          chan struct{}
@@ -169,10 +173,9 @@ type Runtime struct {
 	workerWG sync.WaitGroup
 }
 
-// NewRuntime wires a wall-clock serving runtime for a deployment, policy and
-// combiner (which folds each batch's backend passes into per-request
-// results). The accuracy table feeds Equation 7 reward accounting, exactly
-// as in the simulator.
+// NewRuntime wires a serving runtime for a deployment, policy and combiner
+// (which folds each batch's backend passes into per-request results). The
+// accuracy table feeds Equation 7 reward accounting.
 func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine CombineFunc, cfg RuntimeConfig) (*Runtime, error) {
 	if combine == nil {
 		return nil, fmt.Errorf("infer: runtime needs a combiner")
@@ -186,7 +189,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		queueCap = 4096
 	}
 	eng := NewEngine(d, p, acc, queueCap)
-	eng.hold = true
 	// Prime the accuracy surrogate for the full ensemble (the live path's
 	// default subset): its first evaluation simulates the whole sample set
 	// (~100ms+) and would otherwise stall the first dispatch — and every
@@ -194,11 +196,6 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	if acc != nil {
 		_, _ = acc.Accuracy(d.ModelNames)
 	}
-	// A runtime lives as long as its deployment: bound the latency history
-	// so memory stays flat and Stats percentiles cover a recent window,
-	// and bound the rate windows the same way (the simulator keeps full
-	// histories for figures; a live runtime only reads recent tails).
-	eng.SetMetricBounds(4096, 64)
 	_, concurrent := tl.(sim.ConcurrentTimeline)
 	r := &Runtime{
 		tl:       tl,
@@ -216,6 +213,7 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	}
 	r.backend.Store(&backendHandle{b: b, combine: combine})
 	r.deadlineFn = r.scheduleSweep
+	r.sweepFn = r.sweep
 	r.passCh = make(chan passRef)
 	r.stopCh = make(chan struct{})
 	r.wake = make(chan struct{}, 1)
@@ -244,7 +242,7 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 	id := r.nextID.Add(1) - 1
 	f, s := acquireSlot(payload)
 	now := r.tl.Now()
-	if !r.eng.Enqueue(now, Request{ID: id, Arrival: now, slot: s}) {
+	if !r.eng.Enqueue(Request{ID: id, Arrival: now, slot: s}) {
 		s.recycle()
 		// failAll marks the runtime closed before it closes the queue, so a
 		// refusal from a closed queue always finds the flag set here.
@@ -273,7 +271,7 @@ func (r *Runtime) scheduleSweep() {
 		return
 	}
 	if r.syncExec {
-		r.tl.AfterFunc(0, r.sweep)
+		r.tl.AfterFunc(0, r.sweepFn)
 		return
 	}
 	// Fast path: if the dispatch lock is free right now, run the sweep on

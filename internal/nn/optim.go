@@ -4,7 +4,8 @@ import "math"
 
 // Optimizer applies accumulated gradients to an MLP's parameters.
 type Optimizer interface {
-	// Step applies the network's accumulated gradients and clears them.
+	// Step applies the network's accumulated gradients and clears them,
+	// each as it reads it.
 	Step(m *MLP)
 }
 
@@ -34,15 +35,16 @@ func (s *SGD) Step(m *MLP) {
 		vw, vb := s.vw[li], s.vb[li]
 		for i := range l.W {
 			g := l.GW[i] + s.WeightDecay*l.W[i]
+			l.GW[i] = 0
 			vw[i] = s.Momentum*vw[i] + g
 			l.W[i] -= s.LR * vw[i]
 		}
 		for i := range l.B {
 			vb[i] = s.Momentum*vb[i] + l.GB[i]
+			l.GB[i] = 0
 			l.B[i] -= s.LR * vb[i]
 		}
 	}
-	m.ZeroGrad()
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
@@ -77,16 +79,17 @@ func (a *Adam) Step(m *MLP) {
 		mw, vw, mb, vb := a.mw[li], a.vw[li], a.mb[li], a.vb[li]
 		for i := range l.W {
 			g := l.GW[i]
+			l.GW[i] = 0
 			mw[i] = a.Beta1*mw[i] + (1-a.Beta1)*g
 			vw[i] = a.Beta2*vw[i] + (1-a.Beta2)*g*g
 			l.W[i] -= a.LR * (mw[i] / c1) / (math.Sqrt(vw[i]/c2) + a.Eps)
 		}
 		for i := range l.B {
 			g := l.GB[i]
+			l.GB[i] = 0
 			mb[i] = a.Beta1*mb[i] + (1-a.Beta1)*g
 			vb[i] = a.Beta2*vb[i] + (1-a.Beta2)*g*g
 			l.B[i] -= a.LR * (mb[i] / c1) / (math.Sqrt(vb[i]/c2) + a.Eps)
 		}
 	}
-	m.ZeroGrad()
 }

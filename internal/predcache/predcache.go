@@ -151,26 +151,30 @@ type Cache struct {
 // live-tunable via Configure; the clock is fixed.
 func New(cfg Config) *Cache {
 	cfg = cfg.normalize()
-	// The hotness tracker holds a few times the capacity, so admission state
-	// survives moderate churn without growing unboundedly under a uniform
-	// key flood.
 	return &Cache{
 		now:     cfg.Now,
 		cfg:     cfg,
 		items:   make(map[uint64]*entry),
 		lru:     list.New(),
-		hot:     newHotTracker(max(1024, 8*cfg.Capacity)),
+		hot:     newHotTracker(hotBound(cfg.Capacity)),
 		flights: make(map[uint64]*flight),
 	}
 }
 
+// hotBound is the hotness tracker's key bound for a capacity: a few times
+// the capacity, so admission state survives moderate churn without growing
+// unboundedly under a uniform key flood.
+func hotBound(capacity int) int { return max(1024, 8*capacity) }
+
 // Configure retunes capacity, TTL and the admission parameters on the live
-// cache. Stored entries survive (a capacity shrink trims LRU-first); the
-// clock and the hotness tracker's bound are fixed at construction.
+// cache. Stored entries survive (a capacity shrink trims LRU-first), and the
+// hotness tracker's bound follows the new capacity (a tracker above a shrunk
+// bound sweeps at its next new key); the clock is fixed at construction.
 func (c *Cache) Configure(cfg Config) {
 	cfg = cfg.normalize()
 	c.mu.Lock()
 	c.cfg = cfg
+	c.hot.maxKeys = hotBound(cfg.Capacity)
 	c.trim()
 	c.mu.Unlock()
 }

@@ -433,6 +433,26 @@ func TestConfigureLive(t *testing.T) {
 	}
 }
 
+// TestConfigureGrowsAdmissionState reconfigures a cache from capacity 64
+// (1 024 tracked keys) to 1 024 (8 192), touches 2 000 distinct keys once
+// each, and then touches the first again: the grown tracker still remembers
+// it, so that second touch admits it. A tracker that kept the first bound
+// resets at its 1 025th key and forgets it.
+func TestConfigureGrowsAdmissionState(t *testing.T) {
+	clk := &fakeClock{}
+	c := New(Config{Capacity: 64, TTL: 1e9, AdmitThreshold: 2, HalfLife: 100, Now: clk.Now})
+	c.Configure(Config{Capacity: 1024, TTL: 1e9, AdmitThreshold: 2, HalfLife: 100})
+	var computes atomic.Int64
+	for i := 0; i < 2000; i++ {
+		if _, out := get(t, c, []byte(fmt.Sprintf("key-%d", i)), &computes); out != ComputedCold {
+			t.Fatalf("first touch of key %d = %v, want ComputedCold", i, out)
+		}
+	}
+	if _, out := get(t, c, []byte("key-0"), &computes); out != ComputedHot {
+		t.Fatalf("second touch of key 0 = %v, want ComputedHot (admission state lost)", out)
+	}
+}
+
 // TestConcurrentMixedLoad exercises the cache under -race: readers, writers,
 // invalidations and reconfiguration all at once.
 func TestConcurrentMixedLoad(t *testing.T) {

@@ -9,11 +9,11 @@ import (
 	"rafiki/internal/sim"
 )
 
-// Online adapts the actor-critic Agent to the wall-clock serving runtime:
-// it is the infer.Policy a live deployment installs when its spec asks for
-// Policy "rl", and it keeps the agent training online — every Equation 7
-// reward the runtime feeds back through Feedback completes a TD step at the
-// next decision, exactly as in the virtual-time experiments.
+// Online adapts the actor-critic Agent to the serving runtime: it is the
+// infer.Policy a live deployment installs when its spec asks for Policy
+// "rl", and the one the paper's serving figures run in virtual time. It
+// keeps the agent training online — every Equation 7 reward the runtime
+// feeds back through Feedback completes a TD step at the next decision.
 //
 // The runtime serializes Decide/Feedback under its own mutex, so the agent's
 // learning state needs no extra locking. What the adapter adds:

@@ -265,7 +265,8 @@ func (a *Agent) entropyCoef() float64 {
 //	actor loss = −advantage·log π(a|s) − entropyCoef·H(π(·|s))
 //	critic loss = ½·advantage²  (semi-gradient on V(s))
 func (a *Agent) update(x []float64, actIdx int, reward float64, nextX []float64, dt float64, terminal bool) {
-	v := a.critic.Forward(x)[0]
+	// V(s') first, so the one forward pass on x below both reads V(s) and
+	// leaves the activations Backward needs.
 	target := reward
 	if !terminal && nextX != nil {
 		unit := a.Cfg.GammaUnit
@@ -278,18 +279,16 @@ func (a *Agent) update(x []float64, actIdx int, reward float64, nextX []float64,
 		gamma := math.Pow(a.Cfg.Gamma, dt/unit)
 		target += gamma * a.critic.Forward(nextX)[0]
 	}
-	adv := target - v
+	adv := target - a.critic.Forward(x)[0]
 
-	// Critic: d(½ adv²)/dV(s) = −adv (semi-gradient: target detached).
-	a.critic.ZeroGrad()
-	a.critic.Forward(x)
+	// Critic: d(½ adv²)/dV(s) = −adv (semi-gradient: target detached). The
+	// optimizers leave the gradients zeroed, so Backward starts from zero.
 	a.critic.Backward([]float64{-adv})
 	a.critic.ClipGradNorm(a.Cfg.ClipNorm)
 	a.criticOpt.Step(a.critic)
 
 	// Actor: ∂(−adv·log π(a))/∂logits = adv·(π − onehot(a)); entropy bonus
 	// gradient ∂(−H)/∂logit_i = π_i·(log π_i + H).
-	a.actor.ZeroGrad()
 	logits := a.actor.Forward(x)
 	probs := nn.Softmax(logits)
 	ent := 0.0

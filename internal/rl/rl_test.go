@@ -168,7 +168,7 @@ func TestRLBeatsGreedyAtLowRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	greedy := runServing(t, d, &infer.SyncAll{D: d}, 228, 280, 280, 11)
-	agent, err := NewAgent(DefaultConfig(), 1, testB, sim.NewRNG(12))
+	agent, err := NewOnline(DefaultConfig(), 1, testB, sim.NewRNG(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRLTradesAccuracyForLatency(t *testing.T) {
 	sync := mkSim(&infer.SyncAll{D: d}, 400, 13)
 	cfg := DefaultConfig()
 	cfg.Gamma = 0.98
-	agent, _ := NewAgent(cfg, 3, testB, sim.NewRNG(14))
+	agent, _ := NewOnline(cfg, 3, testB, sim.NewRNG(14))
 	rl := mkSim(agent, 1500, 13)
 
 	if sync.Overdue == 0 {
@@ -390,5 +390,89 @@ func TestOnlineLoneRequestResolves(t *testing.T) {
 	}
 	if waited == 0 {
 		t.Fatal("no agent waited: the test no longer exercises a bounded wait")
+	}
+}
+
+// TestOnlineBurstThenSilenceResolves: a burst of 300 requests, then no
+// arrival at all, over a virtual-time runtime. Every wait the agent takes
+// while the backlog drains must name the instant it ends, or nothing wakes
+// the idle runtime again; so every future resolves well before the horizon.
+// The raw agent, whose waits name no instant, stalls on the same burst,
+// which keeps the test honest.
+func TestOnlineBurstThenSilenceResolves(t *testing.T) {
+	d, err := infer.NewDeployment([]string{"inception_v3"}, []int{16}, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func(ids []uint64, payloads []any, _ []string, _ [][]any) ([]any, error) {
+		return append([]any(nil), payloads...), nil
+	}
+	const burst, at = 300, 0.01
+	// Twice the burst's serial service time, plus 10τ of waits.
+	horizon := at + 2*float64(burst/16+1)*d.LatencyTable()[0][0] + 10*d.Tau
+	serve := func(p infer.Policy) (infer.Stats, []infer.Future) {
+		loop := sim.NewEventLoop()
+		rt, err := infer.NewRuntime(d, p, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echo,
+			infer.RuntimeConfig{Timeline: loop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		futs := make([]infer.Future, 0, burst)
+		loop.Schedule(at, func() {
+			for i := 0; i < burst; i++ {
+				f, err := rt.Submit(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				futs = append(futs, f)
+			}
+		})
+		loop.RunUntil(horizon)
+		return rt.Stats(), futs
+	}
+	stalled := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		o, err := NewOnline(DefaultConfig(), 1, d.Batches, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, futs := serve(o)
+		if st.Served != burst || st.QueueLen != 0 {
+			t.Fatalf("seed %d: served %d, %d still queued at %.2fs (%d decisions), want all %d",
+				seed, st.Served, st.QueueLen, horizon, st.Decisions, burst)
+		}
+		for i, f := range futs {
+			if res, err := f.Wait(); err != nil || res != i {
+				t.Fatalf("seed %d: request %d answered %v, %v", seed, i, res, err)
+			}
+		}
+		raw, err := NewAgent(DefaultConfig(), 1, d.Batches, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := serve(raw); st.QueueLen > 0 {
+			stalled++
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("the raw agent never stalled: the burst no longer exercises an unbounded wait")
+	}
+}
+
+// BenchmarkAgentUpdate times one TD learning step of the three-model agent
+// (critic and actor forward, backward, clip and Adam step) between two
+// fixed states, with its allocations.
+func BenchmarkAgentUpdate(b *testing.B) {
+	agent, err := NewAgent(DefaultConfig(), 3, testB, sim.NewRNG(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := agent.features(mkState(3, []bool{true, true, true}, []float64{0, 0, 0}, 40, []float64{0.2, 0.1, 0.05}))
+	nextX := agent.features(mkState(3, []bool{false, true, true}, []float64{0.3, 0, 0}, 8, []float64{0.02}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.update(x, i%agent.ActionSpace(), 0.5, nextX, 0.05, false)
 	}
 }
