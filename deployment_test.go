@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rafiki/internal/infer"
 )
 
 // TestDeploySpecValidation covers the shape checks that must fire before any
@@ -59,7 +61,7 @@ func TestDeploySpecValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := inf.Spec()
-	if spec.Policy != PolicyGreedy || spec.SLO != sys.opts.ServeSLO || spec.QueueCap != defaultQueueCap {
+	if spec.Policy != PolicyGreedy || spec.SLO != sys.opts.ServeSLO || spec.QueueCap != infer.DefaultQueueCap {
 		t.Fatalf("defaulted spec = %+v", spec)
 	}
 	if spec.Replicas != (ReplicaBounds{Min: 1, Max: maxReplicasPerModel}) {

@@ -32,7 +32,7 @@ type ExecTask struct {
 // Backend executes one model's pass over a dispatched batch. Execute returns
 // the model's per-request predictions (preds[i] answers IDs[i]; nil when the
 // backend only paces time, like the default SimBackend), the observed batch
-// latency in timeline seconds (fed into the engine's latency EWMA; <= 0 is
+// latency in timeline seconds (fed into the runtime's latency EWMA; <= 0 is
 // ignored), and an error that fails the whole batch. Execute runs on a pass
 // worker (or inline under a virtual-time driver) while the batch holds its
 // model's replica, and must honor ctx — the runtime cancels it on Close so
@@ -83,7 +83,7 @@ type RetryCounter interface {
 // is nothing to wait) and returns the planned pass time ProfiledFinish −
 // Decided as the observed latency. That is the table value up to one
 // rounding, far inside the feedback's dead-band, so the applied scale stays
-// exactly 1 and planning is bit-identical to a feedback-free engine.
+// exactly 1 and planning is bit-identical to a feedback-free runtime.
 //
 // It yields no predictions: the runtime's CombineFunc computes every result
 // from the payloads at ensemble finish. A simulated ensemble draws its

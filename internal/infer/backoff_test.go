@@ -33,7 +33,7 @@ func (l *lateTimeline) AfterFunc(d float64, fn func()) {
 }
 
 // fixedDelta pins the policy's δ at the floor, whatever the controller says:
-// the engine as it was before δ adapted.
+// the runtime as it was before δ adapted.
 type fixedDelta struct {
 	Policy
 	delta float64
@@ -284,7 +284,7 @@ func TestBackoffConcurrentFinalizes(t *testing.T) {
 	if !changed || st.Served != submitters*each {
 		t.Fatalf("SLO changed: %v; served %d, want %d", changed, st.Served, submitters*each)
 	}
-	// The bounds as the engine computes them, in float64 arithmetic.
+	// The bounds as the runtime computes them, in float64 arithmetic.
 	tau := newTau
 	if st.BackoffDelta < 0.1*tau || st.BackoffDelta > backoffCap*tau {
 		t.Fatalf("δ = %v outside [0.1τ, 0.4τ] of the final τ %v", st.BackoffDelta, tau)

@@ -14,10 +14,11 @@ import (
 )
 
 // TestShardedDrainOccupancyInvariant is the occupancy invariant gate: the
-// engine drains one FIFO against two-replica pools, releasing each pass's
-// replica at its model-finish time and stepping then, the way the runtime
-// does (so decision points see pools with some replicas still busy), and
-// grows every pool to three replicas live mid-run. It must hold that
+// runtime's decision step drains one FIFO against two-replica pools,
+// releasing each pass's replica at its model-finish time and deciding then,
+// the way the runtime does (so decision points see pools with some replicas
+// still busy), and grows every pool to three replicas live mid-run. It must
+// hold that
 //
 //   - no replica is ever double-booked: per (model, replica), the busy
 //     intervals [Decided, ModelFinish] of all outcomes never overlap;
@@ -25,7 +26,7 @@ import (
 //   - requests are dispatched in arrival order.
 func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	d := replicaDeployment(t, 5.0, 2)
-	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
+	rt, p := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
 
 	const total = 600
 	nextID := uint64(0)
@@ -33,26 +34,26 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		// IDs are assigned in arrival order, so FIFO order is exactly
 		// ascending ID order.
 		for i := 0; i < n; i++ {
-			if !e.Enqueue(Request{ID: nextID, Arrival: now}) {
+			if !rt.enqueue(Request{ID: nextID, Arrival: now}) {
 				t.Fatalf("enqueue %d rejected", nextID)
 			}
 			nextID++
 		}
 	}
 
-	var outs []DispatchOutcome
+	var outs []dispatchOutcome
 	var finishes []float64
 	now := 0.0
 	enqueue(now, total/2)
-	for step := 0; step < 1000 && e.QueueLen() > 0; step++ {
+	for step := 0; step < 1000 && rt.queueLen() > 0; step++ {
 		for _, out := range outs {
 			for i, m := range out.Models {
 				if out.ModelFinish[i] <= now {
-					e.release(m, out.Replicas[i], out.ModelFinish[i], out.ModelFinish[i])
+					rt.release(m, out.Replicas[i], out.ModelFinish[i], out.ModelFinish[i])
 				}
 			}
 		}
-		dispatched, err := e.Step(now)
+		dispatched, err := rt.decide(now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +63,16 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		}
 		if step == 2 {
 			// Live growth with a standing backlog and busy replicas: the
-			// new slots take work without disturbing the busy ones.
+			// new slots take work without disturbing the busy ones. The
+			// policy holds through the growth's own decision points, so
+			// the new slots' work is dispatched by the test's decide.
+			p.on = true
 			for m := range d.Profiles {
-				if err := e.SetReplicas(m, 3); err != nil {
+				if err := rt.SetReplicas(m, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
+			p.on = false
 			enqueue(now, total/2)
 		}
 		// Step next at the earliest pending model finish. With none pending,
@@ -84,7 +89,7 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		}
 		now = next
 	}
-	if got := e.QueueLen(); got != 0 {
+	if got := rt.queueLen(); got != 0 {
 		t.Fatalf("backlog left after draining: %d", got)
 	}
 

@@ -14,24 +14,24 @@ import (
 // and the in-flight batch, and decays once the batch finishes.
 func TestEngineBacklogs(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 1)
-	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
+	rt, _ := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
 	for i := 0; i < 40; i++ {
-		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
 	// No dispatch history: every model is assumed to serve the whole queue.
-	for m, b := range e.Backlogs(0) {
+	for m, b := range rt.backlogs(0, rt.queueLen()) {
 		if b.Queued != 40 || b.Inflight != 0 {
 			t.Fatalf("model %d backlog before dispatch = %+v", m, b)
 		}
 	}
-	outs, err := e.Step(0)
+	outs, err := rt.decide(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != 1 || len(outs[0].Requests) != 16 {
 		t.Fatalf("outs = %+v, want one 16-batch", outs)
 	}
-	for m, b := range e.Backlogs(0) {
+	for m, b := range rt.backlogs(0, rt.queueLen()) {
 		// SyncAll dispatched all 16 to every model: share stays 1.
 		if b.Queued != 24 || b.Inflight != 16 {
 			t.Fatalf("model %d backlog mid-flight = %+v, want {24 16}", m, b)
@@ -40,9 +40,9 @@ func TestEngineBacklogs(t *testing.T) {
 	// Once every pass has returned and released its replica, as the runtime
 	// does, nothing is in flight anymore.
 	for i, m := range outs[0].Models {
-		e.release(m, outs[0].Replicas[i], outs[0].ModelFinish[i], outs[0].ModelFinish[i])
+		rt.release(m, outs[0].Replicas[i], outs[0].ModelFinish[i], outs[0].ModelFinish[i])
 	}
-	for m, b := range e.Backlogs(outs[0].Finish + 1) {
+	for m, b := range rt.backlogs(outs[0].Finish+1, rt.queueLen()) {
 		if b.Inflight != 0 {
 			t.Fatalf("model %d inflight after finish = %+v", m, b)
 		}
@@ -220,18 +220,18 @@ func TestFutureModelsPerFutureCopy(t *testing.T) {
 }
 
 // TestArrivalBufferReused: a decision point's flush hands the drained
-// arrival buffer back to the engine, so the enqueue → flush cycle every
+// arrival buffer back to the runtime, so the enqueue → flush cycle every
 // Submit runs stops allocating once the two buffers exist.
 func TestArrivalBufferReused(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
-	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), 0)
+	rt, _ := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200))
 	popped := make([]Request, 0, 1)
 	id := uint64(0)
 	cycle := func() {
-		e.Enqueue(Request{ID: id, Arrival: 1})
+		rt.enqueue(Request{ID: id, Arrival: 1})
 		id++
-		e.flushArrivals()
-		popped = e.q.PopAppend(1, popped[:0])
+		rt.flushArrivals()
+		popped = rt.q.PopAppend(1, popped[:0])
 	}
 	for i := 0; i < 4; i++ {
 		cycle()

@@ -2,15 +2,15 @@
 // request queue (DESIGN.md §9) with an SLO τ, the greedy max-batch scheduler
 // of Algorithm 3 with its AIMD-style back-off check, the synchronous (all
 // models, full ensemble) and asynchronous (one model per batch, no ensemble)
-// baselines of Section 7.2.2, and a clock-agnostic dispatch Engine that
-// drives any scheduling policy — including the RL scheduler in internal/rl.
-// A Runtime's queued request carries its future's completion slot, so the
+// baselines of Section 7.2.2, and one serving Runtime whose clock-agnostic
+// decision core drives any scheduling policy — including the RL scheduler in
+// internal/rl. A queued request carries its future's completion slot, so the
 // queue is the only place a queued request lives and a submit takes one lock.
 //
-// One Runtime drives the engine (DESIGN.md §6): it batches real
-// concurrent callers through the policies with per-request futures on the
-// wall clock, and the Simulator harness runs it on a virtual-time event loop
-// to replay the paper's sine-modulated workloads deterministically.
+// The Runtime (DESIGN.md §6) batches real concurrent callers through the
+// policies with per-request futures on the wall clock, and the Simulator
+// harness runs it on a virtual-time event loop to replay the paper's
+// sine-modulated workloads deterministically.
 package infer
 
 import (
@@ -130,7 +130,7 @@ type Action struct {
 	// Models are indices into the deployment's model list; every selected
 	// model must currently be free. Must be non-empty for a dispatch.
 	// The slice may alias the policy's reusable scratch: it is only valid
-	// until the next Decide on the same policy instance, and the engine
+	// until the next Decide on the same policy instance, and the runtime
 	// copies it into the dispatch outcome rather than retaining it.
 	Models []int
 }
@@ -144,7 +144,7 @@ type State struct {
 	FreeModels []bool    // per model: free at Now
 	BusyLeft   []float64 // per model: seconds until free
 	Tau        float64
-	// Delta is Algorithm 3's back-off δ: the engine's controller, which
+	// Delta is Algorithm 3's back-off δ: the runtime's controller, which
 	// starts at the deployment's BackoffDelta (DESIGN.md §20).
 	Delta   float64
 	Batches []int
@@ -172,7 +172,7 @@ type Deployment struct {
 	// Beta balances accuracy vs overdue requests in the reward (Eq. 6/7).
 	Beta float64
 	// BackoffDelta is Algorithm 3's δ; the paper suggests 0.1τ. It is the
-	// floor of the engine's δ controller, which only a Runtime's finished
+	// floor of the runtime's δ controller, which only its finished
 	// batches move off it.
 	BackoffDelta float64
 	// AccuracyEmphasis κ amplifies accuracy differences in the reward
@@ -191,8 +191,8 @@ type Deployment struct {
 	// Replicas is the initial per-model replica count — how many cluster
 	// containers serve each model concurrently (Section 6's horizontal
 	// scaling). nil, short, or non-positive entries mean one replica, which
-	// reproduces the single-instance engine bit-for-bit. Live deployments
-	// resize the pool through Engine.SetReplicas.
+	// reproduces the single-instance runtime bit-for-bit. Live deployments
+	// resize the pool through Runtime.SetReplicas.
 	Replicas []int
 
 	// latOnce/latTable cache LatencyTable: profiles and batch candidates are

@@ -63,21 +63,21 @@ func foldEWMA(a *atomic.Uint64, x float64) {
 	}
 }
 
-// ObserveLatency feeds one executed batch's observed service latency for
+// observeLatency feeds one executed batch's observed service latency for
 // model m (timeline seconds) into the feedback plane. Observations that are
 // not positive and finite, and out-of-range models, are ignored. Safe to call
-// concurrently with decision loops; it takes no lock and allocates nothing.
-func (e *Engine) ObserveLatency(m, batch int, observed float64) {
-	if m < 0 || m >= len(e.lat) || !(observed > 0) || math.IsInf(observed, 1) {
+// concurrently with decision points; it takes no lock and allocates nothing.
+func (r *Runtime) observeLatency(m, batch int, observed float64) {
+	if m < 0 || m >= len(r.lat) || !(observed > 0) || math.IsInf(observed, 1) {
 		return
 	}
-	profiled := e.Deployment.Profiles[m].BatchLatency(batch)
+	profiled := r.d.Profiles[m].BatchLatency(batch)
 	if profiled <= 0 {
 		return
 	}
 	ratio := min(max(observed/profiled, latRatioMin), latRatioMax)
-	foldEWMA(&e.lat[m].obs, observed)
-	foldEWMA(&e.lat[m].raw, ratio)
+	foldEWMA(&r.lat[m].obs, observed)
+	foldEWMA(&r.lat[m].raw, ratio)
 }
 
 // appliedScale turns a raw ratio EWMA into the scale planning consumes:
@@ -93,9 +93,9 @@ func appliedScale(raw float64) float64 {
 // modelLatency is the planning-side service latency of model m at batch size
 // b: the profiled value, rescaled by the model's applied scale. At a scale of
 // exactly 1 it returns the profile bit-for-bit.
-func (e *Engine) modelLatency(m, b int) float64 {
-	lat := e.Deployment.Profiles[m].BatchLatency(b)
-	if s := e.lat[m].scale(); s != 1 {
+func (r *Runtime) modelLatency(m, b int) float64 {
+	lat := r.d.Profiles[m].BatchLatency(b)
+	if s := r.lat[m].scale(); s != 1 {
 		lat *= s
 	}
 	return lat
@@ -104,18 +104,18 @@ func (e *Engine) modelLatency(m, b int) float64 {
 // latencyTable is the c(m,b) table the policies plan with, kept in the
 // decision scratch: a model at scale 1 shares the deployment's profile row,
 // and a rescaled model's row is rebuilt in place when its scale moved. Only
-// the decision path (Step, state) calls it.
-func (e *Engine) latencyTable() [][]float64 {
-	base := e.Deployment.LatencyTable()
-	for m := range e.lat {
-		l := &e.lat[m]
+// the decision path (decide, stateAt) calls it.
+func (r *Runtime) latencyTable() [][]float64 {
+	base := r.d.LatencyTable()
+	for m := range r.lat {
+		l := &r.lat[m]
 		s := l.scale()
 		if s == l.applied {
 			continue
 		}
 		l.applied = s
 		if s == 1 {
-			e.table[m] = base[m]
+			r.table[m] = base[m]
 			continue
 		}
 		if l.row == nil {
@@ -124,21 +124,7 @@ func (e *Engine) latencyTable() [][]float64 {
 		for j, v := range base[m] {
 			l.row[j] = v * s
 		}
-		e.table[m] = l.row
+		r.table[m] = l.row
 	}
-	return e.table
-}
-
-// LatencyFeedback snapshots the feedback plane for observability: each
-// model's observed batch-latency EWMA (0 until a backend reported one) and
-// the applied observed/profiled scale (1 = planning on the raw profile).
-// Safe to call concurrently.
-func (e *Engine) LatencyFeedback() (observed, scale []float64) {
-	observed = make([]float64, len(e.lat))
-	scale = make([]float64, len(e.lat))
-	for m := range e.lat {
-		observed[m] = math.Float64frombits(e.lat[m].obs.Load())
-		scale[m] = e.lat[m].scale()
-	}
-	return observed, scale
+	return r.table
 }

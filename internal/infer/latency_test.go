@@ -77,7 +77,7 @@ func (r *refFeedback) observe(m, batch int, observed float64) {
 // table and the dispatch latencies are the reference's bit for bit.
 func TestLatencyFeedbackMatchesReference(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
-	e := NewEngine(d, &SyncAll{D: d}, nil, 0)
+	rt, _ := handRuntime(t, d, nil)
 	ref := newRefFeedback(d)
 	base := d.LatencyTable()
 	rng := rand.New(rand.NewPCG(42, 7))
@@ -117,12 +117,14 @@ func TestLatencyFeedbackMatchesReference(t *testing.T) {
 		}
 		before := ref.scales
 		ref.observe(m, b, observed)
-		e.ObserveLatency(m, b, observed)
+		rt.observeLatency(m, b, observed)
 
-		// The decision path Step takes: observe the replicas, build the state.
-		e.observe(0, &e.view)
-		table := e.stateAt(0, &e.view, &e.st).LatencyTable
-		obs, scale := e.LatencyFeedback()
+		// The decision path decide takes: observe the replicas, build the
+		// state.
+		rt.observe(0, &rt.view)
+		table := rt.stateAt(0, &rt.view, &rt.st).LatencyTable
+		st := rt.Stats()
+		obs, scale := st.ModelLatencyEWMA, st.ModelLatencyScale
 		for mi := range d.Profiles {
 			if before[mi] != 1 && ref.scales[mi] == 1 {
 				backToOne++
@@ -130,7 +132,7 @@ func TestLatencyFeedbackMatchesReference(t *testing.T) {
 			if got, want := math.Float64bits(obs[mi]), math.Float64bits(ref.obs[mi]); got != want {
 				t.Fatalf("obs %d: model %d EWMA %v, reference %v", i, mi, obs[mi], ref.obs[mi])
 			}
-			if got, want := e.lat[mi].raw.Load(), math.Float64bits(ref.raw[mi]); got != want {
+			if got, want := rt.lat[mi].raw.Load(), math.Float64bits(ref.raw[mi]); got != want {
 				t.Fatalf("obs %d: model %d ratio EWMA %v, reference %v", i, mi, math.Float64frombits(got), ref.raw[mi])
 			}
 			if math.Float64bits(scale[mi]) != math.Float64bits(ref.scales[mi]) {
@@ -149,7 +151,7 @@ func TestLatencyFeedbackMatchesReference(t *testing.T) {
 				if s := ref.scales[mi]; s != 1 {
 					want *= s
 				}
-				if got := e.modelLatency(mi, n); math.Float64bits(got) != math.Float64bits(want) {
+				if got := rt.modelLatency(mi, n); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("obs %d: dispatch latency of model %d at %d = %v, reference %v", i, mi, n, got, want)
 				}
 			}
@@ -172,7 +174,7 @@ func btoi(b bool) int {
 // checks the applied scales converge to the serial reference's.
 func TestLatencyFeedbackConcurrentObservers(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
-	e := NewEngine(d, &SyncAll{D: d}, nil, 0)
+	rt, _ := handRuntime(t, d, nil)
 	ref := newRefFeedback(d)
 	ratios := []float64{3, 1, 0.5}
 	const observers, each = 4, 2000
@@ -194,8 +196,8 @@ func TestLatencyFeedbackConcurrentObservers(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = e.latencyTable()
-				_ = e.modelLatency(0, 16)
+				_ = rt.latencyTable()
+				_ = rt.modelLatency(0, 16)
 			}
 		}
 	}()
@@ -204,17 +206,17 @@ func TestLatencyFeedbackConcurrentObservers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := g * each; i < (g+1)*each; i++ {
-				observe(e.ObserveLatency, i)
+				observe(rt.observeLatency, i)
 			}
 		}()
 	}
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	_, scale := e.LatencyFeedback()
+	scale := rt.Stats().ModelLatencyScale
 	for m := range ratios {
-		if scale[m] != ref.scales[m] || e.latencyTable()[m][0] != ref.table[m][0] {
-			t.Fatalf("model %d: scale %v, c(m,1) %v; reference %v, %v", m, scale[m], e.latencyTable()[m][0], ref.scales[m], ref.table[m][0])
+		if scale[m] != ref.scales[m] || rt.latencyTable()[m][0] != ref.table[m][0] {
+			t.Fatalf("model %d: scale %v, c(m,1) %v; reference %v, %v", m, scale[m], rt.latencyTable()[m][0], ref.scales[m], ref.table[m][0])
 		}
 	}
 	if ref.scales[0] != 3 || ref.scales[1] != 1 || ref.scales[2] != 0.5 {
@@ -226,14 +228,14 @@ func TestLatencyFeedbackConcurrentObservers(t *testing.T) {
 // observations that move both EWMAs and the applied scale.
 func TestObserveLatencyAllocs(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
-	e := NewEngine(d, &SyncAll{D: d}, nil, 0)
+	rt, _ := handRuntime(t, d, nil)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
 		m, b := i%3, d.Batches[i%len(d.Batches)]
-		e.ObserveLatency(m, b, (0.5+float64(i%7)*0.4)*d.Profiles[m].BatchLatency(b))
+		rt.observeLatency(m, b, (0.5+float64(i%7)*0.4)*d.Profiles[m].BatchLatency(b))
 	})
 	if allocs != 0 {
-		t.Fatalf("ObserveLatency allocates %v per call, want 0", allocs)
+		t.Fatalf("observeLatency allocates %v per call, want 0", allocs)
 	}
 }

@@ -200,19 +200,18 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	e := rt.eng
 	var next uint64
 	// dispatch queues n requests at now and runs a decision point, which
 	// must place two full batches, one on each replica.
-	dispatch := func(now float64, n int) []DispatchOutcome {
+	dispatch := func(now float64, n int) []dispatchOutcome {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if !e.Enqueue(Request{ID: next, Arrival: now}) {
+			if !rt.enqueue(Request{ID: next, Arrival: now}) {
 				t.Fatal("enqueue refused")
 			}
 			next++
 		}
-		outs, err := e.Step(now)
+		outs, err := rt.decide(now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,18 +225,18 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	const later = 1000.0
 	held := func(when string) {
 		t.Helper()
-		if st := e.state(later); slices.Contains(st.FreeModels, true) {
+		if st := rt.state(later); slices.Contains(st.FreeModels, true) {
 			t.Fatalf("%s: a model is free while both its replicas are held: %v", when, st.FreeModels)
 		}
-		for m, b := range e.Backlogs(later) {
+		for m, b := range rt.backlogs(later, rt.queueLen()) {
 			if b.Inflight != 32 {
 				t.Fatalf("%s: model %d inflight %d, want the two held batches of 16", when, m, b.Inflight)
 			}
 		}
 	}
-	releaseAll := func(out DispatchOutcome, now float64) {
+	releaseAll := func(out dispatchOutcome, now float64) {
 		for i, m := range out.Models {
-			e.release(m, out.Replicas[i], out.ModelFinish[i], now)
+			rt.release(m, out.Replicas[i], out.ModelFinish[i], now)
 		}
 	}
 
@@ -251,10 +250,10 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 		first, dropped = dropped, first
 	}
 	for m := range d.Profiles {
-		if err := e.SetReplicas(m, 1); err != nil {
+		if err := rt.SetReplicas(m, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetReplicas(m, 2); err != nil {
+		if err := rt.SetReplicas(m, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,10 +266,10 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	// ran return after the restarted slots took new batches.
 	for m := range d.Profiles {
 		for r := 0; r < 2; r++ {
-			if err := e.SetReplicaDown(m, r, true); err != nil {
+			if err := rt.SetReplicaDown(m, r, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SetReplicaDown(m, r, false); err != nil {
+			if err := rt.SetReplicaDown(m, r, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -284,10 +283,10 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	// The live passes' own releases free the replicas.
 	releaseAll(outs[0], 6)
 	releaseAll(outs[1], 6)
-	if st := e.state(later); slices.Contains(st.FreeModels, false) {
+	if st := rt.state(later); slices.Contains(st.FreeModels, false) {
 		t.Fatalf("live releases left a model busy: %v", st.FreeModels)
 	}
-	if got := fmt.Sprint(e.Backlogs(later)); got != "[{0 0} {0 0} {0 0}]" {
+	if got := fmt.Sprint(rt.backlogs(later, rt.queueLen())); got != "[{0 0} {0 0} {0 0}]" {
 		t.Fatalf("backlogs after release = %s", got)
 	}
 }

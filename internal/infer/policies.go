@@ -59,7 +59,7 @@ func algorithm3(s *State, models []int) Action {
 type SyncAll struct {
 	D *Deployment
 	// all is the reusable identity Models scratch: Decide runs serialized
-	// (under the runtime's dispatch lock) and the engine copies
+	// (under the runtime's dispatch lock) and the runtime copies
 	// Action.Models into the outcome, so the full-ensemble subset is built
 	// once and reused per decision.
 	all []int

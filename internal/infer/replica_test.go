@@ -12,18 +12,46 @@ import (
 	"rafiki/internal/zoo"
 )
 
-// state builds the engine's policy view at time now for a test. The
+// state builds the runtime's policy view at time now for a test. The
 // returned state is freshly allocated, its c(m,b) table copied out of the
 // decision scratch, so the test may hold it across later decision points.
-func (e *Engine) state(now float64) *State {
+func (r *Runtime) state(now float64) *State {
 	var v modelView
-	e.observe(now, &v)
-	st := e.stateAt(now, &v, new(State))
+	r.observe(now, &v)
+	st := r.stateAt(now, &v, new(State))
 	st.LatencyTable = slices.Clone(st.LatencyTable)
 	for m, row := range st.LatencyTable {
 		st.LatencyTable[m] = slices.Clone(row)
 	}
 	return st
+}
+
+// hold is SyncAll that waits while on is set.
+type hold struct {
+	SyncAll
+	on bool
+}
+
+func (p *hold) Decide(s *State) Action {
+	if p.on {
+		return Action{Wait: true}
+	}
+	return p.SyncAll.Decide(s)
+}
+
+// handRuntime wires a runtime over a virtual-time loop the test never runs:
+// the test enqueues, decides and releases by hand, and nothing the runtime
+// launches ever executes. Its policy is the returned hold: a test sets on
+// around a control operation whose own decision point must not dispatch
+// what the test would not see.
+func handRuntime(tb testing.TB, d *Deployment, acc *ensemble.AccuracyTable) (*Runtime, *hold) {
+	tb.Helper()
+	p := &hold{SyncAll: SyncAll{D: d}}
+	rt, err := NewRuntime(d, p, acc, echoExec, RuntimeConfig{Timeline: sim.NewEventLoop()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt, p
 }
 
 // replicaDeployment builds the three-ConvNet ensemble with the given
@@ -45,11 +73,11 @@ func replicaDeployment(tb testing.TB, tau float64, replicas int) *Deployment {
 // back — the second onto each model's other replica.
 func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 2)
-	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
+	rt, _ := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
 	for i := 0; i < 32; i++ {
-		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
-	outs, err := e.Step(0)
+	outs, err := rt.decide(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +96,7 @@ func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 	}
 	// Both replicas busy: the model view reports busy until the earliest
 	// replica frees.
-	st := e.state(0)
+	st := rt.state(0)
 	for m, free := range st.FreeModels {
 		if free {
 			t.Fatalf("model %d free with both replicas occupied", m)
@@ -83,28 +111,32 @@ func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 // down stalls dispatch (SyncAll's barrier) until one recovers.
 func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 2)
-	e := NewEngine(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), 0)
-	if err := e.SetReplicaDown(0, 0, true); err != nil {
+	rt, p := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
+	if err := rt.SetReplicaDown(0, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetReplicaDown(0, 1, true); err != nil {
+	if err := rt.SetReplicaDown(0, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		e.Enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
 	}
-	outs, err := e.Step(0)
+	outs, err := rt.decide(0)
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("outs=%d err=%v, want no dispatch while model 0 has no live replica", len(outs), err)
 	}
-	st := e.state(0)
+	st := rt.state(0)
 	if st.FreeModels[0] || !math.IsInf(st.BusyLeft[0], 1) {
 		t.Fatalf("dead model state free=%v busyLeft=%v", st.FreeModels[0], st.BusyLeft[0])
 	}
-	if err := e.SetReplicaDown(0, 1, false); err != nil {
+	// Recovery runs a decision point of its own; the policy holds through
+	// it, so the test's decide below sees the dispatch.
+	p.on = true
+	if err := rt.SetReplicaDown(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	outs, err = e.Step(0)
+	p.on = false
+	outs, err = rt.decide(0)
 	if err != nil || len(outs) != 1 {
 		t.Fatalf("outs=%d err=%v, want one dispatch after recovery", len(outs), err)
 	}
@@ -112,13 +144,13 @@ func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 		t.Fatalf("model 0 served by replica %d, want the recovered replica 1", outs[0].Replicas[0])
 	}
 	// Validation errors.
-	if err := e.SetReplicaDown(0, 9, true); err == nil {
+	if err := rt.SetReplicaDown(0, 9, true); err == nil {
 		t.Fatal("out-of-range replica should error")
 	}
-	if err := e.SetReplicas(0, 0); err == nil {
+	if err := rt.SetReplicas(0, 0); err == nil {
 		t.Fatal("zero replicas should error")
 	}
-	if err := e.SetReplicas(7, 1); err == nil {
+	if err := rt.SetReplicas(7, 1); err == nil {
 		t.Fatal("out-of-range model should error")
 	}
 }

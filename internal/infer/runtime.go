@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"rafiki/internal/ensemble"
+	"rafiki/internal/metrics"
 	"rafiki/internal/sim"
 )
 
@@ -77,11 +80,15 @@ type Stats struct {
 // drainWindow is the lookback (timeline seconds) of Stats.DrainRate.
 const drainWindow = 5.0
 
+// DefaultQueueCap is the request-queue bound a runtime gets when its
+// configuration leaves QueueCap at 0.
+const DefaultQueueCap = 4096
+
 // RuntimeConfig tunes a Runtime.
 type RuntimeConfig struct {
 	// Timeline drives time; nil defaults to a real-time WallTimeline.
 	Timeline sim.Timeline
-	// QueueCap bounds the request queue (0 = the default, 4096).
+	// QueueCap bounds the request queue (0 = DefaultQueueCap).
 	// The bound is what turns a stalled backend into ErrQueueFull: its
 	// replicas stay held, so queued requests wait for them, and admission
 	// refuses once the queue is full instead of growing it without limit.
@@ -92,12 +99,12 @@ type RuntimeConfig struct {
 	Backend Backend
 }
 
-// Runtime drives the dispatch Engine: goroutine-safe, channel-fed,
-// with per-request futures, on the wall clock or on a virtual-time event
-// loop (the Simulator harness). Concurrent callers Submit payloads;
-// the scheduling Policy groups them into shared batches; the Backend runs
-// each selected model's pass over a batch and the CombineFunc folds the
-// passes into one result per request.
+// Runtime is Rafiki's inference service: goroutine-safe, channel-fed, with
+// per-request futures, on the wall clock or on a virtual-time event loop
+// (the Simulator harness). Concurrent callers Submit payloads; the
+// scheduling Policy groups them into shared batches; the Backend runs each
+// selected model's pass over a batch and the CombineFunc folds the passes
+// into one result per request.
 //
 // A submission takes one lock, the queue's: its future's slot rides in the
 // queued request, so the FIFO is the only place a queued request lives. It
@@ -113,8 +120,24 @@ type RuntimeConfig struct {
 // A model frees up when its backend pass
 // returns: a dispatched replica stays busy until then, so replica occupancy
 // is the runtime's only bound on concurrent backend passes.
+//
+// Concurrency contract: every exported method is safe for concurrent use.
+// mu, the dispatch lock, serializes decision points with each other and
+// with the control operations (SetPolicy, SetSLO, SetQueueCap, SetReplicas,
+// AddReplica, SetReplicaDown, SetBackend) and teardown; it guards the
+// policy, the decision scratch and the deadline wake. Three leaf locks sit
+// under it, each taken alone: qmu (the FIFO, its arrival-event buffers and
+// its closed mark), occMu (the replica pools) and metMu (the metric plane).
+// Lock order: mu, then one leaf lock; never the reverse. Metric reads
+// (Stats, Signals, Backpressure) take only leaf locks, and Submit and a
+// returning pass take mu only by TryLock (to run a sweep inline), so none of
+// them waits on a decision point. The latency feedback and the δ controller
+// are atomics any goroutine folds into.
 type Runtime struct {
-	tl sim.Timeline
+	d *Deployment
+	// acc provides the surrogate ensemble accuracy a(M[v]) for rewards.
+	acc *ensemble.AccuracyTable
+	tl  sim.Timeline
 
 	// syncExec marks a non-concurrent timeline (the virtual-time EventLoop,
 	// whose event heap is unlocked and whose callbacks fire single-threaded
@@ -135,16 +158,26 @@ type Runtime struct {
 
 	backendErrs atomic.Uint64
 
-	// mu is the dispatch lock: it serializes decision points with each
-	// other and with reconfiguration and teardown, so a control operation
-	// observes no in-flight sweep and may touch the whole engine. Lock
-	// order: mu, then the engine's locks; never the reverse.
-	mu  sync.Mutex
-	eng *Engine
+	// mu is the dispatch lock (see the concurrency contract above).
+	mu     sync.Mutex
+	policy Policy
+	// accByMask fronts acc on the dispatch hot path: model subsets with
+	// indices under 64 key a bitmask → accuracy cache, skipping the
+	// sort+join subset-key build and table lock per dispatch. Values are the
+	// table's own (deterministic) results, so the two caches never disagree.
+	accByMask map[uint64]float64
+	// view and st are the decision scratch, reused across decision points
+	// (policies must not retain *State or its slices across calls — the
+	// online RL adapter copies what it rewrites). until is the Action.Until
+	// of the wait that ended the last decide, 0 when something else ended
+	// it; step arms the deadline wake from it.
+	view  modelView
+	st    State
+	until float64
 	// deadline is the earliest armed deadline wake not yet reached, +Inf
-	// when none is armed. Guarded by mu. deadlineFn, the wake's cached
-	// callback (no closure per arm), only schedules a coalesced sweep, so a
-	// timer callback never blocks on the dispatch lock.
+	// when none is armed. deadlineFn, the wake's cached callback (no closure
+	// per arm), only schedules a coalesced sweep, so a timer callback never
+	// blocks on the dispatch lock.
 	deadline   float64
 	deadlineFn func()
 	// sweepSet coalesces decision points: only the submitter that flips it
@@ -159,9 +192,49 @@ type Runtime struct {
 	workerStarted atomic.Bool
 
 	// closed flips once (teardown or poison); errv holds the poisoning
-	// engine error, stored before closed so closedErr never misses it.
+	// decision-point error, stored before closed so closedErr never misses
+	// it.
 	closed atomic.Bool
 	errv   atomic.Value
+
+	// qmu guards the request FIFO q (whose Cap is the queue bound), the
+	// arrival-event buffers and qclosed. spare is the buffer the last flush
+	// drained: the next flush swaps it in, so two buffers alternate and
+	// enqueue's append stops allocating. qclosed marks a queue failAll has
+	// drained; enqueue then refuses.
+	qmu     sync.Mutex
+	q       *Queue
+	events  []arrivalEvent
+	spare   []arrivalEvent
+	qclosed bool
+
+	// occMu guards the replica pools. pools itself is fixed at construction
+	// (the deployment's model set never changes); each pool's slices resize
+	// under the lock.
+	occMu sync.Mutex
+	pools []replicaPool
+
+	// lat is the latency-feedback plane, one entry per model (latency.go):
+	// its EWMAs are atomics any pass folds into, its applied scale and
+	// rescaled row are decision scratch behind table, the c(m,b) table only
+	// the decision path reads and rebuilds.
+	lat   []latModel
+	table [][]float64
+	// backoff is Algorithm 3's δ controller for the live SLO (see
+	// observeBatchLatency); lateBatches counts the finalized batches it saw
+	// finish past τ.
+	backoff     atomic.Pointer[backoffState]
+	lateBatches atomic.Uint64
+
+	// metMu guards the metric plane: met and the per-model dispatch shares
+	// feeding backlogs (dispatched/popped).
+	metMu      sync.Mutex
+	met        metricPlane
+	dispatched []uint64
+	popped     uint64
+	// decisions counts policy decision points. It is bumped once per
+	// Decide, outside metMu.
+	decisions atomic.Uint64
 
 	nextID   atomic.Uint64
 	inflight sync.WaitGroup
@@ -186,9 +259,8 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	}
 	queueCap := cfg.QueueCap
 	if queueCap == 0 {
-		queueCap = 4096
+		queueCap = DefaultQueueCap
 	}
-	eng := NewEngine(d, p, acc, queueCap)
 	// Prime the accuracy surrogate for the full ensemble (the live path's
 	// default subset): its first evaluation simulates the whole sample set
 	// (~100ms+) and would otherwise stall the first dispatch — and every
@@ -198,11 +270,32 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	}
 	_, concurrent := tl.(sim.ConcurrentTimeline)
 	r := &Runtime{
-		tl:       tl,
-		syncExec: !concurrent,
-		eng:      eng,
-		deadline: math.Inf(1),
+		d:          d,
+		acc:        acc,
+		tl:         tl,
+		syncExec:   !concurrent,
+		policy:     p,
+		accByMask:  make(map[uint64]float64),
+		deadline:   math.Inf(1),
+		q:          NewQueue(queueCap),
+		pools:      make([]replicaPool, len(d.Profiles)),
+		lat:        make([]latModel, len(d.Profiles)),
+		table:      slices.Clone(d.LatencyTable()),
+		dispatched: make([]uint64, len(d.Profiles)),
+		met: metricPlane{
+			arrivals:   metrics.NewWindowCounter(1),
+			drained:    metrics.NewWindowCounter(1),
+			batchSizes: map[int]int{},
+		},
 	}
+	r.met.arrivals.Keep, r.met.drained.Keep = rateKeep, rateKeep
+	for m := range r.pools {
+		r.lat[m].raw.Store(math.Float64bits(1))
+		r.lat[m].applied = 1
+		n := d.ReplicaCount(m)
+		r.pools[m] = replicaPool{busy: make([]float64, n), down: make([]bool, n), repBatch: make([]int, n), held: make([]bool, n)}
+	}
+	r.resetBackoff()
 	r.execCtx, r.execCancel = context.WithCancel(context.Background())
 	b := cfg.Backend
 	if b == nil {
@@ -220,7 +313,7 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	return r, nil
 }
 
-// closedErr reports why the runtime rejects work: the poisoning engine error
+// closedErr reports why the runtime rejects work: the poisoning error
 // if there is one, ErrClosed otherwise.
 func (r *Runtime) closedErr() error {
 	if err, ok := r.errv.Load().(error); ok {
@@ -242,7 +335,7 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 	id := r.nextID.Add(1) - 1
 	f, s := acquireSlot(payload)
 	now := r.tl.Now()
-	if !r.eng.Enqueue(Request{ID: id, Arrival: now, slot: s}) {
+	if !r.enqueue(Request{ID: id, Arrival: now, slot: s}) {
 		s.recycle()
 		// failAll marks the runtime closed before it closes the queue, so a
 		// refusal from a closed queue always finds the flag set here.
@@ -332,13 +425,13 @@ func (r *Runtime) step(now float64) error {
 	if r.closed.Load() {
 		return r.closedErr()
 	}
-	outs, err := r.eng.Step(now)
+	outs, err := r.decide(now)
 	for _, out := range outs {
 		r.launch(now, out)
 	}
 	if err != nil {
 		// A policy/dispatch error poisons the runtime: requests left in the
-		// engine queue have no valid schedule anymore, so close the runtime
+		// queue have no valid schedule anymore, so close the runtime
 		// and fail the undispatched futures rather than let later
 		// submissions batch with orphaned queue entries. Already-dispatched
 		// batches still complete normally.
@@ -354,7 +447,7 @@ func (r *Runtime) step(now float64) error {
 	// arrival that raised the batch); a superseded wake fires as one
 	// harmless sweep. The floor keeps every wake strictly after now, and
 	// deadline is the instant the timeline will fire at.
-	if u := r.eng.until; u > 0 && u < r.deadline {
+	if u := r.until; u > 0 && u < r.deadline {
 		d := max(u, math.Nextafter(now, math.Inf(1))) - now
 		r.deadline = now + d
 		r.tl.AfterFunc(d, r.deadlineFn)
@@ -380,7 +473,7 @@ type backendHandle struct {
 // must not retain the ID/payload slices beyond the call, which the ExecTask
 // contract already requires.
 type batchRun struct {
-	out      DispatchOutcome
+	out      dispatchOutcome
 	futs     []*futureSlot
 	ids      []uint64
 	payloads []any
@@ -427,7 +520,7 @@ func (br *batchRun) release() {
 	for i := range br.preds {
 		br.preds[i] = nil
 	}
-	br.out = DispatchOutcome{}
+	br.out = dispatchOutcome{}
 	br.h = nil
 	br.err = nil
 	br.failed.Store(false)
@@ -458,7 +551,7 @@ func (br *batchRun) task(i int) ExecTask {
 // on a virtual-time loop each pass runs inline from its own model's finish
 // event, preserving the loop's determinism. Called with the dispatch lock
 // held.
-func (r *Runtime) launch(now float64, out DispatchOutcome) {
+func (r *Runtime) launch(now float64, out dispatchOutcome) {
 	br := batchRunPool.Get().(*batchRun)
 	br.grab(len(out.Requests), len(out.Models))
 	br.out = out
@@ -512,7 +605,7 @@ func (r *Runtime) passWorker(p passRef) {
 }
 
 // runModelPass executes one model's backend pass and feeds the observed
-// latency back into the engine's planning EWMA. Then it releases the pass's
+// latency back into the planning EWMA. Then it releases the pass's
 // replica, finalizes the batch if this was its last pass, and runs the
 // decision point the freed replica calls for.
 func (r *Runtime) runModelPass(br *batchRun, i int) {
@@ -522,9 +615,9 @@ func (r *Runtime) runModelPass(br *batchRun, i int) {
 		br.fail(err)
 	} else {
 		br.preds[i] = preds
-		r.eng.ObserveLatency(br.out.Models[i], len(br.ids), obs)
+		r.observeLatency(br.out.Models[i], len(br.ids), obs)
 	}
-	r.eng.release(br.out.Models[i], br.out.Replicas[i], br.out.ModelFinish[i], r.tl.Now())
+	r.release(br.out.Models[i], br.out.Replicas[i], br.out.ModelFinish[i], r.tl.Now())
 	if br.remaining.Add(-1) == 0 {
 		r.finalize(br)
 	}
@@ -535,7 +628,7 @@ func (r *Runtime) runModelPass(br *batchRun, i int) {
 // replica is new capacity, so a backlog gets a coalesced sweep. It only
 // schedules the sweep, so a pass worker never blocks on the dispatch lock.
 func (r *Runtime) onModelFree() {
-	if !r.closed.Load() && r.eng.QueueLen() > 0 {
+	if !r.closed.Load() && r.queueLen() > 0 {
 		r.scheduleSweep()
 	}
 }
@@ -567,7 +660,7 @@ func (r *Runtime) finalize(br *batchRun) {
 		for _, q := range br.out.Requests[1:] {
 			oldest = min(oldest, q.Arrival)
 		}
-		r.eng.observeBatchLatency(r.tl.Now() - oldest)
+		r.observeBatchLatency(r.tl.Now() - oldest)
 	}
 	for i, s := range br.futs {
 		var res any
@@ -582,32 +675,55 @@ func (r *Runtime) finalize(br *batchRun) {
 	br.release()
 }
 
-// failAll closes the engine queue and resolves every queued (undispatched)
-// future with err. The queue lock linearizes it against Submit: a request is
-// either popped here or refused by Enqueue, and one popped into a batch
-// earlier is never seen here, so no future resolves twice. Callers set closed
-// first.
+// failAll closes the queue and resolves every queued (undispatched) future
+// with err. The queue lock linearizes it against Submit: a request is either
+// popped here or refused by enqueue, and one popped into a batch earlier is
+// never seen here, so no future resolves twice. Callers set closed first.
 func (r *Runtime) failAll(err error) {
-	for _, q := range r.eng.closeQueue() {
+	r.qmu.Lock()
+	r.qclosed = true
+	queued := r.q.PopN(r.q.Len())
+	r.qmu.Unlock()
+	for _, q := range queued {
 		q.slot.resolve(nil, err, nil, 0)
 	}
+}
+
+// control runs a control operation: op runs under the dispatch lock on a
+// live runtime (a closed or poisoned one returns its error instead), and
+// when rerun is set and op succeeded, the decision point the change calls
+// for runs at once.
+func (r *Runtime) control(rerun bool, op func() error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return r.closedErr()
+	}
+	if err := op(); err != nil || !rerun {
+		return err
+	}
+	return r.step(r.tl.Now())
 }
 
 // SetPolicy swaps the scheduling policy on the live runtime without dropping
 // queued futures: requests already in the queue are simply decided by the new
 // policy from the next decision point on (which runs immediately, so a less
 // conservative policy can flush a waiting backlog at once). Batches already
-// dispatched complete under the old decision.
+// dispatched complete under the old decision. The per-model dispatch-share
+// history resets — a new policy routes the stream differently, so the old
+// shares would mis-split the backlog signal.
 func (r *Runtime) SetPolicy(p Policy) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetPolicy(p); err != nil {
-		return err
-	}
-	return r.step(r.tl.Now())
+	return r.control(true, func() error {
+		if p == nil {
+			return fmt.Errorf("infer: nil policy")
+		}
+		r.policy = p
+		r.metMu.Lock()
+		r.popped = 0
+		clear(r.dispatched)
+		r.metMu.Unlock()
+		return nil
+	})
 }
 
 // SetBackend swaps the execution backend on the live runtime. Queued
@@ -621,26 +737,23 @@ func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
 	if b == nil || combine == nil {
 		return fmt.Errorf("infer: SetBackend needs a backend and a combiner")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if tb, ok := b.(TimelineBinder); ok {
-		tb.BindTimeline(r.tl)
-	}
-	old := r.backend.Swap(&backendHandle{b: b, combine: combine})
-	if old != nil && old.b != b {
-		// The drain rides the runtime's in-flight WaitGroup so Close cannot
-		// return before the old backend is drained and closed.
-		r.inflight.Add(1)
-		go func() {
-			defer r.inflight.Done()
-			old.wg.Wait()
-			_ = old.b.Close()
-		}()
-	}
-	return nil
+	return r.control(false, func() error {
+		if tb, ok := b.(TimelineBinder); ok {
+			tb.BindTimeline(r.tl)
+		}
+		old := r.backend.Swap(&backendHandle{b: b, combine: combine})
+		if old != nil && old.b != b {
+			// The drain rides the runtime's in-flight WaitGroup so Close
+			// cannot return before the old backend is drained and closed.
+			r.inflight.Add(1)
+			go func() {
+				defer r.inflight.Done()
+				old.wg.Wait()
+				_ = old.b.Close()
+			}()
+		}
+		return nil
+	})
 }
 
 // BackendName reports the live execution backend's name.
@@ -650,86 +763,125 @@ func (r *Runtime) BackendName() string { return r.backend.Load().b.Name() }
 func (r *Runtime) PolicyName() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eng.Policy.Name()
+	return r.policy.Name()
 }
 
-// SetSLO retargets the latency SLO τ on the live runtime, then re-runs a
-// decision point (a looser τ may justify waiting, a tighter one may demand
-// an immediate flush).
+// SetSLO retargets the latency SLO τ on the live runtime, with the
+// Algorithm 3 back-off floor δ = 0.1τ that hangs off it (restarting the δ
+// controller there), then re-runs a decision point: a looser τ may justify
+// waiting, a tighter one may demand an immediate flush. An SLO change is a
+// statement about what counts as late from now on, so later completions are
+// judged against the new τ.
 func (r *Runtime) SetSLO(tau float64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetTau(tau); err != nil {
-		return err
-	}
-	return r.step(r.tl.Now())
+	return r.control(true, func() error {
+		if tau <= 0 {
+			return fmt.Errorf("infer: tau must be positive, got %v", tau)
+		}
+		r.d.Tau = tau
+		r.d.BackoffDelta = 0.1 * tau
+		r.resetBackoff()
+		return nil
+	})
 }
 
-// SetQueueCap rebounds the request queue on the live runtime to n ≥ 1 (see
-// Engine.SetQueueCap for the shrink semantics). The runtime has no unbounded
-// setting: a stalled backend keeps its replicas held, and the bound is what
-// turns the backlog behind them into ErrQueueFull (a 429 over REST) instead
-// of a queue that grows without limit.
+// SetQueueCap rebounds the request queue on the live runtime to n ≥ 1.
+// Shrinking below the current backlog keeps the queued requests — only new
+// arrivals are rejected until the queue drains under the new cap. The
+// runtime has no unbounded setting: a stalled backend keeps its replicas
+// held, and the bound is what turns the backlog behind them into
+// ErrQueueFull (a 429 over REST) instead of a queue that grows without
+// limit.
 func (r *Runtime) SetQueueCap(n int) error {
 	if n < 1 {
 		return fmt.Errorf("infer: queue cap must be positive, got %d", n)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	return r.eng.SetQueueCap(n)
+	return r.control(false, func() error {
+		r.qmu.Lock()
+		r.q.Cap = n
+		r.qmu.Unlock()
+		return nil
+	})
 }
 
-// SetReplicas resizes model m's replica pool on the live runtime. Growing
-// immediately re-runs a decision point so queued requests flow onto the new
-// capacity; shrinking stops dispatching to the dropped slots while batches
-// already in flight on them still complete.
+// SetReplicas resizes model m's replica pool on the live runtime to n, then
+// re-runs a decision point. Growing adds immediately free replicas, so
+// queued requests flow onto the new capacity; shrinking drops the
+// highest-indexed slots (their containers are being torn down), which stop
+// taking new work while batches already in flight on them still complete.
 func (r *Runtime) SetReplicas(m, n int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetReplicas(m, n); err != nil {
-		return err
-	}
-	return r.step(r.tl.Now())
+	return r.control(true, func() error {
+		if m < 0 || m >= len(r.pools) {
+			return fmt.Errorf("infer: model index %d out of range", m)
+		}
+		if n < 1 {
+			return fmt.Errorf("infer: model %s needs at least one replica, got %d", r.d.ModelNames[m], n)
+		}
+		r.occMu.Lock()
+		defer r.occMu.Unlock()
+		p := &r.pools[m]
+		for len(p.busy) < n {
+			p.busy = append(p.busy, 0)
+			p.down = append(p.down, false)
+			p.repBatch = append(p.repBatch, 0)
+			p.held = append(p.held, false)
+		}
+		p.busy = p.busy[:n]
+		p.down = p.down[:n]
+		p.repBatch = p.repBatch[:n]
+		p.held = p.held[:n]
+		return nil
+	})
 }
 
 // AddReplica appends one replica slot for model m in the down state and
 // returns its index — the scale-up staging step: slot first, container
-// launch second, SetReplicaDown(m, r, false) once it is running. No
+// launch second, SetReplicaDown(m, r, false) once it is running, so a
+// container that dies during launch always addresses a live slot index. No
 // decision point runs (a down slot adds no capacity).
 func (r *Runtime) AddReplica(m int) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return 0, r.closedErr()
-	}
-	return r.eng.AddReplica(m)
+	rep := 0
+	err := r.control(false, func() error {
+		if m < 0 || m >= len(r.pools) {
+			return fmt.Errorf("infer: model index %d out of range", m)
+		}
+		r.occMu.Lock()
+		defer r.occMu.Unlock()
+		p := &r.pools[m]
+		p.busy = append(p.busy, 0)
+		p.down = append(p.down, true)
+		p.repBatch = append(p.repBatch, 0)
+		p.held = append(p.held, false)
+		rep = len(p.busy) - 1
+		return nil
+	})
+	return rep, err
 }
 
-// SetReplicaDown marks replica rep of model m dead or recovered, feeding the
-// cluster manager's failure detection and container restarts back into
-// dispatch availability. Recovery re-runs a decision point.
+// SetReplicaDown marks replica rep of model m dead (down=true: dispatch skips
+// it) or recovered (down=false), feeding the cluster manager's failure
+// detection and container restarts back into dispatch availability.
+// Recovery re-runs a decision point.
 func (r *Runtime) SetReplicaDown(m, rep int, down bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return r.closedErr()
-	}
-	if err := r.eng.SetReplicaDown(m, rep, down); err != nil {
-		return err
-	}
-	if down {
+	return r.control(!down, func() error {
+		if m < 0 || m >= len(r.pools) {
+			return fmt.Errorf("infer: model index %d out of range", m)
+		}
+		r.occMu.Lock()
+		defer r.occMu.Unlock()
+		p := &r.pools[m]
+		if rep < 0 || rep >= len(p.busy) {
+			return fmt.Errorf("infer: model %s has no replica %d", r.d.ModelNames[m], rep)
+		}
+		p.down[rep] = down
+		if !down {
+			// A restarted container comes back idle regardless of what its
+			// predecessor was doing; that pass's late release finds
+			// busy-until moved and frees nothing.
+			p.busy[rep] = 0
+			p.held[rep] = false
+		}
 		return nil
-	}
-	return r.step(r.tl.Now())
+	})
 }
 
 // Backpressure reads the queue length and recent drain rate without the
@@ -737,7 +889,11 @@ func (r *Runtime) SetReplicaDown(m, rep int, down bool) error {
 // path calls this once per queue-full request, exactly when the runtime is
 // saturated. It never blocks on the dispatch lock.
 func (r *Runtime) Backpressure() (queueLen int, drainRate float64) {
-	return r.eng.QueueLen(), r.eng.DrainRate(r.tl.Now(), drainWindow)
+	queueLen = r.queueLen()
+	now := r.tl.Now()
+	r.metMu.Lock()
+	defer r.metMu.Unlock()
+	return queueLen, r.met.drained.TotalSince(now-drainWindow) / drainWindow
 }
 
 // Signals snapshots the autoscaler's inputs: each model's backlog estimate
@@ -746,43 +902,60 @@ func (r *Runtime) Backpressure() (queueLen int, drainRate float64) {
 // drain rate itself.
 func (r *Runtime) Signals() (backlogs []ModelBacklog, growth, drainRate float64) {
 	now := r.tl.Now()
-	backlogs = r.eng.Backlogs(now)
-	arrivals, drain := r.eng.Rates(now, drainWindow)
-	return backlogs, arrivals - drain, drain
+	backlogs = r.backlogs(now, r.queueLen())
+	r.flushArrivals()
+	r.metMu.Lock()
+	defer r.metMu.Unlock()
+	arrival, drain := r.met.rates(now)
+	return backlogs, arrival - drain, drain
 }
 
 // Stats snapshots the serving metrics. Every piece is read under its own
-// engine lock, so scraping stats never waits on the dispatch lock; the
-// percentile sort runs on a copy outside any lock.
+// leaf lock, so scraping stats never waits on the dispatch lock; the
+// percentile sort runs on a copy outside any lock. The queue length is read
+// once, so queue_len and the model_backlogs split describe one instant.
 func (r *Runtime) Stats() Stats {
 	now := r.tl.Now()
-	snap := r.eng.SnapshotMetrics(now, drainWindow)
-	backlogs := r.eng.Backlogs(now)
-	st := Stats{
-		Served:        snap.Served,
-		Overdue:       snap.Overdue,
-		Dropped:       snap.Dropped,
-		Decisions:     snap.Decisions,
-		Dispatches:    snap.Dispatches,
-		QueueLen:      r.eng.QueueLen(),
-		Reward:        snap.Reward,
-		Replicas:      r.eng.ReplicaCounts(),
-		DrainRate:     snap.DrainRate,
-		BatchSizeMean: snap.BatchSizeMean,
-		BatchSizeHist: snap.BatchSizes,
-		ModelBacklogs: make([]float64, len(backlogs)),
-		ModelInflight: make([]int, len(backlogs)),
-		QueueGrowth:   snap.ArrivalRate - snap.DrainRate,
+	st := Stats{QueueLen: r.queueLen()}
+	r.flushArrivals()
+	r.metMu.Lock()
+	m := &r.met
+	arrival, drain := m.rates(now)
+	st.Served, st.Overdue, st.Dropped = m.served, m.overdue, m.dropped
+	st.Decisions, st.Dispatches = int(r.decisions.Load()), m.dispatches
+	st.Reward = m.reward
+	// Every dispatch adds its batch to served and one count to its
+	// histogram bin, so the histogram's mean is served per dispatch.
+	if m.dispatches > 0 {
+		st.BatchSizeMean = float64(m.served) / float64(m.dispatches)
 	}
+	st.BatchSizeHist = maps.Clone(m.batchSizes)
+	latencies := slices.Clone(m.latencies)
+	r.metMu.Unlock()
+	st.DrainRate, st.QueueGrowth = drain, arrival-drain
+	backlogs := r.backlogs(now, st.QueueLen)
+	st.ModelBacklogs = make([]float64, len(backlogs))
+	st.ModelInflight = make([]int, len(backlogs))
 	for i, b := range backlogs {
 		st.ModelBacklogs[i] = b.Queued
 		st.ModelInflight[i] = b.Inflight
 	}
-	pct := percentiles(snap.Latencies, 50, 99)
+	r.occMu.Lock()
+	st.Replicas = make([]int, len(r.pools))
+	for i := range r.pools {
+		st.Replicas[i] = len(r.pools[i].busy)
+	}
+	r.occMu.Unlock()
+	pct := percentiles(latencies, 50, 99)
 	st.P50Latency, st.P99Latency = pct[0], pct[1]
-	st.ModelLatencyEWMA, st.ModelLatencyScale = r.eng.LatencyFeedback()
-	st.BackoffDelta = r.eng.backoffDelta()
-	st.LateBatches = r.eng.lateBatches.Load()
+	st.ModelLatencyEWMA = make([]float64, len(r.lat))
+	st.ModelLatencyScale = make([]float64, len(r.lat))
+	for i := range r.lat {
+		st.ModelLatencyEWMA[i] = math.Float64frombits(r.lat[i].obs.Load())
+		st.ModelLatencyScale[i] = r.lat[i].scale()
+	}
+	st.BackoffDelta = r.backoffDelta()
+	st.LateBatches = r.lateBatches.Load()
 	st.BackendErrors = r.backendErrs.Load()
 	h := r.backend.Load()
 	st.Backend = h.b.Name()

@@ -505,3 +505,123 @@ func TestRuntimeLiveReconfiguration(t *testing.T) {
 		t.Fatalf("set policy on closed runtime err = %v", err)
 	}
 }
+
+// TestControlOperations drives every control operation through its one
+// path: on a closed runtime each returns ErrClosed, on a runtime a policy
+// error poisoned each returns the poisoning error, and each operation that
+// re-runs the decision point dispatches a standing backlog at once, with no
+// new Submit.
+func TestControlOperations(t *testing.T) {
+	newRT := func(t *testing.T, tau float64, p func(*Deployment) Policy) (*Runtime, *sim.EventLoop, *Deployment) {
+		t.Helper()
+		d, err := NewDeployment([]string{"inception_v3"}, singleB, tau, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop := sim.NewEventLoop()
+		rt, err := NewRuntime(d, p(d), ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
+			echoExec, RuntimeConfig{Timeline: loop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, loop, d
+	}
+	syncAll := func(d *Deployment) Policy { return &SyncAll{D: d} }
+	ops := []struct {
+		name string
+		op   func(*Runtime, *Deployment) error
+	}{
+		{"SetPolicy", func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{D: d}) }},
+		{"SetSLO", func(rt *Runtime, _ *Deployment) error { return rt.SetSLO(0.01) }},
+		{"SetQueueCap", func(rt *Runtime, _ *Deployment) error { return rt.SetQueueCap(64) }},
+		{"SetReplicas", func(rt *Runtime, _ *Deployment) error { return rt.SetReplicas(0, 2) }},
+		{"AddReplica", func(rt *Runtime, _ *Deployment) error { _, err := rt.AddReplica(0); return err }},
+		{"SetReplicaDown", func(rt *Runtime, _ *Deployment) error { return rt.SetReplicaDown(0, 0, false) }},
+		{"SetBackend", func(rt *Runtime, _ *Deployment) error { return rt.SetBackend(&SimBackend{}, echoExec) }},
+	}
+	for _, tc := range ops {
+		t.Run("closed/"+tc.name, func(t *testing.T) {
+			rt, _, d := newRT(t, 0.56, syncAll)
+			rt.Close()
+			if err := tc.op(rt, d); !errors.Is(err, ErrClosed) {
+				t.Fatalf("err = %v, want ErrClosed", err)
+			}
+		})
+		t.Run("poisoned/"+tc.name, func(t *testing.T) {
+			rt, loop, d := newRT(t, 0.56, func(*Deployment) Policy {
+				return &badPolicy{act: Action{Batch: 3, Models: []int{0}}}
+			})
+			defer rt.Close()
+			if _, err := rt.Submit("doomed"); err != nil {
+				t.Fatal(err)
+			}
+			loop.RunUntil(1)
+			_, poison := rt.Submit("after")
+			if poison == nil || poison == ErrClosed {
+				t.Fatalf("Submit after the poison = %v, want the policy error", poison)
+			}
+			if err := tc.op(rt, d); !errors.Is(err, poison) {
+				t.Fatalf("err = %v, want the poisoning error %v", err, poison)
+			}
+		})
+	}
+
+	maxB := singleB[len(singleB)-1]
+	reruns := []struct {
+		name   string
+		tau    float64
+		policy func(*Deployment) Policy
+		// setup runs before the backlog arrives.
+		setup   func(*Runtime) error
+		backlog int
+		op      func(*Runtime, *Deployment) error
+	}{
+		// One full batch takes the only replica; the second waits for it
+		// until the pool grows.
+		{"SetReplicas", 0.56, syncAll, nil, 2 * maxB, func(rt *Runtime, _ *Deployment) error { return rt.SetReplicas(0, 2) }},
+		// The only replica is down, so nothing dispatches until it recovers.
+		{"SetReplicaDown", 0.56, syncAll, func(rt *Runtime) error { return rt.SetReplicaDown(0, 0, true) }, maxB, func(rt *Runtime, _ *Deployment) error { return rt.SetReplicaDown(0, 0, false) }},
+		// The held policy waits for ever; SyncAll dispatches at once.
+		{"SetPolicy", 0.56, func(d *Deployment) Policy { return &hold{SyncAll: SyncAll{D: d}, on: true} }, nil, maxB, func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{D: d}) }},
+		// Algorithm 3 waits on a half batch under a 100-s SLO, and flushes
+		// it under a 10-ms one.
+		{"SetSLO", 100, syncAll, nil, maxB / 2, func(rt *Runtime, _ *Deployment) error { return rt.SetSLO(0.01) }},
+	}
+	for _, tc := range reruns {
+		t.Run("rerun/"+tc.name, func(t *testing.T) {
+			rt, loop, d := newRT(t, tc.tau, tc.policy)
+			if tc.setup != nil {
+				if err := tc.setup(rt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			futs := make([]Future, 0, tc.backlog)
+			for i := 0; i < tc.backlog; i++ {
+				f, err := rt.Submit(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				futs = append(futs, f)
+			}
+			loop.RunUntil(0) // the submissions' sweep
+			before := rt.Stats()
+			if before.QueueLen == 0 {
+				t.Fatalf("no standing backlog: %d dispatches, queue empty", before.Dispatches)
+			}
+			if err := tc.op(rt, d); err != nil {
+				t.Fatal(err)
+			}
+			if after := rt.Stats(); after.Dispatches <= before.Dispatches || after.QueueLen != 0 {
+				t.Fatalf("after %s: dispatches %d → %d, queue %d → %d; want the backlog dispatched",
+					tc.name, before.Dispatches, after.Dispatches, before.QueueLen, after.QueueLen)
+			}
+			loop.RunUntil(1000)
+			for i, f := range futs {
+				if _, err := f.Wait(); err != nil {
+					t.Fatalf("future %d: %v", i, err)
+				}
+			}
+			rt.Close()
+		})
+	}
+}

@@ -29,7 +29,7 @@ type Simulator struct {
 	// ArrivalTick is the arrival granularity (seconds).
 	ArrivalTick float64
 	// QueueCap bounds the queue (paper: full queues drop new requests; 0 =
-	// the runtime's default, 4096).
+	// DefaultQueueCap).
 	QueueCap int
 	// MeasureFrom opens the measurement window (RL warm-up): answers,
 	// arrivals and drops before it are not counted, and Reward and Decisions
@@ -45,7 +45,6 @@ func NewSimulator(d *Deployment, p Policy, src *workload.Source, acc *ensemble.A
 		Source:      src,
 		AccTable:    acc,
 		ArrivalTick: 0.02,
-		QueueCap:    4096,
 	}
 }
 

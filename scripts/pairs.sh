@@ -23,11 +23,20 @@
 # change's median is worse than the parent's by more than the metric's
 # relative `bound` in BENCHMARK.json. Ends with the verdict a change that
 # claims no gain is judged by: `no-regression: yes` when no metric is worse
-# beyond its bound, no change run has correct=false, and the change's failed
-# share is no higher than the parent's. Each run's JSON line is kept in
-# .bench_build/pairs/<workload>.{parent,change}.jsonl, the per-layer metrics
-# it marked "absent from the stats" in .{parent,change}.absent (one line per
-# run), and each pair's first side in .bench_build/pairs/<workload>.order.
+# beyond its bound, no change run failed or has correct=false, and the
+# change's failed share is no higher than the parent's. Each run's JSON line
+# is kept in .bench_build/pairs/<workload>.{parent,change}.jsonl, the
+# per-layer metrics it marked "absent from the stats" in
+# .{parent,change}.absent (one line per run), its seed, exit code and the
+# CPU steal the host lost while it ran (jiffies: the `steal` column of
+# /proc/stat's `cpu` line, read before and after) in .{parent,change}.steal,
+# and each pair's first side in .bench_build/pairs/<workload>.order.
+#
+# A run that exits non-zero, or whose last line is not the benchmark's JSON,
+# is a failed run: the set goes on, the summary lists each failed run with
+# its exit code and steal, the metric comparison reads only the pairs whose
+# two runs both reported, and the script exits non-zero once it has printed
+# the summary.
 #
 # With TRACE=1 the runs are traced: they carry the per-layer metrics of
 # BENCHMARK.json instead of the end-to-end ones. The summary then prints each
@@ -70,15 +79,18 @@ extract() { # extract <tree-ish>: prints the directory it is extracted to
 }
 parent="$(extract "$sha")"
 change="$(extract "$tree")"
-rm -f "$out/$workload".{parent,change}.{jsonl,absent} "$out/$workload.order"
+rm -f "$out/$workload".{parent,change}.{jsonl,absent,steal} "$out/$workload.order"
 echo "workload $workload: $pairs pairs, ${seconds}s runs, seeds $seed0..$((seed0 + pairs - 1)); parent $ref ($sha) in $parent, change = working tree in $change" >&2
 
-run() { # run <side> <dir> <seed>
-  local o rc=0
+steal() { awk '$1 == "cpu" { print $9; exit }' /proc/stat; }
+run() { # run <side> <dir> <seed>: a failed run is recorded, never fatal
+  local o rc=0 s0
+  s0="$(steal)"
   o="$(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace "$trace")" || rc=$?
+  echo "$3 $rc $(($(steal) - s0))" >>"$out/$workload.$1.steal"
   printf '%s\n' "$o" | tail -n 1 >>"$out/$workload.$1.jsonl"
   printf '%s\n' "$o" | sed -n 's/^\([^ ]*\) .*(absent from the stats)$/\1/p' | paste -sd ' ' - >>"$out/$workload.$1.absent"
-  return "$rc"
+  if [ "$rc" -ne 0 ]; then echo "$1 run (seed $3) exited $rc" >&2; fi
 }
 # The first side of every pair: a seeded shuffle of a balanced list.
 read -r -a firsts <<<"$(python3 -c '
@@ -103,8 +115,8 @@ for i in $(seq 0 $((pairs - 1))); do
   echo "$first" >>"$out/$workload.order"
   echo "pair $((i + 1))/$pairs done (seed $seed, $first first)" >&2
   if [ "$i" -eq 0 ]; then
-    hp="$(sha256sum <"$parent/.bench_build/rafiki-benchmark" | cut -d' ' -f1)"
-    hc="$(sha256sum <"$change/.bench_build/rafiki-benchmark" | cut -d' ' -f1)"
+    hp="$(sha256sum <"$parent/.bench_build/rafiki-benchmark" | cut -d' ' -f1)" || hp=unbuilt
+    hc="$(sha256sum <"$change/.bench_build/rafiki-benchmark" | cut -d' ' -f1)" || hc=unbuilt
     echo "rafiki-benchmark sha256: parent $hp, change $hc"
     if [ "$hp" = "$hc" ]; then echo "null set"; fi
   fi
@@ -114,15 +126,35 @@ python3 - "$out" "$workload" <<'PY'
 import json, statistics, sys
 out, workload = sys.argv[1], sys.argv[2]
 spec = json.load(open("BENCHMARK.json"))
-runs = {s: [json.loads(l) for l in open(f"{out}/{workload}.{s}.jsonl")] for s in ("parent", "change")}
-absent = {s: [set(l.split()) for l in open(f"{out}/{workload}.{s}.absent")] for s in ("parent", "change")}
+def report(line):  # the run's JSON line, or None when the last line is not one
+    try:
+        r = json.loads(line)
+    except ValueError:
+        return None
+    return r if isinstance(r, dict) and "metrics" in r else None
+sides = ("parent", "change")
+reports = {s: [report(l) for l in open(f"{out}/{workload}.{s}.jsonl")] for s in sides}
+steals = {s: [l.split() for l in open(f"{out}/{workload}.{s}.steal")] for s in sides}
+absents = {s: [set(l.split()) for l in open(f"{out}/{workload}.{s}.absent")] for s in sides}
 firsts = open(f"{out}/{workload}.order").read().split()
 print("order: " + " ".join("P" if f == "parent" else "C" for f in firsts) + "  (first side per pair)")
-bad, failed = {}, {}
-for s, rs in runs.items():
+bad, failed, failed_runs = {}, {}, {}
+for s in sides:
+    rs = [r for r in reports[s] if r]
+    failed_runs[s] = [(seed, rc, st, r is not None) for (seed, rc, st), r in zip(steals[s], reports[s]) if rc != "0" or r is None]
     bad[s] = sum(not r["correct"] for r in rs)
     failed[s] = sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
-    print(f"{s}: {len(rs)} runs, {bad[s]} with correct=false, failed share {failed[s]:.5f}")
+    print(f"{s}: {len(reports[s])} runs, {len(failed_runs[s])} failed, {bad[s]} with correct=false, failed share {failed[s]:.5f}; "
+          f"CPU steal per run (jiffies): {' '.join(st for _, _, st in steals[s])}")
+    for seed, rc, st, js in failed_runs[s]:
+        print(f"  failed {s} run: seed {seed}, exit {rc}, {'JSON' if js else 'no JSON'} last line, steal {st}")
+# The metric comparison reads the pairs whose two runs both reported.
+both = [i for i, (p, c) in enumerate(zip(reports["parent"], reports["change"])) if p and c]
+runs = {s: [reports[s][i] for i in both] for s in sides}
+absent = {s: [absents[s][i] for i in both] for s in sides}
+firsts = [firsts[i] for i in both]
+if len(both) < len(reports["parent"]):
+    print(f"metrics over the {len(both)} pairs whose two runs both reported")
 def quart(v):
     if len(v) < 2:
         return v[0], v[0], v[0]
@@ -132,6 +164,8 @@ print(f'{"metric":19} {"parent median [q1, q3]":>34} {"change median [q1, q3]":>
 regressed = []
 for m in spec["end_to_end"]:
     name = m["name"]
+    if not both:
+        continue
     if any(name not in r["metrics"] for rs in runs.values() for r in rs):
         print(f"{name:19} (not in every run: traced runs carry only the per-layer metrics)")
         continue
@@ -154,7 +188,7 @@ for m in spec["end_to_end"]:
           f"{'yes' if worse else 'no'} ({rel}, bound {m['bound']:.0%})")
 # Per-layer metrics: a side has one when every run reported it from the stats.
 def present(side, name):
-    return all(name in r["metrics"] and name not in a for r, a in zip(runs[side], absent[side]))
+    return bool(both) and all(name in r["metrics"] and name not in a for r, a in zip(runs[side], absent[side]))
 only = {"parent": [], "change": []}
 rows = []
 for m in spec["per_layer"]:
@@ -172,6 +206,8 @@ if rows:
 for s, names in only.items():
     if names:
         print(f"per-layer only on the {s}: " + ", ".join(names))
+if failed_runs["change"]:
+    regressed.append("failed run")
 if bad["change"]:
     regressed.append("correct=false")
 if failed["change"] > failed["parent"]:
@@ -179,4 +215,5 @@ if failed["change"] > failed["parent"]:
 if regressed:
     print("regressed: " + ", ".join(regressed))
 print(f"no-regression: {'no' if regressed else 'yes'}")
+sys.exit(1 if failed_runs["parent"] or failed_runs["change"] else 0)
 PY

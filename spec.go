@@ -142,9 +142,6 @@ type CacheSpec struct {
 	HalfLifeSeconds float64 `json:"half_life_seconds,omitempty"`
 }
 
-// defaultQueueCap matches the runtime's default queue bound.
-const defaultQueueCap = 4096
-
 // withDefaults fills a spec's zero values from the system options.
 func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 	if spec.Policy == "" {
@@ -154,7 +151,7 @@ func (spec DeploymentSpec) withDefaults(opts Options) DeploymentSpec {
 		spec.SLO = opts.ServeSLO
 	}
 	if spec.QueueCap == 0 {
-		spec.QueueCap = defaultQueueCap
+		spec.QueueCap = infer.DefaultQueueCap
 	}
 	if spec.Replicas.Min == 0 {
 		spec.Replicas.Min = 1
