@@ -84,7 +84,8 @@ bench:
 # submit still costs one lock. The fixed iteration count bounds the standing
 # backlog the submit benchmark accumulates. Then a bounded run of the
 # submit → wait → release round trip (eight callers, every request served
-# on the paced sim backend), the path the submit benchmark leaves out.
+# on the paced sim backend), the path the submit benchmark leaves out, with
+# its allocations per served request, the amortized dispatch included.
 # Last, one sequential
 # 150-trial study on the Bayesian advisor, with its allocations, one batch of
 # expected improvements (512 candidates, 150 observations) and one
@@ -98,7 +99,7 @@ bench:
 bench-smoke:
 	$(GO) test ./internal/infer/ -run none -bench BenchmarkReplicaScaling -benchtime 1x
 	$(GO) test . -run none -bench '^BenchmarkSubmit$$' -benchtime 20000x
-	$(GO) test . -run none -bench '^BenchmarkSubmitWait$$' -benchtime 20000x
+	$(GO) test . -run none -bench '^BenchmarkSubmitWait$$' -benchtime 20000x -benchmem
 	$(GO) test ./internal/advisor/ -run none -bench BenchmarkBayesStudy -benchtime 1x
 	$(GO) test ./internal/gp/ -run none -bench BenchmarkExpectedImprovements -benchtime 1x
 	$(GO) test ./internal/gp/ -run none -bench BenchmarkFitHyperparams -benchtime 1x -benchmem

@@ -109,7 +109,7 @@ func BenchmarkSubmit(b *testing.B) {
 //	go test . -run none -bench BenchmarkSubmitWait -benchtime 20000x
 func BenchmarkSubmitWait(b *testing.B) {
 	d := benchDeployment(b)
-	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
+	rt, err := infer.NewRuntime(d, &infer.SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
 		benchCombine,
 		infer.RuntimeConfig{

@@ -74,8 +74,8 @@ func main() {
 		return met
 	}
 
-	syncMet := run("greedy-sync", &infer.SyncAll{D: d}, 1, 0)
-	async := run("greedy-async", &infer.AsyncEach{D: d}, 1, 0)
+	syncMet := run("greedy-sync", &infer.SyncAll{}, 1, 0)
+	async := run("greedy-async", &infer.AsyncEach{}, 1, 0)
 
 	cfg := rl.DefaultConfig()
 	cfg.Gamma = 0.9 // per 0.1s of virtual time (semi-MDP discounting)
@@ -246,7 +246,7 @@ func wallClock(models []string, replicas int) float64 {
 		}
 		return out, nil
 	}
-	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
+	rt, err := infer.NewRuntime(d, &infer.SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(99), 2000), combine,
 		infer.RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: speedup}})
 	if err != nil {

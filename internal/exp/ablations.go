@@ -106,7 +106,7 @@ func AblationBackoff(sc Scale) (*Figure, error) {
 	fig := &Figure{ID: "ablation-backoff", Title: "Algorithm 3 back-off floor sweep (single model, min anchor)"}
 	for _, delta := range []float64{0, 0.1, 0.3} {
 		d.BackoffDelta = delta * d.Tau
-		met, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 60, false, 0)
+		met, err := servingRun(d, &infer.SyncAll{}, anchor, sc, 60, false, 0)
 		if err != nil {
 			return nil, err
 		}

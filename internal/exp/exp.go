@@ -422,7 +422,7 @@ func singleModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, 
 	}
 	// Greedy needs no training: a single warm cycle aligns its measurement
 	// window with RL's.
-	greedy, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 10, false, 0)
+	greedy, err := servingRun(d, &infer.SyncAll{}, anchor, sc, 10, false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -468,11 +468,11 @@ func multiModelFigure(id, title string, anchorKind string, sc Scale) (*Figure, e
 		return nil, err
 	}
 	anchor := d.MinThroughput()
-	var baseline infer.Policy = &infer.SyncAll{D: d}
+	var baseline infer.Policy = &infer.SyncAll{}
 	baseName := "greedy-sync"
 	if anchorKind == "max" {
 		anchor = d.MaxThroughput()
-		baseline = &infer.AsyncEach{D: d}
+		baseline = &infer.AsyncEach{}
 		baseName = "greedy-async"
 	}
 	base, err := servingRun(d, baseline, anchor, sc, 20, true, 0)
@@ -542,11 +542,11 @@ func Fig16(sc Scale) (*Figure, error) {
 		anchor := d.MinThroughput()
 
 		// Fixed-policy reward landscape.
-		syncMet, err := servingRun(d, &infer.SyncAll{D: d}, anchor, sc, 30, true, 0)
+		syncMet, err := servingRun(d, &infer.SyncAll{}, anchor, sc, 30, true, 0)
 		if err != nil {
 			return nil, err
 		}
-		asyncMet, err := servingRun(d, &infer.AsyncEach{D: d}, anchor, sc, 30, true, 0)
+		asyncMet, err := servingRun(d, &infer.AsyncEach{}, anchor, sc, 30, true, 0)
 		if err != nil {
 			return nil, err
 		}

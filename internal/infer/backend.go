@@ -27,6 +27,9 @@ type ExecTask struct {
 	// latency table predicts this model frees up, both in timeline seconds.
 	Decided        float64
 	ProfiledFinish float64
+	// Timeline is the runtime's clock: backends pace and time their pass on
+	// it, so observed latencies are in timeline seconds.
+	Timeline sim.Timeline
 }
 
 // Backend executes one model's pass over a dispatched batch. Execute returns
@@ -54,23 +57,6 @@ type Backend interface {
 // result per request.
 type CombineFunc func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error)
 
-// TimelineBinder is implemented by backends that need the runtime's timeline
-// (to pace simulated latency or timestamp observed latency in timeline
-// seconds). NewRuntime and SetBackend bind it before they publish the
-// backend's handle atomically, so the binding happens-before every Execute
-// and a backend reads its timeline without a lock.
-type TimelineBinder interface {
-	BindTimeline(tl sim.Timeline)
-}
-
-// timelineNow reads a bound timeline, 0 when none is bound.
-func timelineNow(tl sim.Timeline) float64 {
-	if tl == nil {
-		return 0
-	}
-	return tl.Now()
-}
-
 // RetryCounter is implemented by backends that retry transient failures
 // internally (HTTPBackend); the runtime surfaces the count in Stats.
 type RetryCounter interface {
@@ -78,8 +64,8 @@ type RetryCounter interface {
 }
 
 // SimBackend is the default backend: it serves the profiled-simulation path.
-// Execute sleeps until the task's ProfiledFinish on a bound concurrent
-// timeline (virtual-time drivers invoke it at the finish instant, so there
+// Execute sleeps until the task's ProfiledFinish when the task's timeline is
+// a concurrent one (virtual-time drivers invoke it at the finish instant, so there
 // is nothing to wait) and returns the planned pass time ProfiledFinish −
 // Decided as the observed latency. That is the table value up to one
 // rounding, far inside the feedback's dead-band, so the applied scale stays
@@ -90,25 +76,17 @@ type RetryCounter interface {
 // members' votes jointly — one shared per-request draw correlates them — so
 // per-model predictions would redo each request's truth lookup and seeded
 // draw once per model, adding allocations per request for the same answers.
-type SimBackend struct {
-	ct sim.ConcurrentTimeline
-}
+type SimBackend struct{}
 
 // Name implements Backend.
 func (b *SimBackend) Name() string { return "sim" }
 
-// BindTimeline implements TimelineBinder: only a concurrent timeline is
-// slept on.
-func (b *SimBackend) BindTimeline(tl sim.Timeline) {
-	b.ct, _ = tl.(sim.ConcurrentTimeline)
-}
-
 // Execute implements Backend: wait out the profiled service time, honoring
 // cancellation.
 func (b *SimBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
-	if b.ct != nil {
-		if wait := t.ProfiledFinish - b.ct.Now(); wait > 0 {
-			if err := b.ct.Sleep(ctx, wait); err != nil {
+	if ct, ok := t.Timeline.(sim.ConcurrentTimeline); ok {
+		if wait := t.ProfiledFinish - ct.Now(); wait > 0 {
+			if err := ct.Sleep(ctx, wait); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -132,7 +110,6 @@ func (b *SimBackend) Close() error { return nil }
 type NNBackend struct {
 	encode func(payload any, dst []float64) error
 	nets   map[string]*lockedNet
-	tl     sim.Timeline
 }
 
 // lockedNet is one model's network plus its batched pass's scratch, all
@@ -167,11 +144,6 @@ func NewNNBackend(encode func(payload any, dst []float64) error, nets map[string
 // Name implements Backend.
 func (b *NNBackend) Name() string { return "nn" }
 
-// BindTimeline implements TimelineBinder.
-func (b *NNBackend) BindTimeline(tl sim.Timeline) { b.tl = tl }
-
-func (b *NNBackend) now() float64 { return timelineNow(b.tl) }
-
 // Execute implements Backend: encode the batch into the net's input matrix,
 // run one batched forward pass over it, and observe the real wall of the pass
 // in timeline seconds.
@@ -183,7 +155,7 @@ func (b *NNBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, er
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	start := b.now()
+	start := t.Timeline.Now()
 	preds := make([]any, len(t.Payloads))
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
@@ -204,7 +176,7 @@ func (b *NNBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, er
 	for i := range preds {
 		preds[i] = nn.Argmax(y[i*classes : (i+1)*classes])
 	}
-	return preds, b.now() - start, nil
+	return preds, t.Timeline.Now() - start, nil
 }
 
 // Close implements Backend.
@@ -241,16 +213,10 @@ type HTTPBackend struct {
 	Client *http.Client
 
 	retries atomic.Uint64
-	tl      sim.Timeline
 }
 
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return "http" }
-
-// BindTimeline implements TimelineBinder.
-func (b *HTTPBackend) BindTimeline(tl sim.Timeline) { b.tl = tl }
-
-func (b *HTTPBackend) now() float64 { return timelineNow(b.tl) }
 
 // Retries implements RetryCounter.
 func (b *HTTPBackend) Retries() uint64 { return b.retries.Load() }
@@ -276,7 +242,7 @@ func (b *HTTPBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, 
 	if err != nil {
 		return nil, 0, fmt.Errorf("infer: http backend encode: %w", err)
 	}
-	start := b.now()
+	start := t.Timeline.Now()
 	backoff := httpBackoffBase
 	var lastErr error
 	for attempt := 0; attempt <= b.MaxRetries; attempt++ {
@@ -293,7 +259,7 @@ func (b *HTTPBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, 
 		}
 		preds, err := b.call(ctx, client, timeout, body, len(t.IDs))
 		if err == nil {
-			return preds, b.now() - start, nil
+			return preds, t.Timeline.Now() - start, nil
 		}
 		if ctx.Err() != nil {
 			// The runtime is tearing down (or the caller gave up): don't

@@ -31,7 +31,7 @@ func newWallRuntime(t *testing.T, combine CombineFunc, cfg RuntimeConfig) *Runti
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 1 << 20
 	}
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), combine, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRuntimeCloseCancelsInflightBackendWork(t *testing.T) {
 }
 
 // hourSimBackend is the sim backend with every pass an hour past its plan:
-// its Execute sleeps on the bound timeline until Close cancels it.
+// its Execute sleeps on the task's timeline until Close cancels it.
 type hourSimBackend struct {
 	SimBackend
 	started chan struct{}
@@ -231,9 +231,8 @@ func TestHTTPBackendRetrySucceeds(t *testing.T) {
 	defer srv.Close()
 
 	b := &HTTPBackend{URL: srv.URL, Timeout: time.Second, MaxRetries: 3}
-	b.BindTimeline(&sim.WallTimeline{})
 	preds, obs, err := b.Execute(context.Background(), ExecTask{
-		Model: "m", IDs: []uint64{7, 8}, Payloads: []any{[]byte("a"), []byte("b")},
+		Model: "m", IDs: []uint64{7, 8}, Payloads: []any{[]byte("a"), []byte("b")}, Timeline: &sim.WallTimeline{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +259,7 @@ func TestHTTPBackendFailsAfterRetries(t *testing.T) {
 	defer srv.Close()
 
 	b := &HTTPBackend{URL: srv.URL, Timeout: time.Second, MaxRetries: 2}
-	_, _, err := b.Execute(context.Background(), ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}})
+	_, _, err := b.Execute(context.Background(), ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}, Timeline: &sim.WallTimeline{}})
 	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("err = %v, want failure after 3 attempts", err)
 	}
@@ -286,7 +285,7 @@ func TestHTTPBackendTimeout(t *testing.T) {
 
 	b := &HTTPBackend{URL: srv.URL, Timeout: 50 * time.Millisecond, MaxRetries: 0}
 	start := time.Now()
-	_, _, err := b.Execute(context.Background(), ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}})
+	_, _, err := b.Execute(context.Background(), ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}, Timeline: &sim.WallTimeline{}})
 	if err == nil {
 		t.Fatal("want timeout error")
 	}
@@ -311,7 +310,7 @@ func TestHTTPBackendCancelDuringBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := b.Execute(ctx, ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}})
+	_, _, err := b.Execute(ctx, ExecTask{Model: "m", IDs: []uint64{1}, Payloads: []any{[]byte("a")}, Timeline: &sim.WallTimeline{}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -585,7 +584,7 @@ func TestNNBackendExecuteAllocations(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = []byte(fmt.Sprintf("alloc-payload-%d", i*37))
 	}
-	task := ExecTask{Model: "m", Payloads: payloads}
+	task := ExecTask{Model: "m", Payloads: payloads, Timeline: &sim.WallTimeline{}}
 	ctx := context.Background()
 	preds, _, err := backend.Execute(ctx, task)
 	if err != nil {
@@ -601,7 +600,8 @@ func TestNNBackendExecuteAllocations(t *testing.T) {
 			t.Fatalf("pred %d = %v, Forward says %d", i, preds[i], want)
 		}
 	}
-	short := ExecTask{Model: "m", Payloads: payloads[:7]}
+	short := task
+	short.Payloads = payloads[:7]
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, _, err := backend.Execute(ctx, task); err != nil {
 			t.Fatal(err)
@@ -695,7 +695,7 @@ func TestRuntimeDeterministicBatchingWithBackend(t *testing.T) {
 			}
 			return out, nil
 		}
-		rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+		rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 			combine, RuntimeConfig{Timeline: loop, Backend: b})
 		if err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func newBackoffRuntime(t *testing.T, d *Deployment, p Policy, tl sim.Timeline, q
 func TestBackoffStaysAtFloorWithoutLateness(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
-	rt := newBackoffRuntime(t, d, &SyncAll{D: d}, loop, 0)
+	rt := newBackoffRuntime(t, d, &SyncAll{}, loop, 0)
 	arrivals := append(spacedArrivals(0.6, 0.01, 30), poissonArrivals(1, 8, 30, 90)...)
 	submitAt(t, loop, rt, arrivals)
 	loop.RunUntil(100)
@@ -116,7 +116,7 @@ func TestBackoffAbsorbsConstantLateness(t *testing.T) {
 
 	run := func(fixed bool) (mid, end Stats, d *Deployment) {
 		d = runtimeDeployment(t, tau)
-		var p Policy = &SyncAll{D: d}
+		var p Policy = &SyncAll{}
 		if fixed {
 			p = fixedDelta{Policy: p, delta: d.BackoffDelta}
 		}
@@ -175,7 +175,7 @@ func TestBackoffCapsUnderOverloadAndDecays(t *testing.T) {
 	const tau = 0.5
 	d := runtimeDeployment(t, tau)
 	loop := sim.NewEventLoop()
-	rt := newBackoffRuntime(t, d, &SyncAll{D: d}, loop, 64)
+	rt := newBackoffRuntime(t, d, &SyncAll{}, loop, 64)
 	if got := overload(t, loop, rt, 0.01, 10); got != backoffCap*tau {
 		t.Fatalf("δ under overload = %v, want the cap %v", got, backoffCap*tau)
 	}
@@ -198,7 +198,7 @@ func TestSetSLOResetsBackoff(t *testing.T) {
 	const tau = 0.5
 	d := runtimeDeployment(t, tau)
 	loop := sim.NewEventLoop()
-	rt := newBackoffRuntime(t, d, &SyncAll{D: d}, loop, 64)
+	rt := newBackoffRuntime(t, d, &SyncAll{}, loop, 64)
 	if got := overload(t, loop, rt, 0.01, 10); got != backoffCap*tau {
 		t.Fatalf("δ under overload = %v, want the cap %v", got, backoffCap*tau)
 	}
@@ -225,7 +225,7 @@ func TestSetSLOResetsBackoff(t *testing.T) {
 func TestBackoffConcurrentFinalizes(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	d.Replicas = []int{3, 3, 3}
-	rt, err := NewRuntime(d, &AsyncEach{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
+	rt, err := NewRuntime(d, &AsyncEach{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
 		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}})
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestAlgorithm3NamesItsInstant(t *testing.T) {
 func TestLoneRequestDispatchesAtItsDeadline(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	loop := sim.NewEventLoop()
-	rt := newBackoffRuntime(t, d, &SyncAll{D: d}, loop, 0)
+	rt := newBackoffRuntime(t, d, &SyncAll{}, loop, 0)
 	var f Future
 	loop.Schedule(0.3, func() {
 		var err error
@@ -103,7 +103,7 @@ func TestLoneRequestDispatchesAtItsDeadline(t *testing.T) {
 func TestPacedRunDecidesOnDeadlines(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	loop := sim.NewEventLoop()
-	rt := newBackoffRuntime(t, d, &SyncAll{D: d}, loop, 0)
+	rt := newBackoffRuntime(t, d, &SyncAll{}, loop, 0)
 	arrivals := poissonArrivals(9, 60, 0.01, 60)
 	submitAt(t, loop, rt, arrivals)
 	loop.RunUntil(70)

@@ -21,7 +21,7 @@ import (
 // hold that
 //
 //   - no replica is ever double-booked: per (model, replica), the busy
-//     intervals [Decided, ModelFinish] of all outcomes never overlap;
+//     intervals [decided, finish] of all passes never overlap;
 //   - every submitted request is served exactly once;
 //   - requests are dispatched in arrival order.
 func TestShardedDrainOccupancyInvariant(t *testing.T) {
@@ -34,22 +34,22 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		// IDs are assigned in arrival order, so FIFO order is exactly
 		// ascending ID order.
 		for i := 0; i < n; i++ {
-			if !rt.enqueue(Request{ID: nextID, Arrival: now}) {
+			if !rt.enqueue(handRequest(nextID, now)) {
 				t.Fatalf("enqueue %d rejected", nextID)
 			}
 			nextID++
 		}
 	}
 
-	var outs []dispatchOutcome
+	var runs []*batchRun
 	var finishes []float64
 	now := 0.0
 	enqueue(now, total/2)
 	for step := 0; step < 1000 && rt.queueLen() > 0; step++ {
-		for _, out := range outs {
-			for i, m := range out.Models {
-				if out.ModelFinish[i] <= now {
-					rt.release(m, out.Replicas[i], out.ModelFinish[i], out.ModelFinish[i])
+		for _, br := range runs {
+			for _, p := range br.passes {
+				if p.finish <= now {
+					rt.release(p.model, p.rep, p.finish, p.finish)
 				}
 			}
 		}
@@ -57,9 +57,11 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, out := range dispatched {
-			outs = append(outs, out)
-			finishes = append(finishes, out.ModelFinish...)
+		for _, br := range dispatched {
+			runs = append(runs, br)
+			for _, p := range br.passes {
+				finishes = append(finishes, p.finish)
+			}
 		}
 		if step == 2 {
 			// Live growth with a standing backlog and busy replicas: the
@@ -96,8 +98,8 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	// Exactly-once service, in arrival order.
 	seen := make(map[uint64]bool, total)
 	var last uint64
-	for i, out := range outs {
-		for j, req := range out.Requests {
+	for i, br := range runs {
+		for j, req := range br.reqs {
 			if seen[req.ID] {
 				t.Fatalf("request %d dispatched twice", req.ID)
 			}
@@ -115,10 +117,10 @@ func TestShardedDrainOccupancyInvariant(t *testing.T) {
 	// disjoint.
 	type interval struct{ start, end float64 }
 	busy := map[[2]int][]interval{}
-	for _, out := range outs {
-		for i, m := range out.Models {
-			key := [2]int{m, out.Replicas[i]}
-			busy[key] = append(busy[key], interval{out.Decided, out.ModelFinish[i]})
+	for _, br := range runs {
+		for _, p := range br.passes {
+			key := [2]int{p.model, p.rep}
+			busy[key] = append(busy[key], interval{br.decided, p.finish})
 		}
 	}
 	for key, ivs := range busy {
@@ -164,7 +166,7 @@ func floodGoroutinePeak(t *testing.T, backend Backend) {
 		maxGoroutines        = 128
 	)
 	d := replicaDeployment(t, 0.25, 4)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
 		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
 			return make([]any, len(ids)), nil
 		},

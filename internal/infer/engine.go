@@ -3,6 +3,7 @@ package infer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -17,28 +18,6 @@ import (
 // clock and, for the paper's figures, on a virtual-time event loop
 // (DESIGN.md §6, §10).
 
-// dispatchOutcome records one executed dispatch decision: which requests
-// went to which models and when the work is planned to complete. The runtime
-// runs each model's pass, releases the pass's replica when it returns
-// (release), schedules a new decision point then, and delivers results once
-// the batch is done.
-type dispatchOutcome struct {
-	// Requests is the dispatched batch, oldest first.
-	Requests []Request
-	// Models are the serving model indices; ModelNames the matching names.
-	Models     []int
-	ModelNames []string
-	// Replicas[i] is the replica slot of Models[i] that serves the batch.
-	Replicas []int
-	// Decided is the decision time; ModelFinish[i] is when Models[i] frees
-	// up; Finish is the ensemble completion (the slowest selected model).
-	Decided     float64
-	ModelFinish []float64
-	Finish      float64
-	// Reward is the action's Equation 7 reward.
-	Reward float64
-}
-
 // arrivalEvent buffers one enqueue's metric side effects. Arrivals happen off
 // the decision loop (concurrent Submits take only the queue lock), so enqueue
 // records the event and the next decision point or metric read folds it into
@@ -48,16 +27,23 @@ type arrivalEvent struct {
 	dropped bool
 }
 
-// replicaPool is one model's replicas: each one's busy-until time, down flag,
-// the size of the batch it is running, and whether a backend pass still holds
-// it. Guarded by Runtime.occMu.
-type replicaPool struct {
-	busy     []float64
-	down     []bool
-	repBatch []int
-	// held marks a replica whose dispatched pass has not returned yet: it
-	// stays busy past its planned busy-until until release frees it.
-	held []bool
+// replica is one model replica's occupancy: its busy-until time, its down
+// flag, the size of the batch it is running, and whether a dispatched pass
+// still holds it (held: it stays busy past its planned busy-until until
+// release frees it). Guarded by Runtime.occMu.
+type replica struct {
+	busy       float64
+	down, held bool
+	batch      int
+}
+
+// subset is one model subset's immutable dispatch record, keyed by the
+// subset's bitmask: its surrogate accuracy a(M[v]) and its model names in
+// ascending index order. Runs share names with the futures they resolve, so
+// Future.Models may read them after the run is recycled.
+type subset struct {
+	acc   float64
+	names []string
 }
 
 // ModelBacklog is one model's demand signal, derived from the queue's
@@ -220,12 +206,11 @@ func (r *Runtime) observeBatchLatency(lat float64) {
 func (r *Runtime) release(m, rep int, finish, now float64) {
 	r.occMu.Lock()
 	defer r.occMu.Unlock()
-	p := &r.pools[m]
-	if rep >= len(p.busy) || p.busy[rep] != finish {
+	p := r.pools[m]
+	if rep >= len(p) || p[rep].busy != finish {
 		return
 	}
-	p.held[rep] = false
-	p.busy[rep] = now
+	p[rep].held, p[rep].busy = false, now
 }
 
 // observe fills v with the replica pools at time now: a model is free when
@@ -236,17 +221,17 @@ func (r *Runtime) observe(now float64, v *modelView) {
 	v.reset(len(r.pools))
 	r.occMu.Lock()
 	defer r.occMu.Unlock()
-	for m := range r.pools {
-		p := &r.pools[m]
+	for m, p := range r.pools {
 		idx, until := -1, 0.0
 		live, first := false, math.Inf(1)
-		for i, u := range p.busy {
-			if p.down[i] {
+		for i := range p {
+			x := &p[i]
+			if x.down {
 				continue
 			}
-			live, first = true, min(first, u)
-			if !p.held[i] && (idx < 0 || u < until) {
-				idx, until = i, u
+			live, first = true, min(first, x.busy)
+			if !x.held && (idx < 0 || x.busy < until) {
+				idx, until = i, x.busy
 			}
 		}
 		switch {
@@ -313,25 +298,26 @@ func (r *Runtime) flushArrivals() {
 	r.qmu.Unlock()
 }
 
-// decide runs one decision point at time now and returns the executed
-// dispatches without launching them: it invokes the policy until it waits,
-// the queue empties, or no model is free. A decision point must run again
-// whenever a model frees up. Called with the dispatch lock held.
-func (r *Runtime) decide(now float64) ([]dispatchOutcome, error) {
+// decide runs one decision point at time now and returns the dispatched
+// runs without launching them: it invokes the policy until it waits, the
+// queue empties, or no model is free. A decision point must run again
+// whenever a model frees up. The returned slice is decision scratch, valid
+// until the next decide. Called with the dispatch lock held.
+func (r *Runtime) decide(now float64) ([]*batchRun, error) {
 	r.flushArrivals()
 	r.until = 0
-	var outs []dispatchOutcome
+	r.runs = r.runs[:0]
 	for {
-		if len(outs) > 64 {
-			return outs, fmt.Errorf("infer: policy %s dispatched %d times in one decision point", r.policy.Name(), len(outs))
+		if len(r.runs) > 64 {
+			return r.runs, fmt.Errorf("infer: policy %s dispatched %d times in one decision point", r.policy.Name(), len(r.runs))
 		}
 		if r.queueLen() == 0 {
-			return outs, nil
+			return r.runs, nil
 		}
 		v := &r.view
 		r.observe(now, v)
 		if v.n == 0 {
-			return outs, nil
+			return r.runs, nil
 		}
 		st := r.stateAt(now, v, &r.st)
 		r.decisions.Add(1)
@@ -339,14 +325,14 @@ func (r *Runtime) decide(now float64) ([]dispatchOutcome, error) {
 		if act.Wait {
 			r.until = act.Until
 			r.policy.Feedback(0)
-			return outs, nil
+			return r.runs, nil
 		}
-		out, err := r.dispatch(now, act, v)
+		br, err := r.dispatch(now, act, v)
 		if err != nil {
-			return outs, err
+			return r.runs, err
 		}
-		r.policy.Feedback(out.Reward)
-		outs = append(outs, out)
+		r.policy.Feedback(br.reward)
+		r.runs = append(r.runs, br)
 	}
 }
 
@@ -389,121 +375,99 @@ func (r *Runtime) stateAt(now float64, v *modelView, st *State) *State {
 	return st
 }
 
-// dispatch validates and executes an action at time now against the queue,
-// occupying each chosen model's free replica in v and returning the outcome
-// with the Equation 7 reward:
+// dispatch validates and executes an action at time now against the queue:
+// it fills a pooled run with the popped batch and one pass per chosen model,
+// in ascending model order, occupying each model's free replica in v, and
+// records the action's Equation 7 reward on the run:
 // a(M[v]) · (b − β·|overdue in batch|), normalized by the maximum batch size
 // so rewards stay O(1).
-func (r *Runtime) dispatch(now float64, act Action, v *modelView) (dispatchOutcome, error) {
+func (r *Runtime) dispatch(now float64, act Action, v *modelView) (*batchRun, error) {
 	d := r.d
 	if len(act.Models) == 0 {
-		return dispatchOutcome{}, fmt.Errorf("infer: dispatch with empty model subset")
+		return nil, fmt.Errorf("infer: dispatch with empty model subset")
 	}
 	if !slices.Contains(d.Batches, act.Batch) {
-		return dispatchOutcome{}, fmt.Errorf("infer: batch %d not a candidate of %v", act.Batch, d.Batches)
+		return nil, fmt.Errorf("infer: batch %d not a candidate of %v", act.Batch, d.Batches)
 	}
-	// Models and Replicas share one allocation: both escape into the outcome
-	// the runtime holds until the batch completes.
-	nm := len(act.Models)
-	mr := make([]int, 2*nm)
-	models := mr[:nm:nm]
-	replicas := mr[nm:]
-	copy(models, act.Models)
-	names := make([]string, nm)
-	for i, mi := range act.Models {
+	// The subset's bitmask (NewDeployment allows at most 64 models) catches a
+	// repeated model and keys the subset's record.
+	var mask uint64
+	for _, mi := range act.Models {
 		if mi < 0 || mi >= len(d.Profiles) {
-			return dispatchOutcome{}, fmt.Errorf("infer: model index %d out of range", mi)
+			return nil, fmt.Errorf("infer: model index %d out of range", mi)
 		}
+		if mask&(1<<mi) != 0 {
+			return nil, fmt.Errorf("infer: model %s selected twice", d.ModelNames[mi])
+		}
+		mask |= 1 << mi
 		if v.rep[mi] < 0 {
 			if v.allDown[mi] {
-				return dispatchOutcome{}, fmt.Errorf("infer: model %s has no live replica", d.ModelNames[mi])
+				return nil, fmt.Errorf("infer: model %s has no live replica", d.ModelNames[mi])
 			}
-			return dispatchOutcome{}, fmt.Errorf("infer: model %s is busy until %v", d.ModelNames[mi], v.until[mi])
+			return nil, fmt.Errorf("infer: model %s is busy until %v", d.ModelNames[mi], v.until[mi])
 		}
-		names[i] = d.ModelNames[mi]
-		replicas[i] = v.rep[mi]
 	}
 	// Equation 7's accuracy term comes from the surrogate table (internally
-	// locked), resolved before the batch pops — an accuracy error then
-	// leaves the queue intact. The bitmask cache short-circuits the steady
-	// state: after the first dispatch of a subset, later ones hit a plain
-	// map keyed by the model index set.
-	var mask uint64
-	maskable := len(d.Profiles) <= 64
-	if maskable {
-		for _, mi := range act.Models {
-			mask |= 1 << uint(mi)
-		}
-	}
-	acc, ok := 0.0, false
-	if maskable {
-		acc, ok = r.accByMask[mask]
-	}
+	// locked) on a subset's first dispatch, resolved before the batch pops,
+	// so an accuracy error leaves the queue intact.
+	sub, ok := r.subsets[mask]
 	if !ok {
+		for m := mask; m != 0; m &= m - 1 {
+			sub.names = append(sub.names, d.ModelNames[bits.TrailingZeros64(m)])
+		}
 		var err error
-		acc, err = r.acc.Accuracy(names)
-		if err != nil {
-			return dispatchOutcome{}, err
+		if sub.acc, err = r.acc.Accuracy(sub.names); err != nil {
+			return nil, err
 		}
-		if maskable {
-			r.accByMask[mask] = acc
-		}
+		r.subsets[mask] = sub
 	}
 
-	// The batch escapes into the outcome the runtime holds until the batch
-	// finishes, so unlike the decision scratch it cannot be pooled.
-	batch := make([]Request, 0, act.Batch)
+	br := batchRunPool.Get().(*batchRun)
+	br.reqs = slices.Grow(br.reqs[:0], act.Batch)
 	r.qmu.Lock()
-	batch = r.q.PopAppend(min(act.Batch, r.q.Len()), batch)
+	br.reqs = r.q.PopAppend(min(act.Batch, r.q.Len()), br.reqs)
 	r.qmu.Unlock()
-	n := len(batch)
+	n := len(br.reqs)
 	if n == 0 {
-		return dispatchOutcome{}, fmt.Errorf("infer: dispatch on empty queue")
+		br.release()
+		return nil, fmt.Errorf("infer: dispatch on empty queue")
 	}
-
-	out := dispatchOutcome{
-		Requests:    batch,
-		Models:      models,
-		ModelNames:  names,
-		Replicas:    replicas,
-		Decided:     now,
-		ModelFinish: make([]float64, nm),
-		Finish:      now,
+	br.grab(n, len(sub.names))
+	for i, req := range br.reqs {
+		br.ids[i], br.payloads[i] = req.ID, req.slot.payload
 	}
+	br.names, br.decided, br.finish = sub.names, now, now
 	// Occupy the chosen replica of each selected model; the ensemble
 	// completes with the slowest.
-	for i, mi := range act.Models {
+	for m := mask; m != 0; m &= m - 1 {
+		mi := bits.TrailingZeros64(m)
 		f := now + r.modelLatency(mi, n)
-		out.ModelFinish[i] = f
-		if f > out.Finish {
-			out.Finish = f
-		}
+		br.passes = append(br.passes, pass{model: mi, rep: v.rep[mi], finish: f})
+		br.finish = max(br.finish, f)
 	}
 	r.occMu.Lock()
-	for i, mi := range act.Models {
-		p := &r.pools[mi]
-		p.busy[replicas[i]] = out.ModelFinish[i]
-		p.repBatch[replicas[i]] = n
-		p.held[replicas[i]] = true
+	for _, p := range br.passes {
+		x := &r.pools[p.model][p.rep]
+		x.busy, x.batch, x.held = p.finish, n, true
 	}
 	r.occMu.Unlock()
 
 	// The reward needs no metric state: compute it before taking metMu.
-	rewardAcc := acc
+	rewardAcc := sub.acc
 	if d.AccuracyEmphasis > 1 {
 		pivot := 0.0
 		for _, p := range d.Profiles {
 			pivot += p.Top1Accuracy
 		}
 		pivot /= float64(len(d.Profiles))
-		rewardAcc = pivot + d.AccuracyEmphasis*(acc-pivot)
+		rewardAcc = pivot + d.AccuracyEmphasis*(sub.acc-pivot)
 	}
 	r.metMu.Lock()
 	defer r.metMu.Unlock()
 	m := &r.met
 	r.popped += uint64(n)
-	for _, mi := range act.Models {
-		r.dispatched[mi] += uint64(n)
+	for _, p := range br.passes {
+		r.dispatched[p.model] += uint64(n)
 	}
 	// Exponentially decay the share counters so backlogs tracks the recent
 	// stream, not lifetime history: halving preserves the ratios while a
@@ -514,10 +478,10 @@ func (r *Runtime) dispatch(now float64, act Action, v *modelView) (dispatchOutco
 			r.dispatched[mi] >>= 1
 		}
 	}
-	m.drained.Add(out.Finish, float64(n))
+	m.drained.Add(br.finish, float64(n))
 	overdue := 0
-	for _, req := range batch {
-		lat := out.Finish - req.Arrival
+	for _, req := range br.reqs {
+		lat := br.finish - req.Arrival
 		m.addLatency(lat)
 		if lat > d.Tau {
 			overdue++
@@ -526,11 +490,11 @@ func (r *Runtime) dispatch(now float64, act Action, v *modelView) (dispatchOutco
 	m.served += n
 	m.overdue += overdue
 
-	out.Reward = rewardAcc * (float64(n) - d.Beta*float64(overdue)) / float64(d.MaxBatch())
-	m.reward += out.Reward
+	br.reward = rewardAcc * (float64(n) - d.Beta*float64(overdue)) / float64(d.MaxBatch())
+	m.reward += br.reward
 	m.dispatches++
 	m.batchSizes[n]++
-	return out, nil
+	return br, nil
 }
 
 // shareHalfLife bounds the dispatch-share history feeding backlogs: once
@@ -555,11 +519,10 @@ func (r *Runtime) backlogs(now float64, queued int) []ModelBacklog {
 	r.metMu.Unlock()
 	r.occMu.Lock()
 	defer r.occMu.Unlock()
-	for m := range out {
-		p := &r.pools[m]
-		for i, until := range p.busy {
-			if until > now+1e-12 || p.held[i] {
-				out[m].Inflight += p.repBatch[i]
+	for m, p := range r.pools {
+		for _, x := range p {
+			if x.busy > now+1e-12 || x.held {
+				out[m].Inflight += x.batch
 			}
 		}
 	}

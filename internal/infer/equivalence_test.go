@@ -33,7 +33,7 @@ type goldenRun struct {
 var goldenRuns = []goldenRun{
 	{
 		models: []string{"inception_v3"},
-		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
+		policy: func(d *Deployment) Policy { return &SyncAll{} },
 		tau:    0.56, anchor: 272, duration: 120, seed: 6,
 		served: 30896, overdue: 19866, dropped: 0, decisions: 1026,
 		reward: 134.3850390625, accMean: 0.7839388550, accLen: 492,
@@ -41,7 +41,7 @@ var goldenRuns = []goldenRun{
 	},
 	{
 		models: []string{"inception_v3", "inception_v4", "inception_resnet_v2"},
-		policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
+		policy: func(d *Deployment) Policy { return &SyncAll{} },
 		tau:    1.0, anchor: 128, duration: 120, seed: 4,
 		served: 13808, overdue: 4566, dropped: 0, decisions: 4384,
 		reward: 120.3987109375, accMean: 0.8279808959, accLen: 253,

@@ -16,7 +16,7 @@ func TestEngineBacklogs(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 1)
 	rt, _ := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
 	for i := 0; i < 40; i++ {
-		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(handRequest(uint64(i), 0))
 	}
 	// No dispatch history: every model is assumed to serve the whole queue.
 	for m, b := range rt.backlogs(0, rt.queueLen()) {
@@ -24,12 +24,12 @@ func TestEngineBacklogs(t *testing.T) {
 			t.Fatalf("model %d backlog before dispatch = %+v", m, b)
 		}
 	}
-	outs, err := rt.decide(0)
+	runs, err := rt.decide(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 1 || len(outs[0].Requests) != 16 {
-		t.Fatalf("outs = %+v, want one 16-batch", outs)
+	if len(runs) != 1 || len(runs[0].reqs) != 16 {
+		t.Fatalf("runs = %+v, want one 16-batch", runs)
 	}
 	for m, b := range rt.backlogs(0, rt.queueLen()) {
 		// SyncAll dispatched all 16 to every model: share stays 1.
@@ -39,10 +39,10 @@ func TestEngineBacklogs(t *testing.T) {
 	}
 	// Once every pass has returned and released its replica, as the runtime
 	// does, nothing is in flight anymore.
-	for i, m := range outs[0].Models {
-		rt.release(m, outs[0].Replicas[i], outs[0].ModelFinish[i], outs[0].ModelFinish[i])
+	for _, p := range runs[0].passes {
+		rt.release(p.model, p.rep, p.finish, p.finish)
 	}
-	for m, b := range rt.backlogs(outs[0].Finish+1, rt.queueLen()) {
+	for m, b := range rt.backlogs(runs[0].finish+1, rt.queueLen()) {
 		if b.Inflight != 0 {
 			t.Fatalf("model %d inflight after finish = %+v", m, b)
 		}
@@ -55,7 +55,7 @@ func TestEngineBacklogs(t *testing.T) {
 // timeout — and the stats must balance.
 func TestShardedRuntimeFairnessRace(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
 		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestShardedRuntimeDeterministicEventLoop(t *testing.T) {
 	run := func() Stats {
 		d := replicaDeployment(t, 0.5, 1)
 		loop := sim.NewEventLoop()
-		rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+		rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 			echoExec, RuntimeConfig{Timeline: loop})
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestShardedRuntimeDeterministicEventLoop(t *testing.T) {
 func TestShardedRuntimeQueueFullAndReshard(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 1)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
 		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestShardedRuntimeQueueFullAndReshard(t *testing.T) {
 func TestFutureModelsPerFutureCopy(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 1)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		echoExec, RuntimeConfig{Timeline: loop})
 	if err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func (f Future) Wait() (any, error) {
 
 // Models returns the model subset that served the request (after Wait). The
 // slice is the caller's own copy, built on call: batch siblings share the
-// underlying outcome, and mutating a returned copy cannot corrupt theirs.
+// subset's names, and mutating a returned copy cannot corrupt theirs.
 func (f Future) Models() []string {
 	s := f.slot()
 	m := s.models

@@ -24,7 +24,7 @@ import (
 // and batches.
 func TestFuturePoolStress(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 4)
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 2000},
@@ -64,9 +64,9 @@ func TestFuturePoolStress(t *testing.T) {
 			}
 			var p Policy
 			if i%2 == 0 {
-				p = &AsyncEach{D: d}
+				p = &AsyncEach{}
 			} else {
-				p = &SyncAll{D: d}
+				p = &SyncAll{}
 			}
 			if err := rt.SetPolicy(p); err != nil && err != ErrClosed {
 				t.Errorf("SetPolicy: %v", err)
@@ -116,7 +116,7 @@ func TestFuturePoolStress(t *testing.T) {
 func TestFutureStaleHandleFailsLoudly(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), echoExec,
 		RuntimeConfig{Timeline: loop})
 	if err != nil {
@@ -182,7 +182,7 @@ func (b *closeTrackingBackend) Close() error {
 func TestSetBackendDrainTracked(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
 	old := &closeTrackingBackend{}
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
 		RuntimeConfig{
 			Timeline: &sim.WallTimeline{Speedup: 2000},
@@ -231,19 +231,20 @@ func waitDone(f Future) <-chan struct{} {
 // TestFutureServeCycleAllocs pins the allocations of one 16-request batch
 // served end to end over the virtual-time loop: Submit → dispatch → backend
 // passes → finalize → Wait → Release. Waiters park on their own slots, so a
-// batch allocates no broadcast channel, and its run is pooled.
+// batch allocates no broadcast channel; its run is pooled and dispatch fills
+// it in place, so a dispatch allocates nothing of its own.
 func TestFutureServeCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	const batch, wantAllocs = 16, 12
+	const batch, wantAllocs = 16, 7
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	results := make([]any, batch)
 	combine := func(ids []uint64, _ []any, _ []string, _ [][]any) ([]any, error) {
 		return results[:len(ids)], nil
 	}
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), combine,
 		RuntimeConfig{Timeline: loop})
 	if err != nil {
@@ -278,6 +279,113 @@ func TestFutureServeCycleAllocs(t *testing.T) {
 	}
 	if got != wantAllocs {
 		t.Fatalf("allocs per served batch = %v, want %d", got, wantAllocs)
+	}
+}
+
+// finishBackend is the sim backend whose every prediction is its pass's
+// planned finish.
+type finishBackend struct{ SimBackend }
+
+func (b *finishBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
+	_, obs, err := b.SimBackend.Execute(ctx, t)
+	preds := make([]any, len(t.IDs))
+	for i := range preds {
+		preds[i] = t.ProfiledFinish
+	}
+	return preds, obs, err
+}
+
+// servedBy is a pooled-reuse test's answer: the model a request's batch ran
+// on and the batch's planned finish.
+type servedBy struct {
+	model  string
+	finish float64
+}
+
+// TestPooledRunReuseRace drives a replicated three-model AsyncEach runtime
+// from many submitters under -race, so pooled runs are recycled across
+// different one-model subsets: after Wait, every future's Models and Latency
+// must still be its own batch's, however soon its run served another subset.
+func TestPooledRunReuseRace(t *testing.T) {
+	d := replicaDeployment(t, 0.25, 2)
+	tl := &sim.WallTimeline{Speedup: 2000}
+	combine := func(ids []uint64, _ []any, models []string, preds [][]any) ([]any, error) {
+		out := make([]any, len(ids))
+		for i := range out {
+			out[i] = servedBy{models[0], preds[0][i].(float64)}
+		}
+		return out, nil
+	}
+	rt, err := NewRuntime(d, &AsyncEach{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), combine,
+		RuntimeConfig{Timeline: tl, Backend: &finishBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	const submitters, perSub, window = 8, 300, 4
+	var (
+		mu     sync.Mutex
+		byName = map[string]int{}
+		wg     sync.WaitGroup
+	)
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			type sent struct {
+				f             Future
+				before, after float64
+			}
+			var inflight []sent
+			check := func(x sent) bool {
+				res, err := x.f.Wait()
+				if err != nil {
+					t.Errorf("wait: %v", err)
+					return false
+				}
+				got := res.(servedBy)
+				// The request arrived between the two clock reads around its
+				// Submit, so its latency lies between finish minus each.
+				if models := x.f.Models(); len(models) != 1 || models[0] != got.model {
+					t.Errorf("Models() = %v, but the batch ran on %s", models, got.model)
+					return false
+				}
+				if lat := x.f.Latency(); lat < got.finish-x.after || lat > got.finish-x.before {
+					t.Errorf("Latency() = %v, outside its batch's [%v, %v]", lat, got.finish-x.after, got.finish-x.before)
+					return false
+				}
+				mu.Lock()
+				byName[got.model]++
+				mu.Unlock()
+				x.f.Release()
+				return true
+			}
+			for i := 0; i < perSub; i++ {
+				before := tl.Now()
+				f, err := rt.Submit(i)
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				inflight = append(inflight, sent{f, before, tl.Now()})
+				if len(inflight) == window {
+					if !check(inflight[0]) {
+						return
+					}
+					inflight = inflight[1:]
+				}
+			}
+			for _, x := range inflight {
+				if !check(x) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(byName) != len(d.Profiles) {
+		t.Fatalf("batches ran on %v, want every model's subset", byName)
 	}
 }
 
@@ -320,7 +428,7 @@ func TestFutureStaleTokenReparks(t *testing.T) {
 // resolved — and every one of them returns the same result.
 func TestFutureConcurrentWaiters(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
-	rt, err := NewRuntime(d, &SyncAll{D: d},
+	rt, err := NewRuntime(d, &SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
 		RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}})
 	if err != nil {

@@ -83,7 +83,7 @@ func (q *Queue) PopN(n int) []Request {
 }
 
 // PopAppend removes the oldest n requests (n ≤ Len), appending them to dst,
-// so a dispatch pops into the one buffer its outcome keeps.
+// so a dispatch pops into its pooled run's own buffer.
 func (q *Queue) PopAppend(n int, dst []Request) []Request {
 	if n > q.n {
 		panic(fmt.Sprintf("infer: pop %d from queue of %d", n, q.n))
@@ -130,8 +130,8 @@ type Action struct {
 	// Models are indices into the deployment's model list; every selected
 	// model must currently be free. Must be non-empty for a dispatch.
 	// The slice may alias the policy's reusable scratch: it is only valid
-	// until the next Decide on the same policy instance, and the runtime
-	// copies it into the dispatch outcome rather than retaining it.
+	// until the next Decide on the same policy instance; the runtime reads
+	// it during the dispatch and does not retain it.
 	Models []int
 }
 
@@ -214,6 +214,10 @@ func (d *Deployment) ReplicaCount(m int) int {
 func NewDeployment(models []string, batches []int, tau, beta float64) (*Deployment, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("infer: deployment needs models")
+	}
+	if len(models) > 64 {
+		// A dispatch keys its model subset by a 64-bit mask.
+		return nil, fmt.Errorf("infer: deployment has %d models, at most 64 are supported", len(models))
 	}
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("infer: deployment needs batch candidates")

@@ -85,6 +85,13 @@ func TestDeploymentValidation(t *testing.T) {
 	if _, err := NewDeployment([]string{"not_a_model"}, singleB, 1, 1); err == nil {
 		t.Fatal("unknown model should error")
 	}
+	many := make([]string, 65)
+	for i := range many {
+		many[i] = "inception_v3"
+	}
+	if _, err := NewDeployment(many, singleB, 1, 1); err == nil {
+		t.Fatal("more than 64 models should error")
+	}
 }
 
 func TestDeploymentThroughputAnchors(t *testing.T) {
@@ -111,7 +118,7 @@ func TestDeploymentThroughputAnchors(t *testing.T) {
 // Algorithm 3 on a single model is SyncAll over a one-model deployment.
 func TestGreedySingleDecisions(t *testing.T) {
 	d := singleDeployment(t)
-	g := &SyncAll{D: d}
+	g := &SyncAll{}
 	base := &State{
 		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true}, BusyLeft: []float64{0},
@@ -157,7 +164,7 @@ func TestGreedySingleDecisions(t *testing.T) {
 
 func TestSyncAllBarrier(t *testing.T) {
 	d := multiDeployment(t)
-	p := &SyncAll{D: d}
+	p := &SyncAll{}
 	s := &State{
 		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true, false, true}, BusyLeft: []float64{0, 0.3, 0},
@@ -175,7 +182,7 @@ func TestSyncAllBarrier(t *testing.T) {
 
 func TestAsyncEachRoundRobin(t *testing.T) {
 	d := multiDeployment(t)
-	p := &AsyncEach{D: d}
+	p := &AsyncEach{}
 	s := &State{
 		Tau: d.Tau, Delta: d.BackoffDelta, Batches: d.Batches, LatencyTable: d.LatencyTable(),
 		FreeModels: []bool{true, true, true}, BusyLeft: []float64{0, 0, 0},
@@ -218,7 +225,7 @@ func runSim(t *testing.T, d *Deployment, p Policy, anchor, duration float64, see
 
 func TestSimulatorGreedyServesLoad(t *testing.T) {
 	d := singleDeployment(t)
-	met := runSim(t, d, &SyncAll{D: d}, 272, 300, 3)
+	met := runSim(t, d, &SyncAll{}, 272, 300, 3)
 	if met.Served == 0 {
 		t.Fatal("no requests served")
 	}
@@ -242,7 +249,7 @@ func TestSimulatorGreedyServesLoad(t *testing.T) {
 
 func TestSimulatorSyncAccuracyConstant(t *testing.T) {
 	d := multiDeployment(t)
-	met := runSim(t, d, &SyncAll{D: d}, 128, 200, 4)
+	met := runSim(t, d, &SyncAll{}, 128, 200, 4)
 	if met.Accuracy.Len() == 0 {
 		t.Fatal("no accuracy samples")
 	}
@@ -256,8 +263,8 @@ func TestSimulatorSyncAccuracyConstant(t *testing.T) {
 
 func TestSimulatorAsyncAccuracyLower(t *testing.T) {
 	d := multiDeployment(t)
-	sync := runSim(t, d, &SyncAll{D: d}, 128, 200, 5)
-	async := runSim(t, d, &AsyncEach{D: d}, 128, 200, 5)
+	sync := runSim(t, d, &SyncAll{}, 128, 200, 5)
+	async := runSim(t, d, &AsyncEach{}, 128, 200, 5)
 	if async.Accuracy.Mean() >= sync.Accuracy.Mean() {
 		t.Fatalf("async accuracy %v should be below sync %v", async.Accuracy.Mean(), sync.Accuracy.Mean())
 	}
@@ -270,8 +277,8 @@ func TestSimulatorAsyncAccuracyLower(t *testing.T) {
 
 func TestSimulatorDeterministic(t *testing.T) {
 	d := singleDeployment(t)
-	a := runSim(t, d, &SyncAll{D: d}, 272, 120, 6)
-	b := runSim(t, d, &SyncAll{D: d}, 272, 120, 6)
+	a := runSim(t, d, &SyncAll{}, 272, 120, 6)
+	b := runSim(t, d, &SyncAll{}, 272, 120, 6)
 	if a.Served != b.Served || a.Overdue != b.Overdue || a.Reward != b.Reward {
 		t.Fatal("simulator not deterministic")
 	}
@@ -279,7 +286,7 @@ func TestSimulatorDeterministic(t *testing.T) {
 
 func TestSimulatorMeasureFromSkipsWarmup(t *testing.T) {
 	d := singleDeployment(t)
-	p := &SyncAll{D: d}
+	p := &SyncAll{}
 	rng := sim.NewRNG(7)
 	arr, _ := workload.NewSineArrival(272, 500*d.Tau, rng.SplitNamed("arrival"))
 	s := NewSimulator(d, p, workload.NewSource(arr), ensemble.NewAccuracyTable(zoo.NewPredictor(7), 2000))
@@ -293,7 +300,7 @@ func TestSimulatorMeasureFromSkipsWarmup(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no measured arrivals")
 	}
-	full := runSim(t, d, &SyncAll{D: d}, 272, 120, 7)
+	full := runSim(t, d, &SyncAll{}, 272, 120, 7)
 	if total >= full.ArrivalRate.Total() {
 		t.Fatal("MeasureFrom did not skip warm-up arrivals")
 	}
@@ -309,9 +316,10 @@ func (b *badPolicy) Feedback(float64)     {}
 func TestSimulatorRejectsInvalidActions(t *testing.T) {
 	d := singleDeployment(t)
 	cases := []Action{
-		{Batch: 64, Models: nil},      // empty subset
-		{Batch: 17, Models: []int{0}}, // non-candidate batch
-		{Batch: 64, Models: []int{5}}, // model out of range
+		{Batch: 64, Models: nil},         // empty subset
+		{Batch: 17, Models: []int{0}},    // non-candidate batch
+		{Batch: 64, Models: []int{5}},    // model out of range
+		{Batch: 64, Models: []int{0, 0}}, // repeated model
 	}
 	for _, act := range cases {
 		rng := sim.NewRNG(8)
@@ -343,15 +351,15 @@ func TestAccuracyEmphasisShaping(t *testing.T) {
 	}
 	// Under shaping, the full-ensemble policy's reward advantage over the
 	// async policy must grow (amplified accuracy gap).
-	baseGap := runOnce(base, &SyncAll{D: base}) - runOnce(base, &AsyncEach{D: base})
-	shapedGap := runOnce(shaped, &SyncAll{D: shaped}) - runOnce(shaped, &AsyncEach{D: shaped})
+	baseGap := runOnce(base, &SyncAll{}) - runOnce(base, &AsyncEach{})
+	shapedGap := runOnce(shaped, &SyncAll{}) - runOnce(shaped, &AsyncEach{})
 	if shapedGap <= baseGap {
 		t.Fatalf("emphasis should widen the ensemble's reward gap: %v vs %v", shapedGap, baseGap)
 	}
 	// κ = 1 is the identity.
 	ident := multiDeployment(t)
 	ident.AccuracyEmphasis = 1
-	if got, want := runOnce(ident, &SyncAll{D: ident}), runOnce(base, &SyncAll{D: base}); got != want {
+	if got, want := runOnce(ident, &SyncAll{}), runOnce(base, &SyncAll{}); got != want {
 		t.Fatalf("kappa=1 changed the reward: %v vs %v", got, want)
 	}
 }

@@ -33,7 +33,7 @@ func TestServingHeapStaysFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Replicas = []int{4, 4, 4}
-	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
+	rt, err := infer.NewRuntime(d, &infer.SyncAll{},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
 		func(ids []uint64, payloads []any, models []string, preds [][]any) ([]any, error) {
 			out := make([]any, len(ids))

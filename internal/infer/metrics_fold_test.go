@@ -29,7 +29,7 @@ func TestStatsFloodFoldsShardedMetrics(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	d := replicaDeployment(t, 0.25, 4)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
 		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}})
 	if err != nil {
 		t.Fatal(err)

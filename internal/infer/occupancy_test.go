@@ -22,25 +22,17 @@ type latePass struct {
 }
 
 // lateBackend sleeps every pass for factor× the model's zoo profile at the
-// pass's batch size on the bound wall-clock timeline, reports that as the
+// pass's batch size on the task's wall-clock timeline, reports that as the
 // observed latency, and records the pass.
 type lateBackend struct {
 	factor float64
 	mu     sync.Mutex
-	tl     sim.ConcurrentTimeline
 	passes []latePass
 }
 
 func (b *lateBackend) Name() string { return "late" }
-func (b *lateBackend) BindTimeline(tl sim.Timeline) {
-	b.mu.Lock()
-	b.tl = tl.(sim.ConcurrentTimeline)
-	b.mu.Unlock()
-}
 func (b *lateBackend) Execute(ctx context.Context, t ExecTask) ([]any, float64, error) {
-	b.mu.Lock()
-	tl := b.tl
-	b.mu.Unlock()
+	tl := t.Timeline.(sim.ConcurrentTimeline)
 	p, err := zoo.Lookup(t.Model)
 	if err != nil {
 		return nil, 0, err
@@ -134,7 +126,7 @@ func TestEventLoopRunsEachPassAtItsModelFinish(t *testing.T) {
 		finals = append(finals, loop.Now())
 		return make([]any, len(ids)), nil
 	}
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		combine, RuntimeConfig{Timeline: loop, Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +186,7 @@ func (b *passRecorder) Close() error { return nil }
 // new batch keeps it.
 func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		echoExec, RuntimeConfig{Timeline: sim.NewEventLoop()})
 	if err != nil {
 		t.Fatal(err)
@@ -203,22 +195,24 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	var next uint64
 	// dispatch queues n requests at now and runs a decision point, which
 	// must place two full batches, one on each replica.
-	dispatch := func(now float64, n int) []dispatchOutcome {
+	// decide reuses its result slice, so dispatch returns a copy the test
+	// may hold across later decision points.
+	dispatch := func(now float64, n int) []*batchRun {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if !rt.enqueue(Request{ID: next, Arrival: now}) {
+			if !rt.enqueue(handRequest(next, now)) {
 				t.Fatal("enqueue refused")
 			}
 			next++
 		}
-		outs, err := rt.decide(now)
+		runs, err := rt.decide(now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(outs) != 2 || slices.Contains(outs[0].Replicas, outs[1].Replicas[0]) {
-			t.Fatalf("want two batches on distinct replicas, got %d", len(outs))
+		if len(runs) != 2 || slices.ContainsFunc(runs[0].passes, func(p pass) bool { return p.rep == runs[1].passes[0].rep }) {
+			t.Fatalf("want two batches on distinct replicas, got %d", len(runs))
 		}
-		return outs
+		return slices.Clone(runs)
 	}
 	// held checks at a time far past every plan that no model is free, and
 	// that every model counts both held batches in flight.
@@ -234,9 +228,9 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 			}
 		}
 	}
-	releaseAll := func(out dispatchOutcome, now float64) {
-		for i, m := range out.Models {
-			rt.release(m, out.Replicas[i], out.ModelFinish[i], now)
+	releaseAll := func(br *batchRun, now float64) {
+		for _, p := range br.passes {
+			rt.release(p.model, p.rep, p.finish, now)
 		}
 	}
 
@@ -246,7 +240,7 @@ func TestEngineStaleReleaseFreesNothing(t *testing.T) {
 	// takes it and the returning pass of the dropped slot's batch must not
 	// free it.
 	first, dropped := outs[0], outs[1]
-	if first.Replicas[0] != 0 {
+	if first.passes[0].rep != 0 {
 		first, dropped = dropped, first
 	}
 	for m := range d.Profiles {

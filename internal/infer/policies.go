@@ -57,11 +57,10 @@ func algorithm3(s *State, models []int) Action {
 // Algorithm 3 itself. Batch selection follows Algorithm 3 with the
 // ensemble's cost, i.e. the slowest model's latency.
 type SyncAll struct {
-	D *Deployment
 	// all is the reusable identity Models scratch: Decide runs serialized
-	// (under the runtime's dispatch lock) and the runtime copies
-	// Action.Models into the outcome, so the full-ensemble subset is built
-	// once and reused per decision.
+	// (under the runtime's dispatch lock) and the runtime does not retain
+	// Action.Models, so the full-ensemble subset is built once and reused per
+	// decision.
 	all []int
 }
 
@@ -91,7 +90,6 @@ func (p *SyncAll) Decide(s *State) Action {
 // one model per batch of requests — maximum throughput, no ensemble. Each
 // free model greedily grabs the next batch per Algorithm 3.
 type AsyncEach struct {
-	D *Deployment
 	// next rotates which free model grabs the batch so the load spreads.
 	next int
 	// one is the reusable Models scratch (see SyncAll.all).

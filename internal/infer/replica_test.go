@@ -46,12 +46,18 @@ func (p *hold) Decide(s *State) Action {
 // what the test would not see.
 func handRuntime(tb testing.TB, d *Deployment, acc *ensemble.AccuracyTable) (*Runtime, *hold) {
 	tb.Helper()
-	p := &hold{SyncAll: SyncAll{D: d}}
+	p := &hold{SyncAll: SyncAll{}}
 	rt, err := NewRuntime(d, p, acc, echoExec, RuntimeConfig{Timeline: sim.NewEventLoop()})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return rt, p
+}
+
+// handRequest is a request a test enqueues by hand: a dispatch reads its
+// future's payload, so it carries a slot of its own.
+func handRequest(id uint64, at float64) Request {
+	return Request{ID: id, Arrival: at, slot: new(futureSlot)}
 }
 
 // replicaDeployment builds the three-ConvNet ensemble with the given
@@ -75,22 +81,22 @@ func TestEngineDispatchesAcrossReplicas(t *testing.T) {
 	d := replicaDeployment(t, 1.0, 2)
 	rt, _ := handRuntime(t, d, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500))
 	for i := 0; i < 32; i++ {
-		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(handRequest(uint64(i), 0))
 	}
-	outs, err := rt.decide(0)
+	runs, err := rt.decide(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 2 {
-		t.Fatalf("dispatches = %d, want 2 (one per replica)", len(outs))
+	if len(runs) != 2 {
+		t.Fatalf("dispatches = %d, want 2 (one per replica)", len(runs))
 	}
-	for i, out := range outs {
-		if len(out.Requests) != 16 {
-			t.Fatalf("dispatch %d batch = %d, want 16", i, len(out.Requests))
+	for i, br := range runs {
+		if len(br.reqs) != 16 {
+			t.Fatalf("dispatch %d batch = %d, want 16", i, len(br.reqs))
 		}
-		for m, rep := range out.Replicas {
-			if rep != i {
-				t.Fatalf("dispatch %d model %d on replica %d, want %d", i, m, rep, i)
+		for _, p := range br.passes {
+			if p.rep != i {
+				t.Fatalf("dispatch %d model %d on replica %d, want %d", i, p.model, p.rep, i)
 			}
 		}
 	}
@@ -119,11 +125,11 @@ func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		rt.enqueue(Request{ID: uint64(i), Arrival: 0})
+		rt.enqueue(handRequest(uint64(i), 0))
 	}
-	outs, err := rt.decide(0)
-	if err != nil || len(outs) != 0 {
-		t.Fatalf("outs=%d err=%v, want no dispatch while model 0 has no live replica", len(outs), err)
+	runs, err := rt.decide(0)
+	if err != nil || len(runs) != 0 {
+		t.Fatalf("runs=%d err=%v, want no dispatch while model 0 has no live replica", len(runs), err)
 	}
 	st := rt.state(0)
 	if st.FreeModels[0] || !math.IsInf(st.BusyLeft[0], 1) {
@@ -136,12 +142,12 @@ func TestEngineReplicaDownExcludesFromDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.on = false
-	outs, err = rt.decide(0)
-	if err != nil || len(outs) != 1 {
-		t.Fatalf("outs=%d err=%v, want one dispatch after recovery", len(outs), err)
+	runs, err = rt.decide(0)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("runs=%d err=%v, want one dispatch after recovery", len(runs), err)
 	}
-	if outs[0].Replicas[0] != 1 {
-		t.Fatalf("model 0 served by replica %d, want the recovered replica 1", outs[0].Replicas[0])
+	if rep := runs[0].passes[0].rep; rep != 1 {
+		t.Fatalf("model 0 served by replica %d, want the recovered replica 1", rep)
 	}
 	// Validation errors.
 	if err := rt.SetReplicaDown(0, 9, true); err == nil {
@@ -163,7 +169,7 @@ func replicaQPS(tb testing.TB, replicas int) float64 {
 	const n = 200
 	d := replicaDeployment(tb, 0.25, replicas)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(7), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(7), 500),
 		echoExec, RuntimeConfig{Timeline: loop})
 	if err != nil {
 		tb.Fatal(err)
@@ -231,7 +237,7 @@ func BenchmarkReplicaScaling(b *testing.B) {
 // -race): every future must resolve and every request be served exactly once.
 func TestRuntimeScaleConcurrent(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 1)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
 		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +293,7 @@ func TestRuntimeScaleConcurrent(t *testing.T) {
 func TestRuntimeStatsReplicasAndDrain(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 2)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(5), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(5), 500),
 		echoExec, RuntimeConfig{Timeline: loop})
 	if err != nil {
 		t.Fatal(err)

@@ -161,18 +161,18 @@ type Runtime struct {
 	// mu is the dispatch lock (see the concurrency contract above).
 	mu     sync.Mutex
 	policy Policy
-	// accByMask fronts acc on the dispatch hot path: model subsets with
-	// indices under 64 key a bitmask → accuracy cache, skipping the
-	// sort+join subset-key build and table lock per dispatch. Values are the
-	// table's own (deterministic) results, so the two caches never disagree.
-	accByMask map[uint64]float64
-	// view and st are the decision scratch, reused across decision points
-	// (policies must not retain *State or its slices across calls — the
-	// online RL adapter copies what it rewrites). until is the Action.Until
-	// of the wait that ended the last decide, 0 when something else ended
-	// it; step arms the deadline wake from it.
+	// subsets holds each dispatched model subset's record, keyed by its
+	// bitmask, so a dispatch of a known subset skips the accuracy table's
+	// subset-key build and lock.
+	subsets map[uint64]subset
+	// view, st and runs are the decision scratch, reused across decision
+	// points (policies must not retain *State or its slices across calls —
+	// the online RL adapter copies what it rewrites). until is the
+	// Action.Until of the wait that ended the last decide, 0 when something
+	// else ended it; step arms the deadline wake from it.
 	view  modelView
 	st    State
+	runs  []*batchRun
 	until float64
 	// deadline is the earliest armed deadline wake not yet reached, +Inf
 	// when none is armed. deadlineFn, the wake's cached callback (no closure
@@ -208,11 +208,11 @@ type Runtime struct {
 	spare   []arrivalEvent
 	qclosed bool
 
-	// occMu guards the replica pools. pools itself is fixed at construction
-	// (the deployment's model set never changes); each pool's slices resize
-	// under the lock.
+	// occMu guards the replica pools: pools[m] is model m's replicas. pools
+	// itself is fixed at construction (the deployment's model set never
+	// changes); each pool resizes under the lock.
 	occMu sync.Mutex
-	pools []replicaPool
+	pools [][]replica
 
 	// lat is the latency-feedback plane, one entry per model (latency.go):
 	// its EWMAs are atomics any pass folds into, its applied scale and
@@ -275,10 +275,10 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 		tl:         tl,
 		syncExec:   !concurrent,
 		policy:     p,
-		accByMask:  make(map[uint64]float64),
+		subsets:    make(map[uint64]subset),
 		deadline:   math.Inf(1),
 		q:          NewQueue(queueCap),
-		pools:      make([]replicaPool, len(d.Profiles)),
+		pools:      make([][]replica, len(d.Profiles)),
 		lat:        make([]latModel, len(d.Profiles)),
 		table:      slices.Clone(d.LatencyTable()),
 		dispatched: make([]uint64, len(d.Profiles)),
@@ -292,17 +292,13 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, combine Co
 	for m := range r.pools {
 		r.lat[m].raw.Store(math.Float64bits(1))
 		r.lat[m].applied = 1
-		n := d.ReplicaCount(m)
-		r.pools[m] = replicaPool{busy: make([]float64, n), down: make([]bool, n), repBatch: make([]int, n), held: make([]bool, n)}
+		r.pools[m] = make([]replica, d.ReplicaCount(m))
 	}
 	r.resetBackoff()
 	r.execCtx, r.execCancel = context.WithCancel(context.Background())
 	b := cfg.Backend
 	if b == nil {
 		b = &SimBackend{}
-	}
-	if tb, ok := b.(TimelineBinder); ok {
-		tb.BindTimeline(tl)
 	}
 	r.backend.Store(&backendHandle{b: b, combine: combine})
 	r.deadlineFn = r.scheduleSweep
@@ -425,9 +421,9 @@ func (r *Runtime) step(now float64) error {
 	if r.closed.Load() {
 		return r.closedErr()
 	}
-	outs, err := r.decide(now)
-	for _, out := range outs {
-		r.launch(now, out)
+	runs, err := r.decide(now)
+	for _, br := range runs {
+		r.launch(now, br)
 	}
 	if err != nil {
 		// A policy/dispatch error poisons the runtime: requests left in the
@@ -464,21 +460,30 @@ type backendHandle struct {
 	wg      sync.WaitGroup
 }
 
-// batchRun is one dispatched batch's execution state: the per-model backend
-// passes fill preds, the last one to finish finalizes the futures. Runs are
-// pooled: only the launch → model-pass → finalize pipeline touches a run
-// (waiters touch just their own slot), so once finalize has resolved every
-// slot the run and its slices go back to the pool, and the dispatch hot path
-// runs batch after batch without growing the heap. Backends and combiners
-// must not retain the ID/payload slices beyond the call, which the ExecTask
-// contract already requires.
+// batchRun is one dispatched batch: dispatch fills it, launch hands out its
+// model passes, the passes fill preds, and the last one to finish finalizes
+// the futures. Runs are pooled: only the dispatch → model-pass → finalize
+// pipeline touches a run (waiters touch just their own slot), so once
+// finalize has resolved every slot the run and its slices go back to the
+// pool, and the dispatch hot path runs batch after batch without growing the
+// heap. Backends and combiners must not retain the ID/payload slices beyond
+// the call, which the ExecTask contract already requires.
 type batchRun struct {
-	out      dispatchOutcome
-	futs     []*futureSlot
+	// reqs is the batch, oldest first: each request carries the slot
+	// finalize resolves. ids and payloads are its backend and combiner view.
+	reqs     []Request
 	ids      []uint64
 	payloads []any
-	h        *backendHandle
-	// preds[k] is model k's predictions; remaining counts unfinished model
+	// passes[k] is the k-th selected model's pass, in ascending model order;
+	// names are the subset's shared, immutable model names.
+	passes []pass
+	names  []string
+	// decided is the decision time and finish the ensemble completion (the
+	// slowest pass's planned finish); reward is the Equation 7 reward.
+	decided, finish, reward float64
+	// h is the backend handle launch hands the passes to.
+	h *backendHandle
+	// preds[k] is passes[k]'s predictions; remaining counts unfinished model
 	// passes.
 	preds     [][]any
 	remaining atomic.Int32
@@ -489,38 +494,37 @@ type batchRun struct {
 	err    error
 }
 
+// pass is one selected model's share of a run: the model's index, the
+// replica that serves it and its planned finish.
+type pass struct {
+	model, rep int
+	finish     float64
+}
+
 var batchRunPool = sync.Pool{New: func() any { return new(batchRun) }}
 
-// grab sizes the run's slices for a batch of n requests across m models,
-// reusing prior capacity.
+// grab sizes the run's per-request and per-model slices for a batch of n
+// requests across m models, reusing prior capacity, and empties passes for
+// dispatch to append to.
 func (br *batchRun) grab(n, m int) {
-	if cap(br.futs) < n {
-		br.futs = make([]*futureSlot, n)
+	if cap(br.ids) < n {
 		br.ids = make([]uint64, n)
 		br.payloads = make([]any, n)
-	} else {
-		br.futs = br.futs[:n]
-		br.ids = br.ids[:n]
-		br.payloads = br.payloads[:n]
 	}
+	br.ids, br.payloads = br.ids[:n], br.payloads[:n]
 	if cap(br.preds) < m {
 		br.preds = make([][]any, m)
-	} else {
-		br.preds = br.preds[:m]
 	}
+	br.preds, br.passes = br.preds[:m], br.passes[:0]
 }
 
 // release clears every reference the run holds and returns it to the pool.
 // Called at the end of finalize, after the last read of the run.
 func (br *batchRun) release() {
-	for i := range br.futs {
-		br.futs[i] = nil
-		br.payloads[i] = nil
-	}
-	for i := range br.preds {
-		br.preds[i] = nil
-	}
-	br.out = dispatchOutcome{}
+	clear(br.reqs)
+	clear(br.payloads)
+	clear(br.preds)
+	br.names = nil
 	br.h = nil
 	br.err = nil
 	br.failed.Store(false)
@@ -533,42 +537,34 @@ func (br *batchRun) fail(err error) {
 	}
 }
 
-// task builds model pass i's ExecTask view of the batch.
-func (br *batchRun) task(i int) ExecTask {
+// task builds model pass i's ExecTask view of the batch on timeline tl.
+func (br *batchRun) task(i int, tl sim.Timeline) ExecTask {
+	p := br.passes[i]
 	return ExecTask{
-		Model:          br.out.ModelNames[i],
-		ModelIndex:     br.out.Models[i],
+		Model:          br.names[i],
+		ModelIndex:     p.model,
 		IDs:            br.ids,
 		Payloads:       br.payloads,
-		Decided:        br.out.Decided,
-		ProfiledFinish: br.out.ModelFinish[i],
+		Decided:        br.decided,
+		ProfiledFinish: p.finish,
+		Timeline:       tl,
 	}
 }
 
-// launch hands a dispatched batch to the execution layer. On a concurrent
-// timeline each model pass goes to a pass worker at once (the SimBackend
-// paces to the profiled finish; real backends run for as long as they run);
-// on a virtual-time loop each pass runs inline from its own model's finish
-// event, preserving the loop's determinism. Called with the dispatch lock
-// held.
-func (r *Runtime) launch(now float64, out dispatchOutcome) {
-	br := batchRunPool.Get().(*batchRun)
-	br.grab(len(out.Requests), len(out.Models))
-	br.out = out
+// launch hands a dispatched run's model passes to the execution layer. On a
+// concurrent timeline each pass goes to a pass worker at once (the
+// SimBackend paces to the profiled finish; real backends run for as long as
+// they run); on a virtual-time loop each pass runs inline from its own
+// model's finish event, preserving the loop's determinism. Called with the
+// dispatch lock held.
+func (r *Runtime) launch(now float64, br *batchRun) {
 	br.h = r.backend.Load()
 	br.h.wg.Add(1)
 	r.inflight.Add(1)
-	br.remaining.Store(int32(len(out.Models)))
-	// The popped requests carry their slots: the run holds them until
-	// finalize resolves them.
-	for i, req := range out.Requests {
-		br.ids[i] = req.ID
-		br.futs[i] = req.slot
-		br.payloads[i] = req.slot.payload
-	}
-	for i := range out.Models {
+	br.remaining.Store(int32(len(br.passes)))
+	for i, p := range br.passes {
 		if r.syncExec {
-			r.tl.AfterFunc(out.ModelFinish[i]-now, func() { r.runModelPass(br, i) })
+			r.tl.AfterFunc(p.finish-now, func() { r.runModelPass(br, i) })
 			continue
 		}
 		// A parked worker takes the pass by value; spawn one only when none
@@ -609,15 +605,16 @@ func (r *Runtime) passWorker(p passRef) {
 // replica, finalizes the batch if this was its last pass, and runs the
 // decision point the freed replica calls for.
 func (r *Runtime) runModelPass(br *batchRun, i int) {
-	preds, obs, err := br.h.b.Execute(r.execCtx, br.task(i))
+	p := br.passes[i]
+	preds, obs, err := br.h.b.Execute(r.execCtx, br.task(i, r.tl))
 	if err != nil {
 		r.backendErrs.Add(1)
 		br.fail(err)
 	} else {
 		br.preds[i] = preds
-		r.observeLatency(br.out.Models[i], len(br.ids), obs)
+		r.observeLatency(p.model, len(br.ids), obs)
 	}
-	r.release(br.out.Models[i], br.out.Replicas[i], br.out.ModelFinish[i], r.tl.Now())
+	r.release(p.model, p.rep, p.finish, r.tl.Now())
 	if br.remaining.Add(-1) == 0 {
 		r.finalize(br)
 	}
@@ -643,9 +640,9 @@ func (r *Runtime) finalize(br *batchRun) {
 	err := br.err
 	var results []any
 	if err == nil {
-		results, err = h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
-		if err == nil && len(results) != len(br.futs) {
-			err = fmt.Errorf("infer: combiner returned %d results for a batch of %d", len(results), len(br.futs))
+		results, err = h.combine(br.ids, br.payloads, br.names, br.preds)
+		if err == nil && len(results) != len(br.reqs) {
+			err = fmt.Errorf("infer: combiner returned %d results for a batch of %d", len(results), len(br.reqs))
 		}
 	}
 	if err != nil && r.closed.Load() && errors.Is(err, context.Canceled) {
@@ -656,21 +653,21 @@ func (r *Runtime) finalize(br *batchRun) {
 	if err == nil {
 		// δ learns from when the batch actually finished on this clock —
 		// past the plan by whatever pacing and wake-ups added.
-		oldest := br.out.Requests[0].Arrival
-		for _, q := range br.out.Requests[1:] {
+		oldest := br.reqs[0].Arrival
+		for _, q := range br.reqs[1:] {
 			oldest = min(oldest, q.Arrival)
 		}
 		r.observeBatchLatency(r.tl.Now() - oldest)
 	}
-	for i, s := range br.futs {
+	for i, q := range br.reqs {
 		var res any
 		if err == nil {
 			res = results[i]
 		}
-		// Slots share the outcome's model-name slice; Future.Models copies
-		// on read, so batch siblings stay isolated without a per-request
-		// allocation here.
-		s.resolve(res, err, br.out.ModelNames, br.out.Finish-br.out.Requests[i].Arrival)
+		// Slots share the subset's immutable model-name slice; Future.Models
+		// copies on read, so batch siblings stay isolated without a
+		// per-request allocation here.
+		q.slot.resolve(res, err, br.names, br.finish-q.Arrival)
 	}
 	br.release()
 }
@@ -738,9 +735,6 @@ func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
 		return fmt.Errorf("infer: SetBackend needs a backend and a combiner")
 	}
 	return r.control(false, func() error {
-		if tb, ok := b.(TimelineBinder); ok {
-			tb.BindTimeline(r.tl)
-		}
 		old := r.backend.Swap(&backendHandle{b: b, combine: combine})
 		if old != nil && old.b != b {
 			// The drain rides the runtime's in-flight WaitGroup so Close
@@ -818,17 +812,11 @@ func (r *Runtime) SetReplicas(m, n int) error {
 		}
 		r.occMu.Lock()
 		defer r.occMu.Unlock()
-		p := &r.pools[m]
-		for len(p.busy) < n {
-			p.busy = append(p.busy, 0)
-			p.down = append(p.down, false)
-			p.repBatch = append(p.repBatch, 0)
-			p.held = append(p.held, false)
+		p := r.pools[m]
+		if n > len(p) {
+			p = append(p, make([]replica, n-len(p))...)
 		}
-		p.busy = p.busy[:n]
-		p.down = p.down[:n]
-		p.repBatch = p.repBatch[:n]
-		p.held = p.held[:n]
+		r.pools[m] = p[:n]
 		return nil
 	})
 }
@@ -846,12 +834,8 @@ func (r *Runtime) AddReplica(m int) (int, error) {
 		}
 		r.occMu.Lock()
 		defer r.occMu.Unlock()
-		p := &r.pools[m]
-		p.busy = append(p.busy, 0)
-		p.down = append(p.down, true)
-		p.repBatch = append(p.repBatch, 0)
-		p.held = append(p.held, false)
-		rep = len(p.busy) - 1
+		r.pools[m] = append(r.pools[m], replica{down: true})
+		rep = len(r.pools[m]) - 1
 		return nil
 	})
 	return rep, err
@@ -868,17 +852,16 @@ func (r *Runtime) SetReplicaDown(m, rep int, down bool) error {
 		}
 		r.occMu.Lock()
 		defer r.occMu.Unlock()
-		p := &r.pools[m]
-		if rep < 0 || rep >= len(p.busy) {
+		p := r.pools[m]
+		if rep < 0 || rep >= len(p) {
 			return fmt.Errorf("infer: model %s has no replica %d", r.d.ModelNames[m], rep)
 		}
-		p.down[rep] = down
+		p[rep].down = down
 		if !down {
 			// A restarted container comes back idle regardless of what its
 			// predecessor was doing; that pass's late release finds
 			// busy-until moved and frees nothing.
-			p.busy[rep] = 0
-			p.held[rep] = false
+			p[rep].busy, p[rep].held = 0, false
 		}
 		return nil
 	})
@@ -943,7 +926,7 @@ func (r *Runtime) Stats() Stats {
 	r.occMu.Lock()
 	st.Replicas = make([]int, len(r.pools))
 	for i := range r.pools {
-		st.Replicas[i] = len(r.pools[i].busy)
+		st.Replicas[i] = len(r.pools[i])
 	}
 	r.occMu.Unlock()
 	pct := percentiles(latencies, 50, 99)

@@ -41,7 +41,7 @@ func runtimeDeployment(t *testing.T, tau float64) *Deployment {
 func TestRuntimeDeterministicBatching(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		echoExec, RuntimeConfig{Timeline: loop})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestRuntimeDeterministicBatching(t *testing.T) {
 	}
 	// Rerun: identical submission schedule must reproduce identical stats.
 	loop2 := sim.NewEventLoop()
-	rt2, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt2, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		echoExec, RuntimeConfig{Timeline: loop2})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRuntimeDeterministicBatching(t *testing.T) {
 // caller gets its result, and the policy groups callers into shared batches.
 func TestRuntimeConcurrentWallClock(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(2), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(2), 500),
 		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestSubmitRacesClose(t *testing.T) {
 	}{
 		{
 			name:   "close",
-			policy: func(d *Deployment) Policy { return &SyncAll{D: d} },
+			policy: func(d *Deployment) Policy { return &SyncAll{} },
 			close: func(rt *Runtime) {
 				time.Sleep(5 * time.Millisecond)
 				rt.Close()
@@ -400,7 +400,7 @@ func TestSubmitRacesClose(t *testing.T) {
 func TestRuntimeQueueFull(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
 		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestRuntimeQueueFull(t *testing.T) {
 func TestRuntimeLiveReconfiguration(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+	rt, err := NewRuntime(d, &SyncAll{}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
 		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestRuntimeLiveReconfiguration(t *testing.T) {
 			t.Errorf("submit into shrunk queue err = %v, want ErrQueueFull", err)
 		}
 		// Swap to the async policy and loosen the SLO mid-backlog.
-		if err := rt.SetPolicy(&AsyncEach{D: d}); err != nil {
+		if err := rt.SetPolicy(&AsyncEach{}); err != nil {
 			t.Errorf("set policy: %v", err)
 		}
 		if err := rt.SetSLO(1.0); err != nil {
@@ -501,7 +501,7 @@ func TestRuntimeLiveReconfiguration(t *testing.T) {
 		t.Fatal("zero SLO should error")
 	}
 	rt.Close()
-	if err := rt.SetPolicy(&SyncAll{D: d}); err != ErrClosed {
+	if err := rt.SetPolicy(&SyncAll{}); err != ErrClosed {
 		t.Fatalf("set policy on closed runtime err = %v", err)
 	}
 }
@@ -526,12 +526,12 @@ func TestControlOperations(t *testing.T) {
 		}
 		return rt, loop, d
 	}
-	syncAll := func(d *Deployment) Policy { return &SyncAll{D: d} }
+	syncAll := func(d *Deployment) Policy { return &SyncAll{} }
 	ops := []struct {
 		name string
 		op   func(*Runtime, *Deployment) error
 	}{
-		{"SetPolicy", func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{D: d}) }},
+		{"SetPolicy", func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{}) }},
 		{"SetSLO", func(rt *Runtime, _ *Deployment) error { return rt.SetSLO(0.01) }},
 		{"SetQueueCap", func(rt *Runtime, _ *Deployment) error { return rt.SetQueueCap(64) }},
 		{"SetReplicas", func(rt *Runtime, _ *Deployment) error { return rt.SetReplicas(0, 2) }},
@@ -582,7 +582,7 @@ func TestControlOperations(t *testing.T) {
 		// The only replica is down, so nothing dispatches until it recovers.
 		{"SetReplicaDown", 0.56, syncAll, func(rt *Runtime) error { return rt.SetReplicaDown(0, 0, true) }, maxB, func(rt *Runtime, _ *Deployment) error { return rt.SetReplicaDown(0, 0, false) }},
 		// The held policy waits for ever; SyncAll dispatches at once.
-		{"SetPolicy", 0.56, func(d *Deployment) Policy { return &hold{SyncAll: SyncAll{D: d}, on: true} }, nil, maxB, func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{D: d}) }},
+		{"SetPolicy", 0.56, func(d *Deployment) Policy { return &hold{SyncAll: SyncAll{}, on: true} }, nil, maxB, func(rt *Runtime, d *Deployment) error { return rt.SetPolicy(&SyncAll{}) }},
 		// Algorithm 3 waits on a half batch under a 100-s SLO, and flushes
 		// it under a 10-ms one.
 		{"SetSLO", 100, syncAll, nil, maxB / 2, func(rt *Runtime, _ *Deployment) error { return rt.SetSLO(0.01) }},

@@ -167,7 +167,7 @@ func TestRLBeatsGreedyAtLowRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := runServing(t, d, &infer.SyncAll{D: d}, 228, 280, 280, 11)
+	greedy := runServing(t, d, &infer.SyncAll{}, 228, 280, 280, 11)
 	agent, err := NewOnline(DefaultConfig(), 1, testB, sim.NewRNG(12))
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestRLTradesAccuracyForLatency(t *testing.T) {
 		}
 		return met
 	}
-	sync := mkSim(&infer.SyncAll{D: d}, 400, 13)
+	sync := mkSim(&infer.SyncAll{}, 400, 13)
 	cfg := DefaultConfig()
 	cfg.Gamma = 0.98
 	agent, _ := NewOnline(cfg, 3, testB, sim.NewRNG(14))

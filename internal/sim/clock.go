@@ -1,5 +1,5 @@
 // Package sim provides the deterministic simulation substrate used by every
-// Rafiki experiment: a virtual clock, a discrete-event loop, and seeded,
+// Rafiki experiment: a discrete-event loop over a virtual clock, and seeded,
 // splittable random number generators.
 //
 // The paper's serving experiments run for 1,500+ wall-clock seconds against
@@ -12,35 +12,6 @@ import (
 	"container/heap"
 	"fmt"
 )
-
-// Clock is a virtual clock measured in seconds. The zero value starts at t=0.
-type Clock struct {
-	now float64
-}
-
-// NewClock returns a clock positioned at start seconds.
-func NewClock(start float64) *Clock { return &Clock{now: start} }
-
-// Now returns the current virtual time in seconds.
-func (c *Clock) Now() float64 { return c.now }
-
-// Advance moves the clock forward by d seconds. It panics if d is negative:
-// virtual time never runs backwards, and a negative delta always indicates a
-// scheduling bug in the caller.
-func (c *Clock) Advance(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative clock advance %v", d))
-	}
-	c.now += d
-}
-
-// AdvanceTo moves the clock to time t. Moving to the past panics.
-func (c *Clock) AdvanceTo(t float64) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: clock moved backwards %v -> %v", c.now, t))
-	}
-	c.now = t
-}
 
 // Event is a scheduled callback in an EventLoop.
 type Event struct {
@@ -79,30 +50,28 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// EventLoop is a single-threaded discrete-event simulator. Events scheduled
-// for the same instant fire in the order they were scheduled.
+// EventLoop is a single-threaded discrete-event simulator over a virtual
+// clock in seconds, starting at t=0. Events scheduled for the same instant
+// fire in the order they were scheduled. The clock never runs backwards:
+// Schedule refuses the past, so each Step moves it forward to the earliest
+// event.
 type EventLoop struct {
-	clock *Clock
+	now   float64
 	queue eventHeap
 	seq   uint64
 }
 
-// NewEventLoop returns an event loop with its own clock starting at t=0.
-func NewEventLoop() *EventLoop {
-	return &EventLoop{clock: NewClock(0)}
-}
-
-// Clock returns the loop's virtual clock.
-func (l *EventLoop) Clock() *Clock { return l.clock }
+// NewEventLoop returns an event loop whose clock starts at t=0.
+func NewEventLoop() *EventLoop { return &EventLoop{} }
 
 // Now returns the loop's current virtual time in seconds.
-func (l *EventLoop) Now() float64 { return l.clock.Now() }
+func (l *EventLoop) Now() float64 { return l.now }
 
 // Schedule registers fn to run at absolute virtual time at. Scheduling in the
 // past panics. It returns the event so callers may Cancel it.
 func (l *EventLoop) Schedule(at float64, fn func()) *Event {
-	if at < l.clock.Now() {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, l.clock.Now()))
+	if at < l.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, l.now))
 	}
 	l.seq++
 	e := &Event{At: at, Fn: fn, seq: l.seq}
@@ -112,7 +81,7 @@ func (l *EventLoop) Schedule(at float64, fn func()) *Event {
 
 // After registers fn to run d seconds from now.
 func (l *EventLoop) After(d float64, fn func()) *Event {
-	return l.Schedule(l.clock.Now()+d, fn)
+	return l.Schedule(l.now+d, fn)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or already-
@@ -132,7 +101,7 @@ func (l *EventLoop) Step() bool {
 		return false
 	}
 	e := heap.Pop(&l.queue).(*Event)
-	l.clock.AdvanceTo(e.At)
+	l.now = e.At
 	e.Fn()
 	return true
 }
@@ -144,10 +113,7 @@ func (l *EventLoop) RunUntil(deadline float64) {
 	for len(l.queue) > 0 && l.queue[0].At <= deadline {
 		l.Step()
 	}
-	if l.clock.Now() < deadline {
-		l.clock.AdvanceTo(deadline)
+	if l.now < deadline {
+		l.now = deadline
 	}
 }
-
-// Pending returns the number of events waiting to fire.
-func (l *EventLoop) Pending() int { return len(l.queue) }

@@ -6,39 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock(5)
-	if c.Now() != 5 {
-		t.Fatalf("start = %v, want 5", c.Now())
-	}
-	c.Advance(2.5)
-	if c.Now() != 7.5 {
-		t.Fatalf("after advance = %v, want 7.5", c.Now())
-	}
-	c.AdvanceTo(10)
-	if c.Now() != 10 {
-		t.Fatalf("after advanceTo = %v, want 10", c.Now())
-	}
-}
-
-func TestClockBackwardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative advance")
-		}
-	}()
-	NewClock(0).Advance(-1)
-}
-
-func TestClockAdvanceToPastPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on AdvanceTo in the past")
-		}
-	}()
-	NewClock(5).AdvanceTo(1)
-}
-
 func TestEventLoopOrdering(t *testing.T) {
 	l := NewEventLoop()
 	var got []int

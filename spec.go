@@ -307,9 +307,9 @@ func (s *System) buildPolicy(spec DeploymentSpec, dep *infer.Deployment, jobID s
 		}
 		return online, online, nil
 	case PolicyAsync:
-		return &infer.AsyncEach{D: dep}, nil, nil
+		return &infer.AsyncEach{}, nil, nil
 	default: // validated: PolicyGreedy
-		return &infer.SyncAll{D: dep}, nil, nil
+		return &infer.SyncAll{}, nil, nil
 	}
 }
 
